@@ -47,6 +47,16 @@ query/key/value slabs GLB -> LB -> buffer per (head, timestep) and reads
 operands from the buffer per tile; partial output blocks that span several
 key tiles cost one extra read-modify-write on the staging buffer per extra
 contribution.
+
+Each array has one walker (``expert_walk``, ``routing_walk``,
+``attention_walk``): a generator that yields ``(cycle, level, direction,
+bits, tag)`` records in emission order and returns the run's cycle stats.
+``simulate_*`` turn the records into ``AccessEvent`` lists.  A run folds the
+records straight into per-level counts instead, so the merged trace is
+materialized only when it is requested.  Attention heads run identical
+schedules, so a run walks one head and counts it once per head; ``compare``
+runs the pipeline once and prices that one count set under both
+calibrations.
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ from .levels import (
     WEIGHT_GLB0,
     WEIGHT_LB,
     level_width_bits,
+    level_words,
 )
 
 ARRAY_ROLES = ("expert", "routing", "attention")
@@ -100,7 +111,6 @@ class Tile:
     col_stop: int
     reduction: int
     phase: str
-    sources: tuple[str, ...]
     group: tuple[int, int] | None = None  # (head, timestep) for attention tiles
 
     def __post_init__(self):
@@ -223,12 +233,33 @@ class SparsityStats:
         return self.ones / self.total if self.total else 0.0
 
 
-def _words(bits: int, level: str) -> int:
-    return math.ceil(bits / level_width_bits(level))
+def access_event(unit: str, record: tuple) -> AccessEvent:
+    """The trace event of one walker record ``(cycle, level, direction, bits, tag)``."""
+    cycle, level, direction, bits, tag = record
+    return AccessEvent(cycle, unit, level, direction, level_words(bits, level), level_width_bits(level), tag)
 
 
-def access_event(cycle: int, unit: str, level: str, direction: str, bits: int, tag: str) -> AccessEvent:
-    return AccessEvent(cycle, unit, level, direction, _words(bits, level), level_width_bits(level), tag)
+def drain(walk) -> tuple[CycleStats | None, list[tuple]]:
+    """Run a walker to its end: the CycleStats it returns and its records in emission order."""
+    records = []
+    while True:
+        try:
+            records.append(next(walk))
+        except StopIteration as done:
+            return done.value, records
+
+
+def materialize(walks) -> list[AccessEvent]:
+    """Replay ``(units, walker factory)`` pairs into one merged trace.
+
+    Units that share a walker (identical attention heads) replay it once and
+    differ only in the unit name of their events.
+    """
+    traces = []
+    for units, make_walk in walks:
+        _, records = drain(make_walk())
+        traces += ([access_event(unit, rec) for rec in records] for unit in units)
+    return merge_traces(*traces)
 
 
 def fill_cycles(reduction: int, rows_used: int, cols_used: int) -> int:
@@ -248,6 +279,11 @@ def _check_schedule_fits(ts: TileSchedule, g: ArrayGeometry) -> None:
             raise ConfigError(
                 f"tile {tile.rows_used}x{tile.cols_used} does not fit the {g.rows}x{g.cols} array"
             )
+
+
+def _stats(cycles: int, per_phase: dict, tiles: int, mac_ops: int, extraction: int, g: ArrayGeometry) -> CycleStats:
+    utilization = mac_ops / (cycles * g.pe_count) if cycles else 0.0
+    return CycleStats(cycles, per_phase, tiles, mac_ops, utilization, extraction, g.pe_count)
 
 
 def plan_expert_tiles(n_e: int, t: int, d_in: int, d_out: int, g: ArrayGeometry) -> TileSchedule:
@@ -270,21 +306,14 @@ def plan_expert_tiles(n_e: int, t: int, d_in: int, d_out: int, g: ArrayGeometry)
         r1 = min(r0 + g.rows, d_out)
         for c0 in range(0, col_extent, g.cols):
             c1 = min(c0 + g.cols, col_extent)
-            tiles.append(
-                Tile(r0, r1, c0, c1, d_in, "compute", (ACT_LB, WEIGHT_LB))
-            )
+            tiles.append(Tile(r0, r1, c0, c1, d_in, "compute"))
     return TileSchedule(tuple(tiles), d_out, col_extent, meta)
 
 
-def simulate_expert_array(
-    ts: TileSchedule,
-    g: ArrayGeometry,
-    sparsity: SparsityStats,
-    extract_ports: int | None = None,
-    unit: str = "expert0",
-    weight_glb: str = WEIGHT_GLB0,
-) -> tuple[CycleStats, list[AccessEvent]]:
-    """Walk an expert tile schedule, producing cycles and access events."""
+def expert_walk(
+    ts: TileSchedule, g: ArrayGeometry, sparsity: SparsityStats, extract_ports: int | None = None, weight_glb: str = WEIGHT_GLB0
+):
+    """Walk an expert tile schedule: yield its access records, return its CycleStats."""
     if g.role != "expert":
         raise ConfigError(f"expected an expert-role array, got {g.role!r}")
     _check_schedule_fits(ts, g)
@@ -292,17 +321,15 @@ def simulate_expert_array(
     if ports < 1:
         raise ConfigError(f"extract ports must be >= 1, got {ports}")
     if not ts.tiles:
-        stats = CycleStats(0, {"compute": 0, "extract": 0}, 0, 0, 0.0, 0, g.pe_count)
-        return stats, []
+        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g)
 
     d_in = ts.meta["d_in"]
     d_out = ts.row_extent
-    events: list[AccessEvent] = []
     # Preload: the expert's full weight block and its routed token set.
-    events.append(access_event(0, unit, weight_glb, "read", d_in * d_out * 8, "weight"))
-    events.append(access_event(0, unit, WEIGHT_LB, "write", d_in * d_out * 8, "weight"))
-    events.append(access_event(0, unit, ACT_GLB, "read", ts.col_extent * d_in, "spike"))
-    events.append(access_event(0, unit, ACT_LB, "write", ts.col_extent * d_in, "spike"))
+    yield (0, weight_glb, "read", d_in * d_out * 8, "weight")
+    yield (0, WEIGHT_LB, "write", d_in * d_out * 8, "weight")
+    yield (0, ACT_GLB, "read", ts.col_extent * d_in, "spike")
+    yield (0, ACT_LB, "write", ts.col_extent * d_in, "spike")
 
     cycle = 0
     compute = 0
@@ -314,37 +341,79 @@ def simulate_expert_array(
             # New row tile: stream its weight block in once.
             current_row_tile = (tile.row_start, tile.row_stop)
             wbits = ru * tile.reduction * 8
-            events.append(access_event(cycle, unit, WEIGHT_LB, "read", wbits, "weight"))
-            events.append(access_event(cycle, unit, WEIGHT_BUFFER, "write", wbits, "weight"))
-            events.append(access_event(cycle, unit, WEIGHT_BUFFER, "read", wbits, "weight"))
+            yield (cycle, WEIGHT_LB, "read", wbits, "weight")
+            yield (cycle, WEIGHT_BUFFER, "write", wbits, "weight")
+            yield (cycle, WEIGHT_BUFFER, "read", wbits, "weight")
         sbits = cu * tile.reduction
-        events.append(access_event(cycle, unit, ACT_LB, "read", sbits, "spike"))
-        events.append(access_event(cycle, unit, ACT_BUFFER, "write", sbits, "spike"))
-        events.append(access_event(cycle, unit, ACT_BUFFER, "read", sbits, "spike"))
+        yield (cycle, ACT_LB, "read", sbits, "spike")
+        yield (cycle, ACT_BUFFER, "write", sbits, "spike")
+        yield (cycle, ACT_BUFFER, "read", sbits, "spike")
 
         fills = fill_cycles(tile.reduction, ru, cu)
         ext = extraction_cycle_count(ru * cu, ports)
         xbits = ru * cu * 16
-        events.append(access_event(cycle + fills, unit, ACT_BUFFER, "write", xbits, "integration"))
-        events.append(access_event(cycle + fills + ext, unit, ACT_BUFFER, "read", xbits, "integration"))
-        events.append(access_event(cycle + fills + ext, unit, ACT_LB, "write", ru * cu, "spike"))
+        yield (cycle + fills, ACT_BUFFER, "write", xbits, "integration")
+        yield (cycle + fills + ext, ACT_BUFFER, "read", xbits, "integration")
+        yield (cycle + fills + ext, ACT_LB, "write", ru * cu, "spike")
         cycle += fills + ext
         compute += fills
         extract_total += ext
 
-    mac_ops = sparsity.ones * d_out
-    total = cycle
-    utilization = mac_ops / (total * g.pe_count) if total else 0.0
-    stats = CycleStats(
-        total_cycles=total,
-        per_phase={"compute": compute, "extract": extract_total},
-        tile_count=ts.tile_count,
-        mac_ops=mac_ops,
-        utilization=utilization,
-        extraction_cycles=extract_total,
-        pe_count=g.pe_count,
-    )
-    return stats, events
+    per_phase = {"compute": compute, "extract": extract_total}
+    return _stats(cycle, per_phase, ts.tile_count, sparsity.ones * d_out, extract_total, g)
+
+
+def simulate_expert_array(
+    ts: TileSchedule,
+    g: ArrayGeometry,
+    sparsity: SparsityStats,
+    extract_ports: int | None = None,
+    unit: str = "expert0",
+    weight_glb: str = WEIGHT_GLB0,
+) -> tuple[CycleStats, list[AccessEvent]]:
+    """Walk an expert tile schedule, producing cycles and access events."""
+    stats, records = drain(expert_walk(ts, g, sparsity, extract_ports, weight_glb))
+    return stats, [access_event(unit, rec) for rec in records]
+
+
+def routing_walk(n: int, t: int, d_in: int, e: int, g: ArrayGeometry, extract_ports: int | None = None):
+    """Walk the routing array: yield its access records, return its CycleStats."""
+    if g.role != "routing":
+        raise ConfigError(f"expected a routing-role array, got {g.role!r}")
+    if n < 0 or t < 1 or d_in < 1 or e < 1:
+        raise ConfigError(f"bad routing shape n={n} t={t} d_in={d_in} e={e}")
+    ports = g.rows if extract_ports is None else extract_ports
+    if ports < 1:
+        raise ConfigError(f"extract ports must be >= 1, got {ports}")
+    if n == 0:
+        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g)
+
+    reduction = t * d_in
+    yield (0, WEIGHT_GLB0, "read", d_in * e * 8, "weight")
+    yield (0, WEIGHT_LB, "write", d_in * e * 8, "weight")
+
+    cycle = 0
+    compute = 0
+    extract_total = 0
+    tiles = 0
+    mac_ops = 0
+    for r0 in range(0, n, g.rows):
+        r1 = min(r0 + g.rows, n)
+        for c0 in range(0, e, g.cols):
+            c1 = min(c0 + g.cols, e)
+            ru, cu = r1 - r0, c1 - c0
+            yield (cycle, WEIGHT_LB, "read", cu * d_in * 8, "weight")
+            yield (cycle, ACT_GLB, "read", ru * reduction, "spike")
+            fills = fill_cycles(reduction, ru, cu)
+            ext = extraction_cycle_count(ru * cu, ports)
+            yield (cycle + fills, ACT_BUFFER, "write", ru * cu * 16, "score")
+            cycle += fills + ext
+            compute += fills
+            extract_total += ext
+            tiles += 1
+            mac_ops += ru * cu * reduction
+
+    return _stats(cycle, {"compute": compute, "extract": extract_total}, tiles, mac_ops, extract_total, g)
 
 
 def simulate_routing_array(
@@ -362,53 +431,8 @@ def simulate_routing_array(
     over all t * d_in spike positions of a token (the routing weight column
     repeats every timestep).
     """
-    if g.role != "routing":
-        raise ConfigError(f"expected a routing-role array, got {g.role!r}")
-    if n < 0 or t < 1 or d_in < 1 or e < 1:
-        raise ConfigError(f"bad routing shape n={n} t={t} d_in={d_in} e={e}")
-    ports = g.rows if extract_ports is None else extract_ports
-    if ports < 1:
-        raise ConfigError(f"extract ports must be >= 1, got {ports}")
-    if n == 0:
-        return CycleStats(0, {"compute": 0, "extract": 0}, 0, 0, 0.0, 0, g.pe_count), []
-
-    reduction = t * d_in
-    events: list[AccessEvent] = []
-    events.append(access_event(0, unit, WEIGHT_GLB0, "read", d_in * e * 8, "weight"))
-    events.append(access_event(0, unit, WEIGHT_LB, "write", d_in * e * 8, "weight"))
-
-    cycle = 0
-    compute = 0
-    extract_total = 0
-    tiles = 0
-    mac_ops = 0
-    for r0 in range(0, n, g.rows):
-        r1 = min(r0 + g.rows, n)
-        for c0 in range(0, e, g.cols):
-            c1 = min(c0 + g.cols, e)
-            ru, cu = r1 - r0, c1 - c0
-            events.append(access_event(cycle, unit, WEIGHT_LB, "read", cu * d_in * 8, "weight"))
-            events.append(access_event(cycle, unit, ACT_GLB, "read", ru * reduction, "spike"))
-            fills = fill_cycles(reduction, ru, cu)
-            ext = extraction_cycle_count(ru * cu, ports)
-            events.append(access_event(cycle + fills, unit, ACT_BUFFER, "write", ru * cu * 16, "score"))
-            cycle += fills + ext
-            compute += fills
-            extract_total += ext
-            tiles += 1
-            mac_ops += ru * cu * reduction
-
-    utilization = mac_ops / (cycle * g.pe_count) if cycle else 0.0
-    stats = CycleStats(
-        total_cycles=cycle,
-        per_phase={"compute": compute, "extract": extract_total},
-        tile_count=tiles,
-        mac_ops=mac_ops,
-        utilization=utilization,
-        extraction_cycles=extract_total,
-        pe_count=g.pe_count,
-    )
-    return stats, events
+    stats, records = drain(routing_walk(n, t, d_in, e, g, extract_ports))
+    return stats, [access_event(unit, rec) for rec in records]
 
 
 def plan_attention_tiles(n: int, d: int, t: int, heads: int, g: ArrayGeometry) -> TileSchedule:
@@ -431,21 +455,17 @@ def plan_attention_tiles(n: int, d: int, t: int, heads: int, g: ArrayGeometry) -
                 q1 = min(q0 + g.rows, n)
                 for k0 in range(0, n, g.cols):
                     k1 = min(k0 + g.cols, n)
-                    tiles.append(Tile(q0, q1, k0, k1, d, "phase1", (ACT_BUFFER,), group))
-                    tiles.append(Tile(q0, q1, k0, k1, k1 - k0, "phase2", (ACT_BUFFER,), group))
+                    tiles.append(Tile(q0, q1, k0, k1, d, "phase1", group))
+                    tiles.append(Tile(q0, q1, k0, k1, k1 - k0, "phase2", group))
     meta = {"d": d, "n": n, "t": t, "heads": heads}
     return TileSchedule(tuple(tiles), n, n, meta)
 
 
-def simulate_attention_array(
-    ts: TileSchedule,
-    g: ArrayGeometry,
-    unit: str = "attn0",
-) -> tuple[CycleStats, list[AccessEvent]]:
-    """Walk an attention tile schedule.
+def attention_walk(ts: TileSchedule, g: ArrayGeometry):
+    """Walk an attention tile schedule: yield its access records, return its CycleStats.
 
     The coincidence map lives in processing-element registers between phase 1
-    and phase 2, so no event ever moves map data through the memory levels.
+    and phase 2, so no record ever moves map data through the memory levels.
     Output blocks that collect several key tiles pay one extra staging-buffer
     read per extra contribution (read-modify-write accumulation).
     """
@@ -453,14 +473,13 @@ def simulate_attention_array(
         raise ConfigError(f"expected an attention-role array, got {g.role!r}")
     _check_schedule_fits(ts, g)
     if not ts.tiles:
-        return CycleStats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0.0, 0, g.pe_count), []
+        return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g)
 
     d = ts.meta["d"]
     n = ts.meta["n"]
     t_steps = ts.meta["t"]
     key_tiles_per_row = math.ceil(n / g.cols)
 
-    events: list[AccessEvent] = []
     cycle = 0
     phase1 = 0
     phase2 = 0
@@ -474,54 +493,54 @@ def simulate_attention_array(
             # Head ingress: query/key/value slabs for all timesteps.
             seen_heads.add(head)
             qkv_bits = 3 * n * t_steps * d
-            events.append(access_event(cycle, unit, ACT_GLB, "read", qkv_bits, "spike"))
-            events.append(access_event(cycle, unit, ACT_LB, "write", qkv_bits, "spike"))
+            yield (cycle, ACT_GLB, "read", qkv_bits, "spike")
+            yield (cycle, ACT_LB, "write", qkv_bits, "spike")
         if tile.group not in seen_groups:
             # Stage this timestep's operand slabs into the bottom-tier buffer.
             seen_groups.add(tile.group)
             step_bits = 3 * n * d
-            events.append(access_event(cycle, unit, ACT_LB, "read", step_bits, "spike"))
-            events.append(access_event(cycle, unit, ACT_BUFFER, "write", step_bits, "spike"))
+            yield (cycle, ACT_LB, "read", step_bits, "spike")
+            yield (cycle, ACT_BUFFER, "write", step_bits, "spike")
 
         ru, cu = tile.rows_used, tile.cols_used
         if tile.phase == "phase1":
-            events.append(access_event(cycle, unit, ACT_BUFFER, "read", ru * d, "spike"))
-            events.append(access_event(cycle, unit, ACT_BUFFER, "read", cu * d, "spike"))
+            yield (cycle, ACT_BUFFER, "read", ru * d, "spike")
+            yield (cycle, ACT_BUFFER, "read", cu * d, "spike")
             fills = fill_cycles(tile.reduction, ru, cu)
             cycle += fills
             phase1 += fills
             mac_ops += ru * cu * d
         elif tile.phase == "phase2":
-            events.append(access_event(cycle, unit, ACT_BUFFER, "read", cu * d, "spike"))
+            yield (cycle, ACT_BUFFER, "read", cu * d, "spike")
             block = (tile.group, tile.row_start, tile.row_stop)
             ordinal = contributions.get(block, 0)
             xbits = ru * d * 16
             if ordinal > 0:
-                events.append(access_event(cycle, unit, ACT_BUFFER, "read", xbits, "integration"))
+                yield (cycle, ACT_BUFFER, "read", xbits, "integration")
             cycles_here = d + (ru - 1) + 1
-            events.append(access_event(cycle + cycles_here, unit, ACT_BUFFER, "write", xbits, "integration"))
+            yield (cycle + cycles_here, ACT_BUFFER, "write", xbits, "integration")
             contributions[block] = ordinal + 1
             if contributions[block] == key_tiles_per_row:
                 # Block complete: the spike generators consume it.
-                events.append(access_event(cycle + cycles_here, unit, ACT_BUFFER, "read", xbits, "integration"))
-                events.append(access_event(cycle + cycles_here, unit, ACT_LB, "write", ru * d, "spike"))
+                yield (cycle + cycles_here, ACT_BUFFER, "read", xbits, "integration")
+                yield (cycle + cycles_here, ACT_LB, "write", ru * d, "spike")
             cycle += cycles_here
             phase2 += cycles_here
             mac_ops += ru * d * cu
         else:
             raise ConfigError(f"unknown attention phase {tile.phase!r}")
 
-    utilization = mac_ops / (cycle * g.pe_count) if cycle else 0.0
-    stats = CycleStats(
-        total_cycles=cycle,
-        per_phase={"phase1": phase1, "phase2": phase2},
-        tile_count=ts.tile_count,
-        mac_ops=mac_ops,
-        utilization=utilization,
-        extraction_cycles=0,
-        pe_count=g.pe_count,
-    )
-    return stats, events
+    return _stats(cycle, {"phase1": phase1, "phase2": phase2}, ts.tile_count, mac_ops, 0, g)
+
+
+def simulate_attention_array(
+    ts: TileSchedule,
+    g: ArrayGeometry,
+    unit: str = "attn0",
+) -> tuple[CycleStats, list[AccessEvent]]:
+    """Walk an attention tile schedule, producing cycles and access events."""
+    stats, records = drain(attention_walk(ts, g))
+    return stats, [access_event(unit, rec) for rec in records]
 
 
 def expert_parallel_schedule(

@@ -9,6 +9,8 @@ staging) are lumped under the single calibrated ``act_buffer`` level; the
 weight staging macro is ``weight_buffer``.
 """
 
+import math
+
 ACT_GLB = "act_glb"
 WEIGHT_GLB0 = "weight_glb0"
 WEIGHT_GLB1 = "weight_glb1"
@@ -36,6 +38,6 @@ def level_width_bits(level: str) -> int:
     return LEVEL_GEOMETRY[level][1]
 
 
-def level_capacity_bits(level: str) -> int:
-    words, width = LEVEL_GEOMETRY[level]
-    return words * width
+def level_words(bits: int, level: str) -> int:
+    """Words of ``level``'s width needed to move ``bits``."""
+    return math.ceil(bits / level_width_bits(level))

@@ -28,6 +28,7 @@ from .levels import (
     WEIGHT_GLB0,
     WEIGHT_GLB1,
     WEIGHT_LB,
+    level_words,
 )
 
 KINDS = ("moe", "mha")
@@ -159,21 +160,6 @@ _AGGREGATE_TABLE = {
     ("moe", "3d"): CalibrationAggregate(1.74, 1.75, 339693, 5716.0, 116.0, 111.0, 5983.0, 172.0, 5.2),
 }
 
-# Total routed wirelength in meters per (kind, expert-core count, design).
-# Reference metadata from the physical implementations; nothing is modeled
-# from these values.
-REFERENCE_WIRELENGTH_M = {
-    ("mha", 1, "2d"): 0.621,
-    ("mha", 1, "3d"): 0.616,
-    ("mha", 4, "2d"): 3.654,
-    ("mha", 4, "3d"): 3.290,
-    ("moe", 1, "2d"): 2.178,
-    ("moe", 1, "3d"): 1.959,
-    ("moe", 4, "2d"): 11.352,
-    ("moe", 4, "3d"): 9.816,
-}
-
-
 def builtin_calibration(kind: str, design: str) -> MemCalibration:
     """The built-in calibration preset for one accelerator kind and design flavor."""
     if kind not in KINDS:
@@ -209,7 +195,7 @@ class LevelCounts:
 
 @dataclass
 class AccessCounts:
-    """Per-level event and word totals extracted from a trace."""
+    """Per-level event and word totals, in the order the levels were first touched."""
 
     per_level: dict
 
@@ -221,24 +207,47 @@ class AccessCounts:
     def total_events(self) -> int:
         return sum(c.reads + c.writes for c in self.per_level.values())
 
+    def add(self, level: str, direction: str, words: int, events: int = 1) -> None:
+        counts = self.per_level.get(level)
+        if counts is None:
+            counts = self.per_level[level] = LevelCounts()
+        if direction == "read":
+            counts.reads += events
+            counts.words_read += words
+        else:
+            counts.writes += events
+            counts.words_written += words
+
     def to_dict(self) -> dict:
         return {level: counts.to_dict() for level, counts in sorted(self.per_level.items())}
 
 
 def count_accesses(trace: list[AccessEvent]) -> AccessCounts:
     """Fold a trace into per-level read/write event and word totals."""
-    per_level: dict[str, LevelCounts] = {}
+    counts = AccessCounts({})
     for ev in trace:
         if ev.level not in LEVEL_GEOMETRY:
             raise TraceError(f"trace references unknown level {ev.level!r} (event at cycle {ev.cycle}, unit {ev.unit!r})")
-        counts = per_level.setdefault(ev.level, LevelCounts())
-        if ev.direction == "read":
-            counts.reads += 1
-            counts.words_read += ev.words
-        else:
-            counts.writes += 1
-            counts.words_written += ev.words
-    return AccessCounts(per_level)
+        counts.add(ev.level, ev.direction, ev.words)
+    return counts
+
+
+def count_records(records) -> AccessCounts:
+    """Fold walker records ``(cycle, level, direction, bits, tag)`` into per-level totals."""
+    counts = AccessCounts({})
+    for _cycle, level, direction, bits, _tag in records:
+        counts.add(level, direction, level_words(bits, level))
+    return counts
+
+
+def sum_counts(parts) -> AccessCounts:
+    """Add count sets; each level keeps the place of the first part that touches it."""
+    total = AccessCounts({})
+    for part in parts:
+        for level, c in part.per_level.items():
+            total.add(level, "read", c.words_read, c.reads)
+            total.add(level, "write", c.words_written, c.writes)
+    return total
 
 
 @dataclass(frozen=True)
@@ -387,35 +396,23 @@ def mem_report(
     """
     levels = {}
     total_energy = 0.0
-    for level, c in counts.per_level.items():
+    # Levels with no traffic still appear, with zero counts.
+    for level in {**counts.per_level, **cal.levels}:
         if level not in cal.levels:
             raise TraceError(
                 f"trace touches level {level!r} which the {cal.kind}/{cal.design} calibration does not define"
             )
         spec = cal.levels[level]
-        energy = c.words * spec.power_mw * spec.latency_ps
+        c = counts.per_level.get(level, LevelCounts())
+        # An idle level costs exactly 0.0, even under a non-finite calibration.
+        energy = c.words * spec.power_mw * spec.latency_ps if c.words else 0.0
         total_energy += energy
         levels[level] = {
-            "reads": c.reads,
-            "writes": c.writes,
-            "words_read": c.words_read,
-            "words_written": c.words_written,
+            **c.to_dict(),
             "access_latency_ps": spec.latency_ps,
             "access_power_mw": spec.power_mw,
             "energy_fj": energy,
         }
-    # Levels with no traffic still appear, with zero counts.
-    for level, spec in cal.levels.items():
-        if level not in levels:
-            levels[level] = {
-                "reads": 0,
-                "writes": 0,
-                "words_read": 0,
-                "words_written": 0,
-                "access_latency_ps": spec.latency_ps,
-                "access_power_mw": spec.power_mw,
-                "energy_fj": 0.0,
-            }
     return MemReport(
         calibration_kind=cal.kind,
         calibration_design=cal.design,

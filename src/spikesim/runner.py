@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dataflow, memory
-from .dataflow import ArrayGeometry, SparsityStats, merge_traces
+from .dataflow import ArrayGeometry, SparsityStats
 from .errors import ConfigError, WorkloadValidationError
 from .levels import ACT_GLB, ACT_LB, WEIGHT_GLB0, WEIGHT_GLB1
 from .mha import MhaConfig, mha_forward
@@ -292,7 +294,11 @@ def _parse_hardware(hw_doc: dict, violations: list[str]) -> HardwareParams:
 
 @dataclass
 class RunResult:
-    """Serializable outcome of one run plus in-memory artifacts for dumps."""
+    """Serializable outcome of one run plus in-memory artifacts for dumps.
+
+    ``walks`` holds one ``(units, walker factory)`` pair per distinct array
+    run plus the merge egress; ``trace`` replays them on first access only.
+    """
 
     kind: str
     config: dict
@@ -302,8 +308,13 @@ class RunResult:
     core_assignment: list
     mem: memory.MemReport
     s_out: SpikeTensor = None
-    trace: list = field(default_factory=list)
     routing_table: object = None
+    walks: list = field(default_factory=list, repr=False)
+
+    @cached_property
+    def trace(self) -> list[dataflow.AccessEvent]:
+        """The merged (cycle, unit)-ordered access trace."""
+        return dataflow.materialize(self.walks)
 
     def to_dict(self) -> dict:
         return {
@@ -345,7 +356,18 @@ def _synth_weights(rng: np.random.Generator, rows: int, cols: int) -> QuantWeigh
     return QuantWeightMatrix(rng.integers(-127, 128, size=(rows, cols), dtype=np.int8), 1.0)
 
 
-def _run_moe(plan: RunPlan, cal: memory.MemCalibration) -> RunResult:
+class _Layer(NamedTuple):
+    """One functional pass and the array runs that time it, before scheduling."""
+
+    s_out: SpikeTensor
+    routing_table: object
+    walks: list  # (units, walker factory) per distinct array run
+    scheduled: list  # (unit, output bits) per unit placed on the cores, in order
+    overhead: int
+    shape: memory.WorkloadShape
+
+
+def _moe_layer(plan: RunPlan) -> _Layer:
     m = plan.model
     hw = plan.hardware
     rng = np.random.default_rng(plan.seed)
@@ -359,61 +381,28 @@ def _run_moe(plan: RunPlan, cal: memory.MemCalibration) -> RunResult:
 
     routing_geom = ArrayGeometry(hw.routing_rows, hw.routing_cols, "routing")
     expert_geom = ArrayGeometry(hw.expert_rows, hw.expert_cols, "expert")
-    routing_stats, routing_events = dataflow.simulate_routing_array(
-        m.n, m.t, m.d_in, m.experts, routing_geom, extract_ports=hw.extract_ports
-    )
-    unit_cycles = {"router": routing_stats}
-    expert_stats = []
-    traces = [routing_events]
+    walks = [(("router",), partial(dataflow.routing_walk, m.n, m.t, m.d_in, m.experts, routing_geom, hw.extract_ports))]
+    scheduled = []
     for e in range(m.experts):
         tokens = table.expert_tokens[e]
         s_e = s_in.select_tokens(tokens)
         ts = dataflow.plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert_geom)
         sparsity = SparsityStats(ones=s_e.popcount(), total=s_e.data.size)
         glb = WEIGHT_GLB0 if e % 2 == 0 else WEIGHT_GLB1
-        stats, events = dataflow.simulate_expert_array(
-            ts, expert_geom, sparsity, extract_ports=hw.extract_ports, unit=f"expert{e}", weight_glb=glb
-        )
-        unit_cycles[f"expert{e}"] = stats
-        expert_stats.append(stats)
-        traces.append(events)
+        walks.append(((f"expert{e}",), partial(dataflow.expert_walk, ts, expert_geom, sparsity, hw.extract_ports, glb)))
+        scheduled.append((f"expert{e}", len(tokens) * m.t * m.d_out))
 
     overhead = hw.router_overhead_cycles
     if overhead is None:
         overhead = m.t * m.d_in + 16 + m.experts
-    system, assignment = dataflow.expert_parallel_schedule(expert_stats, hw.cores, overhead)
-
-    egress = []
-    end = system.total_cycles
-    for e in range(m.experts):
-        n_e = len(table.expert_tokens[e])
-        if n_e:
-            egress.append(dataflow.access_event(end, "merge", ACT_LB, "read", n_e * m.t * m.d_out, "spike"))
-    egress.append(dataflow.access_event(end, "merge", ACT_GLB, "write", m.n * m.t * m.d_out, "spike"))
-    trace = merge_traces(*traces, egress)
-
     shape = memory.WorkloadShape(
         kind="moe", n=m.n, t=m.t, d_in=m.d_in, d_out=m.d_out, experts=m.experts,
         tile_rows=hw.expert_rows, tile_cols=hw.expert_cols,
     )
-    counts = memory.count_accesses(trace)
-    fit = memory.capacity_check(shape, cal)
-    mem = memory.mem_report(counts, cal, fit)
-    return RunResult(
-        kind="moe",
-        config=plan.to_dict(),
-        output_digest=_digest(s_out),
-        system_cycles=system,
-        unit_cycles=unit_cycles,
-        core_assignment=assignment,
-        mem=mem,
-        s_out=s_out,
-        trace=trace,
-        routing_table=table,
-    )
+    return _Layer(s_out, table, walks, scheduled, overhead, shape)
 
 
-def _run_mha(plan: RunPlan, cal: memory.MemCalibration) -> RunResult:
+def _mha_layer(plan: RunPlan) -> _Layer:
     m = plan.model
     hw = plan.hardware
     rng = np.random.default_rng(plan.seed)
@@ -425,55 +414,71 @@ def _run_mha(plan: RunPlan, cal: memory.MemCalibration) -> RunResult:
     s_out = mha_forward(q, k, v, cfg)
 
     attn_geom = ArrayGeometry(hw.attention_rows, hw.attention_cols, "attention")
-    unit_cycles = {}
-    head_stats = []
-    traces = []
-    for h in range(m.heads):
-        ts = dataflow.plan_attention_tiles(m.n, m.d_head, m.t, 1, attn_geom)
-        stats, events = dataflow.simulate_attention_array(ts, attn_geom, unit=f"attn{h}")
-        unit_cycles[f"attn{h}"] = stats
-        head_stats.append(stats)
-        traces.append(events)
+    heads = tuple(f"attn{h}" for h in range(m.heads))
+    # Heads run the same tile schedule and differ only in their unit name,
+    # so one walk times and counts all of them.
+    ts = dataflow.plan_attention_tiles(m.n, m.d_head, m.t, 1, attn_geom)
+    walks = [(heads, partial(dataflow.attention_walk, ts, attn_geom))]
+    scheduled = [(unit, m.n * m.t * m.d_head) for unit in heads]
 
     overhead = hw.router_overhead_cycles if hw.router_overhead_cycles is not None else 0
-    system, assignment = dataflow.expert_parallel_schedule(head_stats, hw.cores, overhead)
-
-    egress = []
-    end = system.total_cycles
-    for h in range(m.heads):
-        egress.append(dataflow.access_event(end, "merge", ACT_LB, "read", m.n * m.t * m.d_head, "spike"))
-    egress.append(dataflow.access_event(end, "merge", ACT_GLB, "write", m.n * m.t * m.d_model, "spike"))
-    trace = merge_traces(*traces, egress)
-
     shape = memory.WorkloadShape(
         kind="mha", n=m.n, t=m.t, heads=m.heads, d_head=m.d_head,
         tile_rows=hw.attention_rows, tile_cols=hw.attention_cols,
     )
-    counts = memory.count_accesses(trace)
-    fit = memory.capacity_check(shape, cal)
-    mem = memory.mem_report(counts, cal, fit)
-    return RunResult(
-        kind="mha",
-        config=plan.to_dict(),
-        output_digest=_digest(s_out),
-        system_cycles=system,
-        unit_cycles=unit_cycles,
-        core_assignment=assignment,
-        mem=mem,
-        s_out=s_out,
-        trace=trace,
-        routing_table=None,
-    )
+    return _Layer(s_out, None, walks, scheduled, overhead, shape)
+
+
+def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
+    """Run the pipeline once and price its one count set under each flavor's calibration."""
+    cals = [resolve_calibration(flavor) for flavor in flavors]
+    if plan.kind == "moe":
+        layer = _moe_layer(plan)
+    elif plan.kind == "mha":
+        layer = _mha_layer(plan)
+    else:
+        raise ConfigError(f"kind must be 'moe' or 'mha', got {plan.kind!r}")
+
+    unit_cycles: dict[str, dataflow.CycleStats] = {}
+    unit_counts: dict[str, memory.AccessCounts] = {}
+    for units, make_walk in layer.walks:
+        stats, records = dataflow.drain(make_walk())
+        counts = memory.count_records(records)
+        for unit in units:
+            unit_cycles[unit], unit_counts[unit] = stats, counts
+    scheduled = [unit_cycles[unit] for unit, _ in layer.scheduled]
+    system, assignment = dataflow.expert_parallel_schedule(scheduled, plan.hardware.cores, layer.overhead)
+
+    # Merge: each unit's output leaves its act LB, the layer output lands in the act GLB.
+    end = system.total_cycles
+    egress = [(end, ACT_LB, "read", bits, "spike") for _, bits in layer.scheduled if bits]
+    egress.append((end, ACT_GLB, "write", layer.s_out.data.size, "spike"))
+    unit_counts["merge"] = memory.count_records(egress)
+    # Units fold in name order, each in emission order: the order in which the
+    # (cycle, unit)-sorted trace first touches each level, which fixes the
+    # summation order of the energy total.
+    counts = memory.sum_counts(unit_counts[unit] for unit in sorted(unit_counts))
+    digest = _digest(layer.s_out)
+    return [
+        RunResult(
+            kind=plan.kind,
+            config=flavor.to_dict(),
+            output_digest=digest,
+            system_cycles=system,
+            unit_cycles=unit_cycles,
+            core_assignment=assignment,
+            mem=memory.mem_report(counts, cal, memory.capacity_check(layer.shape, cal)),
+            s_out=layer.s_out,
+            routing_table=layer.routing_table,
+            walks=[*layer.walks, (("merge",), partial(iter, egress))],
+        )
+        for flavor, cal in zip(flavors, cals)
+    ]
 
 
 def run_experiment(plan: RunPlan) -> RunResult:
     """Synthesize inputs from the plan seed, run the pipeline, build the report."""
-    cal = resolve_calibration(plan)
-    if plan.kind == "moe":
-        return _run_moe(plan, cal)
-    if plan.kind == "mha":
-        return _run_mha(plan, cal)
-    raise ConfigError(f"kind must be 'moe' or 'mha', got {plan.kind!r}")
+    return _run(plan, [plan])[0]
 
 
 @dataclass
@@ -483,8 +488,14 @@ class ComparisonReport:
     kind: str
     run_2d: RunResult
     run_3d: RunResult
-    functional_equal: bool
     reductions_pct: dict
+
+    @property
+    def functional_equal(self) -> bool:
+        return (
+            self.run_2d.output_digest == self.run_3d.output_digest
+            and self.run_2d.system_cycles.total_cycles == self.run_3d.system_cycles.total_cycles
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -498,23 +509,18 @@ class ComparisonReport:
 
 
 def compare_designs(plan: RunPlan) -> ComparisonReport:
-    """Run one plan under the built-in 2D and 3D calibrations and diff them.
+    """Price one run of a plan under the built-in 2D and 3D calibrations and diff them.
 
-    Reductions are (value_2d - value_3d) / value_2d * 100 per aggregate
-    metric; a negative reduction is an increase (effective frequency goes up
-    with stacking).  The design flavor is a pure memory-model swap, so the
-    functional digests and cycle counts must match exactly.
+    The design flavor is a pure memory-model swap, so the pipeline runs once
+    and both flavors share its output, cycles and access counts.  Reductions
+    are (value_2d - value_3d) / value_2d * 100 per aggregate metric; a
+    negative reduction is an increase (effective frequency goes up with
+    stacking).
     """
     if plan.calibration_source == "file":
         raise ConfigError("compare needs the built-in calibration pair; the plan pins a calibration file")
-    run_2d = run_experiment(_with_calibration(plan, "builtin2d"))
-    run_3d = run_experiment(_with_calibration(plan, "builtin3d"))
-    functional_equal = (
-        run_2d.output_digest == run_3d.output_digest
-        and run_2d.system_cycles.total_cycles == run_3d.system_cycles.total_cycles
-    )
-    if not functional_equal:
-        raise RuntimeError("design flavors disagree on functional output; this is a simulator bug")
+    flavors = [replace(plan, calibration_source=source, calibration_path=None) for source in ("builtin2d", "builtin3d")]
+    run_2d, run_3d = _run(plan, flavors)
     agg2 = run_2d.mem.aggregate.to_dict()
     agg3 = run_3d.mem.aggregate.to_dict()
     reductions = {}
@@ -522,25 +528,7 @@ def compare_designs(plan: RunPlan) -> ComparisonReport:
         v3 = agg3[key]
         if v2:
             reductions[key] = (v2 - v3) / v2 * 100.0
-    return ComparisonReport(
-        kind=plan.kind,
-        run_2d=run_2d,
-        run_3d=run_3d,
-        functional_equal=functional_equal,
-        reductions_pct=reductions,
-    )
-
-
-def _with_calibration(plan: RunPlan, source: str) -> RunPlan:
-    return RunPlan(
-        kind=plan.kind,
-        model=plan.model,
-        hardware=plan.hardware,
-        calibration_source=source,
-        calibration_path=None,
-        spike_prob=plan.spike_prob,
-        seed=plan.seed,
-    )
+    return ComparisonReport(kind=plan.kind, run_2d=run_2d, run_3d=run_3d, reductions_pct=reductions)
 
 
 def report_json_bytes(doc: dict) -> bytes:

@@ -91,15 +91,8 @@ class SpikeTensor:
         return header + packed.tobytes()
 
     @classmethod
-    def from_bytes(cls, blob: bytes, axis_order: str = "ntd") -> "SpikeTensor":
-        """Inverse of :meth:`to_bytes`.
-
-        ``axis_order`` names how the stored dims/bits are laid out.  The
-        canonical order is ``"ntd"``; ``"tnd"`` streams are transposed into
-        canonical layout on load.
-        """
-        if axis_order not in ("ntd", "tnd"):
-            raise ValueError(f"unknown axis order {axis_order!r}")
+    def from_bytes(cls, blob: bytes) -> "SpikeTensor":
+        """Inverse of :meth:`to_bytes`."""
         if len(blob) < _HEADER.size:
             raise ValueError("spike stream too short for dims header")
         a, b, c = _HEADER.unpack_from(blob, 0)
@@ -108,10 +101,7 @@ class SpikeTensor:
         if payload.size * 8 < nbits:
             raise ValueError(f"spike stream payload holds {payload.size * 8} bits, needs {nbits}")
         bits = np.unpackbits(payload, count=nbits, bitorder="little")
-        data = bits.reshape(a, b, c)
-        if axis_order == "tnd":
-            data = data.transpose(1, 0, 2)
-        return cls(data)
+        return cls(bits.reshape(a, b, c))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpikeTensor):

@@ -53,28 +53,28 @@ class TestGeometryAndTiles:
 
     def test_tile_validation(self):
         with pytest.raises(ShapeError):
-            Tile(2, 2, 0, 4, 8, "compute", ())
+            Tile(2, 2, 0, 4, 8, "compute")
         with pytest.raises(ShapeError):
-            Tile(0, 2, 0, 4, 0, "compute", ())
-        t = Tile(0, 3, 4, 9, 8, "compute", ())
+            Tile(0, 2, 0, 4, 0, "compute")
+        t = Tile(0, 3, 4, 9, 8, "compute")
         assert (t.rows_used, t.cols_used) == (3, 5)
 
     def test_schedule_coverage_check(self):
         good = TileSchedule(
-            (Tile(0, 2, 0, 2, 4, "compute", ()), Tile(0, 2, 2, 4, 4, "compute", ())),
+            (Tile(0, 2, 0, 2, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")),
             row_extent=2, col_extent=4,
         )
         good.validate()
-        missing = TileSchedule((Tile(0, 2, 0, 2, 4, "compute", ()),), 2, 4)
+        missing = TileSchedule((Tile(0, 2, 0, 2, 4, "compute"),), 2, 4)
         with pytest.raises(ShapeError):
             missing.validate()
         overlapping = TileSchedule(
-            (Tile(0, 2, 0, 3, 4, "compute", ()), Tile(0, 2, 2, 4, 4, "compute", ())),
+            (Tile(0, 2, 0, 3, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")),
             row_extent=2, col_extent=4,
         )
         with pytest.raises(ShapeError):
             overlapping.validate()
-        beyond = TileSchedule((Tile(0, 2, 0, 5, 4, "compute", ()),), 2, 4)
+        beyond = TileSchedule((Tile(0, 2, 0, 5, 4, "compute"),), 2, 4)
         with pytest.raises(ShapeError):
             beyond.validate()
 

@@ -31,7 +31,6 @@ from spikesim.levels import (
     WEIGHT_LB,
     level_width_bits,
 )
-from spikesim.memory import REFERENCE_WIRELENGTH_M
 
 
 def ev(level, direction, words, cycle=0, unit="u"):
@@ -325,17 +324,3 @@ class TestCalibrationSerialization:
         with pytest.raises(ConfigError):
             load_calibration(doc)
 
-
-class TestReferenceWirelength:
-    def test_pins(self):
-        assert REFERENCE_WIRELENGTH_M[("moe", 4, "2d")] == 11.352
-        assert REFERENCE_WIRELENGTH_M[("moe", 4, "3d")] == 9.816
-        assert REFERENCE_WIRELENGTH_M[("mha", 1, "2d")] == 0.621
-
-    def test_stacking_shortens_wires(self):
-        for kind in ("moe", "mha"):
-            for cores in (1, 4):
-                assert (
-                    REFERENCE_WIRELENGTH_M[(kind, cores, "3d")]
-                    < REFERENCE_WIRELENGTH_M[(kind, cores, "2d")]
-                )

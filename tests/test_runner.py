@@ -3,10 +3,12 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spikesim import dataflow, memory, runner
 from spikesim import (
     ConfigError,
     HardwareParams,
@@ -19,8 +21,10 @@ from spikesim import (
     compare_designs,
     dump_calibration,
     builtin_calibration,
+    count_accesses,
     emit_report,
     expert_forward,
+    mem_report,
     parse_workload,
     run_experiment,
 )
@@ -263,6 +267,119 @@ class TestCompareDesigns:
         plan = parse_workload({**MOE_DOC, "calibration": {"source": "file", "path": str(path)}})
         with pytest.raises(ConfigError):
             compare_designs(plan)
+
+
+
+class TestSinglePassCompare:
+    @pytest.mark.parametrize(
+        "doc",
+        [{"kind": "moe"}, {"kind": "mha"}, {"kind": "moe", "E": 12, "hardware": {"cores": 1}}],
+        ids=["moe", "mha", "moe-e12-c1"],
+    )
+    def test_halves_equal_independent_runs(self, doc):
+        plan = parse_workload(doc)
+        report = compare_designs(plan)
+        for half, source in ((report.run_2d, "builtin2d"), (report.run_3d, "builtin3d")):
+            alone = run_experiment(replace(plan, calibration_source=source))
+            assert report_json_bytes(half.to_dict()) == report_json_bytes(alone.to_dict())
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built an access trace on the run path")
+
+
+class TestRunPathWork:
+    def test_no_trace_unless_requested(self, monkeypatch):
+        monkeypatch.setattr(dataflow.AccessEvent, "__post_init__", _refuse)
+        monkeypatch.setattr(dataflow, "merge_traces", _refuse)
+        monkeypatch.setattr(memory, "count_accesses", _refuse)
+        for doc in (MOE_DOC, MHA_DOC):
+            plan = parse_workload(dict(doc))
+            compare_designs(plan)
+            result = run_experiment(plan)
+            with pytest.raises(AssertionError, match="access trace"):
+                result.trace
+
+    def test_trace_built_once_on_first_access(self):
+        result = run_experiment(parse_workload(dict(MOE_DOC)))
+        assert result.trace is result.trace
+
+    def test_compare_runs_one_functional_pass_and_one_head_walk(self, monkeypatch):
+        calls = {"mha_forward": 0, "attention_walk": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(runner, "mha_forward")
+        counted(dataflow, "attention_walk")
+        compare_designs(parse_workload({**MHA_DOC, "H": 4}))
+        assert calls == {"mha_forward": 1, "attention_walk": 1}
+
+
+def _random_doc(rng: np.random.Generator, kind: str) -> dict:
+    def draw(lo, hi):
+        return int(rng.integers(lo, hi + 1))
+
+    hardware = {"cores": draw(1, 4)}
+    if kind == "moe":
+        model = {"n": draw(1, 24), "t": draw(1, 3), "d_in": draw(1, 40), "d_out": draw(1, 40), "e": draw(1, 13)}
+        hardware["expert_array"] = {"rows": draw(1, 12), "cols": draw(1, 40)}
+        hardware["routing_array"] = {"rows": draw(1, 9), "cols": draw(1, 9)}
+    else:
+        model = {"n": draw(1, 20), "t": draw(1, 3), "h": draw(1, 4), "d": draw(1, 12)}
+        hardware["attention_array"] = {"rows": draw(1, 9), "cols": draw(1, 9)}
+    if rng.random() < 0.5:
+        hardware["extract_ports"] = draw(1, 8)
+    if rng.random() < 0.3:
+        hardware["router_overhead_cycles"] = draw(0, 50)
+    return {
+        "kind": kind,
+        "model": model,
+        "hardware": hardware,
+        "calibration": {"source": "builtin3d" if rng.random() < 0.5 else "builtin2d"},
+        "input": {"spike_prob": float(rng.random()), "seed": draw(0, 10**6)},
+    }
+
+
+class TestFoldEqualsTrace:
+    """The run path's counts equal the counts of the materialized trace, exactly."""
+
+    @pytest.mark.parametrize("kind", ["moe", "mha"])
+    def test_random_plans(self, kind):
+        rng = np.random.default_rng(2024 if kind == "moe" else 2025)
+        seen = set()
+        for _ in range(120):
+            plan = parse_workload(_random_doc(rng, kind))
+            result = run_experiment(plan)
+            cal = resolve_calibration(plan)
+            replayed = mem_report(count_accesses(result.trace), cal, result.mem.capacity)
+            assert replayed.to_dict()["levels"] == result.mem.to_dict()["levels"]
+            assert replayed.total_energy_fj == result.mem.total_energy_fj
+            assert replayed.total_words == result.mem.total_words
+
+            hw, m = plan.hardware, plan.model
+            if hw.extract_ports is not None:
+                seen.add("extract_ports")
+            if kind == "moe":
+                if m.experts >= 10:
+                    seen.add("e>=10")
+                if any(len(tokens) == 0 for tokens in result.routing_table.expert_tokens):
+                    seen.add("idle expert")
+                if m.d_out % hw.expert_rows or (m.n * m.t) % hw.expert_cols:
+                    seen.add("ragged tiles")
+            else:
+                if m.heads > 1:
+                    seen.add("heads>1")
+                if m.n % hw.attention_rows or m.n % hw.attention_cols:
+                    seen.add("ragged tiles")
+        wanted = {"extract_ports", "ragged tiles"} | ({"e>=10", "idle expert"} if kind == "moe" else {"heads>1"})
+        assert wanted <= seen
 
 
 class TestReportSerialization:

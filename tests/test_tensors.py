@@ -95,21 +95,12 @@ class TestSpikeSerialization:
             s = rand_spikes(rng, n, t, d)
             assert SpikeTensor.from_bytes(s.to_bytes()) == s
 
-    def test_tnd_layout_normalized_on_load(self):
-        rng = np.random.default_rng(4)
-        s = rand_spikes(rng, 5, 3, 9)
-        transposed = s.data.transpose(1, 0, 2)
-        blob = SpikeTensor(transposed).to_bytes()
-        assert SpikeTensor.from_bytes(blob, axis_order="tnd") == s
-
     def test_bad_streams(self):
         with pytest.raises(ValueError):
             SpikeTensor.from_bytes(b"\x00" * 4)
         s = SpikeTensor(np.ones((2, 2, 8), dtype=np.uint8))
         with pytest.raises(ValueError):
             SpikeTensor.from_bytes(s.to_bytes()[:-2])
-        with pytest.raises(ValueError):
-            SpikeTensor.from_bytes(s.to_bytes(), axis_order="dtn")
 
 
 class TestSaturation:
