@@ -17,6 +17,7 @@ from .dataflow import (
     simulate_routing_array,
 )
 from .errors import (
+    CalibrationValidationError,
     ConfigError,
     ShapeError,
     TraceError,

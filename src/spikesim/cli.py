@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .dataflow import write_trace_csv
-from .errors import ConfigError, TraceError, WorkloadValidationError
+from .errors import CalibrationValidationError, ConfigError, TraceError, WorkloadValidationError
 from .memory import builtin_calibration, dump_calibration
 from .runner import (
     compare_designs,
@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"cannot read config {args.config!r}: {err}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed JSON or undecodable bytes
         print(f"config {args.config!r} is not valid JSON: {err}", file=sys.stderr)
         return 2
 
@@ -106,8 +106,9 @@ def main(argv: list[str] | None = None) -> int:
                     json.dump(both, fh, indent=2, sort_keys=True)
                     fh.write("\n")
             _emit(report.to_dict(), args.format, args.output)
-    except WorkloadValidationError as err:
-        print(f"invalid configuration ({len(err.violations)} problem(s)):", file=sys.stderr)
+    except (WorkloadValidationError, CalibrationValidationError) as err:
+        subject = "configuration" if isinstance(err, WorkloadValidationError) else "calibration file"
+        print(f"invalid {subject} ({len(err.violations)} problem(s)):", file=sys.stderr)
         for violation in err.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2

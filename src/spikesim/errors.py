@@ -23,3 +23,11 @@ class WorkloadValidationError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+class CalibrationValidationError(ConfigError):
+    """Raised by the calibration loader with the full list of violations."""
+
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))

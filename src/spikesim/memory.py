@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dataflow import AccessEvent
-from .errors import ConfigError, TraceError
+from .errors import CalibrationValidationError, ConfigError, TraceError
 from .levels import (
     ACT_BUFFER,
     ACT_GLB,
@@ -443,44 +443,84 @@ def dump_calibration(cal: MemCalibration) -> dict:
     }
 
 
+# Override-file fields and the type each converts to.
+_LEVEL_FIELDS = (("id", str), ("words", int), ("width_bits", int), ("latency_ps", float), ("power_mw", float))
+_AGGREGATE_FIELDS = (
+    ("effective_frequency_ghz", float),
+    ("area_mm2", float),
+    ("num_cells", int),
+    ("internal_power_mw", float),
+    ("switching_power_mw", float),
+    ("leakage_power_mw", float),
+    ("total_power_mw", float),
+    ("memory_access_latency_ps", float),
+    ("memory_access_power_mw", float),
+)
+
+
+def _convert_fields(entry, fields, where: str, violations: list[str]) -> dict | None:
+    """Convert ``entry``'s fields, appending a violation per problem; None if any."""
+    if not isinstance(entry, dict):
+        violations.append(f"{where} must be a mapping, got {type(entry).__name__}")
+        return None
+    out = {}
+    for name, cast in fields:
+        if name not in entry:
+            violations.append(f"{where} missing field {name!r}")
+            continue
+        try:
+            out[name] = cast(entry[name])
+        except (TypeError, ValueError, OverflowError):
+            violations.append(f"{where} field {name!r} is not a valid {cast.__name__}: {entry[name]!r}")
+    return out if len(out) == len(fields) else None
+
+
 def load_calibration(source) -> MemCalibration:
-    """Load a calibration override from a path or an already-parsed document."""
+    """Load a calibration override from a path or an already-parsed document.
+
+    Every problem found is collected and raised together as a
+    :class:`CalibrationValidationError`, the way the workload parser reports.
+    """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as err:  # malformed JSON or undecodable bytes
+                problem = f"calibration file {source!r} is not valid JSON: {err}"
+                raise CalibrationValidationError([problem]) from None
     else:
         doc = source
     if not isinstance(doc, dict):
-        raise ConfigError("calibration document must be a mapping")
-    for key in ("design", "levels", "aggregate"):
-        if key not in doc:
-            raise ConfigError(f"calibration document missing {key!r}")
+        raise CalibrationValidationError(["calibration document must be a mapping"])
+    violations = [
+        f"calibration document missing {key!r}" for key in ("design", "levels", "aggregate") if key not in doc
+    ]
     levels = {}
-    for entry in doc["levels"]:
-        spec = MemLevelSpec(
-            id=entry["id"],
-            words=int(entry["words"]),
-            width_bits=int(entry["width_bits"]),
-            latency_ps=float(entry["latency_ps"]),
-            power_mw=float(entry["power_mw"]),
-        )
-        levels[spec.id] = spec
+    entries = doc.get("levels", [])
+    if not isinstance(entries, list):
+        violations.append("calibration levels must be a list")
+        entries = []
+    for i, entry in enumerate(entries):
+        fields = _convert_fields(entry, _LEVEL_FIELDS, f"calibration level {i}", violations)
+        if fields is None:
+            continue
+        try:
+            spec = MemLevelSpec(**fields)
+        except ConfigError as err:
+            violations.append(str(err))
+        else:
+            levels[spec.id] = spec
+    aggregate = None
+    if "aggregate" in doc:
+        fields = _convert_fields(doc["aggregate"], _AGGREGATE_FIELDS, "calibration aggregate", violations)
+        if fields is not None:
+            aggregate = CalibrationAggregate(**fields)
+    if violations:
+        raise CalibrationValidationError(violations)
     kind = doc.get("kind")
     if kind is None:
         kind = "moe" if WEIGHT_GLB0 in levels else "mha"
-    agg = doc["aggregate"]
     try:
-        aggregate = CalibrationAggregate(
-            effective_frequency_ghz=float(agg["effective_frequency_ghz"]),
-            area_mm2=float(agg["area_mm2"]),
-            num_cells=int(agg["num_cells"]),
-            internal_power_mw=float(agg["internal_power_mw"]),
-            switching_power_mw=float(agg["switching_power_mw"]),
-            leakage_power_mw=float(agg["leakage_power_mw"]),
-            total_power_mw=float(agg["total_power_mw"]),
-            memory_access_latency_ps=float(agg["memory_access_latency_ps"]),
-            memory_access_power_mw=float(agg["memory_access_power_mw"]),
-        )
-    except KeyError as missing:
-        raise ConfigError(f"calibration aggregate missing field {missing}") from None
-    return MemCalibration(kind=kind, design=str(doc["design"]), levels=levels, aggregate=aggregate)
+        return MemCalibration(kind=kind, design=str(doc["design"]), levels=levels, aggregate=aggregate)
+    except ConfigError as err:
+        raise CalibrationValidationError([str(err)]) from None

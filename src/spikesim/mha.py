@@ -6,6 +6,16 @@ so every entry lies in [0, d] where d is the head width.  There is no
 softmax, no scaling, and no masking; X[t] = A[t] @ V[t] feeds the neuron
 update and head outputs are concatenated along the feature axis in head
 order.
+
+Because nothing nonlinear sits between the two products and saturation
+applies only to X, the head computes X[t] = Q[t] @ (K[t].T @ V[t]) instead,
+which is the same integer matrix at O(n d^2) cost and never builds the
+(t, n, n) map.  The products are BLAS float matmuls that stay exact because
+every partial sum is an integer below the float mantissa limit (see
+:mod:`spikesim.tensors`): d for the map, d * n for A @ V, n for K.T @ V and
+n * d for Q @ (K.T @ V).  ``spiking_attention_map`` and
+``attention_weighted_integration`` remain the map-based form of the same
+computation; the timing model still charges the map.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensors import (
+    _exact_matmul,
     IntegrationTensor,
     LifParams,
     SpikeTensor,
@@ -93,11 +104,9 @@ def spiking_attention_map(q_h: SpikeTensor, k_h: SpikeTensor) -> AttentionMap:
     """Coincidence counts between query and key spikes, per timestep."""
     if q_h.data.shape != k_h.data.shape:
         raise ShapeError(f"query shape {q_h.data.shape} does not match key shape {k_h.data.shape}")
-    q64 = q_h.data.astype(np.int64)
-    k64 = k_h.data.astype(np.int64)
-    # (t, n, d) @ (t, d, n) -> (t, n, n)
-    maps = np.matmul(q64.transpose(1, 0, 2), k64.transpose(1, 2, 0))
-    return AttentionMap(maps, q_h.d)
+    # (t, n, d) @ (t, d, n) -> (t, n, n); binary operands, |partial sum| <= d.
+    maps = _exact_matmul(q_h.data.transpose(1, 0, 2), k_h.data.transpose(1, 2, 0), q_h.d)
+    return AttentionMap(maps.astype(np.int32), q_h.d)
 
 
 def attention_weighted_integration(a: AttentionMap, v_h: SpikeTensor) -> IntegrationTensor:
@@ -106,23 +115,34 @@ def attention_weighted_integration(a: AttentionMap, v_h: SpikeTensor) -> Integra
         raise ShapeError(f"attention map covers {a.n} tokens, values cover {v_h.n}")
     if a.t != v_h.t:
         raise ShapeError(f"attention map has {a.t} timesteps, values have {v_h.t}")
-    slabs = []
-    saturations = 0
-    for t in range(a.t):
-        acc = a.data[t].astype(np.int64) @ v_h.data[:, t, :].astype(np.int64)
-        x_t, sat = saturate_i16(acc)
-        slabs.append(x_t)
-        saturations += sat
-    return IntegrationTensor(np.stack(slabs, axis=1), saturations)
+    # (t, n, n) @ (t, n, d) -> (t, n, d); map entries <= d, so |partial sum| <= d * n.
+    acc = _exact_matmul(a.data, v_h.data.transpose(1, 0, 2), a.d_head * a.n)
+    x, saturations = saturate_i16(acc)
+    return IntegrationTensor(x.transpose(1, 0, 2), saturations)
+
+
+def _reassociated_integration(q_h: SpikeTensor, k_h: SpikeTensor, v_h: SpikeTensor) -> IntegrationTensor:
+    """X[t] = Q[t] @ (K[t].T @ V[t]), saturated once: equal to the map-based X."""
+    if q_h.data.shape != k_h.data.shape:
+        raise ShapeError(f"query shape {q_h.data.shape} does not match key shape {k_h.data.shape}")
+    if (v_h.n, v_h.t) != (q_h.n, q_h.t):
+        raise ShapeError(f"queries cover {q_h.n} tokens x {q_h.t} timesteps, values {v_h.n} x {v_h.t}")
+    q, k, v = (s.data.transpose(1, 0, 2) for s in (q_h, k_h, v_h))
+    # (t, d, n) @ (t, n, d) -> (t, d, d); binary operands, |partial sum| <= n.
+    kv = _exact_matmul(k.transpose(0, 2, 1), v, q_h.n)
+    # (t, n, d) @ (t, d, d) -> (t, n, d); K.T @ V entries <= n, so |partial sum| <= n * d.
+    x, saturations = saturate_i16(_exact_matmul(q, kv, q_h.n * q_h.d))
+    return IntegrationTensor(x.transpose(1, 0, 2), saturations)
 
 
 def spiking_attention_head(
     q_h: SpikeTensor, k_h: SpikeTensor, v_h: SpikeTensor, lif: LifParams
 ) -> SpikeTensor:
-    """One head end to end: coincidence map, weighted integration, neuron update."""
-    a = spiking_attention_map(q_h, k_h)
-    x = attention_weighted_integration(a, v_h)
-    return lif_run(x, lif)
+    """One head end to end: weighted integration, then the neuron update.
+
+    Integrates as Q @ (K.T @ V), so the (t, n, n) map is never built.
+    """
+    return lif_run(_reassociated_integration(q_h, k_h, v_h), lif)
 
 
 def mha_forward(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor, cfg: MhaConfig) -> SpikeTensor:

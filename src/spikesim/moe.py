@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, UnsupportedConfigError
 from .tensors import (
+    _exact_matmul,
     IntegrationTensor,
     LifParams,
     QuantWeightMatrix,
@@ -131,14 +132,14 @@ def compute_expert_scores(s_in: SpikeTensor, w_r: RoutingWeights) -> ExpertScore
     """Score every token against every expert.
 
     score[n, e] = sum over t, d of s_in[n, t, d] * w_r[d, e].  Spikes are
-    binary, so the per-feature spike counts over time can be folded first and
-    the result is exact in int64.
+    binary, so the per-feature spike counts over time (each <= t) are folded
+    first; |partial sum| <= 128 * t * d_in, which ``_exact_matmul`` keeps exact.
     """
     if s_in.d != w_r.d_in:
         raise ShapeError(f"input features {s_in.d} do not match routing weight rows {w_r.d_in}")
     counts = s_in.data.sum(axis=1, dtype=np.int64)
-    scores = counts @ w_r.w_r.data.astype(np.int64)
-    return ExpertScores(scores)
+    scores = _exact_matmul(counts, w_r.w_r.data, 128 * s_in.t * w_r.d_in)
+    return ExpertScores(scores.astype(np.int64))
 
 
 def route_topk(scores: ExpertScores, k: int) -> RoutingTable:
@@ -175,14 +176,12 @@ def expert_forward(s_e: SpikeTensor, w_e: QuantWeightMatrix, lif: LifParams) -> 
     """One expert: per-timestep synaptic integration followed by the neuron update."""
     if s_e.d != w_e.rows:
         raise ShapeError(f"expert input features {s_e.d} do not match weight rows {w_e.rows}")
-    slabs = []
+    x = np.empty((s_e.n, s_e.t, w_e.cols), dtype=np.int16)
     saturations = 0
     for t in range(s_e.t):
-        x_t, sat = spike_matmul(s_e.slice_t(t), w_e)
-        slabs.append(x_t)
+        x[:, t, :], sat = spike_matmul(s_e.slice_t(t), w_e)
         saturations += sat
-    x = IntegrationTensor(np.stack(slabs, axis=1), saturations)
-    return lif_run(x, lif)
+    return lif_run(IntegrationTensor(x, saturations), lif)
 
 
 def merge_aligned(outputs: list[SpikeTensor], table: RoutingTable) -> SpikeTensor:

@@ -2,9 +2,23 @@
 
 Everything downstream (routing, experts, attention) is built from four
 carriers: binary spike tensors, 8-bit quantized weights, 16-bit saturating
-synaptic integration values, and 32-bit membrane potentials.  All arithmetic
-is exact integer math so that independent reference implementations can be
-compared bit for bit.
+synaptic integration values, and 32-bit membrane potentials.  Every result
+is bit-exact, so independent reference implementations can be compared bit
+for bit.
+
+The integer products run as BLAS float matmuls (:func:`_exact_matmul`): in
+float32 while every partial sum is below 2**24 and in float64 below 2**53.
+Each float type holds every integer in its range exactly, so no addition in
+any summation order rounds.  Larger bounds are refused; the operands alone
+would not fit in memory there.  Each call site passes a bound on the sum of
+|products| along the reduced axis, which caps every partial sum whatever
+order BLAS adds in:
+
+* ``spike_matmul``: 128 * d_in (binary spikes times int8 weights, |w| <= 128);
+* ``moe.compute_expert_scores``: 128 * t * d_in (spike counts <= t);
+* ``mha.spiking_attention_map``: d (binary times binary over the head width);
+* ``mha.attention_weighted_integration``: d * n (map entries <= d, n tokens);
+* the reassociated attention head: n for K^T V, then n * d for Q (K^T V).
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 INT16_MIN = -(2**15)
 INT16_MAX = 2**15 - 1
@@ -23,9 +37,34 @@ INT32_MAX = 2**31 - 1
 
 _HEADER = struct.Struct("<3I")
 
+# Every integer of magnitude up to these is exact in float32 / float64.
+_F32_EXACT = 2**24
+_F64_EXACT = 2**53
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """``a @ b`` of integer-valued operands, exact, as a BLAS float product.
+
+    ``bound`` caps the sum of |a[..., i, k] * b[..., k, j]| over k, and so
+    every partial sum in any order.  The product runs in float32 when the
+    bound is below 2**24 and in float64 below 2**53; the float result holds
+    the exact integers.  A larger bound raises :class:`ConfigError`.
+    """
+    if bound < _F32_EXACT:
+        dtype = np.float32
+    elif bound < _F64_EXACT:
+        dtype = np.float64
+    else:
+        raise ConfigError(f"integer product bound {bound} is not exact in float64 (limit 2**53)")
+    return np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
+
 
 def saturate_i16(acc: np.ndarray) -> tuple[np.ndarray, int]:
-    """Clamp an integer accumulator to the 16-bit range, counting clamped entries."""
+    """Clamp an accumulator to the 16-bit range, counting clamped entries.
+
+    ``acc`` holds exact integers, as an integer array or as the float result
+    of :func:`_exact_matmul`; either is clamped directly.
+    """
     clipped = np.clip(acc, INT16_MIN, INT16_MAX)
     saturated = int(np.count_nonzero(clipped != acc))
     return clipped.astype(np.int16), saturated
@@ -241,7 +280,7 @@ def spike_matmul(s_t: np.ndarray, w: QuantWeightMatrix) -> tuple[np.ndarray, int
     ``w`` holds (d_in, d_out) int8 weights.  Returns the (n, d_out) int16
     result and the number of entries that saturated.  Because activations are
     binary, each output entry is plainly the sum of the weights selected by
-    the active inputs.
+    the active inputs, so |partial sum| <= 128 * d_in.
     """
     s = np.asarray(s_t)
     if s.ndim != 2:
@@ -250,8 +289,7 @@ def spike_matmul(s_t: np.ndarray, w: QuantWeightMatrix) -> tuple[np.ndarray, int
         raise ValueError("spike slice entries must be 0 or 1")
     if s.shape[1] != w.rows:
         raise ShapeError(f"spike features {s.shape[1]} do not match weight rows {w.rows}")
-    acc = s.astype(np.int64) @ w.data.astype(np.int64)
-    return saturate_i16(acc)
+    return saturate_i16(_exact_matmul(s, w.data, 128 * w.rows))
 
 
 def lif_step(v: PotentialState, x_t: np.ndarray, p: LifParams) -> tuple[PotentialState, np.ndarray]:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from spikesim import SpikeTensor, parse_workload, run_experiment
+from spikesim import SpikeTensor, builtin_calibration, dump_calibration, parse_workload, run_experiment
 from spikesim.cli import main
 from spikesim.runner import load_report_csv
 
@@ -140,6 +140,38 @@ class TestErrorPaths:
         assert err.startswith("invalid configuration (2 problem(s)):")
         assert err.count("  - ") == 2
         assert "not supported" in err
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["run", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def _run_with_calibration(self, tmp_path, payload: str) -> int:
+        (tmp_path / "cal.json").write_text(payload)
+        doc = {**MOE_DOC, "calibration": {"source": "file", "path": str(tmp_path / "cal.json")}}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        return main(["run", str(path)])
+
+    def test_calibration_file_not_json(self, tmp_path, capsys):
+        assert self._run_with_calibration(tmp_path, "{not json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid calibration file (1 problem(s)):")
+        assert "not valid JSON" in err
+
+    def test_calibration_level_fields_listed(self, tmp_path, capsys):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        del doc["levels"][0]["words"]
+        del doc["levels"][1]["id"]
+        doc["levels"][2]["latency_ps"] = "fast"
+        del doc["aggregate"]["area_mm2"]
+        assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid calibration file (4 problem(s)):")
+        assert err.count("  - ") == 4
+        for needle in ("level 0 missing field 'words'", "level 1 missing field 'id'", "'latency_ps'", "'area_mm2'"):
+            assert needle in err
 
     def test_compare_with_pinned_calibration(self, tmp_path, capsys):
         doc = {**MOE_DOC, "calibration": {"source": "file", "path": "whatever.json"}}

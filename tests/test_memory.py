@@ -6,6 +6,7 @@ import pytest
 
 from spikesim import (
     AccessEvent,
+    CalibrationValidationError,
     ConfigError,
     MemCalibration,
     MemLevelSpec,
@@ -316,6 +317,25 @@ class TestCalibrationSerialization:
         doc = dump_calibration(builtin_calibration("moe", "2d"))
         del doc["aggregate"]["area_mm2"]
         with pytest.raises(ConfigError, match="area_mm2"):
+            load_calibration(doc)
+
+    def test_all_problems_collected(self):
+        doc = dump_calibration(builtin_calibration("mha", "3d"))
+        doc["levels"][0] = "not a mapping"
+        doc["levels"][1]["words"] = 0
+        doc["levels"][2]["power_mw"] = None
+        doc["levels"][3]["words"] = float("inf")
+        doc["aggregate"]["num_cells"] = "many"
+        with pytest.raises(CalibrationValidationError) as info:
+            load_calibration(doc)
+        assert len(info.value.violations) == 5
+        assert "level 0 must be a mapping" in info.value.violations[0]
+        assert "geometry must be positive" in info.value.violations[1]
+
+    def test_levels_must_be_a_list(self):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        doc["levels"] = {"act_glb": {}}
+        with pytest.raises(CalibrationValidationError, match="levels must be a list"):
             load_calibration(doc)
 
     def test_level_set_still_enforced(self):

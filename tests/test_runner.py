@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikesim import dataflow, memory, runner
+from spikesim import dataflow, memory, mha, runner
 from spikesim import (
     ConfigError,
     HardwareParams,
@@ -299,6 +299,17 @@ class TestRunPathWork:
             result = run_experiment(plan)
             with pytest.raises(AssertionError, match="access trace"):
                 result.trace
+
+    def test_attention_map_never_built(self, monkeypatch):
+        def refuse_map(*args, **kwargs):
+            raise AssertionError("built the t x n x n attention map on the run path")
+
+        monkeypatch.setattr(mha, "spiking_attention_map", refuse_map)
+        monkeypatch.setattr(mha, "attention_weighted_integration", refuse_map)
+        monkeypatch.setattr(mha.AttentionMap, "__post_init__", refuse_map)
+        plan = parse_workload({**MHA_DOC, "H": 4})
+        assert run_experiment(plan).to_dict()["kind"] == "mha"
+        assert compare_designs(plan).functional_equal
 
     def test_trace_built_once_on_first_access(self):
         result = run_experiment(parse_workload(dict(MOE_DOC)))
