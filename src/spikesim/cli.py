@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
                     json.dump(dump_calibration(resolve_calibration(plan)), fh, indent=2, sort_keys=True)
                     fh.write("\n")
             if args.trace:
-                write_trace_csv(result.trace, args.trace)
+                write_trace_csv(result.merged_trace, args.trace)
             if args.dump_routing:
                 if result.routing_table is None:
                     print("--dump-routing ignored: plan has no routing stage", file=sys.stderr)

@@ -52,24 +52,41 @@ Each array has one walker (``expert_walk``, ``routing_walk``,
 ``attention_walk``): a generator that yields ``(cycle, level, direction,
 bits, tag)`` records in emission order and returns the run's cycle stats.
 ``simulate_*`` turn the records into ``AccessEvent`` lists.  A run folds the
-records straight into per-level counts instead, so the merged trace is
-materialized only when it is requested.  Attention heads run identical
-schedules, so a run walks one head and counts it once per head; ``compare``
-runs the pipeline once and prices that one count set under both
-calibrations.
+records straight into per-level counts instead, so the merged trace is built
+only when it is requested.  Attention heads run identical schedules, so a run
+walks one head and counts it once per head; ``compare`` runs the pipeline
+once and prices that one count set under both calibrations.
+
+Trace merge
+-----------
+``merge_walks`` builds the merged trace without per-event objects.  It
+drains each distinct walk once and validates each distinct record once,
+with the checks ``AccessEvent`` and ``count_accesses`` make; units that
+share a walk differ only in their unit name, so that is the same as checking
+every copy.  The rows are then index arrays (cycle, unit rank, record) in
+concatenation order: walks in order, the units of a walk in order, records
+in emission order, which is the order ``merge_traces`` receives the
+per-unit traces in.  The unit rank is the unit's position in sorted name
+order (``attn10`` before ``attn2``), so one stable
+``np.lexsort((unit_rank, cycle))`` gives exactly ``merge_traces``' stable
+``(cycle, unit)`` sort.  ``write_trace_csv`` streams those rows out in
+fixed-size chunks; ``MergedTrace.events`` gives the same rows as
+``AccessEvent`` objects for library callers.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ShapeError
+import numpy as np
+
+from .errors import ConfigError, ShapeError, TraceError
 from .levels import (
     ACT_BUFFER,
     ACT_GLB,
     ACT_LB,
+    LEVEL_GEOMETRY,
     WEIGHT_BUFFER,
     WEIGHT_GLB0,
     WEIGHT_LB,
@@ -80,6 +97,9 @@ from .levels import (
 ARRAY_ROLES = ("expert", "routing", "attention")
 
 TRACE_COLUMNS = ("cycle", "unit", "level", "direction", "words", "width_bits")
+
+# Trace rows formatted and written per chunk, which bounds the text held at once.
+TRACE_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -249,17 +269,77 @@ def drain(walk) -> tuple[CycleStats | None, list[tuple]]:
             return done.value, records
 
 
-def materialize(walks) -> list[AccessEvent]:
-    """Replay ``(units, walker factory)`` pairs into one merged trace.
+def _checked_record(units: tuple, record: tuple) -> tuple:
+    """A walker record as ``(level, direction, words, width_bits, tag)``.
 
-    Units that share a walker (identical attention heads) replay it once and
-    differ only in the unit name of their events.
+    Raises TraceError on what ``AccessEvent`` or ``count_accesses`` would
+    refuse: a negative cycle, a direction other than read or write, an
+    unknown level, or a burst of no words or no bits.
     """
-    traces = []
+    cycle, level, direction, bits, tag = record
+    problem = None
+    if level not in LEVEL_GEOMETRY:
+        problem = f"trace references unknown level {level!r}"
+    elif cycle < 0:
+        problem = "event cycle cannot be negative"
+    elif direction not in ("read", "write"):
+        problem = f"direction must be read or write, got {direction!r}"
+    else:
+        words, width = level_words(bits, level), level_width_bits(level)
+        if words < 1 or width < 1:
+            problem = "events must move at least one word of at least one bit"
+    if problem:
+        raise TraceError(f"{problem} (record at cycle {cycle} of unit(s) {', '.join(units)})")
+    return level, direction, words, width, tag
+
+
+@dataclass(frozen=True)
+class MergedTrace:
+    """The merged access trace as index arrays over its distinct records.
+
+    Row ``i`` is an access at cycle ``cycle[i]`` by unit ``units[unit[i]]``
+    carrying ``records[record[i]]`` = ``(level, direction, words,
+    width_bits, tag)``; rows are in the (cycle, unit) order of
+    ``merge_traces``.
+    """
+
+    units: tuple
+    records: list
+    cycle: np.ndarray
+    unit: np.ndarray
+    record: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cycle)
+
+    def events(self) -> list[AccessEvent]:
+        """The rows as ``AccessEvent`` objects."""
+        units, records = self.units, self.records
+        rows = zip(self.cycle.tolist(), self.unit.tolist(), self.record.tolist())
+        return [AccessEvent(cycle, units[unit], *records[rec]) for cycle, unit, rec in rows]
+
+
+def merge_walks(walks) -> MergedTrace:
+    """Merge ``(units, walker factory)`` pairs into one (cycle, unit)-ordered trace.
+
+    Each walk is drained and its records validated once, however many units
+    share it.
+    """
+    names = sorted({unit for units, _ in walks for unit in units})
+    rank = {unit: i for i, unit in enumerate(names)}
+    records: list[tuple] = []
+    cycles, ranks, record_ids = [np.empty(0, np.int64)], [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for units, make_walk in walks:
-        _, records = drain(make_walk())
-        traces += ([access_event(unit, rec) for rec in records] for unit in units)
-    return merge_traces(*traces)
+        _, walked = drain(make_walk())
+        first = len(records)
+        records += [_checked_record(units, rec) for rec in walked]
+        # Unit-major, record-minor: the order merge_traces concatenates them in.
+        cycles.append(np.tile(np.fromiter((rec[0] for rec in walked), np.int64, len(walked)), len(units)))
+        ranks.append(np.repeat(np.array([rank[unit] for unit in units], np.intp), len(walked)))
+        record_ids.append(np.tile(np.arange(first, len(records), dtype=np.intp), len(units)))
+    cycle, unit, record = (np.concatenate(parts) for parts in (cycles, ranks, record_ids))
+    order = np.lexsort((unit, cycle))  # stable: ties keep concatenation order
+    return MergedTrace(tuple(names), records, cycle[order], unit[order], record[order])
 
 
 def fill_cycles(reduction: int, rows_used: int, cols_used: int) -> int:
@@ -588,9 +668,23 @@ def merge_traces(*traces: list[AccessEvent]) -> list[AccessEvent]:
     return merged
 
 
-def write_trace_csv(events: list[AccessEvent], path: str) -> None:
+def write_trace_csv(trace: MergedTrace, path: str) -> None:
+    """Write a merged trace as CSV, streamed in chunks of ``TRACE_CHUNK_ROWS`` rows.
+
+    The bytes are those ``csv.writer`` writes in its default dialect: unit,
+    level and direction names are fixed identifiers and every other field is
+    an integer, so no field ever needs quoting, and lines end in ``\\r\\n``.
+    Each line is ``cycle,unit`` plus a suffix formatted once per distinct
+    record.
+    """
+    units = np.array(trace.units, dtype=object)
+    suffixes = np.array(
+        [f",{level},{direction},{words},{width}\r\n" for level, direction, words, width, _tag in trace.records],
+        dtype=object,
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for ev in events:
-            writer.writerow([ev.cycle, ev.unit, ev.level, ev.direction, ev.words, ev.width_bits])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for start in range(0, len(trace), TRACE_CHUNK_ROWS):
+            rows = slice(start, start + TRACE_CHUNK_ROWS)
+            lines = zip(trace.cycle[rows].tolist(), units[trace.unit[rows]].tolist(), suffixes[trace.record[rows]].tolist())
+            fh.write("".join([f"{cycle},{unit}{suffix}" for cycle, unit, suffix in lines]))

@@ -48,10 +48,10 @@ class MemLevelSpec:
     def __post_init__(self):
         if self.words < 1 or self.width_bits < 1:
             raise ConfigError(f"level {self.id}: geometry must be positive")
-        if not self.latency_ps > 0:
-            raise ConfigError(f"level {self.id}: access latency must be positive")
-        if self.power_mw < 0:
-            raise ConfigError(f"level {self.id}: access power cannot be negative")
+        if not 0 < self.latency_ps < math.inf:
+            raise ConfigError(f"level {self.id}: access latency must be positive and finite")
+        if not 0 <= self.power_mw < math.inf:
+            raise ConfigError(f"level {self.id}: access power must be non-negative and finite")
 
     @property
     def capacity_bits(self) -> int:
@@ -235,8 +235,11 @@ def count_accesses(trace: list[AccessEvent]) -> AccessCounts:
 def count_records(records) -> AccessCounts:
     """Fold walker records ``(cycle, level, direction, bits, tag)`` into per-level totals."""
     counts = AccessCounts({})
-    for _cycle, level, direction, bits, _tag in records:
-        counts.add(level, direction, level_words(bits, level))
+    try:
+        for _cycle, level, direction, bits, _tag in records:
+            counts.add(level, direction, level_words(bits, level))
+    except KeyError as err:  # level_words looks the level up in LEVEL_GEOMETRY
+        raise TraceError(f"walker record references unknown level {err.args[0]!r}") from None
     return counts
 
 
@@ -469,9 +472,15 @@ def _convert_fields(entry, fields, where: str, violations: list[str]) -> dict | 
             violations.append(f"{where} missing field {name!r}")
             continue
         try:
-            out[name] = cast(entry[name])
+            value = cast(entry[name])
         except (TypeError, ValueError, OverflowError):
             violations.append(f"{where} field {name!r} is not a valid {cast.__name__}: {entry[name]!r}")
+            continue
+        # NaN and infinity parse as floats but would price traffic as NaN or inf.
+        if cast is float and not math.isfinite(value):
+            violations.append(f"{where} field {name!r} must be finite, got {entry[name]!r}")
+            continue
+        out[name] = value
     return out if len(out) == len(fields) else None
 
 
@@ -496,6 +505,7 @@ def load_calibration(source) -> MemCalibration:
         f"calibration document missing {key!r}" for key in ("design", "levels", "aggregate") if key not in doc
     ]
     levels = {}
+    first_entry: dict[str, int] = {}
     entries = doc.get("levels", [])
     if not isinstance(entries, list):
         violations.append("calibration levels must be a list")
@@ -504,12 +514,26 @@ def load_calibration(source) -> MemCalibration:
         fields = _convert_fields(entry, _LEVEL_FIELDS, f"calibration level {i}", violations)
         if fields is None:
             continue
+        level = fields["id"]
+        if level in first_entry:
+            violations.append(f"calibration level {i} repeats level id {level!r} of level {first_entry[level]}")
+            continue
+        first_entry[level] = i
         try:
             spec = MemLevelSpec(**fields)
         except ConfigError as err:
             violations.append(str(err))
-        else:
-            levels[spec.id] = spec
+            continue
+        # Traffic is sized in LEVEL_GEOMETRY words, so another geometry would
+        # move the capacity verdicts but not the word counts.
+        modeled = LEVEL_GEOMETRY.get(level)
+        if modeled is not None and (spec.words, spec.width_bits) != modeled:
+            violations.append(
+                f"level {level}: geometry {spec.words} words x {spec.width_bits} bits differs from the "
+                f"modeled {modeled[0]} words x {modeled[1]} bits"
+            )
+            continue
+        levels[level] = spec
     aggregate = None
     if "aggregate" in doc:
         fields = _convert_fields(doc["aggregate"], _AGGREGATE_FIELDS, "calibration aggregate", violations)

@@ -297,7 +297,8 @@ class RunResult:
     """Serializable outcome of one run plus in-memory artifacts for dumps.
 
     ``walks`` holds one ``(units, walker factory)`` pair per distinct array
-    run plus the merge egress; ``trace`` replays them on first access only.
+    run plus the merge egress; ``merged_trace`` replays and merges them on
+    first access only, and ``trace`` gives its rows as ``AccessEvent``s.
     """
 
     kind: str
@@ -312,9 +313,14 @@ class RunResult:
     walks: list = field(default_factory=list, repr=False)
 
     @cached_property
+    def merged_trace(self) -> dataflow.MergedTrace:
+        """The merged (cycle, unit)-ordered access trace, as index arrays."""
+        return dataflow.merge_walks(self.walks)
+
+    @cached_property
     def trace(self) -> list[dataflow.AccessEvent]:
         """The merged (cycle, unit)-ordered access trace."""
-        return dataflow.materialize(self.walks)
+        return self.merged_trace.events()
 
     def to_dict(self) -> dict:
         return {

@@ -2,14 +2,33 @@
 
 import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from spikesim import SpikeTensor, builtin_calibration, dump_calibration, parse_workload, run_experiment
+from spikesim import (
+    AccessEvent,
+    ArrayGeometry,
+    SparsityStats,
+    SpikeTensor,
+    builtin_calibration,
+    dataflow,
+    dump_calibration,
+    merge_traces,
+    parse_workload,
+    plan_attention_tiles,
+    plan_expert_tiles,
+    run_experiment,
+    simulate_attention_array,
+    simulate_expert_array,
+    simulate_routing_array,
+)
 from spikesim.cli import main
+from spikesim.levels import ACT_GLB, ACT_LB, level_width_bits, level_words
 from spikesim.runner import load_report_csv
 
 MOE_DOC = {"kind": "moe", "N": 16, "T": 2, "D_in": 32, "D_out": 32, "E": 4, "seed": 3}
@@ -173,6 +192,36 @@ class TestErrorPaths:
         for needle in ("level 0 missing field 'words'", "level 1 missing field 'id'", "'latency_ps'", "'area_mm2'"):
             assert needle in err
 
+    @pytest.mark.parametrize("section,field", [("level", "power_mw"), ("aggregate", "memory_access_power_mw")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_calibration_non_finite_field(self, section, field, value, tmp_path, capsys):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        (doc["levels"][3] if section == "level" else doc["aggregate"])[field] = value
+        assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid calibration file (1 problem(s)):")
+        assert f"field {field!r} must be finite, got {value!r}" in err
+
+    def test_calibration_duplicate_level_id(self, tmp_path, capsys):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        first = next(i for i, entry in enumerate(doc["levels"]) if entry["id"] == "act_buffer")
+        doc["levels"].append({**doc["levels"][first], "power_mw": 999.0})
+        assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid calibration file (1 problem(s)):")
+        assert f"calibration level 7 repeats level id 'act_buffer' of level {first}" in err
+
+    def test_calibration_geometry_override(self, tmp_path, capsys):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        for entry in doc["levels"]:
+            if entry["id"] in ("act_lb", "weight_buffer"):
+                entry["width_bits"] = 64
+        assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid calibration file (2 problem(s)):")
+        assert "level act_lb: geometry 3072 words x 64 bits differs" in err
+        assert "level weight_buffer: geometry 96 words x 64 bits differs" in err
+
     def test_compare_with_pinned_calibration(self, tmp_path, capsys):
         doc = {**MOE_DOC, "calibration": {"source": "file", "path": "whatever.json"}}
         path = tmp_path / "pinned.json"
@@ -192,3 +241,111 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["kind"] == "moe"
+
+
+def _random_plan(rng: np.random.Generator, kind: str) -> dict:
+    def draw(lo, hi):
+        return int(rng.integers(lo, hi + 1))
+
+    hardware = {"cores": draw(1, 4)}
+    if kind == "moe":
+        # Up to 16 experts, so expert10 sorts before expert2 as a string.
+        model = {"n": draw(1, 20), "t": draw(1, 3), "d_in": draw(1, 24), "d_out": draw(1, 24), "e": draw(1, 16)}
+        hardware["expert_array"] = {"rows": draw(1, 8), "cols": draw(1, 24)}
+        hardware["routing_array"] = {"rows": draw(1, 8), "cols": draw(1, 8)}
+    else:
+        model = {"n": draw(1, 12), "t": draw(1, 3), "h": draw(1, 14), "d": draw(1, 8)}
+        hardware["attention_array"] = {"rows": draw(1, 6), "cols": draw(1, 6)}
+    if rng.random() < 0.5:
+        hardware["extract_ports"] = draw(1, 6)
+    return {"kind": kind, "model": model, "hardware": hardware,
+            "input": {"spike_prob": float(rng.random()), "seed": draw(0, 10**6)}}
+
+
+def _reference_trace_csv(plan, result) -> bytes:
+    """The trace as merge_traces orders the per-unit simulate_* lists, written by csv.writer."""
+    m, hw = plan.model, plan.hardware
+    per_unit = []
+    if plan.kind == "moe":
+        routing = ArrayGeometry(hw.routing_rows, hw.routing_cols, "routing")
+        per_unit.append(simulate_routing_array(m.n, m.t, m.d_in, m.experts, routing, hw.extract_ports)[1])
+        expert = ArrayGeometry(hw.expert_rows, hw.expert_cols, "expert")
+        out_bits = []
+        for e, tokens in enumerate(result.routing_table.expert_tokens):
+            ts = plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert)
+            glb = "weight_glb0" if e % 2 == 0 else "weight_glb1"
+            per_unit.append(simulate_expert_array(ts, expert, SparsityStats(0, 1), hw.extract_ports, f"expert{e}", glb)[1])
+            out_bits.append(len(tokens) * m.t * m.d_out)
+    else:
+        attention = ArrayGeometry(hw.attention_rows, hw.attention_cols, "attention")
+        ts = plan_attention_tiles(m.n, m.d_head, m.t, 1, attention)
+        per_unit += [simulate_attention_array(ts, attention, f"attn{h}")[1] for h in range(m.heads)]
+        out_bits = [m.n * m.t * m.d_head] * m.heads
+    end = result.system_cycles.total_cycles
+    egress = [(ACT_LB, "read", bits) for bits in out_bits if bits] + [(ACT_GLB, "write", result.s_out.data.size)]
+    per_unit.append(
+        [AccessEvent(end, "merge", lv, d, level_words(bits, lv), level_width_bits(lv), "spike") for lv, d, bits in egress]
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["cycle", "unit", "level", "direction", "words", "width_bits"])
+    for ev in merge_traces(*per_unit):
+        writer.writerow([ev.cycle, ev.unit, ev.level, ev.direction, ev.words, ev.width_bits])
+    return buf.getvalue().encode()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built AccessEvent objects on the --trace path")
+
+
+class TestTracePath:
+    @pytest.mark.parametrize("kind", ["moe", "mha"])
+    def test_csv_byte_identical_to_merge_traces(self, kind, tmp_path, capsys):
+        rng = np.random.default_rng(404 if kind == "moe" else 405)
+        plan_path, trace_path = tmp_path / "plan.json", tmp_path / "trace.csv"
+        seen = set()
+        for _ in range(60):
+            doc = _random_plan(rng, kind)
+            plan_path.write_text(json.dumps(doc))
+            assert main(["run", str(plan_path), "--output", str(tmp_path / "r.json"), "--trace", str(trace_path)]) == 0
+            plan = parse_workload(doc)
+            expected = _reference_trace_csv(plan, run_experiment(plan))
+            assert trace_path.read_bytes() == expected
+            units_at = {}
+            for line in expected.decode().splitlines()[1:]:
+                cycle, unit = line.split(",")[:2]
+                units_at.setdefault(cycle, set()).add(unit)
+            if any(len(units) > 1 for units in units_at.values()):
+                seen.add("units share a cycle")
+            if (plan.model.experts if kind == "moe" else plan.model.heads) >= 11:
+                seen.add("string order differs from numeric order")
+        capsys.readouterr()
+        assert seen == {"units share a cycle", "string order differs from numeric order"}
+
+    def test_builds_no_events(self, moe_config, mha_config, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dataflow.AccessEvent, "__post_init__", _refuse)
+        monkeypatch.setattr(dataflow, "merge_traces", _refuse)
+        for config in (moe_config, mha_config):
+            dest = tmp_path / "trace.csv"
+            assert main(["run", config, "--trace", str(dest)]) == 0
+            assert dest.read_bytes().count(b"\r\n") > 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "record,problem",
+        [
+            ((-1, ACT_LB, "read", 8, "spike"), "cycle cannot be negative"),
+            ((0, ACT_LB, "fetch", 8, "spike"), "direction must be read or write"),
+            ((0, "act_dram", "read", 8, "spike"), "unknown level 'act_dram'"),
+        ],
+    )
+    def test_bad_walker_record_exits_2(self, record, problem, mha_config, tmp_path, capsys, monkeypatch):
+        walk = dataflow.attention_walk
+
+        def bad_walk(*args):
+            yield record
+            return (yield from walk(*args))
+
+        monkeypatch.setattr(dataflow, "attention_walk", bad_walk)
+        assert main(["run", mha_config, "--trace", str(tmp_path / "trace.csv")]) == 2
+        assert problem in capsys.readouterr().err

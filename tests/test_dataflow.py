@@ -1,6 +1,7 @@
 """Tiling, systolic cycle accounting, access events, multi-core scheduling."""
 
 import csv
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spikesim import (
     ConfigError,
     CycleStats,
     ShapeError,
+    TraceError,
     SparsityStats,
     Tile,
     TileSchedule,
@@ -24,8 +26,11 @@ from spikesim import (
 )
 from spikesim.dataflow import (
     TRACE_COLUMNS,
+    attention_walk,
+    expert_walk,
     extraction_cycle_count,
     fill_cycles,
+    merge_walks,
     write_trace_csv,
 )
 
@@ -435,13 +440,50 @@ class TestTraces:
         assert [(e.cycle, e.unit) for e in merged] == [(2, "c"), (5, "a"), (5, "b"), (9, "b")]
 
     def test_trace_csv_round_readable(self, tmp_path):
-        ts = plan_expert_tiles(8, 2, 16, 8, ArrayGeometry(8, 16, "expert"))
-        _, events = simulate_expert_array(ts, ArrayGeometry(8, 16, "expert"), SparsityStats(0, 1))
+        g = ArrayGeometry(8, 16, "expert")
+        ts = plan_expert_tiles(8, 2, 16, 8, g)
+        trace = merge_walks([(("expert0",), partial(expert_walk, ts, g, SparsityStats(0, 1)))])
+        events = trace.events()
+        assert events == simulate_expert_array(ts, g, SparsityStats(0, 1))[1]
         path = tmp_path / "trace.csv"
-        write_trace_csv(events, str(path))
+        write_trace_csv(trace, str(path))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(TRACE_COLUMNS)
         assert len(rows) == len(events) + 1
         for row, ev in zip(rows[1:], events):
             assert row == [str(ev.cycle), ev.unit, ev.level, ev.direction, str(ev.words), str(ev.width_bits)]
+
+    def test_merge_walks_equals_merge_traces(self):
+        # A shared walk whose unit names sort differently as strings and as
+        # numbers, interleaved on equal cycles with a second walk.
+        ts = plan_attention_tiles(5, 3, 2, 1, ATTN16x16)
+        heads = ("attn2", "attn10", "attn1")
+        egress = [(0, "act_glb", "write", 7, "spike"), (4, "act_lb", "read", 300, "spike")]
+        trace = merge_walks([(heads, partial(attention_walk, ts, ATTN16x16)), (("merge", "attn0"), partial(iter, egress))])
+        per_unit = [simulate_attention_array(ts, ATTN16x16, unit=unit)[1] for unit in heads]
+        per_unit += [[AccessEvent(c, unit, level, d, -(-bits // 128), 128, tag) for c, level, d, bits, tag in egress]
+                     for unit in ("merge", "attn0")]
+        assert trace.events() == merge_traces(*per_unit)
+        assert len(trace) == sum(map(len, per_unit))
+
+    def test_merge_of_nothing(self, tmp_path):
+        trace = merge_walks([])
+        assert trace.events() == []
+        write_trace_csv(trace, str(tmp_path / "trace.csv"))
+        assert (tmp_path / "trace.csv").read_bytes() == b"cycle,unit,level,direction,words,width_bits\r\n"
+
+    @pytest.mark.parametrize(
+        "record,problem",
+        [
+            ((-1, "act_lb", "read", 8, "spike"), "cycle cannot be negative"),
+            ((3, "act_lb", "fetch", 8, "spike"), "direction must be read or write"),
+            ((3, "act_dram", "read", 8, "spike"), "unknown level 'act_dram'"),
+            ((3, "act_lb", "write", 0, "spike"), "at least one word"),
+        ],
+    )
+    def test_bad_walker_records_rejected(self, record, problem):
+        good = (0, "act_glb", "read", 8, "spike")
+        with pytest.raises(TraceError, match=problem) as info:
+            merge_walks([(("attn0", "attn1"), partial(iter, [good, record]))])
+        assert "attn0, attn1" in str(info.value)

@@ -154,6 +154,9 @@ class TestCalibrationValidation:
             MemLevelSpec("x", 8, 128, 0.0, 1.0)
         with pytest.raises(ConfigError):
             MemLevelSpec("x", 8, 128, 10.0, -0.5)
+        for latency, power in ((float("inf"), 1.0), (10.0, float("nan")), (10.0, float("inf"))):
+            with pytest.raises(ConfigError, match="finite"):
+                MemLevelSpec("x", 8, 128, latency, power)
 
 
 class TestCountAccesses:
@@ -331,6 +334,31 @@ class TestCalibrationSerialization:
         assert len(info.value.violations) == 5
         assert "level 0 must be a mapping" in info.value.violations[0]
         assert "geometry must be positive" in info.value.violations[1]
+
+    def test_non_finite_duplicate_and_geometry_listed(self):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        by_id = {entry["id"]: entry for entry in doc["levels"]}
+        by_id[ACT_LB]["power_mw"] = float("nan")
+        by_id[WEIGHT_LB]["latency_ps"] = "-inf"
+        by_id[ACT_GLB]["width_bits"] = 64
+        by_id[WEIGHT_GLB1]["words"] = 4096
+        doc["levels"].append({**by_id[ACT_BUFFER], "power_mw": 999.0})
+        doc["aggregate"]["area_mm2"] = float("inf")
+        with pytest.raises(CalibrationValidationError) as info:
+            load_calibration(doc)
+        violations = info.value.violations
+        assert len(violations) == 6
+        order = [entry["id"] for entry in doc["levels"]]
+        assert f"calibration level {order.index(ACT_LB)} field 'power_mw' must be finite, got nan" in violations
+        assert f"calibration level {order.index(WEIGHT_LB)} field 'latency_ps' must be finite, got '-inf'" in violations
+        assert "calibration aggregate field 'area_mm2' must be finite, got inf" in violations
+        assert f"calibration level 7 repeats level id 'act_buffer' of level {order.index(ACT_BUFFER)}" in violations
+        for level, words, width in ((ACT_GLB, 8192, 64), (WEIGHT_GLB1, 4096, 128)):
+            modeled = LEVEL_GEOMETRY[level]
+            assert (
+                f"level {level}: geometry {words} words x {width} bits differs from the modeled "
+                f"{modeled[0]} words x {modeled[1]} bits"
+            ) in violations
 
     def test_levels_must_be_a_list(self):
         doc = dump_calibration(builtin_calibration("moe", "2d"))
