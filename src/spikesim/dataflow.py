@@ -49,25 +49,48 @@ key tiles cost one extra read-modify-write on the staging buffer per extra
 contribution.
 
 Each array has one walker (``expert_walk``, ``routing_walk``,
-``attention_walk``): a generator that yields ``(cycle, level, direction,
-bits, tag)`` records in emission order and returns the run's cycle stats.
+``attention_walk``).  It returns the run's cycle stats and its access
+records as ``Records``: int64 columns ``cycle``, ``kind`` and ``bits`` in
+emission order, where ``kind`` indexes a small tuple of distinct
+``(level, direction, tag)``.  A ``TileSchedule`` likewise holds its tiles
+as int columns and builds ``Tile`` objects only when ``tiles`` is read.
+
+A walker computes the whole tile grid at once.  The per-tile body is a
+fixed template of record slots, in the order the body emits them: attention
+has 9 (head ingress x2, group staging x2, operand read, second operand read
+or read-modify-write read, integration write, completion read, LB write),
+the expert array 4 preload slots then 9 body slots, the routing array 2
+then 3.  Preload records precede everything else exactly once, so they are
+leading slots kept on the first tile only.  A slot's condition and values
+depend only on its tile and on a prefix of the tiles before it, which numpy
+computes for every tile at once: start cycles
+are an exclusive cumulative sum of tile costs, "first tile of a head or
+group" is a first occurrence, "new row tile" is a compare with the previous
+tile, and a phase-2 tile's contribution ordinal is its rank among the
+earlier tiles of its output block after one stable sort.  Filling a
+(tiles x slots) grid and flattening it tile-major and slot-minor under the
+slots' conditions therefore lists exactly the records a per-tile loop emits,
+in the same order.
+
 ``simulate_*`` turn the records into ``AccessEvent`` lists.  A run folds the
-records straight into per-level counts instead, so the merged trace is built
-only when it is requested.  Attention heads run identical schedules, so a run
-walks one head and counts it once per head; ``compare`` runs the pipeline
-once and prices that one count set under both calibrations.
+records straight into per-level counts instead (``memory.count_records``),
+so the merged trace is built only when it is requested.  Attention heads run
+identical schedules, so a run walks one head and counts it once per head;
+``compare`` runs the pipeline once and prices that one count set under both
+calibrations.
 
 Trace merge
 -----------
-``merge_walks`` builds the merged trace without per-event objects.  It
-drains each distinct walk once and validates each distinct record once,
-with the checks ``AccessEvent`` and ``count_accesses`` make; units that
-share a walk differ only in their unit name, so that is the same as checking
-every copy.  The rows are then index arrays (cycle, unit rank, record) in
-concatenation order: walks in order, the units of a walk in order, records
-in emission order, which is the order ``merge_traces`` receives the
-per-unit traces in.  The unit rank is the unit's position in sorted name
-order (``attn10`` before ``attn2``), so one stable
+``merge_walks`` builds the merged trace from ``(units, Records)`` pairs
+without per-event objects.  It validates each walk's records once
+(``Records.words``: each distinct kind once, cycles and word counts as
+arrays); units that share a walk differ only in their unit name, so that is
+the same as checking every copy.  Each distinct (kind, words) pair of a walk
+becomes one record entry.  The rows are index arrays (cycle, unit rank,
+record) in concatenation order: walks in order, the units of a walk in
+order, records in emission order, which is the order ``merge_traces``
+receives the per-unit traces in.  The unit rank is the unit's position in
+sorted name order (``attn10`` before ``attn2``), so one stable
 ``np.lexsort((unit_rank, cycle))`` gives exactly ``merge_traces``' stable
 ``(cycle, unit)`` sort.  ``write_trace_csv`` streams those rows out in
 fixed-size chunks; ``MergedTrace.events`` gives the same rows as
@@ -76,8 +99,8 @@ fixed-size chunks; ``MergedTrace.events`` gives the same rows as
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,10 +114,14 @@ from .levels import (
     WEIGHT_GLB0,
     WEIGHT_LB,
     level_width_bits,
-    level_words,
+    width_words,
 )
 
 ARRAY_ROLES = ("expert", "routing", "attention")
+
+# Tile phases; a TileSchedule's phase column indexes this tuple.
+TILE_PHASES = ("compute", "phase1", "phase2")
+_PHASE1, _PHASE2 = TILE_PHASES.index("phase1"), TILE_PHASES.index("phase2")
 
 TRACE_COLUMNS = ("cycle", "unit", "level", "direction", "words", "width_bits")
 
@@ -148,14 +175,67 @@ class Tile:
         return self.col_stop - self.col_start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TileSchedule:
-    """Ordered tiles plus the iteration space they must cover per phase."""
+    """Ordered tiles as int64 columns, plus the iteration space they must cover per phase.
 
-    tiles: tuple[Tile, ...]
+    Tile ``i`` covers rows ``[row_start[i], row_stop[i])`` and columns
+    ``[col_start[i], col_stop[i])`` with reduction depth ``reduction[i]`` in
+    phase ``TILE_PHASES[phase[i]]``; ``head[i]`` and ``step[i]`` name its
+    (head, timestep) group, -1 for none.
+    """
+
+    row_start: np.ndarray
+    row_stop: np.ndarray
+    col_start: np.ndarray
+    col_stop: np.ndarray
+    reduction: np.ndarray
+    phase: np.ndarray
+    head: np.ndarray
+    step: np.ndarray
     row_extent: int
     col_extent: int
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # The Tile invariants, checked per column.
+        ok = (0 <= self.row_start) & (self.row_start < self.row_stop) & (0 <= self.col_start)
+        ok &= (self.col_start < self.col_stop) & (self.reduction >= 1)
+        ok &= (0 <= self.phase) & (self.phase < len(TILE_PHASES))
+        # A (head, timestep) group is two non-negative ints; -1 in both is none.
+        ok &= ((self.head == -1) & (self.step == -1)) | ((self.head >= 0) & (self.step >= 0))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ShapeError(
+                f"degenerate tile {i}: rows [{self.row_start[i]},{self.row_stop[i]}) "
+                f"cols [{self.col_start[i]},{self.col_stop[i]}) reduction {self.reduction[i]} phase {self.phase[i]} "
+                f"group ({self.head[i]}, {self.step[i]})"
+            )
+
+    @classmethod
+    def from_tiles(cls, tiles, row_extent: int, col_extent: int, meta: dict | None = None) -> TileSchedule:
+        """The schedule of ``Tile`` objects, in their order."""
+        rows = []
+        for t in tiles:
+            if t.phase not in TILE_PHASES:
+                raise ConfigError(f"unknown tile phase {t.phase!r}, expected one of {TILE_PHASES}")
+            phase = TILE_PHASES.index(t.phase)
+            if t.group is not None and min(t.group) < 0:
+                raise ShapeError(f"tile group {t.group} must be a non-negative (head, timestep)")
+            rows.append((t.row_start, t.row_stop, t.col_start, t.col_stop, t.reduction, phase, *(t.group or (-1, -1))))
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 8).T
+        return cls(*columns, row_extent, col_extent, {} if meta is None else meta)
+
+    @cached_property
+    def tiles(self) -> tuple[Tile, ...]:
+        """The tiles as ``Tile`` objects, built on first access."""
+        columns = (
+            self.row_start, self.row_stop, self.col_start, self.col_stop, self.reduction, self.phase, self.head, self.step
+        )
+        return tuple(
+            Tile(r0, r1, c0, c1, red, TILE_PHASES[phase], None if head < 0 else (head, step))
+            for r0, r1, c0, c1, red, phase, head, step in zip(*(c.tolist() for c in columns))
+        )
 
     def validate(self) -> None:
         """Check that per (group, phase) the tiles partition the iteration space."""
@@ -183,7 +263,15 @@ class TileSchedule:
 
     @property
     def tile_count(self) -> int:
-        return len(self.tiles)
+        return len(self.row_start)
+
+    @property
+    def rows_used(self) -> np.ndarray:
+        return self.row_stop - self.row_start
+
+    @property
+    def cols_used(self) -> np.ndarray:
+        return self.col_stop - self.col_start
 
 
 @dataclass(frozen=True)
@@ -253,44 +341,74 @@ class SparsityStats:
         return self.ones / self.total if self.total else 0.0
 
 
-def access_event(unit: str, record: tuple) -> AccessEvent:
-    """The trace event of one walker record ``(cycle, level, direction, bits, tag)``."""
-    cycle, level, direction, bits, tag = record
-    return AccessEvent(cycle, unit, level, direction, level_words(bits, level), level_width_bits(level), tag)
+@dataclass(frozen=True, eq=False)
+class Records:
+    """A walk's access records as int64 columns, in emission order.
 
-
-def drain(walk) -> tuple[CycleStats | None, list[tuple]]:
-    """Run a walker to its end: the CycleStats it returns and its records in emission order."""
-    records = []
-    while True:
-        try:
-            records.append(next(walk))
-        except StopIteration as done:
-            return done.value, records
-
-
-def _checked_record(units: tuple, record: tuple) -> tuple:
-    """A walker record as ``(level, direction, words, width_bits, tag)``.
-
-    Raises TraceError on what ``AccessEvent`` or ``count_accesses`` would
-    refuse: a negative cycle, a direction other than read or write, an
-    unknown level, or a burst of no words or no bits.
+    Record ``i`` moves ``bits[i]`` bits at cycle ``cycle[i]``; its level,
+    direction and payload tag are ``kinds[kind[i]]``.
     """
-    cycle, level, direction, bits, tag = record
-    problem = None
-    if level not in LEVEL_GEOMETRY:
-        problem = f"trace references unknown level {level!r}"
-    elif cycle < 0:
-        problem = "event cycle cannot be negative"
-    elif direction not in ("read", "write"):
-        problem = f"direction must be read or write, got {direction!r}"
-    else:
-        words, width = level_words(bits, level), level_width_bits(level)
-        if words < 1 or width < 1:
-            problem = "events must move at least one word of at least one bit"
-    if problem:
-        raise TraceError(f"{problem} (record at cycle {cycle} of unit(s) {', '.join(units)})")
-    return level, direction, words, width, tag
+
+    kinds: tuple  # distinct (level, direction, tag)
+    cycle: np.ndarray
+    kind: np.ndarray
+    bits: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cycle)
+
+    @classmethod
+    def from_rows(cls, rows) -> Records:
+        """Records from ``(cycle, level, direction, bits, tag)`` tuples."""
+        kinds: dict[tuple, int] = {}
+        kind = [kinds.setdefault((level, direction, tag), len(kinds)) for _, level, direction, _, tag in rows]
+        cycle = np.array([row[0] for row in rows], dtype=np.int64)
+        bits = np.array([row[3] for row in rows], dtype=np.int64)
+        return cls(tuple(kinds), cycle, np.array(kind, dtype=np.int64), bits)
+
+    def rows(self) -> list[tuple]:
+        """The records as ``(cycle, level, direction, bits, tag)`` tuples."""
+        kinds = self.kinds
+        return [
+            (cycle, kinds[k][0], kinds[k][1], bits, kinds[k][2])
+            for cycle, k, bits in zip(self.cycle.tolist(), self.kind.tolist(), self.bits.tolist())
+        ]
+
+    def words(self, units) -> np.ndarray:
+        """Words each record moves at its level's width, after checking every record.
+
+        Raises TraceError on what ``AccessEvent`` or ``count_accesses`` would
+        refuse: an unknown level, a negative cycle, a direction other than
+        read or write, or a burst of no words.  Each distinct kind is checked
+        once; the error names the first bad record's cycle and ``units``.
+        """
+        unknown = np.array([level not in LEVEL_GEOMETRY for level, _, _ in self.kinds], dtype=bool)
+        misdirected = np.array([direction not in ("read", "write") for _, direction, _ in self.kinds], dtype=bool)
+        width = np.array([LEVEL_GEOMETRY.get(level, (0, 1))[1] for level, _, _ in self.kinds], dtype=np.int64)
+        words = width_words(self.bits, width[self.kind])
+        bad = (unknown | misdirected)[self.kind] | (self.cycle < 0) | (words < 1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            k, cycle = int(self.kind[i]), int(self.cycle[i])
+            level, direction, _ = self.kinds[k]
+            if unknown[k]:
+                problem = f"trace references unknown level {level!r}"
+            elif cycle < 0:
+                problem = "event cycle cannot be negative"
+            elif misdirected[k]:
+                problem = f"direction must be read or write, got {direction!r}"
+            else:
+                problem = "events must move at least one word of at least one bit"
+            raise TraceError(f"{problem} (record at cycle {cycle} of unit(s) {', '.join(units)})")
+        return words
+
+    def events(self, unit: str) -> list[AccessEvent]:
+        """The records as ``unit``'s ``AccessEvent`` list."""
+        words = self.words((unit,)).tolist()
+        return [
+            AccessEvent(cycle, unit, level, direction, w, level_width_bits(level), tag)
+            for (cycle, level, direction, _, tag), w in zip(self.rows(), words)
+        ]
 
 
 @dataclass(frozen=True)
@@ -320,50 +438,119 @@ class MergedTrace:
 
 
 def merge_walks(walks) -> MergedTrace:
-    """Merge ``(units, walker factory)`` pairs into one (cycle, unit)-ordered trace.
+    """Merge ``(units, Records)`` pairs into one (cycle, unit)-ordered trace.
 
-    Each walk is drained and its records validated once, however many units
-    share it.
+    Each walk's records are validated once, however many units share them.
     """
     names = sorted({unit for units, _ in walks for unit in units})
     rank = {unit: i for i, unit in enumerate(names)}
     records: list[tuple] = []
     cycles, ranks, record_ids = [np.empty(0, np.int64)], [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for units, make_walk in walks:
-        _, walked = drain(make_walk())
-        first = len(records)
-        records += [_checked_record(units, rec) for rec in walked]
+    for units, walk in walks:
+        words = walk.words(units)
+        # One record entry per distinct (kind, words) pair, found by one sort.
+        order = np.lexsort((words, walk.kind))
+        kind, words = walk.kind[order], words[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (kind[1:] != kind[:-1]) | (words[1:] != words[:-1])
+        ids = np.empty(len(walk), np.intp)
+        ids[order] = np.cumsum(new) - 1 + len(records)
+        for k, w in zip(kind[new].tolist(), words[new].tolist()):
+            level, direction, tag = walk.kinds[k]
+            records.append((level, direction, w, level_width_bits(level), tag))
         # Unit-major, record-minor: the order merge_traces concatenates them in.
-        cycles.append(np.tile(np.fromiter((rec[0] for rec in walked), np.int64, len(walked)), len(units)))
-        ranks.append(np.repeat(np.array([rank[unit] for unit in units], np.intp), len(walked)))
-        record_ids.append(np.tile(np.arange(first, len(records), dtype=np.intp), len(units)))
+        cycles.append(np.tile(walk.cycle, len(units)))
+        ranks.append(np.repeat(np.array([rank[unit] for unit in units], np.intp), len(walk)))
+        record_ids.append(np.tile(ids, len(units)))
     cycle, unit, record = (np.concatenate(parts) for parts in (cycles, ranks, record_ids))
     order = np.lexsort((unit, cycle))  # stable: ties keep concatenation order
     return MergedTrace(tuple(names), records, cycle[order], unit[order], record[order])
 
 
-def fill_cycles(reduction: int, rows_used: int, cols_used: int) -> int:
-    """Systolic fill/skew: reduction + (ru - 1) + (cu - 1) + 1."""
+def fill_cycles(reduction, rows_used, cols_used):
+    """Systolic fill/skew: reduction + (ru - 1) + (cu - 1) + 1, per tile for arrays."""
     return reduction + (rows_used - 1) + (cols_used - 1) + 1
 
 
-def extraction_cycle_count(values: int, ports: int) -> int:
+def extraction_cycle_count(values, ports: int):
+    """ceil(values / ports): cycles to drain ``values`` results, an int or an int array.
+
+    Ports beyond the largest value drain everything in one cycle, so they are
+    capped there, which keeps an oversized port count out of int64.
+    """
     if ports < 1:
         raise ConfigError(f"extract ports must be >= 1, got {ports}")
-    return math.ceil(values / ports)
+    return -(-values // min(ports, max(int(np.max(values)), 1)))
 
 
-def _check_schedule_fits(ts: TileSchedule, g: ArrayGeometry) -> None:
-    for tile in ts.tiles:
-        if tile.rows_used > g.rows or tile.cols_used > g.cols:
-            raise ConfigError(
-                f"tile {tile.rows_used}x{tile.cols_used} does not fit the {g.rows}x{g.cols} array"
-            )
+def _extract_ports(g: ArrayGeometry, extract_ports: int | None) -> int:
+    """Readout ports of a compute array: one per row unless given."""
+    ports = g.rows if extract_ports is None else extract_ports
+    if ports < 1:
+        raise ConfigError(f"extract ports must be >= 1, got {ports}")
+    return ports
+
+
+def _grid(tile: np.ndarray, row_extent: int, row_step: int, col_extent: int, col_step: int) -> tuple[np.ndarray, ...]:
+    """Start and stop columns of the tiles numbered ``tile`` in the row-major
+    grid of ``row_step`` x ``col_step`` tiles over [0, row_extent) x [0, col_extent)."""
+    # A step beyond the extent gives the same single tile and stays in int64.
+    row_step, col_step = min(row_step, row_extent), min(col_step, col_extent)
+    row, col = np.divmod(tile, -(-col_extent // col_step))
+    row_start, col_start = row * row_step, col * col_step
+    return row_start, np.minimum(row_start + row_step, row_extent), col_start, np.minimum(col_start + col_step, col_extent)
+
+
+def _first_occurrences(key: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose key no earlier entry has."""
+    first = np.zeros(len(key), dtype=bool)
+    first[np.unique(key, return_index=True)[1]] = True
+    return first
+
+
+def _check_fits(rows: np.ndarray, cols: np.ndarray, g: ArrayGeometry) -> None:
+    """Refuse a schedule with a tile of ``rows`` x ``cols`` beyond the array."""
+    if len(rows) and (rows.max() > g.rows or cols.max() > g.cols):
+        i = int(np.argmax((rows > g.rows) | (cols > g.cols)))
+        raise ConfigError(f"tile {rows[i]}x{cols[i]} does not fit the {g.rows}x{g.cols} array")
 
 
 def _stats(cycles: int, per_phase: dict, tiles: int, mac_ops: int, extraction: int, g: ArrayGeometry) -> CycleStats:
     utilization = mac_ops / (cycles * g.pe_count) if cycles else 0.0
     return CycleStats(cycles, per_phase, tiles, mac_ops, utilization, extraction, g.pe_count)
+
+
+def _no_tiles(kinds: tuple) -> Records:
+    return Records(kinds, *(np.empty(0, np.int64),) * 3)
+
+
+def _slot_grid(tiles: int, slots: np.ndarray, preload: int = 0) -> tuple[np.ndarray, ...]:
+    """Cycle, bits, kind and mask grids for ``tiles`` x ``len(slots)`` records.
+
+    Slot ``j`` of every tile has kind ``slots[j]``.  The first ``preload``
+    slots are kept on the first tile only, every other slot on every tile
+    until the walker masks it; cycles and bits are left for the walker.
+    """
+    shape = (tiles, len(slots))
+    kind = np.empty(shape, np.int64)
+    kind[:] = slots
+    mask = np.ones(shape, dtype=bool)
+    mask[1:, :preload] = False
+    return np.empty(shape, np.int64), np.empty(shape, np.int64), kind, mask
+
+
+def _compute_tiles(reduction, ru, cu, ports: int, mac_ops: int, g: ArrayGeometry) -> tuple:
+    """Compute tiles run back to back, each filling and then draining through ``ports``.
+
+    Returns the run's CycleStats and, per tile, its start, fill-done and end cycles.
+    """
+    fills = fill_cycles(reduction, ru, cu)
+    ext = extraction_cycle_count(ru * cu, ports)
+    end = np.cumsum(fills + ext)
+    start = end - fills - ext
+    compute, extract = int(fills.sum()), int(ext.sum())
+    stats = _stats(compute + extract, {"compute": compute, "extract": extract}, len(end), mac_ops, extract, g)
+    return stats, start, start + fills, end
 
 
 def plan_expert_tiles(n_e: int, t: int, d_in: int, d_out: int, g: ArrayGeometry) -> TileSchedule:
@@ -380,67 +567,64 @@ def plan_expert_tiles(n_e: int, t: int, d_in: int, d_out: int, g: ArrayGeometry)
     col_extent = n_e * t
     meta = {"d_in": d_in, "t": t, "n_tokens": n_e, "d_out": d_out}
     if col_extent == 0:
-        return TileSchedule((), 0, 0, meta)
-    tiles = []
-    for r0 in range(0, d_out, g.rows):
-        r1 = min(r0 + g.rows, d_out)
-        for c0 in range(0, col_extent, g.cols):
-            c1 = min(c0 + g.cols, col_extent)
-            tiles.append(Tile(r0, r1, c0, c1, d_in, "compute"))
-    return TileSchedule(tuple(tiles), d_out, col_extent, meta)
+        return TileSchedule(*(np.empty(0, np.int64),) * 8, 0, 0, meta)
+    count = -(-d_out // g.rows) * -(-col_extent // g.cols)
+    grid = _grid(np.arange(count, dtype=np.int64), d_out, g.rows, col_extent, g.cols)
+    reduction, compute, no_group = (np.full(count, value, np.int64) for value in (d_in, TILE_PHASES.index("compute"), -1))
+    return TileSchedule(*grid, reduction, compute, no_group, no_group, d_out, col_extent, meta)
+
+
+# Expert walk: the 13 slots of a tile.  Slots 0-3 preload the expert's
+# weight block (kind 0 is the weight GLB bank's read) and its routed token
+# set, and are kept on the first tile only; slots 4-12 are a tile's body.
+_EXPERT_KINDS = (
+    (WEIGHT_LB, "write", "weight"),
+    (ACT_GLB, "read", "spike"),
+    (ACT_LB, "write", "spike"),
+    (WEIGHT_LB, "read", "weight"),
+    (WEIGHT_BUFFER, "write", "weight"),
+    (WEIGHT_BUFFER, "read", "weight"),
+    (ACT_LB, "read", "spike"),
+    (ACT_BUFFER, "write", "spike"),
+    (ACT_BUFFER, "read", "spike"),
+    (ACT_BUFFER, "write", "integration"),
+    (ACT_BUFFER, "read", "integration"),
+)
+_EXPERT_SLOTS = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3], dtype=np.int64)
 
 
 def expert_walk(
     ts: TileSchedule, g: ArrayGeometry, sparsity: SparsityStats, extract_ports: int | None = None, weight_glb: str = WEIGHT_GLB0
-):
-    """Walk an expert tile schedule: yield its access records, return its CycleStats."""
+) -> tuple[CycleStats, Records]:
+    """Walk an expert tile schedule: its CycleStats and its access records."""
     if g.role != "expert":
         raise ConfigError(f"expected an expert-role array, got {g.role!r}")
-    _check_schedule_fits(ts, g)
-    ports = g.rows if extract_ports is None else extract_ports
-    if ports < 1:
-        raise ConfigError(f"extract ports must be >= 1, got {ports}")
-    if not ts.tiles:
-        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g)
+    ru, cu = ts.rows_used, ts.cols_used
+    _check_fits(ru, cu, g)
+    ports = _extract_ports(g, extract_ports)
+    kinds = ((weight_glb, "read", "weight"), *_EXPERT_KINDS)
+    if not ts.tile_count:
+        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g), _no_tiles(kinds)
 
     d_in = ts.meta["d_in"]
     d_out = ts.row_extent
-    # Preload: the expert's full weight block and its routed token set.
-    yield (0, weight_glb, "read", d_in * d_out * 8, "weight")
-    yield (0, WEIGHT_LB, "write", d_in * d_out * 8, "weight")
-    yield (0, ACT_GLB, "read", ts.col_extent * d_in, "spike")
-    yield (0, ACT_LB, "write", ts.col_extent * d_in, "spike")
+    reduction, area = ts.reduction, ru * cu
+    stats, start, filled, end = _compute_tiles(reduction, ru, cu, ports, sparsity.ones * d_out, g)
 
-    cycle = 0
-    compute = 0
-    extract_total = 0
-    current_row_tile = None
-    for tile in ts.tiles:
-        ru, cu = tile.rows_used, tile.cols_used
-        if (tile.row_start, tile.row_stop) != current_row_tile:
-            # New row tile: stream its weight block in once.
-            current_row_tile = (tile.row_start, tile.row_stop)
-            wbits = ru * tile.reduction * 8
-            yield (cycle, WEIGHT_LB, "read", wbits, "weight")
-            yield (cycle, WEIGHT_BUFFER, "write", wbits, "weight")
-            yield (cycle, WEIGHT_BUFFER, "read", wbits, "weight")
-        sbits = cu * tile.reduction
-        yield (cycle, ACT_LB, "read", sbits, "spike")
-        yield (cycle, ACT_BUFFER, "write", sbits, "spike")
-        yield (cycle, ACT_BUFFER, "read", sbits, "spike")
-
-        fills = fill_cycles(tile.reduction, ru, cu)
-        ext = extraction_cycle_count(ru * cu, ports)
-        xbits = ru * cu * 16
-        yield (cycle + fills, ACT_BUFFER, "write", xbits, "integration")
-        yield (cycle + fills + ext, ACT_BUFFER, "read", xbits, "integration")
-        yield (cycle + fills + ext, ACT_LB, "write", ru * cu, "spike")
-        cycle += fills + ext
-        compute += fills
-        extract_total += ext
-
-    per_phase = {"compute": compute, "extract": extract_total}
-    return _stats(cycle, per_phase, ts.tile_count, sparsity.ones * d_out, extract_total, g)
+    cycle, bits, kind, mask = _slot_grid(ts.tile_count, _EXPERT_SLOTS, preload=4)
+    cycle[:, :10] = start[:, None]
+    cycle[:, 10] = filled
+    cycle[:, 11:] = end[:, None]
+    bits[:, :2] = d_in * d_out * 8
+    bits[:, 2:4] = ts.col_extent * d_in
+    bits[:, 4:7] = (ru * reduction * 8)[:, None]
+    bits[:, 7:10] = (cu * reduction)[:, None]
+    bits[:, 10:12] = (area * 16)[:, None]
+    bits[:, 12] = area
+    # A new row tile streams its weight block in once.
+    rows = ts.row_start, ts.row_stop
+    mask[1:, 4:7] = ((rows[0][1:] != rows[0][:-1]) | (rows[1][1:] != rows[1][:-1]))[:, None]
+    return stats, Records(kinds, cycle[mask], kind[mask], bits[mask])
 
 
 def simulate_expert_array(
@@ -452,48 +636,49 @@ def simulate_expert_array(
     weight_glb: str = WEIGHT_GLB0,
 ) -> tuple[CycleStats, list[AccessEvent]]:
     """Walk an expert tile schedule, producing cycles and access events."""
-    stats, records = drain(expert_walk(ts, g, sparsity, extract_ports, weight_glb))
-    return stats, [access_event(unit, rec) for rec in records]
+    stats, records = expert_walk(ts, g, sparsity, extract_ports, weight_glb)
+    return stats, records.events(unit)
 
 
-def routing_walk(n: int, t: int, d_in: int, e: int, g: ArrayGeometry, extract_ports: int | None = None):
-    """Walk the routing array: yield its access records, return its CycleStats."""
+# Routing walk: the 5 slots of a tile.  Slots 0-1 load the routing weight
+# column, on the first tile only; slots 2-4 are a tile's body.
+_ROUTING_KINDS = (
+    (WEIGHT_GLB0, "read", "weight"),
+    (WEIGHT_LB, "write", "weight"),
+    (WEIGHT_LB, "read", "weight"),
+    (ACT_GLB, "read", "spike"),
+    (ACT_BUFFER, "write", "score"),
+)
+_ROUTING_SLOTS = np.arange(len(_ROUTING_KINDS), dtype=np.int64)
+
+
+def routing_walk(
+    n: int, t: int, d_in: int, e: int, g: ArrayGeometry, extract_ports: int | None = None
+) -> tuple[CycleStats, Records]:
+    """Walk the routing array: its CycleStats and its access records."""
     if g.role != "routing":
         raise ConfigError(f"expected a routing-role array, got {g.role!r}")
     if n < 0 or t < 1 or d_in < 1 or e < 1:
         raise ConfigError(f"bad routing shape n={n} t={t} d_in={d_in} e={e}")
-    ports = g.rows if extract_ports is None else extract_ports
-    if ports < 1:
-        raise ConfigError(f"extract ports must be >= 1, got {ports}")
+    ports = _extract_ports(g, extract_ports)
     if n == 0:
-        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g)
+        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g), _no_tiles(_ROUTING_KINDS)
 
     reduction = t * d_in
-    yield (0, WEIGHT_GLB0, "read", d_in * e * 8, "weight")
-    yield (0, WEIGHT_LB, "write", d_in * e * 8, "weight")
+    count = -(-n // g.rows) * -(-e // g.cols)
+    row_start, row_stop, col_start, col_stop = _grid(np.arange(count, dtype=np.int64), n, g.rows, e, g.cols)
+    ru, cu = row_stop - row_start, col_stop - col_start
+    area = ru * cu
+    stats, start, filled, _end = _compute_tiles(reduction, ru, cu, ports, int(area.sum()) * reduction, g)
 
-    cycle = 0
-    compute = 0
-    extract_total = 0
-    tiles = 0
-    mac_ops = 0
-    for r0 in range(0, n, g.rows):
-        r1 = min(r0 + g.rows, n)
-        for c0 in range(0, e, g.cols):
-            c1 = min(c0 + g.cols, e)
-            ru, cu = r1 - r0, c1 - c0
-            yield (cycle, WEIGHT_LB, "read", cu * d_in * 8, "weight")
-            yield (cycle, ACT_GLB, "read", ru * reduction, "spike")
-            fills = fill_cycles(reduction, ru, cu)
-            ext = extraction_cycle_count(ru * cu, ports)
-            yield (cycle + fills, ACT_BUFFER, "write", ru * cu * 16, "score")
-            cycle += fills + ext
-            compute += fills
-            extract_total += ext
-            tiles += 1
-            mac_ops += ru * cu * reduction
-
-    return _stats(cycle, {"compute": compute, "extract": extract_total}, tiles, mac_ops, extract_total, g)
+    cycle, bits, kind, mask = _slot_grid(count, _ROUTING_SLOTS, preload=2)
+    cycle[:, :4] = start[:, None]
+    cycle[:, 4] = filled
+    bits[:, :2] = d_in * e * 8
+    bits[:, 2] = cu * d_in * 8
+    bits[:, 3] = ru * reduction
+    bits[:, 4] = area * 16
+    return stats, Records(_ROUTING_KINDS, cycle[mask], kind[mask], bits[mask])
 
 
 def simulate_routing_array(
@@ -511,8 +696,8 @@ def simulate_routing_array(
     over all t * d_in spike positions of a token (the routing weight column
     repeats every timestep).
     """
-    stats, records = drain(routing_walk(n, t, d_in, e, g, extract_ports))
-    return stats, [access_event(unit, rec) for rec in records]
+    stats, records = routing_walk(n, t, d_in, e, g, extract_ports)
+    return stats, records.events(unit)
 
 
 def plan_attention_tiles(n: int, d: int, t: int, heads: int, g: ArrayGeometry) -> TileSchedule:
@@ -527,22 +712,34 @@ def plan_attention_tiles(n: int, d: int, t: int, heads: int, g: ArrayGeometry) -
         raise ConfigError(f"expected an attention-role array, got {g.role!r}")
     if n < 1 or d < 1 or t < 1 or heads < 1:
         raise ConfigError(f"bad attention shape n={n} d={d} t={t} heads={heads}")
-    tiles = []
-    for h in range(heads):
-        for step in range(t):
-            group = (h, step)
-            for q0 in range(0, n, g.rows):
-                q1 = min(q0 + g.rows, n)
-                for k0 in range(0, n, g.cols):
-                    k1 = min(k0 + g.cols, n)
-                    tiles.append(Tile(q0, q1, k0, k1, d, "phase1", group))
-                    tiles.append(Tile(q0, q1, k0, k1, k1 - k0, "phase2", group))
+    # Groups in (head, timestep) order; per group, each map tile twice.
+    per_group = 2 * -(-n // g.rows) * -(-n // g.cols)
+    group, within = np.divmod(np.arange(heads * t * per_group, dtype=np.int64), per_group)
+    tile, second = np.divmod(within, 2)
+    row_start, row_stop, col_start, col_stop = _grid(tile, n, g.rows, n, g.cols)
+    phase = np.where(second == 0, _PHASE1, _PHASE2)
+    reduction = np.where(second == 0, d, col_stop - col_start)
+    head, step = np.divmod(group, t)
     meta = {"d": d, "n": n, "t": t, "heads": heads}
-    return TileSchedule(tuple(tiles), n, n, meta)
+    return TileSchedule(row_start, row_stop, col_start, col_stop, reduction, phase, head, step, n, n, meta)
 
 
-def attention_walk(ts: TileSchedule, g: ArrayGeometry):
-    """Walk an attention tile schedule: yield its access records, return its CycleStats.
+# Attention walk: the 9 slots of a tile's body.  Slot 5 is phase 1's second
+# operand read (kind 4) or phase 2's read-modify-write read (kind 5).
+_ATTENTION_KINDS = (
+    (ACT_GLB, "read", "spike"),
+    (ACT_LB, "write", "spike"),
+    (ACT_LB, "read", "spike"),
+    (ACT_BUFFER, "write", "spike"),
+    (ACT_BUFFER, "read", "spike"),
+    (ACT_BUFFER, "read", "integration"),
+    (ACT_BUFFER, "write", "integration"),
+)
+_ATTENTION_SLOTS = np.array([0, 1, 2, 3, 4, 4, 6, 5, 1], dtype=np.int64)
+
+
+def attention_walk(ts: TileSchedule, g: ArrayGeometry) -> tuple[CycleStats, Records]:
+    """Walk an attention tile schedule: its CycleStats and its access records.
 
     The coincidence map lives in processing-element registers between phase 1
     and phase 2, so no record ever moves map data through the memory levels.
@@ -551,66 +748,64 @@ def attention_walk(ts: TileSchedule, g: ArrayGeometry):
     """
     if g.role != "attention":
         raise ConfigError(f"expected an attention-role array, got {g.role!r}")
-    _check_schedule_fits(ts, g)
-    if not ts.tiles:
-        return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g)
+    ru, cu = ts.rows_used, ts.cols_used
+    _check_fits(ru, cu, g)
+    if not ts.tile_count:
+        return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g), _no_tiles(_ATTENTION_KINDS)
+    unknown = (ts.phase != _PHASE1) & (ts.phase != _PHASE2)
+    if unknown.any():
+        raise ConfigError(f"unknown attention phase {TILE_PHASES[ts.phase[np.argmax(unknown)]]!r}")
+    if ts.head.min() < 0:
+        raise ConfigError("attention tiles need a (head, timestep) group")
 
     d = ts.meta["d"]
     n = ts.meta["n"]
     t_steps = ts.meta["t"]
-    key_tiles_per_row = math.ceil(n / g.cols)
+    key_tiles_per_row = -(-n // g.cols)
+    phase1 = ts.phase == _PHASE1
+    cost = np.where(phase1, fill_cycles(ts.reduction, ru, cu), d + ru)
+    end = np.cumsum(cost)
+    start = end - cost
+    # One int per (head, timestep) group, from the dense ranks of each, so
+    # any head and step values in the schedule give distinct keys in int64.
+    heads = np.unique(ts.head, return_inverse=True)[1].reshape(-1)
+    steps, step_rank = np.unique(ts.step, return_inverse=True)
+    group = heads * len(steps) + step_rank.reshape(-1)
 
-    cycle = 0
-    phase1 = 0
-    phase2 = 0
-    mac_ops = 0
-    seen_heads: set[int] = set()
-    seen_groups: set[tuple[int, int]] = set()
-    contributions: dict[tuple, int] = {}
-    for tile in ts.tiles:
-        head, _step = tile.group
-        if head not in seen_heads:
-            # Head ingress: query/key/value slabs for all timesteps.
-            seen_heads.add(head)
-            qkv_bits = 3 * n * t_steps * d
-            yield (cycle, ACT_GLB, "read", qkv_bits, "spike")
-            yield (cycle, ACT_LB, "write", qkv_bits, "spike")
-        if tile.group not in seen_groups:
-            # Stage this timestep's operand slabs into the bottom-tier buffer.
-            seen_groups.add(tile.group)
-            step_bits = 3 * n * d
-            yield (cycle, ACT_LB, "read", step_bits, "spike")
-            yield (cycle, ACT_BUFFER, "write", step_bits, "spike")
+    # A phase-2 tile's ordinal is the number of earlier phase-2 tiles of its
+    # output block (group, row_start, row_stop): its rank within the block
+    # after a stable sort by block.
+    phase2 = np.flatnonzero(~phase1)
+    order = phase2[np.lexsort((ts.row_stop[phase2], ts.row_start[phase2], group[phase2]))]
+    block = group[order], ts.row_start[order], ts.row_stop[order]
+    new_block = np.ones(len(order), dtype=bool)
+    new_block[1:] = (block[0][1:] != block[0][:-1]) | (block[1][1:] != block[1][:-1]) | (block[2][1:] != block[2][:-1])
+    rank = np.arange(len(order))
+    ordinal = np.zeros(ts.tile_count, np.int64)
+    ordinal[order] = rank - np.maximum.accumulate(np.where(new_block, rank, 0))
 
-        ru, cu = tile.rows_used, tile.cols_used
-        if tile.phase == "phase1":
-            yield (cycle, ACT_BUFFER, "read", ru * d, "spike")
-            yield (cycle, ACT_BUFFER, "read", cu * d, "spike")
-            fills = fill_cycles(tile.reduction, ru, cu)
-            cycle += fills
-            phase1 += fills
-            mac_ops += ru * cu * d
-        elif tile.phase == "phase2":
-            yield (cycle, ACT_BUFFER, "read", cu * d, "spike")
-            block = (tile.group, tile.row_start, tile.row_stop)
-            ordinal = contributions.get(block, 0)
-            xbits = ru * d * 16
-            if ordinal > 0:
-                yield (cycle, ACT_BUFFER, "read", xbits, "integration")
-            cycles_here = d + (ru - 1) + 1
-            yield (cycle + cycles_here, ACT_BUFFER, "write", xbits, "integration")
-            contributions[block] = ordinal + 1
-            if contributions[block] == key_tiles_per_row:
-                # Block complete: the spike generators consume it.
-                yield (cycle + cycles_here, ACT_BUFFER, "read", xbits, "integration")
-                yield (cycle + cycles_here, ACT_LB, "write", ru * d, "spike")
-            cycle += cycles_here
-            phase2 += cycles_here
-            mac_ops += ru * d * cu
-        else:
-            raise ConfigError(f"unknown attention phase {tile.phase!r}")
+    cycle, bits, kind, mask = _slot_grid(ts.tile_count, _ATTENTION_SLOTS)
+    cycle[:, :6] = start[:, None]
+    cycle[:, 6:] = end[:, None]
+    xbits = ru * d * 16
+    bits[:, :2] = 3 * n * t_steps * d  # head ingress: query/key/value slabs for all timesteps
+    bits[:, 2:4] = 3 * n * d  # this timestep's operand slabs, staged into the bottom-tier buffer
+    bits[:, 4] = np.where(phase1, ru * d, cu * d)
+    bits[:, 5] = np.where(phase1, cu * d, xbits)
+    bits[:, 6:8] = xbits[:, None]
+    bits[:, 8] = ru * d
+    kind[:, 5] = np.where(phase1, 4, 5)
+    mask[:, :2] = _first_occurrences(ts.head)[:, None]
+    mask[:, 2:4] = _first_occurrences(group)[:, None]
+    mask[:, 5] = phase1 | (ordinal > 0)
+    mask[:, 6] = ~phase1
+    # Block complete: the spike generators consume it.
+    mask[:, 7:] = (~phase1 & (ordinal + 1 == key_tiles_per_row))[:, None]
+    records = Records(_ATTENTION_KINDS, cycle[mask], kind[mask], bits[mask])
 
-    return _stats(cycle, {"phase1": phase1, "phase2": phase2}, ts.tile_count, mac_ops, 0, g)
+    per_phase = {"phase1": int(cost[phase1].sum()), "phase2": int(cost[~phase1].sum())}
+    mac_ops = int((ru * cu).sum()) * d
+    return _stats(int(end[-1]), per_phase, ts.tile_count, mac_ops, 0, g), records
 
 
 def simulate_attention_array(
@@ -619,8 +814,8 @@ def simulate_attention_array(
     unit: str = "attn0",
 ) -> tuple[CycleStats, list[AccessEvent]]:
     """Walk an attention tile schedule, producing cycles and access events."""
-    stats, records = drain(attention_walk(ts, g))
-    return stats, [access_event(unit, rec) for rec in records]
+    stats, records = attention_walk(ts, g)
+    return stats, records.events(unit)
 
 
 def expert_parallel_schedule(

@@ -9,8 +9,6 @@ staging) are lumped under the single calibrated ``act_buffer`` level; the
 weight staging macro is ``weight_buffer``.
 """
 
-import math
-
 ACT_GLB = "act_glb"
 WEIGHT_GLB0 = "weight_glb0"
 WEIGHT_GLB1 = "weight_glb1"
@@ -38,6 +36,16 @@ def level_width_bits(level: str) -> int:
     return LEVEL_GEOMETRY[level][1]
 
 
-def level_words(bits: int, level: str) -> int:
-    """Words of ``level``'s width needed to move ``bits``."""
-    return math.ceil(bits / level_width_bits(level))
+def level_words(bits, level: str):
+    """Words of ``level``'s width needed to move ``bits``, an int or an int array."""
+    return width_words(bits, level_width_bits(level))
+
+
+def width_words(bits, width):
+    """Words of ``width`` bits needed to move ``bits``; ints or int arrays.
+
+    Integer ceiling division: equal to ``math.ceil(bits / width)`` for every
+    bits value below 2**53, where the float quotient is still exact, and
+    exact above it.
+    """
+    return -(-bits // width)

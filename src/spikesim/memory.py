@@ -15,7 +15,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dataflow import AccessEvent
+import numpy as np
+
+from .dataflow import AccessEvent, Records
 from .errors import CalibrationValidationError, ConfigError, TraceError
 from .levels import (
     ACT_BUFFER,
@@ -28,7 +30,6 @@ from .levels import (
     WEIGHT_GLB0,
     WEIGHT_GLB1,
     WEIGHT_LB,
-    level_words,
 )
 
 KINDS = ("moe", "mha")
@@ -232,14 +233,23 @@ def count_accesses(trace: list[AccessEvent]) -> AccessCounts:
     return counts
 
 
-def count_records(records) -> AccessCounts:
-    """Fold walker records ``(cycle, level, direction, bits, tag)`` into per-level totals."""
+def count_records(records: Records, units=()) -> AccessCounts:
+    """Fold a walk's records into per-level totals, levels in first-touch order.
+
+    Every record is checked first (``Records.words``; a bad one raises
+    TraceError naming ``units``).  Events and words are summed per kind in
+    int64, then added per (level, direction) in the order the records first
+    touch each kind, so each level keeps its first-touch place.
+    """
+    words = records.words(units)
+    events = np.bincount(records.kind, minlength=len(records.kinds))
+    words_per_kind = np.zeros(len(records.kinds), np.int64)
+    np.add.at(words_per_kind, records.kind, words)
+    touched, first = np.unique(records.kind, return_index=True)
     counts = AccessCounts({})
-    try:
-        for _cycle, level, direction, bits, _tag in records:
-            counts.add(level, direction, level_words(bits, level))
-    except KeyError as err:  # level_words looks the level up in LEVEL_GEOMETRY
-        raise TraceError(f"walker record references unknown level {err.args[0]!r}") from None
+    for k in touched[np.argsort(first)].tolist():
+        level, direction, _tag = records.kinds[k]
+        counts.add(level, direction, int(words_per_kind[k]), int(events[k]))
     return counts
 
 
@@ -416,6 +426,13 @@ def mem_report(
             "access_power_mw": spec.power_mw,
             "energy_fj": energy,
         }
+    # Finite figures can still overflow: words * power * latency past 1.8e308.
+    overflowed = [f"level {level}" for level, vals in levels.items() if not math.isfinite(vals["energy_fj"])]
+    if overflowed or not math.isfinite(total_energy):
+        raise ConfigError(
+            f"energy under the {cal.kind}/{cal.design} calibration is not finite for "
+            f"{', '.join(overflowed) or 'the total'}"
+        )
     return MemReport(
         calibration_kind=cal.kind,
         calibration_design=cal.design,
@@ -470,6 +487,11 @@ def _convert_fields(entry, fields, where: str, violations: list[str]) -> dict | 
     for name, cast in fields:
         if name not in entry:
             violations.append(f"{where} missing field {name!r}")
+            continue
+        # An integer field takes a JSON integer only: int() would truncate
+        # 8192.9 to 8192 and read true as 1.
+        if cast is int and (isinstance(entry[name], bool) or not isinstance(entry[name], int)):
+            violations.append(f"{where} field {name!r} must be an integer, got {entry[name]!r}")
             continue
         try:
             value = cast(entry[name])

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +31,29 @@ SCHEMA_VERSION = "1"
 CALIBRATION_SOURCES = ("builtin2d", "builtin3d", "file")
 
 ROUTING_CSV_COLUMNS = ("token_id", "rank", "expert_id", "score")
+
+# A plan whose estimated footprint (plan_bytes) exceeds this is refused
+# before any input is synthesized.
+MAX_PLAN_BYTES = 1 << 30
+
+# Trace cycles are int64 columns; this bound leaves room for any makespan
+# under the size cap.
+MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
+
+# Bytes behind plan_bytes, each rounded up.  A spike element costs its
+# float64 draw, the spike itself and float32 operand copies; a weight its
+# int8 value and a float32 copy.  A routing score (one per token and expert)
+# costs the matmul result, its int64 cast, the copy ExpertScores keeps, and
+# route_topk's negated scores and argsort order.  A tile holds 8 int64 schedule columns and a
+# 9-slot grid of cycle, kind and bits columns, a mask and the record columns
+# cut from it.  A merged-trace row holds cycle, unit and record indices, their
+# sort order and sorted copies.  A core holds its schedule load and list.
+_SPIKE_BYTES = 24
+_WEIGHT_BYTES = 8
+_SCORE_BYTES = 40
+_TILE_BYTES = 8 * 8 + 9 * 32
+_TRACE_ROW_BYTES = 64
+_CORE_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -152,10 +175,9 @@ def parse_workload(doc: dict) -> RunPlan:
     violations: list[str] = []
     doc = {k: v for k, v in doc.items()}
 
-    model_doc = dict(doc.pop("model", {}) or {})
-    hw_doc = dict(doc.pop("hardware", {}) or {})
-    cal_doc = dict(doc.pop("calibration", {}) or {})
-    input_doc = dict(doc.pop("input", {}) or {})
+    model_doc, hw_doc, cal_doc, input_doc = (
+        _section(doc, name, violations) for name in ("model", "hardware", "calibration", "input")
+    )
     for flat, (section, key) in _FLAT_ALIASES.items():
         if flat in doc:
             target = model_doc if section == "model" else input_doc
@@ -177,6 +199,8 @@ def parse_workload(doc: dict) -> RunPlan:
         violations.append(f"calibration.source must be one of {CALIBRATION_SOURCES}, got {source!r}")
     elif source == "file" and not path:
         violations.append("calibration.source 'file' requires calibration.path")
+    if path is not None and not isinstance(path, str):
+        violations.append(f"calibration.path must be a string, got {path!r}")
     for key in sorted(cal_doc):
         violations.append(f"unknown calibration key {key!r}")
 
@@ -201,6 +225,15 @@ def parse_workload(doc: dict) -> RunPlan:
         spike_prob=float(spike_prob),
         seed=seed,
     )
+
+
+def _section(doc: dict, name: str, violations: list[str]) -> dict:
+    """A copy of the mapping at ``doc[name]``; absent or empty reads as {}."""
+    section = doc.pop(name, None) or {}
+    if not isinstance(section, dict):
+        violations.append(f"{name} must be a mapping, got {section!r}")
+        return {}
+    return dict(section)
 
 
 def _parse_model(kind, model_doc: dict, violations: list[str]):
@@ -277,6 +310,11 @@ def _parse_hardware(hw_doc: dict, violations: list[str]) -> HardwareParams:
     router_overhead = hw_doc.pop("router_overhead_cycles", None)
     if router_overhead is not None:
         router_overhead = _as_int(router_overhead, "hardware.router_overhead_cycles", 0, violations)
+        if router_overhead is not None and router_overhead > MAX_ROUTER_OVERHEAD_CYCLES:
+            violations.append(
+                f"hardware.router_overhead_cycles must be <= {MAX_ROUTER_OVERHEAD_CYCLES}, got {router_overhead}"
+            )
+            router_overhead = None
     for key in sorted(hw_doc):
         violations.append(f"unknown hardware key {key!r}")
     return HardwareParams(
@@ -292,13 +330,46 @@ def _parse_hardware(hw_doc: dict, violations: list[str]) -> HardwareParams:
     )
 
 
+def plan_bytes(plan: RunPlan) -> int:
+    """Estimated peak bytes of a run of ``plan`` with its trace, from its shape alone.
+
+    Tile and record counts are upper bounds: the expert array's column tiles
+    are at most n * t / cols plus one per expert, an expert tile emits at
+    most 9 records, a routing tile 3, and an attention tile 3 on average (a
+    phase-1 tile 2, a phase-2 tile at most 4).  Every head's records become
+    trace rows, though only one head is walked.
+    """
+    m, hw = plan.model, plan.hardware
+
+    def tiles(extent: int, step: int) -> int:
+        return -(-extent // step)
+
+    if plan.kind == "moe":
+        spikes = m.n * m.t * (m.d_in + m.d_out)
+        weights = m.d_in * m.experts * (m.d_out + 1)
+        scores = m.n * m.experts
+        routing = tiles(m.n, hw.routing_rows) * tiles(m.experts, hw.routing_cols)
+        experts = tiles(m.d_out, hw.expert_rows) * (tiles(m.n * m.t, hw.expert_cols) + m.experts)
+        n_tiles = routing + experts
+        rows = 3 * routing + 2 + 9 * experts + 4 * m.experts
+    else:
+        spikes = 4 * m.n * m.t * m.d_model
+        weights = scores = 0
+        n_tiles = 2 * m.t * tiles(m.n, hw.attention_rows) * tiles(m.n, hw.attention_cols)
+        rows = m.heads * (3 * n_tiles + 2 * m.t + 2)
+    return (
+        _SPIKE_BYTES * spikes + _WEIGHT_BYTES * weights + _SCORE_BYTES * scores + _TILE_BYTES * n_tiles
+        + _TRACE_ROW_BYTES * rows + _CORE_BYTES * hw.cores
+    )
+
+
 @dataclass
 class RunResult:
     """Serializable outcome of one run plus in-memory artifacts for dumps.
 
-    ``walks`` holds one ``(units, walker factory)`` pair per distinct array
-    run plus the merge egress; ``merged_trace`` replays and merges them on
-    first access only, and ``trace`` gives its rows as ``AccessEvent``s.
+    ``walks`` holds one ``(units, Records)`` pair per distinct array run
+    plus the merge egress; ``merged_trace`` merges them on first access
+    only, and ``trace`` gives its rows as ``AccessEvent``s.
     """
 
     kind: str
@@ -367,7 +438,7 @@ class _Layer(NamedTuple):
 
     s_out: SpikeTensor
     routing_table: object
-    walks: list  # (units, walker factory) per distinct array run
+    walks: list  # (units, CycleStats, Records) per distinct array run
     scheduled: list  # (unit, output bits) per unit placed on the cores, in order
     overhead: int
     shape: memory.WorkloadShape
@@ -387,7 +458,7 @@ def _moe_layer(plan: RunPlan) -> _Layer:
 
     routing_geom = ArrayGeometry(hw.routing_rows, hw.routing_cols, "routing")
     expert_geom = ArrayGeometry(hw.expert_rows, hw.expert_cols, "expert")
-    walks = [(("router",), partial(dataflow.routing_walk, m.n, m.t, m.d_in, m.experts, routing_geom, hw.extract_ports))]
+    walks = [(("router",), *dataflow.routing_walk(m.n, m.t, m.d_in, m.experts, routing_geom, hw.extract_ports))]
     scheduled = []
     for e in range(m.experts):
         tokens = table.expert_tokens[e]
@@ -395,7 +466,7 @@ def _moe_layer(plan: RunPlan) -> _Layer:
         ts = dataflow.plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert_geom)
         sparsity = SparsityStats(ones=s_e.popcount(), total=s_e.data.size)
         glb = WEIGHT_GLB0 if e % 2 == 0 else WEIGHT_GLB1
-        walks.append(((f"expert{e}",), partial(dataflow.expert_walk, ts, expert_geom, sparsity, hw.extract_ports, glb)))
+        walks.append(((f"expert{e}",), *dataflow.expert_walk(ts, expert_geom, sparsity, hw.extract_ports, glb)))
         scheduled.append((f"expert{e}", len(tokens) * m.t * m.d_out))
 
     overhead = hw.router_overhead_cycles
@@ -424,7 +495,7 @@ def _mha_layer(plan: RunPlan) -> _Layer:
     # Heads run the same tile schedule and differ only in their unit name,
     # so one walk times and counts all of them.
     ts = dataflow.plan_attention_tiles(m.n, m.d_head, m.t, 1, attn_geom)
-    walks = [(heads, partial(dataflow.attention_walk, ts, attn_geom))]
+    walks = [(heads, *dataflow.attention_walk(ts, attn_geom))]
     scheduled = [(unit, m.n * m.t * m.d_head) for unit in heads]
 
     overhead = hw.router_overhead_cycles if hw.router_overhead_cycles is not None else 0
@@ -437,6 +508,11 @@ def _mha_layer(plan: RunPlan) -> _Layer:
 
 def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
     """Run the pipeline once and price its one count set under each flavor's calibration."""
+    footprint = plan_bytes(plan)
+    if footprint > MAX_PLAN_BYTES:
+        raise WorkloadValidationError(
+            [f"plan needs an estimated {footprint} bytes, over the {MAX_PLAN_BYTES}-byte cap"]
+        )
     cals = [resolve_calibration(flavor) for flavor in flavors]
     if plan.kind == "moe":
         layer = _moe_layer(plan)
@@ -447,9 +523,8 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
 
     unit_cycles: dict[str, dataflow.CycleStats] = {}
     unit_counts: dict[str, memory.AccessCounts] = {}
-    for units, make_walk in layer.walks:
-        stats, records = dataflow.drain(make_walk())
-        counts = memory.count_records(records)
+    for units, stats, records in layer.walks:
+        counts = memory.count_records(records, units)
         for unit in units:
             unit_cycles[unit], unit_counts[unit] = stats, counts
     scheduled = [unit_cycles[unit] for unit, _ in layer.scheduled]
@@ -459,7 +534,8 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
     end = system.total_cycles
     egress = [(end, ACT_LB, "read", bits, "spike") for _, bits in layer.scheduled if bits]
     egress.append((end, ACT_GLB, "write", layer.s_out.data.size, "spike"))
-    unit_counts["merge"] = memory.count_records(egress)
+    egress = dataflow.Records.from_rows(egress)
+    unit_counts["merge"] = memory.count_records(egress, ("merge",))
     # Units fold in name order, each in emission order: the order in which the
     # (cycle, unit)-sorted trace first touches each level, which fixes the
     # summation order of the energy total.
@@ -476,7 +552,7 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
             mem=memory.mem_report(counts, cal, memory.capacity_check(layer.shape, cal)),
             s_out=layer.s_out,
             routing_table=layer.routing_table,
-            walks=[*layer.walks, (("merge",), partial(iter, egress))],
+            walks=[*((units, records) for units, _, records in layer.walks), (("merge",), egress)],
         )
         for flavor, cal in zip(flavors, cals)
     ]

@@ -222,6 +222,25 @@ class TestErrorPaths:
         assert "level act_lb: geometry 3072 words x 64 bits differs" in err
         assert "level weight_buffer: geometry 96 words x 64 bits differs" in err
 
+    def test_calibration_energy_overflow(self, tmp_path, capsys):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        for entry in doc["levels"]:
+            if entry["id"] == "act_glb":
+                entry["power_mw"] = entry["latency_ps"] = 1e300
+        assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: energy under the moe/2d calibration is not finite for level act_glb\n"
+
+    def test_calibration_fractional_words(self, tmp_path, capsys):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        index = next(i for i, entry in enumerate(doc["levels"]) if entry["id"] == "act_glb")
+        doc["levels"][index]["words"] = 8192.9
+        assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid calibration file (1 problem(s)):")
+        assert f"calibration level {index} field 'words' must be an integer, got 8192.9" in err
+
     def test_compare_with_pinned_calibration(self, tmp_path, capsys):
         doc = {**MOE_DOC, "calibration": {"source": "file", "path": "whatever.json"}}
         path = tmp_path / "pinned.json"
@@ -343,9 +362,12 @@ class TestTracePath:
         walk = dataflow.attention_walk
 
         def bad_walk(*args):
-            yield record
-            return (yield from walk(*args))
+            stats, records = walk(*args)
+            return stats, dataflow.Records.from_rows([record, *records.rows()])
 
         monkeypatch.setattr(dataflow, "attention_walk", bad_walk)
         assert main(["run", mha_config, "--trace", str(tmp_path / "trace.csv")]) == 2
+        assert problem in capsys.readouterr().err
+        # The run path's fold checks the records too.
+        assert main(["run", mha_config]) == 2
         assert problem in capsys.readouterr().err

@@ -1,7 +1,6 @@
 """Tiling, systolic cycle accounting, access events, multi-core scheduling."""
 
 import csv
-from functools import partial
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from spikesim import (
 )
 from spikesim.dataflow import (
     TRACE_COLUMNS,
+    Records,
     attention_walk,
     expert_walk,
     extraction_cycle_count,
@@ -65,21 +65,21 @@ class TestGeometryAndTiles:
         assert (t.rows_used, t.cols_used) == (3, 5)
 
     def test_schedule_coverage_check(self):
-        good = TileSchedule(
+        good = TileSchedule.from_tiles(
             (Tile(0, 2, 0, 2, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")),
             row_extent=2, col_extent=4,
         )
         good.validate()
-        missing = TileSchedule((Tile(0, 2, 0, 2, 4, "compute"),), 2, 4)
+        missing = TileSchedule.from_tiles((Tile(0, 2, 0, 2, 4, "compute"),), 2, 4)
         with pytest.raises(ShapeError):
             missing.validate()
-        overlapping = TileSchedule(
+        overlapping = TileSchedule.from_tiles(
             (Tile(0, 2, 0, 3, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")),
             row_extent=2, col_extent=4,
         )
         with pytest.raises(ShapeError):
             overlapping.validate()
-        beyond = TileSchedule((Tile(0, 2, 0, 5, 4, "compute"),), 2, 4)
+        beyond = TileSchedule.from_tiles((Tile(0, 2, 0, 5, 4, "compute"),), 2, 4)
         with pytest.raises(ShapeError):
             beyond.validate()
 
@@ -127,6 +127,16 @@ class TestFillFormula:
             assert extraction_cycle_count(values, ports) == stepped_extraction_cycles(values, ports)
         with pytest.raises(ConfigError):
             extraction_cycle_count(4, 0)
+
+    def test_array_forms_match_scalar(self):
+        # The walkers call these on whole tile columns; each entry equals the scalar result.
+        rng = np.random.default_rng(52)
+        red, ru, cu = (rng.integers(1, 40, 50) for _ in range(3))
+        values = rng.integers(0, 300, 50)
+        assert fill_cycles(red, ru, cu).tolist() == [fill_cycles(*map(int, x)) for x in zip(red, ru, cu)]
+        for ports in (1, 7, 299, 2**70):
+            expected = [stepped_extraction_cycles(int(v), min(ports, 300)) for v in values]
+            assert extraction_cycle_count(values, ports).tolist() == expected
 
 
 class TestExpertTiling:
@@ -442,7 +452,7 @@ class TestTraces:
     def test_trace_csv_round_readable(self, tmp_path):
         g = ArrayGeometry(8, 16, "expert")
         ts = plan_expert_tiles(8, 2, 16, 8, g)
-        trace = merge_walks([(("expert0",), partial(expert_walk, ts, g, SparsityStats(0, 1)))])
+        trace = merge_walks([(("expert0",), expert_walk(ts, g, SparsityStats(0, 1))[1])])
         events = trace.events()
         assert events == simulate_expert_array(ts, g, SparsityStats(0, 1))[1]
         path = tmp_path / "trace.csv"
@@ -460,7 +470,7 @@ class TestTraces:
         ts = plan_attention_tiles(5, 3, 2, 1, ATTN16x16)
         heads = ("attn2", "attn10", "attn1")
         egress = [(0, "act_glb", "write", 7, "spike"), (4, "act_lb", "read", 300, "spike")]
-        trace = merge_walks([(heads, partial(attention_walk, ts, ATTN16x16)), (("merge", "attn0"), partial(iter, egress))])
+        trace = merge_walks([(heads, attention_walk(ts, ATTN16x16)[1]), (("merge", "attn0"), Records.from_rows(egress))])
         per_unit = [simulate_attention_array(ts, ATTN16x16, unit=unit)[1] for unit in heads]
         per_unit += [[AccessEvent(c, unit, level, d, -(-bits // 128), 128, tag) for c, level, d, bits, tag in egress]
                      for unit in ("merge", "attn0")]
@@ -485,5 +495,5 @@ class TestTraces:
     def test_bad_walker_records_rejected(self, record, problem):
         good = (0, "act_glb", "read", 8, "spike")
         with pytest.raises(TraceError, match=problem) as info:
-            merge_walks([(("attn0", "attn1"), partial(iter, [good, record]))])
+            merge_walks([(("attn0", "attn1"), Records.from_rows([good, record]))])
         assert "attn0, attn1" in str(info.value)

@@ -1,11 +1,14 @@
-"""Hypothesis fuzz of the calibration loader and of ``spikesim run`` on calibration files.
+"""Hypothesis fuzz of the calibration loader, the workload parser and ``spikesim run``.
 
-Documents start from a built-in calibration and take a few random edits
-(values of any JSON type, NaN and infinities included, deleted keys,
-duplicated or dropped level entries), or are arbitrary JSON.  Every outcome
-must be a calibration or a listed validation error; on the command line,
-exit code 0 or 2, never a traceback.  Runs are derandomized and bounded so
-the suite stays deterministic.
+Calibration documents start from a built-in calibration and take a few
+random edits (values of any JSON type, NaN and infinities included, deleted
+keys, duplicated or dropped level entries), or are arbitrary JSON.  Plan
+documents start from a small MoE or MHA plan and take a few random edits:
+values of the wrong type, unknown keys, keys moved to their flat aliases,
+sections that are not mappings, and sizes that are small or far past the
+size cap.  Every outcome must be a result or a listed validation error; on
+the command line, exit code 0 or 2, never a traceback.  Runs are
+derandomized and bounded so the suite stays deterministic.
 """
 
 import contextlib
@@ -16,7 +19,16 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikesim import CalibrationValidationError, MemCalibration, builtin_calibration, dump_calibration, load_calibration
+from spikesim import (
+    CalibrationValidationError,
+    MemCalibration,
+    RunPlan,
+    WorkloadValidationError,
+    builtin_calibration,
+    dump_calibration,
+    load_calibration,
+    parse_workload,
+)
 from spikesim.cli import main
 from spikesim.levels import LEVEL_GEOMETRY
 
@@ -116,5 +128,105 @@ def test_cli_run_exits_0_or_2(tmp_path):
             assert json.loads(out.getvalue())["kind"] == kind
         else:
             assert err.getvalue().startswith(("invalid calibration file", "error:"))
+
+    check()
+
+
+BASE_PLANS = {
+    "moe": {
+        "kind": "moe",
+        "model": {"n": 6, "t": 2, "d_in": 8, "d_out": 8, "e": 3, "k": 1},
+        "hardware": {"cores": 2, "expert_array": {"rows": 4, "cols": 8}, "routing_array": {"rows": 4, "cols": 2},
+                     "extract_ports": 3, "router_overhead_cycles": 5},
+        "calibration": {"source": "builtin2d"},
+        "input": {"spike_prob": 0.3, "seed": 1},
+    },
+    "mha": {
+        "kind": "mha",
+        "model": {"n": 5, "t": 2, "h": 2, "d": 4},
+        "hardware": {"cores": 2, "attention_array": {"rows": 3, "cols": 2}},
+        "calibration": {"source": "builtin3d"},
+        "input": {"spike_prob": 0.3, "seed": 1},
+    },
+}
+_PLAN_KEYS = {
+    "top": ("kind", "model", "hardware", "calibration", "input", "N", "T", "D_in", "D_out", "E", "K", "H", "d", "D",
+            "seed", "spike_prob"),
+    "model": ("n", "t", "d_in", "d_out", "e", "experts", "k", "h", "heads", "d", "d_head", "d_model"),
+    "hardware": ("cores", "expert_array", "routing_array", "attention_array", "extract_ports", "router_overhead_cycles"),
+    "array": ("rows", "cols"),
+    "calibration": ("source", "path"),
+    "input": ("spike_prob", "seed"),
+}
+# Sizes stay small, or go far past the size cap so the plan is refused unrun.
+plan_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 9)
+    | st.sampled_from([2**40, 2**70])
+    | st.floats(-2, 9)
+    | st.sampled_from([float("nan"), "3", "moe", "mha", "builtin2d", "builtin3d", "file", ""])
+    | st.text(ALPHABET, max_size=4)
+)
+plan_values = st.recursive(
+    plan_scalars,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.sampled_from(_PLAN_KEYS["array"]) | st.text(ALPHABET, max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def edited_plans(draw) -> dict:
+    doc = json.loads(json.dumps(BASE_PLANS[draw(st.sampled_from(sorted(BASE_PLANS)))]))
+    for _ in range(draw(st.integers(1, 4))):
+        section = draw(st.sampled_from(["top", "model", "hardware", "array", "calibration", "input", "alias"]))
+        if section == "alias":
+            # Move a model key to its flat top-level alias.
+            model = doc.get("model")
+            if isinstance(model, dict) and model:
+                key = draw(st.sampled_from(sorted(model)))
+                alias = {"n": "N", "t": "T", "d_in": "D_in", "d_out": "D_out", "e": "E", "k": "K", "h": "H", "d": "d"}
+                doc[alias.get(key, key)] = model.pop(key)
+            continue
+        if section == "top":
+            target = doc
+        elif section == "array":
+            hardware = doc.get("hardware")
+            name = draw(st.sampled_from(_PLAN_KEYS["hardware"][1:4]))
+            target = hardware.setdefault(name, {}) if isinstance(hardware, dict) else None
+        else:
+            target = doc.get(section)
+        if isinstance(target, dict):
+            _edit(draw, target, _PLAN_KEYS[section])
+    return doc
+
+
+@settings(FUZZ, max_examples=300)
+@given(doc=edited_plans() | values)
+def test_parse_workload_lists_problems(doc):
+    try:
+        plan = parse_workload(doc)
+    except WorkloadValidationError as err:
+        assert err.violations and all(isinstance(v, str) for v in err.violations)
+        return
+    assert isinstance(plan, RunPlan)
+    assert parse_workload(plan.to_dict()) == plan
+
+
+def test_cli_run_on_plan_documents_exits_0_or_2(tmp_path):
+    plan_path = tmp_path / "plan.json"
+
+    @settings(FUZZ, max_examples=150)
+    @given(doc=edited_plans(), command=st.sampled_from(["run", "compare"]))
+    def check(doc, command):
+        plan_path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(plan_path)])
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            assert json.loads(out.getvalue())["kind"] == doc.get("kind")
+        else:
+            assert err.getvalue().startswith(("invalid configuration", "invalid calibration file", "error:", "i/o error:"))
 
     check()

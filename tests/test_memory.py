@@ -1,6 +1,7 @@
 """Calibration tables, access counting, capacity verdicts, energy reports."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -277,6 +278,18 @@ class TestMemReport:
             sum(v["energy_fj"] for v in report.levels.values())
         )
 
+    def test_energy_overflow_rejected(self):
+        cal = builtin_calibration("mha", "2d")
+        huge = {level: replace(spec, latency_ps=1e154, power_mw=1.5e154) for level, spec in cal.levels.items()}
+        # One level past the float range, named.
+        counts = count_accesses([ev(ACT_GLB, "read", 1), ev(ACT_LB, "read", 2)])
+        with pytest.raises(ConfigError, match=r"not finite for level act_lb$"):
+            mem_report(counts, replace(cal, levels={**cal.levels, ACT_LB: huge[ACT_LB]}))
+        # Every level finite, their sum not.
+        counts = count_accesses([ev(ACT_GLB, "read", 1), ev(ACT_LB, "read", 1)])
+        with pytest.raises(ConfigError, match=r"not finite for the total$"):
+            mem_report(counts, replace(cal, levels={**cal.levels, ACT_GLB: huge[ACT_GLB], ACT_LB: huge[ACT_LB]}))
+
     def test_dict_includes_capacity_when_given(self):
         shape = WorkloadShape(kind="mha", n=8, t=2, heads=2, d_head=8)
         cal = builtin_calibration("mha", "2d")
@@ -359,6 +372,23 @@ class TestCalibrationSerialization:
                 f"level {level}: geometry {words} words x {width} bits differs from the modeled "
                 f"{modeled[0]} words x {modeled[1]} bits"
             ) in violations
+
+    def test_integer_fields_take_json_integers(self):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        by_id = {entry["id"]: entry for entry in doc["levels"]}
+        by_id[ACT_GLB]["words"] = 8192.9
+        by_id[ACT_LB]["words"] = 3072.0
+        by_id[WEIGHT_LB]["width_bits"] = True
+        doc["aggregate"]["num_cells"] = "339846"
+        with pytest.raises(CalibrationValidationError) as info:
+            load_calibration(doc)
+        order = [entry["id"] for entry in doc["levels"]]
+        assert info.value.violations == [
+            f"calibration level {order.index(ACT_GLB)} field 'words' must be an integer, got 8192.9",
+            f"calibration level {order.index(ACT_LB)} field 'words' must be an integer, got 3072.0",
+            f"calibration level {order.index(WEIGHT_LB)} field 'width_bits' must be an integer, got True",
+            "calibration aggregate field 'num_cells' must be an integer, got '339846'",
+        ]
 
     def test_levels_must_be_a_list(self):
         doc = dump_calibration(builtin_calibration("moe", "2d"))

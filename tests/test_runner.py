@@ -114,6 +114,30 @@ class TestParseWorkload:
         with pytest.raises(WorkloadValidationError):
             parse_workload([1, 2, 3])
 
+    def test_non_mapping_sections_listed(self):
+        doc = {"kind": "mha", "model": [1, 2], "hardware": "big", "calibration": 3, "input": [["seed", 1]]}
+        with pytest.raises(WorkloadValidationError) as exc:
+            parse_workload(doc)
+        assert exc.value.violations == [
+            "model must be a mapping, got [1, 2]",
+            "hardware must be a mapping, got 'big'",
+            "calibration must be a mapping, got 3",
+            "input must be a mapping, got [['seed', 1]]",
+        ]
+        # An absent or empty section still reads as the defaults.
+        assert parse_workload({"kind": "mha", "model": None, "hardware": {}, "input": []}) == parse_workload({"kind": "mha"})
+
+    def test_calibration_path_must_be_a_string(self):
+        with pytest.raises(WorkloadValidationError, match=r"calibration.path must be a string, got \{'kind': 'moe'\}"):
+            parse_workload({"kind": "moe", "calibration": {"source": "file", "path": {"kind": "moe"}}})
+
+    def test_router_overhead_bounded(self):
+        doc = {"kind": "moe", "hardware": {"router_overhead_cycles": runner.MAX_ROUTER_OVERHEAD_CYCLES}}
+        assert parse_workload(doc).hardware.router_overhead_cycles == 2**53
+        doc["hardware"]["router_overhead_cycles"] += 1
+        with pytest.raises(WorkloadValidationError, match="router_overhead_cycles must be <= 9007199254740992"):
+            parse_workload(doc)
+
     def test_hardware_overrides(self):
         doc = {
             "kind": "moe",
@@ -132,6 +156,71 @@ class TestParseWorkload:
     def test_config_echo_round_trips(self):
         plan = parse_workload(dict(MOE_DOC))
         assert parse_workload(plan.to_dict()) == plan
+
+
+class TestPlanSizeCap:
+    # Shapes that must run: the benchmark's large plans, the long-sequence
+    # MHA plan, and the defaults on the smallest sweep arrays.
+    ADMITTED = [
+        {"kind": "moe", "model": {"n": 1024, "t": 8, "d_in": 256, "d_out": 256, "e": 8, "k": 1}},
+        {"kind": "mha", "model": {"n": 512, "t": 4, "h": 8, "d": 32}, "hardware": {"attention_array": {"rows": 16, "cols": 16}}},
+        {"kind": "mha", "model": {"n": 2048, "t": 4, "h": 8, "d": 32}},
+        {"kind": "moe", "hardware": {"cores": 1, "expert_array": {"rows": 8, "cols": 64}}},
+        {"kind": "mha", "hardware": {"cores": 1, "attention_array": {"rows": 8, "cols": 8}}},
+    ]
+
+    @pytest.mark.parametrize("doc", ADMITTED)
+    def test_admitted(self, doc):
+        assert runner.plan_bytes(parse_workload(doc)) <= runner.MAX_PLAN_BYTES
+
+    def test_huge_plan_refused_before_synthesis(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesized inputs for a plan over the size cap")
+
+        monkeypatch.setattr(runner, "_synth_spikes", refuse)
+        plan = parse_workload({"kind": "mha", "model": {"n": 65536, "t": 4, "h": 8, "d": 32}})
+        with pytest.raises(WorkloadValidationError, match="over the 1073741824-byte cap") as exc:
+            run_experiment(plan)
+        assert exc.value.violations == [
+            f"plan needs an estimated {runner.plan_bytes(plan)} bytes, over the 1073741824-byte cap"
+        ]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"kind": "mha", "N": 65536, "T": 4, "H": 8, "d": 32}))
+        from spikesim.cli import main
+
+        for command in ("run", "compare"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid configuration (1 problem(s)):") and "byte cap" in err
+
+    def test_many_expert_scores_refused_before_synthesis(self, monkeypatch):
+        # The n x e routing score arrays dominate here, not tiles or spikes.
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesized inputs for a plan over the size cap")
+
+        monkeypatch.setattr(runner, "_synth_spikes", refuse)
+        doc = {"kind": "moe", "model": {"n": 131072, "t": 1, "d_in": 1, "d_out": 1, "e": 1024, "k": 1},
+               "hardware": {"routing_array": {"rows": 1048576, "cols": 1024}}}
+        plan = parse_workload(doc)
+        assert runner.plan_bytes(plan) >= 131072 * 1024 * runner._SCORE_BYTES
+        with pytest.raises(WorkloadValidationError, match="byte cap"):
+            run_experiment(plan)
+
+    @pytest.mark.parametrize("doc", [MOE_DOC, MHA_DOC])
+    def test_cap_is_inclusive(self, doc, monkeypatch):
+        plan = parse_workload(dict(doc))
+        monkeypatch.setattr(runner, "MAX_PLAN_BYTES", runner.plan_bytes(plan))
+        run_experiment(plan)
+        monkeypatch.setattr(runner, "MAX_PLAN_BYTES", runner.plan_bytes(plan) - 1)
+        with pytest.raises(WorkloadValidationError, match="byte cap"):
+            run_experiment(plan)
+
+    def test_estimate_covers_oversized_hardware(self):
+        base = parse_workload({"kind": "moe"})
+        cores = replace(base, hardware=replace(base.hardware, cores=2**40))
+        assert runner.plan_bytes(cores) > runner.MAX_PLAN_BYTES
+        tiny = replace(base, hardware=replace(base.hardware, expert_rows=1, expert_cols=1))
+        assert runner.plan_bytes(tiny) > runner.plan_bytes(base)
 
 
 class TestDeterminism:
