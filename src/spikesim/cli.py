@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .dataflow import write_trace_csv
 from .errors import CalibrationValidationError, ConfigError, TraceError, WorkloadValidationError
@@ -74,9 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        plan = parse_workload(doc)
-        if args.seed is not None:
-            plan = replace(plan, seed=args.seed)
+        plan = parse_workload(doc, seed=args.seed)
 
         if args.command == "run":
             result = run_experiment(plan)

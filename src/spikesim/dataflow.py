@@ -92,15 +92,25 @@ order, records in emission order, which is the order ``merge_traces``
 receives the per-unit traces in.  The unit rank is the unit's position in
 sorted name order (``attn10`` before ``attn2``), so one stable
 ``np.lexsort((unit_rank, cycle))`` gives exactly ``merge_traces``' stable
-``(cycle, unit)`` sort.  ``write_trace_csv`` streams those rows out in
-fixed-size chunks; ``MergedTrace.events`` gives the same rows as
+``(cycle, unit)`` sort.  ``MergedTrace.events`` gives the same rows as
 ``AccessEvent`` objects for library callers.
+
+``write_trace_csv`` writes those rows in fixed-size chunks with no Python
+per row.  Each chunk is a NUL-padded byte grid, one row per line: the cycle
+as 4-digit ASCII groups gathered from a table (leading zeros as NUL), then
+the ``,unit,level,direction,words,width_bits\r\n`` tail gathered from a
+table formatted once per (unit, record) pair.  The file gets the grid's
+non-NUL bytes.  That is exact because no field can hold a NUL: digits never
+do, and each distinct unit, level and direction name is checked once to be
+ASCII without NUL.  The same check refuses a comma, a double quote, CR and
+LF, so no field needs the quoting ``csv.writer`` would add, and the bytes
+are those ``csv.writer`` writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -125,8 +135,14 @@ _PHASE1, _PHASE2 = TILE_PHASES.index("phase1"), TILE_PHASES.index("phase2")
 
 TRACE_COLUMNS = ("cycle", "unit", "level", "direction", "words", "width_bits")
 
-# Trace rows formatted and written per chunk, which bounds the text held at once.
+# Trace rows formatted and written per chunk, which bounds the bytes held at once.
 TRACE_CHUNK_ROWS = 1 << 14
+
+# NUL pads the writer's grid; csv.writer would quote a field holding any of the others.
+_UNPLAIN = '\0,"\r\n'
+
+# The last digit group of cycle 0: "0" after three NUL.
+_ZERO_GROUP = np.frombuffer(b"\0\0\x000", "<u4")[0]
 
 
 @dataclass(frozen=True)
@@ -866,20 +882,83 @@ def merge_traces(*traces: list[AccessEvent]) -> list[AccessEvent]:
 def write_trace_csv(trace: MergedTrace, path: str) -> None:
     """Write a merged trace as CSV, streamed in chunks of ``TRACE_CHUNK_ROWS`` rows.
 
-    The bytes are those ``csv.writer`` writes in its default dialect: unit,
-    level and direction names are fixed identifiers and every other field is
-    an integer, so no field ever needs quoting, and lines end in ``\\r\\n``.
-    Each line is ``cycle,unit`` plus a suffix formatted once per distinct
-    record.
+    The bytes are those ``csv.writer`` writes in its default dialect, built
+    with numpy and no Python per row.  Each chunk is a NUL-padded uint8 grid
+    of one row per line: the cycle's digits in 4-digit groups gathered as
+    uint32 from ``_digit_groups`` (leading zeros as NUL), then the line's
+    ``,unit,level,direction,words,width_bits\r\n`` tail gathered from a
+    table formatted once per (unit, record) pair.  The file gets the grid's
+    non-NUL bytes in order.
+
+    Why that is exact: no field can hold a NUL.  The cycle digits and the
+    integer words and widths are decimal digits, and each distinct unit,
+    level and direction name is checked once to be ASCII without NUL; so
+    deleting the padding leaves exactly the fields, comma-joined.  No field
+    needs quoting either: ``csv.writer`` quotes only a field that holds a
+    comma, a double quote, CR or LF, which the check refuses too, and it
+    writes an integer as its decimal digits.  A name that fails the check,
+    or a negative cycle, raises TraceError.
     """
-    units = np.array(trace.units, dtype=object)
-    suffixes = np.array(
-        [f",{level},{direction},{words},{width}\r\n" for level, direction, words, width, _tag in trace.records],
-        dtype=object,
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+    units = [_plain_field(unit) for unit in trace.units]
+    records = [",".join(_plain_field(value) for value in record[:4]) for record in trace.records]
+    if len(trace) and trace.cycle.min() < 0:
+        raise TraceError("event cycle cannot be negative")
+    # A unit's rows draw on one range of records (a walk's records are
+    # contiguous), so the tail table lists each unit's range: every (unit,
+    # record) pair would grow as experts squared.  Pair (u, r) is tail row
+    # tail_row[u] + r.
+    first = np.full(len(units), len(records), dtype=np.intp)
+    last = np.full(len(units), -1, dtype=np.intp)
+    np.minimum.at(first, trace.unit, trace.record)
+    np.maximum.at(last, trace.unit, trace.record)
+    tails = [
+        f",{unit},{records[r]}\r\n".encode()
+        for unit, lo, hi in zip(units, first.tolist(), last.tolist())
+        for r in range(lo, hi + 1)
+    ]
+    span = np.maximum(last - first + 1, 0)
+    tail_row = np.cumsum(span) - span - first
+    width = max(map(len, tails), default=0)
+    tail = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), np.uint8).reshape(len(tails), width)
+    digit_groups = _digit_groups()
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
         for start in range(0, len(trace), TRACE_CHUNK_ROWS):
             rows = slice(start, start + TRACE_CHUNK_ROWS)
-            lines = zip(trace.cycle[rows].tolist(), units[trace.unit[rows]].tolist(), suffixes[trace.record[rows]].tolist())
-            fh.write("".join([f"{cycle},{unit}{suffix}" for cycle, unit, suffix in lines]))
+            cycle = trace.cycle[rows]
+            groups = -(-len(str(int(cycle.max()))) // 4)
+            # The tail starts on a uint32 boundary so the digits can be viewed as uint32.
+            grid = np.zeros((len(cycle), 4 * groups + width + (-width) % 4), np.uint8)
+            quads = grid.view("<u4")
+            rest = cycle
+            for j in reversed(range(groups)):
+                rest, group = np.divmod(rest, 10000)
+                quads[:, j] = digit_groups[group + 10000 * (rest > 0)]
+            quads[cycle == 0, groups - 1] = _ZERO_GROUP  # all of 0's digits are leading zeros but one
+            grid[:, 4 * groups : 4 * groups + width] = np.take(tail, tail_row[trace.unit[rows]] + trace.record[rows], axis=0)
+            flat = grid.ravel()
+            fh.write(flat[flat != 0])
+
+
+def _plain_field(value) -> str:
+    """``value`` as text, refusing what a NUL-stripped, unquoted CSV field cannot hold."""
+    text = str(value)
+    if not text.isascii() or any(ch in text for ch in _UNPLAIN):
+        raise TraceError(f"trace field {text!r} must be ASCII with no NUL, comma, double quote, CR or LF")
+    return text
+
+
+@cache
+def _digit_groups() -> np.ndarray:
+    """ASCII 4-digit groups as little-endian uint32, built on first use.
+
+    Entry ``v`` (``v`` < 10000) holds ``v``'s digits right-aligned with its
+    leading zeros as NUL, so entry 0 is all NUL: a number's leading group.
+    Entry ``10000 + v`` holds them zero-padded: any later group.
+    """
+    v = np.arange(10000, dtype=np.int64)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.int64)
+    digits = v // place % 10 + ord("0")
+    table = np.concatenate([np.where(v >= place, digits, 0), digits]).astype(np.uint8).view("<u4").ravel()
+    table.flags.writeable = False
+    return table

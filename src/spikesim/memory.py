@@ -478,8 +478,18 @@ _AGGREGATE_FIELDS = (
 )
 
 
+# The JSON type each field takes, as Python types json.load produces; a bool
+# is never one (JSON true/false load as Python bool, a subclass of int).
+_JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
+
+
 def _convert_fields(entry, fields, where: str, violations: list[str]) -> dict | None:
-    """Convert ``entry``'s fields, appending a violation per problem; None if any."""
+    """Convert ``entry``'s fields, appending a violation per problem; None if any.
+
+    Each field takes only its own JSON type: a string, an integer (int()
+    would truncate 8192.9 and read true as 1) or a number (float() would
+    read "148" and true).
+    """
     if not isinstance(entry, dict):
         violations.append(f"{where} must be a mapping, got {type(entry).__name__}")
         return None
@@ -488,14 +498,14 @@ def _convert_fields(entry, fields, where: str, violations: list[str]) -> dict | 
         if name not in entry:
             violations.append(f"{where} missing field {name!r}")
             continue
-        # An integer field takes a JSON integer only: int() would truncate
-        # 8192.9 to 8192 and read true as 1.
-        if cast is int and (isinstance(entry[name], bool) or not isinstance(entry[name], int)):
-            violations.append(f"{where} field {name!r} must be an integer, got {entry[name]!r}")
+        value = entry[name]
+        types, expected = _JSON_TYPES[cast]
+        if isinstance(value, bool) or not isinstance(value, types):
+            violations.append(f"{where} field {name!r} must be {expected}, got {value!r}")
             continue
         try:
-            value = cast(entry[name])
-        except (TypeError, ValueError, OverflowError):
+            value = cast(value)
+        except OverflowError:  # an integer too large for a float
             violations.append(f"{where} field {name!r} is not a valid {cast.__name__}: {entry[name]!r}")
             continue
         # NaN and infinity parse as floats but would price traffic as NaN or inf.

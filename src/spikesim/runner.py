@@ -164,11 +164,12 @@ def _as_int(value, name: str, minimum: int, violations: list[str]) -> int | None
     return value
 
 
-def parse_workload(doc: dict) -> RunPlan:
+def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
     """Validate a configuration document and normalize it into a RunPlan.
 
-    Every violation is collected; the raised error lists all of them at once
-    rather than stopping at the first.
+    ``seed``, when given, is the ``--seed`` override of ``input.seed`` and
+    is checked the same way.  Every violation is collected; the raised
+    error lists all of them at once rather than stopping at the first.
     """
     if not isinstance(doc, dict):
         raise WorkloadValidationError(["configuration document must be a mapping"])
@@ -208,9 +209,9 @@ def parse_workload(doc: dict) -> RunPlan:
     if not isinstance(spike_prob, (int, float)) or isinstance(spike_prob, bool) or not 0.0 <= spike_prob <= 1.0:
         violations.append(f"input.spike_prob must lie in [0, 1], got {spike_prob!r}")
         spike_prob = 0.2
-    seed = input_doc.pop("seed", 0)
-    checked_seed = _as_int(seed, "input.seed", 0, violations)
-    seed = checked_seed if checked_seed is not None else 0
+    checked_seed = _as_int(input_doc.pop("seed", 0), "input.seed", 0, violations)
+    if seed is not None:
+        checked_seed = _as_int(seed, "--seed", 0, violations)
     for key in sorted(input_doc):
         violations.append(f"unknown input key {key!r}")
 
@@ -223,7 +224,7 @@ def parse_workload(doc: dict) -> RunPlan:
         calibration_source=source,
         calibration_path=path,
         spike_prob=float(spike_prob),
-        seed=seed,
+        seed=checked_seed,
     )
 
 

@@ -166,6 +166,22 @@ class TestErrorPaths:
         assert main(["run", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_negative_seed_override_listed(self, command, moe_config, capsys):
+        assert main([command, moe_config, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid configuration (1 problem(s)):\n  - --seed must be >= 0, got -1\n"
+
+    def test_seed_override_listed_with_plan_problems(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**MOE_DOC, "seed": -2, "bogus": 1}))
+        assert main(["run", str(path), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration (3 problem(s)):")
+        for needle in ("input.seed must be >= 0, got -2", "--seed must be >= 0, got -1", "unknown top-level key 'bogus'"):
+            assert needle in err
+
     def _run_with_calibration(self, tmp_path, payload: str) -> int:
         (tmp_path / "cal.json").write_text(payload)
         doc = {**MOE_DOC, "calibration": {"source": "file", "path": str(tmp_path / "cal.json")}}
@@ -240,6 +256,20 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("invalid calibration file (1 problem(s)):")
         assert f"calibration level {index} field 'words' must be an integer, got 8192.9" in err
+
+    def test_calibration_fields_take_their_json_type(self, tmp_path, capsys):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        index = next(i for i, entry in enumerate(doc["levels"]) if entry["id"] == "act_glb")
+        doc["levels"][index]["latency_ps"] = "148"
+        doc["levels"][index]["power_mw"] = True
+        assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid calibration file (2 problem(s)):\n"
+            f"  - calibration level {index} field 'latency_ps' must be a number, got '148'\n"
+            f"  - calibration level {index} field 'power_mw' must be a number, got True\n"
+        )
 
     def test_compare_with_pinned_calibration(self, tmp_path, capsys):
         doc = {**MOE_DOC, "calibration": {"source": "file", "path": "whatever.json"}}

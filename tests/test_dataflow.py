@@ -1,6 +1,9 @@
 """Tiling, systolic cycle accounting, access events, multi-core scheduling."""
 
 import csv
+import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from spikesim import (
     simulate_routing_array,
 )
 from spikesim.dataflow import (
+    TRACE_CHUNK_ROWS,
     TRACE_COLUMNS,
+    MergedTrace,
     Records,
     attention_walk,
     expert_walk,
@@ -482,6 +487,7 @@ class TestTraces:
         assert trace.events() == []
         write_trace_csv(trace, str(tmp_path / "trace.csv"))
         assert (tmp_path / "trace.csv").read_bytes() == b"cycle,unit,level,direction,words,width_bits\r\n"
+        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
 
     @pytest.mark.parametrize(
         "record,problem",
@@ -497,3 +503,96 @@ class TestTraces:
         with pytest.raises(TraceError, match=problem) as info:
             merge_walks([(("attn0", "attn1"), Records.from_rows([good, record]))])
         assert "attn0, attn1" in str(info.value)
+
+
+def _csv_writer_bytes(trace) -> bytes:
+    """The trace as csv.writer writes ``MergedTrace.events()``: the writer's reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    for ev in trace.events():
+        writer.writerow([ev.cycle, ev.unit, ev.level, ev.direction, ev.words, ev.width_bits])
+    return buf.getvalue().encode()
+
+
+def _written(trace, tmp_path) -> bytes:
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, str(path))
+    return path.read_bytes()
+
+
+# 0, each 10**k - 1 / 10**k digit boundary, 2**53 and the int64 maximum.
+BOUNDARY_CYCLES = [0] + [c for k in range(1, 19) for c in (10**k - 1, 10**k)] + [2**53, 2**63 - 1]
+UNITS = ("e9", "e10", "router", "merge")
+
+
+def _rows(cycles) -> list[tuple]:
+    kinds = [("act_glb", "read"), ("act_lb", "write"), ("weight_buffer", "read"), ("act_buffer", "write")]
+    return [(c, *kinds[i % 4], 1 + 37 * i % 900, "spike") for i, c in enumerate(cycles)]
+
+
+class TestTraceWriter:
+    """``write_trace_csv`` against csv.writer over ``MergedTrace.events()``, byte for byte."""
+
+    @pytest.mark.parametrize("cycle", BOUNDARY_CYCLES)
+    def test_digit_boundary_alone(self, cycle, tmp_path):
+        trace = merge_walks([(UNITS, Records.from_rows(_rows([cycle, cycle])))])
+        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+
+    def test_digit_boundaries_in_one_chunk(self, tmp_path):
+        # Every row is padded to the 5 digit groups of the largest cycle.
+        trace = merge_walks([(UNITS, Records.from_rows(_rows(BOUNDARY_CYCLES)))])
+        assert len(trace) == 4 * len(BOUNDARY_CYCLES)
+        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+
+    @pytest.mark.parametrize("rows", [TRACE_CHUNK_ROWS - 1, TRACE_CHUNK_ROWS, TRACE_CHUNK_ROWS + 1])
+    def test_chunk_edges(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        # Three units share one walk, "merge" has its own, so any row count is reachable.
+        shared = rows // 3 - 1
+        cycles = np.sort(rng.integers(0, 10**6, rows - 2 * shared)).tolist()
+        cycles[-1] = 2**63 - 1  # the last row, which needs more digit groups than the rest
+        walks = [(UNITS[:3], Records.from_rows(_rows(cycles[:shared]))),
+                 (UNITS[3:], Records.from_rows(_rows(cycles[shared:])))]
+        trace = merge_walks(walks)
+        assert len(trace) == rows and trace.cycle[-1] == 2**63 - 1
+        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+
+    def test_units_and_walks_interleaved(self, tmp_path):
+        # "e9" appears in two walks, so its records are not one contiguous range.
+        walks = [(("e9", "e10"), Records.from_rows(_rows([0, 5, 12]))),
+                 (("router",), Records.from_rows(_rows([5, 99999, 100000]))),
+                 (("e9", "merge"), Records.from_rows(_rows([7, 10**9])[::-1]))]
+        trace = merge_walks(walks)
+        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+
+    def test_unit_without_rows(self, tmp_path):
+        trace = merge_walks([(("idle",), Records.from_rows([])), (UNITS, Records.from_rows(_rows([3, 4])))])
+        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+        assert _written(merge_walks([(("idle",), Records.from_rows([]))]), tmp_path) == _csv_writer_bytes(merge_walks([]))
+
+    def test_every_plain_ascii_character(self, tmp_path):
+        # csv.writer quotes none of these, and an empty name is an empty field.
+        plain = "".join(chr(c) for c in range(1, 128) if chr(c) not in '",\r\n')
+        trace = merge_walks([(("", " ", plain, "e 1\t"), Records.from_rows(_rows([1, 2])))])
+        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+
+    @pytest.mark.parametrize("char", ["\0", ",", '"', "\r", "\n", "\u00e9", "\u2028"])
+    def test_names_that_need_quoting_refused(self, char, tmp_path):
+        trace = merge_walks([(("e1", f"e{char}2"), Records.from_rows(_rows([1])))])
+        with pytest.raises(TraceError, match="must be ASCII with no NUL, comma, double quote, CR or LF"):
+            write_trace_csv(trace, str(tmp_path / "trace.csv"))
+        # Level and direction names are checked the same way.
+        bad_level = MergedTrace(("e1",), [(f"act{char}lb", "read", 1, 128, "spike")], *np.zeros((3, 1), np.int64))
+        with pytest.raises(TraceError, match="must be ASCII"):
+            write_trace_csv(bad_level, str(tmp_path / "trace.csv"))
+
+    def test_negative_cycle_refused(self, tmp_path):
+        trace = MergedTrace(("e1",), [("act_lb", "read", 1, 128, "spike")], np.array([-1]), np.zeros(1, np.intp), np.zeros(1, np.intp))
+        with pytest.raises(TraceError, match="cycle cannot be negative"):
+            write_trace_csv(trace, str(tmp_path / "trace.csv"))
+
+    def test_digit_table_not_built_at_import(self):
+        probe = "import spikesim.cli, spikesim.dataflow as d; print(d._digit_groups.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "0"

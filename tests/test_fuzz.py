@@ -2,13 +2,16 @@
 
 Calibration documents start from a built-in calibration and take a few
 random edits (values of any JSON type, NaN and infinities included, deleted
-keys, duplicated or dropped level entries), or are arbitrary JSON.  Plan
-documents start from a small MoE or MHA plan and take a few random edits:
-values of the wrong type, unknown keys, keys moved to their flat aliases,
-sections that are not mappings, and sizes that are small or far past the
-size cap.  Every outcome must be a result or a listed validation error; on
-the command line, exit code 0 or 2, never a traceback.  Runs are
-derandomized and bounded so the suite stays deterministic.
+keys, duplicated or dropped level entries), or are arbitrary JSON; a second
+strategy gives number and string fields values of another JSON type (bools,
+numeric strings).  Plan documents start from a small MoE or MHA plan and
+take a few random edits: values of the wrong type, unknown keys, keys moved
+to their flat aliases, sections that are not mappings, sizes that are small
+or far past the size cap, and seeds that are negative or not integers, in
+``input.seed`` or as the ``--seed`` override.  Every outcome must be a
+result or a listed validation error; on the command line, exit code 0 or 2,
+never a traceback.  Runs are derandomized and bounded so the suite stays
+deterministic.
 """
 
 import contextlib
@@ -90,6 +93,32 @@ def edited_calibrations(draw) -> dict:
 
 calibration_docs = edited_calibrations() | values
 
+# Values of another JSON type for a number field (float() would read the
+# strings and bools) or the string field ``id``.
+not_numbers = st.booleans() | st.none() | st.sampled_from(["148", "1e3", "-inf", "nan", ""]) | st.lists(scalars, max_size=2)
+not_strings = st.booleans() | st.none() | st.integers(-5, 5) | st.floats(allow_nan=False) | st.lists(scalars, max_size=2)
+_NUMBER_FIELDS = {"level": ("latency_ps", "power_mw"), "aggregate": tuple(k for k in _AGGREGATE_KEYS if k != "num_cells")}
+
+
+@st.composite
+def mistyped_calibrations(draw) -> tuple[dict, list[str]]:
+    """A built-in calibration with a few fields mistyped, and the violation each must give."""
+    doc = dump_calibration(builtin_calibration(draw(st.sampled_from(["moe", "mha"])), draw(st.sampled_from(["2d", "3d"]))))
+    edits = {}
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(doc["levels"]) - 1))
+            name = draw(st.sampled_from(("id",) + _NUMBER_FIELDS["level"]))
+            where, entry = f"calibration level {i}", doc["levels"][i]
+        else:
+            name = draw(st.sampled_from(_NUMBER_FIELDS["aggregate"]))
+            where, entry = "calibration aggregate", doc["aggregate"]
+        value = draw(not_strings if name == "id" else not_numbers)
+        entry[name] = value
+        expected = "a string" if name == "id" else "a number"
+        edits[where, name] = f"{where} field {name!r} must be {expected}, got {value!r}"
+    return doc, list(edits.values())
+
 
 @settings(FUZZ, max_examples=200)
 @given(doc=calibration_docs.filter(lambda doc: not isinstance(doc, str)))  # a str names a file
@@ -104,6 +133,18 @@ def test_load_calibration_lists_problems(doc):
         assert (spec.words, spec.width_bits) == LEVEL_GEOMETRY[level]
         assert math.isfinite(spec.latency_ps) and math.isfinite(spec.power_mw)
     assert all(math.isfinite(value) for value in cal.aggregate.to_dict().values())
+
+
+@settings(FUZZ, max_examples=150)
+@given(case=mistyped_calibrations())
+def test_mistyped_calibration_fields_each_listed(case):
+    doc, expected = case
+    try:
+        load_calibration(doc)
+    except CalibrationValidationError as err:
+        assert sorted(err.violations) == sorted(expected)
+    else:
+        raise AssertionError(f"loaded with mistyped fields: {expected}")
 
 
 PLANS = {
@@ -168,6 +209,8 @@ plan_scalars = (
     | st.sampled_from([float("nan"), "3", "moe", "mha", "builtin2d", "builtin3d", "file", ""])
     | st.text(ALPHABET, max_size=4)
 )
+# Seeds as a plan document may give them: valid, negative, huge, or not integers.
+seeds = st.integers(-3, 9) | st.integers(-(2**70), 2**70) | st.booleans() | st.sampled_from([None, 1.0, "3"])
 plan_values = st.recursive(
     plan_scalars,
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.sampled_from(_PLAN_KEYS["array"]) | st.text(ALPHABET, max_size=3), inner, max_size=2),
@@ -179,7 +222,11 @@ plan_values = st.recursive(
 def edited_plans(draw) -> dict:
     doc = json.loads(json.dumps(BASE_PLANS[draw(st.sampled_from(sorted(BASE_PLANS)))]))
     for _ in range(draw(st.integers(1, 4))):
-        section = draw(st.sampled_from(["top", "model", "hardware", "array", "calibration", "input", "alias"]))
+        section = draw(st.sampled_from(["top", "model", "hardware", "array", "calibration", "input", "alias", "seed"]))
+        if section == "seed":
+            if isinstance(doc.get("input"), dict):
+                doc["input"]["seed"] = draw(seeds)
+            continue
         if section == "alias":
             # Move a model key to its flat top-level alias.
             model = doc.get("model")
@@ -202,14 +249,18 @@ def edited_plans(draw) -> dict:
 
 
 @settings(FUZZ, max_examples=300)
-@given(doc=edited_plans() | values)
-def test_parse_workload_lists_problems(doc):
+@given(doc=edited_plans() | values, seed=st.none() | seeds)
+def test_parse_workload_lists_problems(doc, seed):
     try:
-        plan = parse_workload(doc)
+        plan = parse_workload(doc, seed=seed)
     except WorkloadValidationError as err:
         assert err.violations and all(isinstance(v, str) for v in err.violations)
+        bad_seed = seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0)
+        if bad_seed and isinstance(doc, dict):
+            assert any(v.startswith("--seed must be") for v in err.violations)
         return
     assert isinstance(plan, RunPlan)
+    assert plan.seed >= 0 and (seed is None or plan.seed == seed)
     assert parse_workload(plan.to_dict()) == plan
 
 
@@ -217,13 +268,15 @@ def test_cli_run_on_plan_documents_exits_0_or_2(tmp_path):
     plan_path = tmp_path / "plan.json"
 
     @settings(FUZZ, max_examples=150)
-    @given(doc=edited_plans(), command=st.sampled_from(["run", "compare"]))
-    def check(doc, command):
+    @given(doc=edited_plans(), command=st.sampled_from(["run", "compare"]), seed=st.none() | st.integers(-(2**70), 2**70))
+    def check(doc, command, seed):
         plan_path.write_text(json.dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(plan_path)])
+            code = main([command, str(plan_path)] + ([] if seed is None else ["--seed", str(seed)]))
         assert code in (0, 2), err.getvalue()
+        if seed is not None and seed < 0:
+            assert code == 2 and f"  - --seed must be >= 0, got {seed}\n" in err.getvalue()
         if code == 0:
             assert json.loads(out.getvalue())["kind"] == doc.get("kind")
         else:

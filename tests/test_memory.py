@@ -352,7 +352,7 @@ class TestCalibrationSerialization:
         doc = dump_calibration(builtin_calibration("moe", "2d"))
         by_id = {entry["id"]: entry for entry in doc["levels"]}
         by_id[ACT_LB]["power_mw"] = float("nan")
-        by_id[WEIGHT_LB]["latency_ps"] = "-inf"
+        by_id[WEIGHT_LB]["latency_ps"] = float("-inf")
         by_id[ACT_GLB]["width_bits"] = 64
         by_id[WEIGHT_GLB1]["words"] = 4096
         doc["levels"].append({**by_id[ACT_BUFFER], "power_mw": 999.0})
@@ -363,7 +363,7 @@ class TestCalibrationSerialization:
         assert len(violations) == 6
         order = [entry["id"] for entry in doc["levels"]]
         assert f"calibration level {order.index(ACT_LB)} field 'power_mw' must be finite, got nan" in violations
-        assert f"calibration level {order.index(WEIGHT_LB)} field 'latency_ps' must be finite, got '-inf'" in violations
+        assert f"calibration level {order.index(WEIGHT_LB)} field 'latency_ps' must be finite, got -inf" in violations
         assert "calibration aggregate field 'area_mm2' must be finite, got inf" in violations
         assert f"calibration level 7 repeats level id 'act_buffer' of level {order.index(ACT_BUFFER)}" in violations
         for level, words, width in ((ACT_GLB, 8192, 64), (WEIGHT_GLB1, 4096, 128)):
@@ -389,6 +389,36 @@ class TestCalibrationSerialization:
             f"calibration level {order.index(WEIGHT_LB)} field 'width_bits' must be an integer, got True",
             "calibration aggregate field 'num_cells' must be an integer, got '339846'",
         ]
+
+    def test_number_and_string_fields_take_their_json_type(self):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        by_id = {entry["id"]: entry for entry in doc["levels"]}
+        by_id[ACT_GLB]["latency_ps"] = "148"
+        by_id[ACT_GLB]["power_mw"] = True
+        by_id[ACT_LB]["power_mw"] = False
+        by_id[WEIGHT_LB]["id"] = 5
+        doc["aggregate"]["area_mm2"] = "0.5"
+        doc["aggregate"]["total_power_mw"] = None
+        with pytest.raises(CalibrationValidationError) as info:
+            load_calibration(doc)
+        order = [entry["id"] for entry in doc["levels"]]
+        assert info.value.violations == [
+            f"calibration level {order.index(ACT_GLB)} field 'latency_ps' must be a number, got '148'",
+            f"calibration level {order.index(ACT_GLB)} field 'power_mw' must be a number, got True",
+            f"calibration level {order.index(ACT_LB)} field 'power_mw' must be a number, got False",
+            f"calibration level {order.index(5)} field 'id' must be a string, got 5",
+            "calibration aggregate field 'area_mm2' must be a number, got '0.5'",
+            "calibration aggregate field 'total_power_mw' must be a number, got None",
+        ]
+
+    def test_number_fields_take_json_integers(self):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        for entry in doc["levels"]:
+            entry["latency_ps"] = int(entry["latency_ps"]) + 1
+        doc["aggregate"]["area_mm2"] = 2
+        cal = load_calibration(doc)
+        assert all(isinstance(spec.latency_ps, float) for spec in cal.levels.values())
+        assert cal.aggregate.area_mm2 == 2.0 and isinstance(cal.aggregate.area_mm2, float)
 
     def test_levels_must_be_a_list(self):
         doc = dump_calibration(builtin_calibration("moe", "2d"))

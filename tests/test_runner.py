@@ -110,6 +110,14 @@ class TestParseWorkload:
         with pytest.raises(WorkloadValidationError, match="seed"):
             parse_workload({"kind": "moe", "seed": -3})
 
+    def test_seed_override_checked_like_input_seed(self):
+        assert parse_workload({"kind": "moe", "seed": 4}, seed=9).seed == 9
+        assert parse_workload({"kind": "moe", "seed": 4}, seed=None).seed == 4
+        for bad in (-1, True, 2.0, "3"):
+            with pytest.raises(WorkloadValidationError) as info:
+                parse_workload({"kind": "moe"}, seed=bad)
+            assert info.value.violations == [f"--seed must be {'>= 0' if bad == -1 else 'an integer'}, got {bad!r}"]
+
     def test_non_mapping_doc(self):
         with pytest.raises(WorkloadValidationError):
             parse_workload([1, 2, 3])
