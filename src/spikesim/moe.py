@@ -1,9 +1,16 @@
-"""Spiking mixture-of-experts layer: score, route, gather, integrate, merge.
+"""Spiking mixture-of-experts layer: score, route, gather, integrate, merge, fire.
 
 Routing is pure integer arithmetic: a token's score for an expert is the sum
 of routing weights at every (timestep, feature) position where the token
 spiked.  There is no softmax and no capacity limit; top-k selection breaks
 score ties toward the lower expert id so results are reproducible.
+
+The layer fires once, after the merge.  The neuron update acts on each
+(token, feature) lane on its own: a lane's spikes depend only on that lane's
+integration over time and on the shared parameters, never on another row.
+With top-1 routing each token's lane comes from exactly one expert, so
+scattering the integrations into token order and then firing gives the same
+spikes as firing each expert and scattering its spikes.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from .tensors import (
     lif_run,
     spike_matmul,
 )
+
+# (token, timestep) rows per spike_matmul call in an expert's integration.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -172,23 +182,40 @@ def gather_expert_tokens(s_in: SpikeTensor, table: RoutingTable, e: int) -> Spik
     return s_in.select_tokens(table.expert_tokens[e])
 
 
-def expert_forward(s_e: SpikeTensor, w_e: QuantWeightMatrix, lif: LifParams) -> SpikeTensor:
-    """One expert: per-timestep synaptic integration followed by the neuron update."""
+def _integrate(s_e: SpikeTensor, w_e: QuantWeightMatrix) -> IntegrationTensor:
+    """One expert's synaptic integration at every timestep, saturated to int16.
+
+    The (token, timestep) rows are independent, so they fold into one
+    (n * t, d_in) matrix that :func:`spike_matmul` takes in blocks of
+    ``_BLOCK_ROWS`` rows: a few large BLAS products per expert, one weight
+    conversion per block, and float temporaries of at most ``_BLOCK_ROWS`` rows.
+    """
     if s_e.d != w_e.rows:
         raise ShapeError(f"expert input features {s_e.d} do not match weight rows {w_e.rows}")
-    x = np.empty((s_e.n, s_e.t, w_e.cols), dtype=np.int16)
+    rows = s_e.data.reshape(-1, s_e.d)
+    x = np.empty((len(rows), w_e.cols), dtype=np.int16)
     saturations = 0
-    for t in range(s_e.t):
-        x[:, t, :], sat = spike_matmul(s_e.slice_t(t), w_e)
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        x[lo:lo + _BLOCK_ROWS], sat = spike_matmul(rows[lo:lo + _BLOCK_ROWS], w_e)
         saturations += sat
-    return lif_run(IntegrationTensor(x, saturations), lif)
+    return IntegrationTensor(x.reshape(s_e.n, s_e.t, w_e.cols), saturations)
 
 
-def merge_aligned(outputs: list[SpikeTensor], table: RoutingTable) -> SpikeTensor:
-    """Scatter per-expert outputs back into original token order.
+def expert_forward(s_e: SpikeTensor, w_e: QuantWeightMatrix, lif: LifParams) -> SpikeTensor:
+    """One expert: per-timestep synaptic integration followed by the neuron update."""
+    return lif_run(_integrate(s_e, w_e), lif)
 
-    Only defined for k = 1, where the per-expert token lists partition the
-    token set and every output row has exactly one home.
+
+def merge_aligned(
+    outputs: list[SpikeTensor] | list[IntegrationTensor], table: RoutingTable
+) -> SpikeTensor | IntegrationTensor:
+    """Scatter per-expert tensors back into original token order.
+
+    ``outputs`` are all :class:`SpikeTensor` or all :class:`IntegrationTensor`,
+    one per expert; the result is one tensor of the same kind, and merged
+    integrations carry the sum of the experts' saturation counts.  Only
+    defined for k = 1, where the per-expert token lists partition the token
+    set and every output row has exactly one home.
     """
     if table.k != 1:
         raise UnsupportedConfigError(
@@ -196,13 +223,16 @@ def merge_aligned(outputs: list[SpikeTensor], table: RoutingTable) -> SpikeTenso
         )
     if len(outputs) != table.experts:
         raise ShapeError(f"expected {table.experts} expert outputs, got {len(outputs)}")
+    kind = type(outputs[0])
+    if kind not in (SpikeTensor, IntegrationTensor) or any(type(out) is not kind for out in outputs):
+        raise TypeError("expert outputs must be all SpikeTensor or all IntegrationTensor")
     for e, out in enumerate(outputs):
         if out.n != len(table.expert_tokens[e]):
             raise ShapeError(
                 f"expert {e} produced {out.n} rows but was assigned {len(table.expert_tokens[e])} tokens"
             )
     t, d = outputs[0].t, outputs[0].d
-    merged = np.zeros((table.n, t, d), dtype=np.uint8)
+    merged = np.zeros((table.n, t, d), dtype=outputs[0].data.dtype)
     seen = np.zeros(table.n, dtype=bool)
     for e, out in enumerate(outputs):
         tokens = table.expert_tokens[e]
@@ -214,13 +244,15 @@ def merge_aligned(outputs: list[SpikeTensor], table: RoutingTable) -> SpikeTenso
         seen[tokens] = True
     if not seen.all():
         raise ShapeError("merge did not cover every token exactly once")
+    if kind is IntegrationTensor:
+        return IntegrationTensor(merged, sum(out.saturations for out in outputs))
     return SpikeTensor(merged)
 
 
 def moe_layer_forward(
     s_in: SpikeTensor, cfg: MoeLayerConfig, w_r: RoutingWeights
 ) -> tuple[SpikeTensor, RoutingTable]:
-    """Full layer: score, route, per-expert forward, aligned merge."""
+    """Full layer: score, route, per-expert integration, aligned merge, one neuron update."""
     if s_in.d != cfg.d_in:
         raise ShapeError(f"input features {s_in.d} do not match layer d_in {cfg.d_in}")
     if w_r.d_in != cfg.d_in or w_r.experts != cfg.experts:
@@ -229,8 +261,8 @@ def moe_layer_forward(
         )
     scores = compute_expert_scores(s_in, w_r)
     table = route_topk(scores, cfg.k)
-    outputs = []
-    for e in range(cfg.experts):
-        s_e = gather_expert_tokens(s_in, table, e)
-        outputs.append(expert_forward(s_e, cfg.expert_weights[e], cfg.lif))
-    return merge_aligned(outputs, table), table
+    x = merge_aligned(
+        [_integrate(gather_expert_tokens(s_in, table, e), cfg.expert_weights[e]) for e in range(cfg.experts)],
+        table,
+    )
+    return lif_run(x, cfg.lif), table

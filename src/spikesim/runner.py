@@ -461,11 +461,11 @@ def _moe_layer(plan: RunPlan) -> _Layer:
     expert_geom = ArrayGeometry(hw.expert_rows, hw.expert_cols, "expert")
     walks = [(("router",), *dataflow.routing_walk(m.n, m.t, m.d_in, m.experts, routing_geom, hw.extract_ports))]
     scheduled = []
+    token_ones = s_in.data.sum(axis=(1, 2))
     for e in range(m.experts):
         tokens = table.expert_tokens[e]
-        s_e = s_in.select_tokens(tokens)
         ts = dataflow.plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert_geom)
-        sparsity = SparsityStats(ones=s_e.popcount(), total=s_e.data.size)
+        sparsity = SparsityStats(ones=int(token_ones[tokens].sum()), total=len(tokens) * m.t * m.d_in)
         glb = WEIGHT_GLB0 if e % 2 == 0 else WEIGHT_GLB1
         walks.append(((f"expert{e}",), *dataflow.expert_walk(ts, expert_geom, sparsity, hw.extract_ports, glb)))
         scheduled.append((f"expert{e}", len(tokens) * m.t * m.d_out))

@@ -19,10 +19,23 @@ order BLAS adds in:
 * ``mha.spiking_attention_map``: d (binary times binary over the head width);
 * ``mha.attention_weighted_integration``: d * n (map entries <= d, n tokens);
 * the reassociated attention head: n for K^T V, then n * d for Q (K^T V).
+
+The neuron update (:func:`lif_run`, :func:`lif_step`) is one kernel that
+updates the potential in place and resets fired neurons by multiplying with
+the inverted spike mask.  Its dtype follows a bound: after s steps,
+|v| <= |v0| + s * (max|x| + |leak|), since a reset only moves v to 0.  When
+that bound for s = t is at most 2**31 - 1, the loop runs in int32; it can
+neither wrap nor leave the 32-bit accumulator range, so no step is checked.
+Otherwise the same loop runs in int64 and checks the range after each reset,
+raising :class:`OverflowError` when a potential leaves it.  :func:`lif_run`
+takes max|x| <= 2**15 from the int16 carrier, with no pass over the data.
+:func:`lif_step` starts from an int32 state, |v0| <= 2**31, so it always runs
+the checked int64 loop.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -34,6 +47,7 @@ INT16_MIN = -(2**15)
 INT16_MAX = 2**15 - 1
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
+INT64_MAX = 2**63 - 1
 
 _HEADER = struct.Struct("<3I")
 
@@ -59,12 +73,38 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     return np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
 
 
+def _check_integers(arr: np.ndarray, lo: int, hi: int, message: str, error: type = ValueError) -> None:
+    """Refuse ``arr`` unless every value is an integer in [lo, hi], before any cast.
+
+    A non-integer raises :class:`ValueError`, an integer outside the range
+    raises ``error``.  Only what the dtype leaves open is checked: a bool
+    array, or an integer array whose type fits the range, costs no pass over
+    the data, and a uint8 array is checked against ``hi`` only.
+    """
+    kind = arr.dtype.kind
+    if kind == "b":
+        low, high = 0, 1
+    elif kind in "iu":
+        info = np.iinfo(arr.dtype)
+        low, high = int(info.min), int(info.max)
+    else:
+        with np.errstate(invalid="ignore"):
+            if arr.size and np.any(arr % 1 != 0):  # fractions, NaN and inf
+                raise ValueError(message)
+        low, high = -math.inf, math.inf
+    if arr.size and ((low < lo and arr.min() < lo) or (high > hi and arr.max() > hi)):
+        raise error(message)
+
+
 def saturate_i16(acc: np.ndarray) -> tuple[np.ndarray, int]:
     """Clamp an accumulator to the 16-bit range, counting clamped entries.
 
     ``acc`` holds exact integers, as an integer array or as the float result
-    of :func:`_exact_matmul`; either is clamped directly.
+    of :func:`_exact_matmul`; either is clamped directly.  When no entry lies
+    outside the range, the cast alone gives the result without a clamped copy.
     """
+    if not acc.size or (acc.min() >= INT16_MIN and acc.max() <= INT16_MAX):
+        return acc.astype(np.int16), 0
     clipped = np.clip(acc, INT16_MIN, INT16_MAX)
     saturated = int(np.count_nonzero(clipped != acc))
     return clipped.astype(np.int16), saturated
@@ -81,13 +121,13 @@ class SpikeTensor:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
-        arr = np.array(data, dtype=np.uint8, copy=True)
+        arr = np.asarray(data)
         if arr.ndim != 3:
             raise ShapeError(f"spike tensor must be 3-d (tokens, timesteps, features), got {arr.ndim}-d")
         if arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ShapeError(f"timestep and feature extents must be >= 1, got shape {arr.shape}")
-        if arr.size and arr.max() > 1:
-            raise ValueError("spike values must be 0 or 1")
+        _check_integers(arr, 0, 1, "spike values must be 0 or 1")
+        arr = np.array(arr, dtype=np.uint8, copy=True)
         arr.setflags(write=False)
         self.data = arr
 
@@ -160,13 +200,11 @@ class QuantWeightMatrix:
     __slots__ = ("data", "scale")
 
     def __init__(self, data: np.ndarray, scale: float = 1.0):
-        arr = np.array(data, copy=True)
+        arr = np.asarray(data)
         if arr.ndim != 2:
             raise ShapeError(f"weight matrix must be 2-d, got {arr.ndim}-d")
-        if arr.dtype != np.int8:
-            if arr.size and (arr.min() < -128 or arr.max() > 127):
-                raise ValueError("quantized weights must fit in int8")
-            arr = arr.astype(np.int8)
+        _check_integers(arr, -128, 127, "quantized weights must be integers that fit in int8")
+        arr = np.array(arr, dtype=np.int8, copy=True)
         if not (np.isfinite(scale) and scale > 0):
             raise ValueError(f"scale must be a positive finite real, got {scale}")
         arr.setflags(write=False)
@@ -198,13 +236,13 @@ class IntegrationTensor:
     __slots__ = ("data", "saturations")
 
     def __init__(self, data: np.ndarray, saturations: int = 0):
-        arr = np.array(data, copy=True)
+        arr = np.asarray(data)
         if arr.ndim != 3:
             raise ShapeError(f"integration tensor must be 3-d, got {arr.ndim}-d")
-        if arr.dtype != np.int16:
-            if arr.size and (arr.min() < INT16_MIN or arr.max() > INT16_MAX):
-                raise ValueError("integration values must fit in int16; saturate before construction")
-            arr = arr.astype(np.int16)
+        _check_integers(
+            arr, INT16_MIN, INT16_MAX, "integration values must be integers that fit in int16; saturate before construction"
+        )
+        arr = np.array(arr, dtype=np.int16, copy=True)
         if saturations < 0:
             raise ValueError("saturation count cannot be negative")
         arr.setflags(write=False)
@@ -233,18 +271,20 @@ class PotentialState:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
-        arr = np.array(data, dtype=np.int64, copy=True)
+        arr = np.asarray(data)
         if arr.ndim != 2:
             raise ShapeError(f"potential state must be 2-d, got {arr.ndim}-d")
-        if arr.size and (arr.min() < INT32_MIN or arr.max() > INT32_MAX):
-            raise OverflowError("membrane potential exceeds the 32-bit accumulator range")
-        arr = arr.astype(np.int32)
+        _check_integers(
+            arr, INT32_MIN, INT32_MAX, "membrane potential must be an integer in the 32-bit accumulator range",
+            OverflowError,
+        )
+        arr = np.array(arr, dtype=np.int32, copy=True)
         arr.setflags(write=False)
         self.data = arr
 
     @classmethod
     def zeros(cls, n: int, d: int, fill: int = 0) -> "PotentialState":
-        return cls(np.full((n, d), fill, dtype=np.int64))
+        return cls(np.full((n, d), fill))
 
     def __repr__(self) -> str:
         return f"PotentialState(n={self.data.shape[0]}, d={self.data.shape[1]})"
@@ -285,11 +325,45 @@ def spike_matmul(s_t: np.ndarray, w: QuantWeightMatrix) -> tuple[np.ndarray, int
     s = np.asarray(s_t)
     if s.ndim != 2:
         raise ShapeError(f"spike slice must be 2-d, got {s.ndim}-d")
-    if s.size and (s.min() < 0 or s.max() > 1):
-        raise ValueError("spike slice entries must be 0 or 1")
+    _check_integers(s, 0, 1, "spike slice entries must be 0 or 1")
     if s.shape[1] != w.rows:
         raise ShapeError(f"spike features {s.shape[1]} do not match weight rows {w.rows}")
     return saturate_i16(_exact_matmul(s, w.data, 128 * w.rows))
+
+
+def _lif(x: np.ndarray, x_peak: int, v0, v0_peak: int, p: LifParams) -> tuple[np.ndarray, np.ndarray]:
+    """The neuron update over every timestep of ``x``.
+
+    ``x`` holds (n, t, d) integers with |x| <= ``x_peak``; ``v0`` is the
+    starting potential, a scalar or an (n, d) array inside the 32-bit range
+    with |v0| <= ``v0_peak``.  Returns the (n, t, d) bool spikes and the final
+    (n, d) potential.  The potential is int32 when the bound in the module
+    docstring, ``v0_peak + t * (x_peak + |leak|)``, fits in int32, and int64
+    with a range check after every reset otherwise; the int64 candidate of
+    one step, below 2**31 + x_peak + |leak|, must not wrap.  An integer
+    exceeds a real threshold exactly when it exceeds the threshold's floor,
+    which is clipped to the potential's type.
+    """
+    n, t, d = x.shape
+    wide = v0_peak + t * (x_peak + abs(p.v_leak)) > INT32_MAX
+    if wide and INT32_MAX + 1 + x_peak + abs(p.v_leak) > INT64_MAX:
+        raise OverflowError("one step of integrated input exceeds the 64-bit potential update")
+    dtype = np.int64 if wide else np.int32
+    threshold = min(math.floor(p.v_threshold), int(np.iinfo(dtype).max))
+    v = np.empty((n, d), dtype=dtype)
+    v[...] = v0
+    spikes = np.empty((n, d), dtype=bool)
+    out = np.empty((n, t, d), dtype=bool)
+    for s in range(t):
+        np.add(v, x[:, s, :], out=v)
+        if p.v_leak:
+            np.subtract(v, p.v_leak, out=v)
+        np.greater(v, threshold, out=spikes)
+        out[:, s, :] = spikes
+        v *= ~spikes
+        if wide and v.size and (v.min() < INT32_MIN or v.max() > INT32_MAX):
+            raise OverflowError("membrane potential exceeds the 32-bit accumulator range")
+    return out, v
 
 
 def lif_step(v: PotentialState, x_t: np.ndarray, p: LifParams) -> tuple[PotentialState, np.ndarray]:
@@ -298,25 +372,29 @@ def lif_step(v: PotentialState, x_t: np.ndarray, p: LifParams) -> tuple[Potentia
     The candidate potential is previous potential plus integrated input minus
     leak.  Neurons strictly above threshold emit a spike and hard-reset to
     zero; all others keep the candidate value (there is no lower clamp).
-    Returns the new state and the (n, d) binary spike matrix.
+    Returns the new state and the (n, d) binary spike matrix.  This is the
+    one-step case of the :func:`lif_run` kernel.
     """
     x = np.asarray(x_t)
     if x.shape != v.data.shape:
         raise ShapeError(f"input shape {x.shape} does not match potential shape {v.data.shape}")
-    candidate = v.data.astype(np.int64) + x.astype(np.int64) - p.v_leak
-    spikes = candidate > p.v_threshold
-    nxt = np.where(spikes, np.int64(0), candidate)
-    return PotentialState(nxt), spikes.astype(np.uint8)
+    _check_integers(x, -INT64_MAX - 1, INT64_MAX, "integrated input must be 64-bit integers", OverflowError)
+    x = x.astype(np.int64)
+    x_peak = max(-int(x.min()), int(x.max())) if x.size else 0
+    spikes, nxt = _lif(x[:, None, :], x_peak, v.data, 2**31, p)
+    return PotentialState(nxt), spikes[:, 0, :].view(np.uint8)
 
 
 def lif_run(x: IntegrationTensor, p: LifParams) -> SpikeTensor:
-    """Run the neuron update over all timesteps of an integration tensor."""
-    v = PotentialState.zeros(x.n, x.d, fill=p.initial_potential)
-    out = np.empty((x.n, x.t, x.d), dtype=np.uint8)
-    for t in range(x.t):
-        v, spikes = lif_step(v, x.data[:, t, :], p)
-        out[:, t, :] = spikes
-    return SpikeTensor(out)
+    """Run the neuron update over all timesteps of an integration tensor.
+
+    The potential starts at ``p.initial_potential`` everywhere, which must lie
+    in the 32-bit range.
+    """
+    if not INT32_MIN <= p.initial_potential <= INT32_MAX:
+        raise OverflowError("membrane potential exceeds the 32-bit accumulator range")
+    spikes, _ = _lif(x.data, -INT16_MIN, p.initial_potential, abs(p.initial_potential), p)
+    return SpikeTensor(spikes)
 
 
 def quantize_weights(w_real: np.ndarray, bits: int = 8) -> QuantWeightMatrix:

@@ -40,6 +40,14 @@ class TestSpikeTensor:
         with pytest.raises(ValueError):
             SpikeTensor(np.full((1, 1, 1), 2, dtype=np.uint8))
 
+    def test_checks_values_before_the_uint8_cast(self):
+        # 256 and -255 wrap to 0 and 1 in uint8; 0.5 and 1.7 truncate to 0 and 1.
+        for bad in ([[[256, 1]]], [[[0.5]]], [[[1.7]]], [[[-255]]], [[[np.nan]]], [[[-1]]]):
+            with pytest.raises(ValueError):
+                SpikeTensor(np.array(bad))
+        assert SpikeTensor(np.array([[[0.0, 1.0]]])).data.tolist() == [[[0, 1]]]
+        assert SpikeTensor(np.array([[[False, True]]])).data.dtype == np.uint8
+
     def test_rejects_wrong_rank_and_empty_axes(self):
         with pytest.raises(ShapeError):
             SpikeTensor(np.zeros((2, 2), dtype=np.uint8))
@@ -163,6 +171,13 @@ class TestSpikeMatmul:
             spike_matmul(np.zeros(4, dtype=np.uint8), w)
         with pytest.raises(ValueError):
             spike_matmul(np.full((1, 4), 3, dtype=np.uint8), w)
+
+    def test_checks_values_before_the_product(self):
+        w = QuantWeightMatrix(np.ones((2, 1), dtype=np.int8))
+        for bad in ([[0.5, 1.0]], [[-1, 1]], [[2, 0]], [[np.nan, 0.0]]):
+            with pytest.raises(ValueError):
+                spike_matmul(np.array(bad), w)
+        assert spike_matmul(np.array([[1.0, 1.0]]), w)[0].tolist() == [[2]]
 
 
 class TestLifStep:
@@ -293,6 +308,17 @@ class TestPotentialState:
             PotentialState(np.array([[2**31]]))
         PotentialState(np.array([[2**31 - 1, -(2**31)]]))  # boundary values fit
 
+    def test_checks_values_before_the_int32_cast(self):
+        for bad in (1.5, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                PotentialState(np.full((1, 1), bad))
+        for bad in (2.0**31, -(2.0**31) - 1):
+            with pytest.raises(OverflowError):
+                PotentialState(np.full((1, 1), bad))
+        with pytest.raises(OverflowError):
+            PotentialState(np.array([[2**64 - 1]], dtype=np.uint64))  # -1 after an int64 cast
+        assert PotentialState(np.array([[-(2.0**31), 7.0]])).data.tolist() == [[-(2**31), 7]]
+
     def test_zeros_fill(self):
         v = PotentialState.zeros(2, 2, fill=7)
         assert np.all(v.data == 7)
@@ -304,6 +330,14 @@ class TestIntegrationTensor:
             IntegrationTensor(np.full((1, 1, 1), INT16_MAX + 1))
         with pytest.raises(ValueError):
             IntegrationTensor(np.zeros((1, 1, 1), dtype=np.int16), saturations=-1)
+
+    def test_checks_values_before_the_int16_cast(self):
+        for bad in (1.5, -0.25, np.nan, INT16_MAX + 1.0, INT16_MIN - 1):
+            with pytest.raises(ValueError):
+                IntegrationTensor(np.full((1, 1, 1), bad))
+        with pytest.raises(ValueError):
+            IntegrationTensor(np.full((1, 1, 1), 2**16 + 1, dtype=np.uint32))  # 1 after an int16 cast
+        assert IntegrationTensor(np.array([[[-3.0, INT16_MAX]]])).data.tolist() == [[[-3, INT16_MAX]]]
 
     def test_saturation_bookkeeping(self):
         x = IntegrationTensor(np.zeros((1, 2, 3), dtype=np.int16), saturations=4)
@@ -342,6 +376,12 @@ class TestQuantWeights:
             QuantWeightMatrix(np.zeros(4, dtype=np.int8))
         with pytest.raises(ValueError):
             quantize_weights(np.array([[np.nan]]))
+
+    def test_checks_values_before_the_int8_cast(self):
+        for bad in (1.5, -127.5, np.nan, 128.0, 2**8 + 1):
+            with pytest.raises(ValueError):
+                QuantWeightMatrix(np.full((1, 1), bad))
+        assert QuantWeightMatrix(np.array([[-128.0, 127.0]])).data.tolist() == [[-128, 127]]
 
     def test_dequantize(self):
         q = QuantWeightMatrix(np.array([[2, -4]], dtype=np.int8), scale=0.5)
