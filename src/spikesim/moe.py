@@ -182,13 +182,18 @@ def gather_expert_tokens(s_in: SpikeTensor, table: RoutingTable, e: int) -> Spik
     return s_in.select_tokens(table.expert_tokens[e])
 
 
-def _integrate(s_e: SpikeTensor, w_e: QuantWeightMatrix) -> IntegrationTensor:
-    """One expert's synaptic integration at every timestep, saturated to int16.
+def expert_forward(
+    s_e: SpikeTensor, w_e: QuantWeightMatrix, lif: LifParams | None
+) -> SpikeTensor | IntegrationTensor:
+    """One expert: synaptic integration, then the neuron update.
 
     The (token, timestep) rows are independent, so they fold into one
     (n * t, d_in) matrix that :func:`spike_matmul` takes in blocks of
     ``_BLOCK_ROWS`` rows: a few large BLAS products per expert, one weight
-    conversion per block, and float temporaries of at most ``_BLOCK_ROWS`` rows.
+    conversion per block, and float temporaries of at most ``_BLOCK_ROWS``
+    rows.  With ``lif=None`` there is no neuron update and the int16
+    integration is returned; :func:`moe_layer_forward` fires once, after the
+    merge.
     """
     if s_e.d != w_e.rows:
         raise ShapeError(f"expert input features {s_e.d} do not match weight rows {w_e.rows}")
@@ -198,12 +203,8 @@ def _integrate(s_e: SpikeTensor, w_e: QuantWeightMatrix) -> IntegrationTensor:
     for lo in range(0, len(rows), _BLOCK_ROWS):
         x[lo:lo + _BLOCK_ROWS], sat = spike_matmul(rows[lo:lo + _BLOCK_ROWS], w_e)
         saturations += sat
-    return IntegrationTensor(x.reshape(s_e.n, s_e.t, w_e.cols), saturations)
-
-
-def expert_forward(s_e: SpikeTensor, w_e: QuantWeightMatrix, lif: LifParams) -> SpikeTensor:
-    """One expert: per-timestep synaptic integration followed by the neuron update."""
-    return lif_run(_integrate(s_e, w_e), lif)
+    integration = IntegrationTensor(x.reshape(s_e.n, s_e.t, w_e.cols), saturations)
+    return integration if lif is None else lif_run(integration, lif)
 
 
 def merge_aligned(
@@ -232,7 +233,8 @@ def merge_aligned(
                 f"expert {e} produced {out.n} rows but was assigned {len(table.expert_tokens[e])} tokens"
             )
     t, d = outputs[0].t, outputs[0].d
-    merged = np.zeros((table.n, t, d), dtype=outputs[0].data.dtype)
+    # Every row is written once the coverage check below passes.
+    merged = np.empty((table.n, t, d), dtype=outputs[0].data.dtype)
     seen = np.zeros(table.n, dtype=bool)
     for e, out in enumerate(outputs):
         tokens = table.expert_tokens[e]
@@ -261,8 +263,8 @@ def moe_layer_forward(
         )
     scores = compute_expert_scores(s_in, w_r)
     table = route_topk(scores, cfg.k)
-    x = merge_aligned(
-        [_integrate(gather_expert_tokens(s_in, table, e), cfg.expert_weights[e]) for e in range(cfg.experts)],
-        table,
-    )
-    return lif_run(x, cfg.lif), table
+    integrations = [
+        expert_forward(gather_expert_tokens(s_in, table, e), cfg.expert_weights[e], None)
+        for e in range(cfg.experts)
+    ]
+    return lif_run(merge_aligned(integrations, table), cfg.lif), table

@@ -100,11 +100,8 @@ def saturate_i16(acc: np.ndarray) -> tuple[np.ndarray, int]:
     """Clamp an accumulator to the 16-bit range, counting clamped entries.
 
     ``acc`` holds exact integers, as an integer array or as the float result
-    of :func:`_exact_matmul`; either is clamped directly.  When no entry lies
-    outside the range, the cast alone gives the result without a clamped copy.
+    of :func:`_exact_matmul`; either is clamped directly.
     """
-    if not acc.size or (acc.min() >= INT16_MIN and acc.max() <= INT16_MAX):
-        return acc.astype(np.int16), 0
     clipped = np.clip(acc, INT16_MIN, INT16_MAX)
     saturated = int(np.count_nonzero(clipped != acc))
     return clipped.astype(np.int16), saturated

@@ -202,7 +202,7 @@ def test_layer_equals_merge_of_expert_forward_outputs():
         fired = [expert_forward(s_e, cfg.expert_weights[e], cfg.lif) for e, s_e in enumerate(tokens)]
         assert out == merge_aligned(fired, table)
         idle += sum(len(t) == 0 for t in table.expert_tokens)
-        integrations = [moe._integrate(s_e, cfg.expert_weights[e]) for e, s_e in enumerate(tokens)]
+        integrations = [expert_forward(s_e, cfg.expert_weights[e], None) for e, s_e in enumerate(tokens)]
         merged = merge_aligned(integrations, table)
         assert merged.saturations == sum(x.saturations for x in integrations)
         saturated += merged.saturations > 0
@@ -217,7 +217,7 @@ def test_blocked_integration_equals_per_timestep_spike_matmul(block_rows, monkey
     for n, t, d_in in ((0, 3, 5), (1, 1, 4), (9, 5, 400), (300, 4, 16)):
         s = SpikeTensor(rng.random((n, t, d_in)) < 0.9)
         w = QuantWeightMatrix(rng.integers(100, 128, size=(d_in, 3)).astype(np.int8))
-        x = moe._integrate(s, w)
+        x = expert_forward(s, w, None)
         steps = [spike_matmul(s.slice_t(step), w) for step in range(t)]
         assert np.array_equal(x.data, np.stack([out for out, _ in steps], axis=1).reshape(n, t, 3))
         assert x.saturations == sum(sat for _, sat in steps)
