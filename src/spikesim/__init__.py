@@ -42,7 +42,6 @@ from .mha import (
     MhaConfig,
     attention_weighted_integration,
     mha_forward,
-    partition_heads,
     spiking_attention_head,
     spiking_attention_map,
 )

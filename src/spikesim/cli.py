@@ -9,6 +9,7 @@ routing table, calibration tables, output spikes) are written on request.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,7 +26,9 @@ from .runner import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(prog="spikesim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

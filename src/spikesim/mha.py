@@ -8,7 +8,7 @@ update and head outputs are concatenated along the feature axis in head
 order.
 
 Because nothing nonlinear sits between the two products and saturation
-applies only to X, the head computes X[t] = Q[t] @ (K[t].T @ V[t]) instead,
+applies only to X, the layer computes X[t] = Q[t] @ (K[t].T @ V[t]) instead,
 which is the same integer matrix at O(n d^2) cost and never builds the
 (t, n, n) map.  The products are BLAS float matmuls that stay exact because
 every partial sum is an integer below the float mantissa limit (see
@@ -16,6 +16,15 @@ every partial sum is an integer below the float mantissa limit (see
 n * d for Q @ (K.T @ V).  ``spiking_attention_map`` and
 ``attention_weighted_integration`` remain the map-based form of the same
 computation; the timing model still charges the map.
+
+:func:`mha_forward` runs every head in one pass.  Q, K and V are viewed as
+(t, h, n, d), and both products run batched over (timestep, head).  Each
+entry of a batched product is a sum within one head, so the bounds stay the
+per-head n and n * d, and the one clamp to int16 counts each head's
+saturations.  The neuron update then fires the (n, t, h * d) integration
+once.  This equals firing head by head because every neuron lane updates on
+its own, and the kernel's dtype bound depends only on t, the int16 input
+range and the parameters, which all heads share.
 """
 
 from __future__ import annotations
@@ -82,24 +91,6 @@ class AttentionMap:
         return self.data.shape[1]
 
 
-def partition_heads(
-    q: SpikeTensor, k: SpikeTensor, v: SpikeTensor, cfg: MhaConfig
-) -> list[tuple[SpikeTensor, SpikeTensor, SpikeTensor]]:
-    """Split the model feature axis into contiguous per-head slices."""
-    for name, tensor in (("q", q), ("k", k), ("v", v)):
-        if tensor.data.shape != q.data.shape:
-            raise ShapeError(f"{name} shape {tensor.data.shape} does not match q {q.data.shape}")
-    if q.d != cfg.d_model:
-        raise ShapeError(
-            f"feature width {q.d} does not equal heads*d_head = {cfg.heads}*{cfg.d_head} = {cfg.d_model}"
-        )
-    out = []
-    for h in range(cfg.heads):
-        lo, hi = h * cfg.d_head, (h + 1) * cfg.d_head
-        out.append((q.feature_slice(lo, hi), k.feature_slice(lo, hi), v.feature_slice(lo, hi)))
-    return out
-
-
 def spiking_attention_map(q_h: SpikeTensor, k_h: SpikeTensor) -> AttentionMap:
     """Coincidence counts between query and key spikes, per timestep."""
     if q_h.data.shape != k_h.data.shape:
@@ -121,32 +112,41 @@ def attention_weighted_integration(a: AttentionMap, v_h: SpikeTensor) -> Integra
     return IntegrationTensor(x.transpose(1, 0, 2), saturations)
 
 
-def _reassociated_integration(q_h: SpikeTensor, k_h: SpikeTensor, v_h: SpikeTensor) -> IntegrationTensor:
-    """X[t] = Q[t] @ (K[t].T @ V[t]), saturated once: equal to the map-based X."""
-    if q_h.data.shape != k_h.data.shape:
-        raise ShapeError(f"query shape {q_h.data.shape} does not match key shape {k_h.data.shape}")
-    if (v_h.n, v_h.t) != (q_h.n, q_h.t):
-        raise ShapeError(f"queries cover {q_h.n} tokens x {q_h.t} timesteps, values {v_h.n} x {v_h.t}")
-    q, k, v = (s.data.transpose(1, 0, 2) for s in (q_h, k_h, v_h))
-    # (t, d, n) @ (t, n, d) -> (t, d, d); binary operands, |partial sum| <= n.
-    kv = _exact_matmul(k.transpose(0, 2, 1), v, q_h.n)
-    # (t, n, d) @ (t, d, d) -> (t, n, d); K.T @ V entries <= n, so |partial sum| <= n * d.
-    x, saturations = saturate_i16(_exact_matmul(q, kv, q_h.n * q_h.d))
-    return IntegrationTensor(x.transpose(1, 0, 2), saturations)
+def _reassociated_integration(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor, heads: int) -> IntegrationTensor:
+    """X = Q @ (K.T @ V) per head and timestep, saturated once: equal to the map-based X.
+
+    Q, K and V are (n, t, heads * d) with equal shapes; X comes back in the same
+    layout, heads in feature order.
+    """
+    n, t, width = q.data.shape
+    d = width // heads
+    # (n, t, h * d) viewed as (t, h, n, d): each (n, d) block has unit feature stride, so BLAS reads it in place.
+    q, k, v = (s.data.reshape(n, t, heads, d).transpose(1, 2, 0, 3) for s in (q, k, v))
+    # (t, h, d, n) @ (t, h, n, d) -> (t, h, d, d); binary operands, |partial sum| <= n.
+    kv = _exact_matmul(k.transpose(0, 1, 3, 2), v, n)
+    # (t, h, n, d) @ (t, h, d, d) -> (t, h, n, d); K.T @ V entries <= n, so |partial sum| <= n * d.
+    x, saturations = saturate_i16(_exact_matmul(q, kv, n * d))
+    return IntegrationTensor(x.transpose(2, 0, 1, 3).reshape(n, t, width), saturations)
 
 
 def spiking_attention_head(
     q_h: SpikeTensor, k_h: SpikeTensor, v_h: SpikeTensor, lif: LifParams
 ) -> SpikeTensor:
-    """One head end to end: weighted integration, then the neuron update.
-
-    Integrates as Q @ (K.T @ V), so the (t, n, n) map is never built.
-    """
-    return lif_run(_reassociated_integration(q_h, k_h, v_h), lif)
+    """One head end to end: the one-head case of :func:`mha_forward`."""
+    return mha_forward(q_h, k_h, v_h, MhaConfig(heads=1, d_head=q_h.d, lif=lif))
 
 
 def mha_forward(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor, cfg: MhaConfig) -> SpikeTensor:
-    """All heads, outputs concatenated along the feature axis in head order."""
-    heads = partition_heads(q, k, v, cfg)
-    outs = [spiking_attention_head(q_h, k_h, v_h, cfg.lif) for q_h, k_h, v_h in heads]
-    return SpikeTensor(np.concatenate([o.data for o in outs], axis=2))
+    """All heads in one pass, outputs concatenated along the feature axis in head order.
+
+    Integrates as Q @ (K.T @ V), so the (t, n, n) map is never built, and
+    fires every head's neurons in one neuron update.
+    """
+    for name, tensor in (("k", k), ("v", v)):
+        if tensor.data.shape != q.data.shape:
+            raise ShapeError(f"{name} shape {tensor.data.shape} does not match q {q.data.shape}")
+    if q.d != cfg.d_model:
+        raise ShapeError(
+            f"feature width {q.d} does not equal heads*d_head = {cfg.heads}*{cfg.d_head} = {cfg.d_model}"
+        )
+    return lif_run(_reassociated_integration(q, k, v, cfg.heads), cfg.lif)

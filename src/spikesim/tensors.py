@@ -18,7 +18,8 @@ order BLAS adds in:
 * ``moe.compute_expert_scores``: 128 * t * d_in (spike counts <= t);
 * ``mha.spiking_attention_map``: d (binary times binary over the head width);
 * ``mha.attention_weighted_integration``: d * n (map entries <= d, n tokens);
-* the reassociated attention head: n for K^T V, then n * d for Q (K^T V).
+* the reassociated attention layer: n for K^T V, then n * d for Q (K^T V),
+  per head, batched over heads and timesteps.
 
 The neuron update (:func:`lif_run`, :func:`lif_step`) is one kernel that
 updates the potential in place and resets fired neurons by multiplying with
@@ -146,11 +147,6 @@ class SpikeTensor:
 
     def popcount(self) -> int:
         return int(self.data.sum())
-
-    def feature_slice(self, lo: int, hi: int) -> "SpikeTensor":
-        if not (0 <= lo < hi <= self.d):
-            raise ShapeError(f"feature slice [{lo}:{hi}] out of range for {self.d} features")
-        return SpikeTensor(self.data[:, :, lo:hi])
 
     def select_tokens(self, idx: np.ndarray) -> "SpikeTensor":
         return SpikeTensor(self.data[np.asarray(idx, dtype=np.int64)])

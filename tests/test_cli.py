@@ -4,12 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spikesim
 from spikesim import (
     AccessEvent,
     ArrayGeometry,
@@ -27,7 +30,7 @@ from spikesim import (
     simulate_expert_array,
     simulate_routing_array,
 )
-from spikesim.cli import main
+from spikesim.cli import _build_parser, main
 from spikesim.levels import ACT_GLB, ACT_LB, level_width_bits, level_words
 from spikesim.runner import load_report_csv
 
@@ -290,6 +293,45 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["kind"] == "moe"
+
+    def test_parser_not_built_at_import(self):
+        probe = "import spikesim.cli as c; print(c._build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "0"
+
+    def test_cached_parser_carries_nothing_between_calls(self, tmp_path, monkeypatch, capsys):
+        """One process's calls write what the same argv writes in a fresh process, call by call."""
+        calls = [
+            (["run", "plan.json", "--seed", "5", "--trace", "trace.csv", "--output", "seeded.json"], 0),
+            (["run", "plan.json", "--output", "plain.json"], 0),
+            (["compare", "plan.json", "--format", "csv", "--output", "compare.csv"], 0),
+            (["run", "plan.json", "--format", "xml"], 2),
+            (["run", "plan.json", "--output", "again.json"], 0),
+        ]
+        here, fresh = tmp_path / "in_process", tmp_path / "fresh"
+        for work in (here, fresh):
+            work.mkdir()
+            (work / "plan.json").write_text(json.dumps(MHA_DOC))
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        src = str(Path(spikesim.__file__).parents[1])
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        monkeypatch.chdir(here)
+        _build_parser()  # the sequence runs on the cached parser
+        for argv, code in calls:
+            try:
+                got = main(argv)
+            except SystemExit as err:
+                got = err.code
+            err_text = capsys.readouterr().err
+            proc = subprocess.run([sys.executable, "-m", "spikesim.cli", *argv], cwd=fresh, capture_output=True,
+                                  text=True, timeout=120)
+            assert got == proc.returncode == code, argv
+            assert err_text == proc.stderr, argv
+            written = [{p.name: p.read_bytes() for p in work.iterdir()} for work in (here, fresh)]
+            assert written[0] == written[1], argv
+        seeded, plain = (json.loads((here / name).read_text()) for name in ("seeded.json", "plain.json"))
+        assert seeded["config"]["input"]["seed"] == 5 and plain["config"]["input"]["seed"] == MHA_DOC["seed"]
+        assert (here / "again.json").read_bytes() == (here / "plain.json").read_bytes()
 
 
 def _random_plan(rng: np.random.Generator, kind: str) -> dict:

@@ -13,6 +13,7 @@ from spikesim import (
     ConfigError,
     IntegrationTensor,
     LifParams,
+    MhaConfig,
     QuantWeightMatrix,
     RoutingWeights,
     SpikeTensor,
@@ -20,6 +21,7 @@ from spikesim import (
     compute_expert_scores,
     expert_forward,
     lif_run,
+    mha_forward,
     saturate_i16,
     spike_matmul,
     spiking_attention_head,
@@ -171,7 +173,7 @@ class TestForcedSaturation:
         x = attention_weighted_integration(spiking_attention_map(q, k), v)
         np.testing.assert_array_equal(x.data, ref)
         assert x.saturations == ref_sat
-        x = _reassociated_integration(q, k, v)
+        x = _reassociated_integration(q, k, v, 1)
         np.testing.assert_array_equal(x.data, ref)
         assert x.saturations == ref_sat
 
@@ -190,23 +192,52 @@ class TestReassociatedHead:
         assert n * d > INT16_MAX
         rng = np.random.default_rng(n)
         q, k, v = (SpikeTensor(rng.random((n, t, d)) < p) for _ in range(3))
-        x = _reassociated_integration(q, k, v)
+        x = _reassociated_integration(q, k, v, 1)
         ref = attention_weighted_integration(spiking_attention_map(q, k), v)
         np.testing.assert_array_equal(x.data, ref.data)
         assert x.saturations == ref.saturations > 0
         lif = LifParams(v_threshold=float(n * d // 3))
         assert spiking_attention_head(q, k, v, lif) == lif_run(ref, lif)
 
+    @pytest.mark.parametrize("n,t,h,d,p", [(640, 2, 3, 64, 0.95), (7, 3, 3, 5, 0.6)])
+    def test_batched_heads_match_per_head_maps(self, n, t, h, d, p):
+        rng = np.random.default_rng(n + h)
+        q, k, v = (SpikeTensor(rng.random((n, t, h * d)) < p) for _ in range(3))
+        heads = [[SpikeTensor(s.data[:, :, i * d:(i + 1) * d]) for s in (q, k, v)] for i in range(h)]
+        refs = [attention_weighted_integration(spiking_attention_map(q_h, k_h), v_h) for q_h, k_h, v_h in heads]
+        x = _reassociated_integration(q, k, v, h)
+        np.testing.assert_array_equal(x.data, np.concatenate([r.data for r in refs], axis=2))
+        assert x.saturations == sum(r.saturations for r in refs)
+        if n * d > INT16_MAX:
+            assert all(r.saturations > 0 for r in refs)
+        lif = LifParams(v_threshold=float(n * d // 3))
+        out = mha_forward(q, k, v, MhaConfig(heads=h, d_head=d, lif=lif))
+        np.testing.assert_array_equal(out.data, np.concatenate([lif_run(r, lif).data for r in refs], axis=2))
+
+    def test_batched_bounds_are_per_head(self, monkeypatch):
+        bounds = []
+
+        def recording(a, b, bound):
+            bounds.append(bound)
+            return _exact_matmul(a, b, bound)
+
+        monkeypatch.setattr("spikesim.mha._exact_matmul", recording)
+        q, k, v = _saturating_qkv(heads=3)
+        _reassociated_integration(q, k, v, 3)
+        assert bounds == [q.n, q.n * 32]
+
     def test_float32_below_the_switch(self, matmul_dtypes):
-        q, k, v = _saturating_qkv()
-        _reassociated_integration(q, k, v)
-        assert matmul_dtypes == [np.float32, np.float32]
+        for heads in (1, 3):
+            q, k, v = _saturating_qkv(heads)
+            matmul_dtypes.clear()
+            _reassociated_integration(q, k, v, heads)
+            assert matmul_dtypes == [np.float32, np.float32]
 
 
-def _saturating_qkv():
-    """n * d = 34816: near-full rows integrate past INT16_MAX, sparser rows stay below."""
+def _saturating_qkv(heads: int = 1):
+    """n * d = 34816 per head: near-full rows integrate past INT16_MAX, sparser rows stay below."""
     rng = np.random.default_rng(5)
-    n, t, d = 1088, 2, 32
+    n, t, d = 1088, 2, 32 * heads
     q = rng.random((n, t, d)) < 0.6
     q[: n // 2] = True
     k = rng.random((n, t, d)) < 0.97

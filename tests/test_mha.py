@@ -11,8 +11,8 @@ from spikesim import (
     ShapeError,
     SpikeTensor,
     attention_weighted_integration,
+    lif_run,
     mha_forward,
-    partition_heads,
     spiking_attention_head,
     spiking_attention_map,
 )
@@ -40,31 +40,41 @@ class TestConfig:
 
 
 class TestPartitionHeads:
+    """``mha_forward`` splits the feature axis into contiguous heads of width d_head."""
+
     def test_single_head_identity(self):
         rng = np.random.default_rng(30)
-        q, k, v = rand_qkv(rng, 3, 2, 8)
-        (qh, kh, vh), = partition_heads(q, k, v, MhaConfig(heads=1, d_head=8))
-        assert qh == q and kh == k and vh == v
+        q, k, v = rand_qkv(rng, 3, 2, 8, p=0.6)
+        lif = LifParams(v_threshold=2.0)
+        out = mha_forward(q, k, v, MhaConfig(heads=1, d_head=8, lif=lif))
+        assert out == spiking_attention_head(q, k, v, lif)
+        assert out == lif_run(attention_weighted_integration(spiking_attention_map(q, k), v), lif)
+        assert out.data.any()
 
     def test_contiguous_split(self):
         rng = np.random.default_rng(31)
-        q, k, v = rand_qkv(rng, 2, 2, 4)
-        parts = partition_heads(q, k, v, MhaConfig(heads=2, d_head=2))
-        assert np.array_equal(parts[0][0].data, q.data[:, :, 0:2])
-        assert np.array_equal(parts[1][0].data, q.data[:, :, 2:4])
+        q, k, v = rand_qkv(rng, 5, 3, 6, p=0.6)
+        lif = LifParams(v_threshold=2.0)
+        out = mha_forward(q, k, v, MhaConfig(heads=3, d_head=2, lif=lif))
+        for lo in (0, 2, 4):
+            head = (SpikeTensor(s.data[:, :, lo:lo + 2]) for s in (q, k, v))
+            assert np.array_equal(out.data[:, :, lo:lo + 2], spiking_attention_head(*head, lif).data)
 
     def test_width_must_match(self):
         rng = np.random.default_rng(32)
         q, k, v = rand_qkv(rng, 2, 2, 6)
-        with pytest.raises(ShapeError):
-            partition_heads(q, k, v, MhaConfig(heads=2, d_head=2))
+        with pytest.raises(ShapeError, match="heads\\*d_head"):
+            mha_forward(q, k, v, MhaConfig(heads=2, d_head=2))
 
     def test_qkv_shapes_must_agree(self):
         rng = np.random.default_rng(33)
         q, k, _ = rand_qkv(rng, 2, 2, 4)
-        v = rand_spikes(rng, 3, 2, 4)
-        with pytest.raises(ShapeError):
-            partition_heads(q, k, v, MhaConfig(heads=2, d_head=2))
+        cfg = MhaConfig(heads=2, d_head=2)
+        for name, bad in (("v", rand_spikes(rng, 3, 2, 4)), ("v", rand_spikes(rng, 2, 3, 4)),
+                          ("k", rand_spikes(rng, 2, 2, 2))):
+            args = {"q": q, "k": k, "v": q, name: bad}
+            with pytest.raises(ShapeError, match=f"{name} shape"):
+                mha_forward(args["q"], args["k"], args["v"], cfg)
 
 
 class TestAttentionMap:

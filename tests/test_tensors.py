@@ -67,16 +67,6 @@ class TestSpikeTensor:
         assert np.array_equal(s.slice_t(1), s.data[:, 1, :])
         assert s.popcount() == int(s.data.sum())
 
-    def test_feature_slice(self):
-        rng = np.random.default_rng(1)
-        s = rand_spikes(rng, 2, 2, 8)
-        sub = s.feature_slice(2, 5)
-        assert np.array_equal(sub.data, s.data[:, :, 2:5])
-        with pytest.raises(ShapeError):
-            s.feature_slice(5, 5)
-        with pytest.raises(ShapeError):
-            s.feature_slice(0, 9)
-
     def test_select_tokens_preserves_order_and_shape(self):
         rng = np.random.default_rng(2)
         s = rand_spikes(rng, 6, 2, 4)
