@@ -6,10 +6,8 @@ from .dataflow import (
     ArrayGeometry,
     CycleStats,
     SparsityStats,
-    Tile,
     TileSchedule,
     expert_parallel_schedule,
-    merge_traces,
     plan_attention_tiles,
     plan_expert_tiles,
     simulate_attention_array,
@@ -32,7 +30,6 @@ from .memory import (
     WorkloadShape,
     builtin_calibration,
     capacity_check,
-    count_accesses,
     dump_calibration,
     load_calibration,
     mem_report,

@@ -53,7 +53,7 @@ Each array has one walker (``expert_walk``, ``routing_walk``,
 records as ``Records``: int64 columns ``cycle``, ``kind`` and ``bits`` in
 emission order, where ``kind`` indexes a small tuple of distinct
 ``(level, direction, tag)``.  A ``TileSchedule`` likewise holds its tiles
-as int columns and builds ``Tile`` objects only when ``tiles`` is read.
+as int64 columns.
 
 A walker computes the whole tile grid at once.  The per-tile body is a
 fixed template of record slots, in the order the body emits them: attention
@@ -88,12 +88,11 @@ arrays); units that share a walk differ only in their unit name, so that is
 the same as checking every copy.  Each distinct (kind, words) pair of a walk
 becomes one record entry.  The rows are index arrays (cycle, unit rank,
 record) in concatenation order: walks in order, the units of a walk in
-order, records in emission order, which is the order ``merge_traces``
-receives the per-unit traces in.  The unit rank is the unit's position in
+order, records in emission order.  The unit rank is the unit's position in
 sorted name order (``attn10`` before ``attn2``), so one stable
-``np.lexsort((unit_rank, cycle))`` gives exactly ``merge_traces``' stable
-``(cycle, unit)`` sort.  ``MergedTrace.events`` gives the same rows as
-``AccessEvent`` objects for library callers.
+``np.lexsort((unit_rank, cycle))`` orders the rows by (cycle, unit name)
+with ties in concatenation order: the order a stable sort of the
+concatenated per-unit event lists on ``(cycle, unit)`` gives.
 
 ``write_trace_csv`` writes those rows in fixed-size chunks with no Python
 per row.  Each chunk is a NUL-padded byte grid, one row per line: the cycle
@@ -110,7 +109,7 @@ are those ``csv.writer`` writes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -129,7 +128,7 @@ from .levels import (
 
 ARRAY_ROLES = ("expert", "routing", "attention")
 
-# Tile phases; a TileSchedule's phase column indexes this tuple.
+# The phases a tile can run in; a TileSchedule's phase column indexes this tuple.
 TILE_PHASES = ("compute", "phase1", "phase2")
 _PHASE1, _PHASE2 = TILE_PHASES.index("phase1"), TILE_PHASES.index("phase2")
 
@@ -164,38 +163,11 @@ class ArrayGeometry:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class Tile:
-    """One mapped block of work: output rows x output cols with a reduction depth."""
-
-    row_start: int
-    row_stop: int
-    col_start: int
-    col_stop: int
-    reduction: int
-    phase: str
-    group: tuple[int, int] | None = None  # (head, timestep) for attention tiles
-
-    def __post_init__(self):
-        if not (0 <= self.row_start < self.row_stop and 0 <= self.col_start < self.col_stop):
-            raise ShapeError(f"degenerate tile rows [{self.row_start},{self.row_stop}) cols [{self.col_start},{self.col_stop})")
-        if self.reduction < 1:
-            raise ShapeError(f"tile reduction must be >= 1, got {self.reduction}")
-
-    @property
-    def rows_used(self) -> int:
-        return self.row_stop - self.row_start
-
-    @property
-    def cols_used(self) -> int:
-        return self.col_stop - self.col_start
-
-
 @dataclass(frozen=True, eq=False)
 class TileSchedule:
     """Ordered tiles as int64 columns, plus the iteration space they must cover per phase.
 
-    Tile ``i`` covers rows ``[row_start[i], row_stop[i])`` and columns
+    The ``i``-th tile covers rows ``[row_start[i], row_stop[i])`` and columns
     ``[col_start[i], col_stop[i])`` with reduction depth ``reduction[i]`` in
     phase ``TILE_PHASES[phase[i]]``; ``head[i]`` and ``step[i]`` name its
     (head, timestep) group, -1 for none.
@@ -214,7 +186,8 @@ class TileSchedule:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # The Tile invariants, checked per column.
+        # Each tile is a non-empty block in the non-negative quadrant with a
+        # positive reduction and a known phase.
         ok = (0 <= self.row_start) & (self.row_start < self.row_stop) & (0 <= self.col_start)
         ok &= (self.col_start < self.col_stop) & (self.reduction >= 1)
         ok &= (0 <= self.phase) & (self.phase < len(TILE_PHASES))
@@ -228,54 +201,43 @@ class TileSchedule:
                 f"group ({self.head[i]}, {self.step[i]})"
             )
 
-    @classmethod
-    def from_tiles(cls, tiles, row_extent: int, col_extent: int, meta: dict | None = None) -> TileSchedule:
-        """The schedule of ``Tile`` objects, in their order."""
-        rows = []
-        for t in tiles:
-            if t.phase not in TILE_PHASES:
-                raise ConfigError(f"unknown tile phase {t.phase!r}, expected one of {TILE_PHASES}")
-            phase = TILE_PHASES.index(t.phase)
-            if t.group is not None and min(t.group) < 0:
-                raise ShapeError(f"tile group {t.group} must be a non-negative (head, timestep)")
-            rows.append((t.row_start, t.row_stop, t.col_start, t.col_stop, t.reduction, phase, *(t.group or (-1, -1))))
-        columns = np.array(rows, dtype=np.int64).reshape(-1, 8).T
-        return cls(*columns, row_extent, col_extent, {} if meta is None else meta)
-
-    @cached_property
-    def tiles(self) -> tuple[Tile, ...]:
-        """The tiles as ``Tile`` objects, built on first access."""
-        columns = (
-            self.row_start, self.row_stop, self.col_start, self.col_stop, self.reduction, self.phase, self.head, self.step
-        )
-        return tuple(
-            Tile(r0, r1, c0, c1, red, TILE_PHASES[phase], None if head < 0 else (head, step))
-            for r0, r1, c0, c1, red, phase, head, step in zip(*(c.tolist() for c in columns))
-        )
-
     def validate(self) -> None:
-        """Check that per (group, phase) the tiles partition the iteration space."""
-        buckets: dict[tuple, list[Tile]] = {}
-        for tile in self.tiles:
-            buckets.setdefault((tile.group, tile.phase), []).append(tile)
-        for (group, phase), tiles in buckets.items():
-            covered = 0
-            spans = []
-            for tile in tiles:
-                if tile.row_stop > self.row_extent or tile.col_stop > self.col_extent:
-                    raise ShapeError(f"tile exceeds iteration space in group {group} phase {phase}")
-                spans.append((tile.row_start, tile.row_stop, tile.col_start, tile.col_stop))
-                covered += tile.rows_used * tile.cols_used
-            if covered != self.row_extent * self.col_extent:
+        """Check that per (group, phase) the tiles partition the iteration space.
+
+        One lexsort groups the tiles by (head, step, phase).  Within a group,
+        the tiles' row and column boundaries (with 0 and the extents) cut the
+        space into cells, and a 2-D difference array over those cells counts
+        how many tiles cover each one; every count must be exactly 1.  It
+        builds no per-tile object.
+        """
+        beyond = (self.row_stop > self.row_extent) | (self.col_stop > self.col_extent)
+        if beyond.any():
+            i = int(np.argmax(beyond))
+            raise ShapeError(f"tile {i} exceeds iteration space {self.row_extent}x{self.col_extent} in {self._where(i)}")
+        order = np.lexsort((self.phase, self.step, self.head))
+        keys = self.head[order], self.step[order], self.phase[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (keys[0][1:] != keys[0][:-1]) | (keys[1][1:] != keys[1][:-1]) | (keys[2][1:] != keys[2][:-1])
+        for members in np.split(order, np.flatnonzero(new)[1:]):
+            r0, r1, c0, c1 = (column[members] for column in (self.row_start, self.row_stop, self.col_start, self.col_stop))
+            rows = np.unique(np.concatenate(([0, self.row_extent], r0, r1)))
+            cols = np.unique(np.concatenate(([0, self.col_extent], c0, c1)))
+            r0, r1 = np.searchsorted(rows, r0), np.searchsorted(rows, r1)
+            c0, c1 = np.searchsorted(cols, c0), np.searchsorted(cols, c1)
+            diff = np.zeros((len(rows), len(cols)), np.int64)
+            for r, c, sign in ((r0, c0, 1), (r0, c1, -1), (r1, c0, -1), (r1, c1, 1)):
+                np.add.at(diff, (r, c), sign)
+            cover = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
+            if (cover != 1).any():
+                r, c = np.unravel_index(np.argmax(cover != 1), cover.shape)
                 raise ShapeError(
-                    f"group {group} phase {phase} covers {covered} cells, "
-                    f"expected {self.row_extent * self.col_extent}"
+                    f"{self._where(members[0])} covers cell (row {rows[r]}, col {cols[c]}) {cover[r, c]} times, expected once"
                 )
-            spans.sort()
-            for i in range(1, len(spans)):
-                a, b = spans[i - 1], spans[i]
-                if a[0] == b[0] and a[1] == b[1] and b[2] < a[3] and a[2] < b[3]:
-                    raise ShapeError(f"overlapping tiles in group {group} phase {phase}")
+
+    def _where(self, i) -> str:
+        """The group and phase of tile ``i``, for error messages."""
+        group = None if self.head[i] < 0 else (int(self.head[i]), int(self.step[i]))
+        return f"group {group} phase {TILE_PHASES[self.phase[i]]}"
 
     @property
     def tile_count(self) -> int:
@@ -373,30 +335,14 @@ class Records:
     def __len__(self) -> int:
         return len(self.cycle)
 
-    @classmethod
-    def from_rows(cls, rows) -> Records:
-        """Records from ``(cycle, level, direction, bits, tag)`` tuples."""
-        kinds: dict[tuple, int] = {}
-        kind = [kinds.setdefault((level, direction, tag), len(kinds)) for _, level, direction, _, tag in rows]
-        cycle = np.array([row[0] for row in rows], dtype=np.int64)
-        bits = np.array([row[3] for row in rows], dtype=np.int64)
-        return cls(tuple(kinds), cycle, np.array(kind, dtype=np.int64), bits)
-
-    def rows(self) -> list[tuple]:
-        """The records as ``(cycle, level, direction, bits, tag)`` tuples."""
-        kinds = self.kinds
-        return [
-            (cycle, kinds[k][0], kinds[k][1], bits, kinds[k][2])
-            for cycle, k, bits in zip(self.cycle.tolist(), self.kind.tolist(), self.bits.tolist())
-        ]
-
     def words(self, units) -> np.ndarray:
         """Words each record moves at its level's width, after checking every record.
 
-        Raises TraceError on what ``AccessEvent`` or ``count_accesses`` would
-        refuse: an unknown level, a negative cycle, a direction other than
-        read or write, or a burst of no words.  Each distinct kind is checked
-        once; the error names the first bad record's cycle and ``units``.
+        Raises TraceError on a record that names a level outside
+        ``LEVEL_GEOMETRY`` or that ``AccessEvent`` would refuse: a negative
+        cycle, a direction other than read or write, or a burst of no words.
+        Each distinct kind is checked once; the error names the first bad
+        record's cycle and ``units``.
         """
         unknown = np.array([level not in LEVEL_GEOMETRY for level, _, _ in self.kinds], dtype=bool)
         misdirected = np.array([direction not in ("read", "write") for _, direction, _ in self.kinds], dtype=bool)
@@ -421,9 +367,10 @@ class Records:
     def events(self, unit: str) -> list[AccessEvent]:
         """The records as ``unit``'s ``AccessEvent`` list."""
         words = self.words((unit,)).tolist()
+        kinds = [(level, direction, level_width_bits(level), tag) for level, direction, tag in self.kinds]
         return [
-            AccessEvent(cycle, unit, level, direction, w, level_width_bits(level), tag)
-            for (cycle, level, direction, _, tag), w in zip(self.rows(), words)
+            AccessEvent(cycle, unit, kinds[k][0], kinds[k][1], w, kinds[k][2], kinds[k][3])
+            for cycle, k, w in zip(self.cycle.tolist(), self.kind.tolist(), words)
         ]
 
 
@@ -433,8 +380,8 @@ class MergedTrace:
 
     Row ``i`` is an access at cycle ``cycle[i]`` by unit ``units[unit[i]]``
     carrying ``records[record[i]]`` = ``(level, direction, words,
-    width_bits, tag)``; rows are in the (cycle, unit) order of
-    ``merge_traces``.
+    width_bits, tag)``; rows are in (cycle, unit name) order, ties in the
+    order of the walks and units ``merge_walks`` was given.
     """
 
     units: tuple
@@ -445,12 +392,6 @@ class MergedTrace:
 
     def __len__(self) -> int:
         return len(self.cycle)
-
-    def events(self) -> list[AccessEvent]:
-        """The rows as ``AccessEvent`` objects."""
-        units, records = self.units, self.records
-        rows = zip(self.cycle.tolist(), self.unit.tolist(), self.record.tolist())
-        return [AccessEvent(cycle, units[unit], *records[rec]) for cycle, unit, rec in rows]
 
 
 def merge_walks(walks) -> MergedTrace:
@@ -474,7 +415,7 @@ def merge_walks(walks) -> MergedTrace:
         for k, w in zip(kind[new].tolist(), words[new].tolist()):
             level, direction, tag = walk.kinds[k]
             records.append((level, direction, w, level_width_bits(level), tag))
-        # Unit-major, record-minor: the order merge_traces concatenates them in.
+        # Unit-major, record-minor: the concatenation order that breaks cycle and unit ties.
         cycles.append(np.tile(walk.cycle, len(units)))
         ranks.append(np.repeat(np.array([rank[unit] for unit in units], np.intp), len(walk)))
         record_ids.append(np.tile(ids, len(units)))
@@ -570,7 +511,7 @@ def _compute_tiles(reduction, ru, cu, ports: int, mac_ops: int, g: ArrayGeometry
 
 
 def plan_expert_tiles(n_e: int, t: int, d_in: int, d_out: int, g: ArrayGeometry) -> TileSchedule:
-    """Tile one expert's workload onto the expert array.
+    """Cut one expert's workload into tiles on the expert array.
 
     Columns enumerate the n_e * t token-timesteps, rows enumerate output
     features, and the reduction runs over d_in.  Row tiles are the outer loop
@@ -717,7 +658,7 @@ def simulate_routing_array(
 
 
 def plan_attention_tiles(n: int, d: int, t: int, heads: int, g: ArrayGeometry) -> TileSchedule:
-    """Tile coincidence-map blocks for every (head, timestep).
+    """Cut the coincidence maps of every (head, timestep) into tiles.
 
     Per (head, timestep) the n x n map is cut into row tiles (query tokens)
     and column tiles (key tokens).  Each map tile is immediately followed by
@@ -870,13 +811,6 @@ def expert_parallel_schedule(
         pe_count=cores * pe_unit,
     )
     return stats, assignment
-
-
-def merge_traces(*traces: list[AccessEvent]) -> list[AccessEvent]:
-    """Merge per-unit traces into one deterministic (cycle, unit) ordering."""
-    merged = [ev for trace in traces for ev in trace]
-    merged.sort(key=lambda ev: (ev.cycle, ev.unit))
-    return merged
 
 
 def write_trace_csv(trace: MergedTrace, path: str) -> None:

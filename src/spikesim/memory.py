@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataflow import AccessEvent, Records
+from .dataflow import Records
 from .errors import CalibrationValidationError, ConfigError, TraceError
 from .levels import (
     ACT_BUFFER,
@@ -223,16 +223,6 @@ class AccessCounts:
         return {level: counts.to_dict() for level, counts in sorted(self.per_level.items())}
 
 
-def count_accesses(trace: list[AccessEvent]) -> AccessCounts:
-    """Fold a trace into per-level read/write event and word totals."""
-    counts = AccessCounts({})
-    for ev in trace:
-        if ev.level not in LEVEL_GEOMETRY:
-            raise TraceError(f"trace references unknown level {ev.level!r} (event at cycle {ev.cycle}, unit {ev.unit!r})")
-        counts.add(ev.level, ev.direction, ev.words)
-    return counts
-
-
 def count_records(records: Records, units=()) -> AccessCounts:
     """Fold a walk's records into per-level totals, levels in first-touch order.
 
@@ -321,7 +311,7 @@ def _required_bits_moe(shape: WorkloadShape) -> dict[str, int]:
     n, t, d_in, d_out, e = shape.n, shape.t, shape.d_in, shape.d_out, shape.experts
     weight_block = d_in * d_out * 8
     # act LB worst case: every token routed to one expert, plus its spike output.
-    # Tile working sets (one spike slab, one weight row block) are subsets of
+    # The tile working sets (one spike slab, one weight row block) are subsets of
     # those residencies, so the max() keeps the dominating term explicit.
     return {
         ACT_GLB: n * t * (d_in + d_out),

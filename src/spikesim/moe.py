@@ -106,7 +106,10 @@ class RoutingTable:
 
 @dataclass(frozen=True)
 class MoeLayerConfig:
-    """Static layer shape: expert count, top-k, widths, neuron params, weights."""
+    """Static layer shape: expert count, top-k, widths, neuron params, weights.
+
+    Only k = 1 runs end to end: ``merge_aligned`` refuses any other table.
+    """
 
     experts: int
     k: int
@@ -120,11 +123,6 @@ class MoeLayerConfig:
             raise ConfigError(f"expert count must be >= 1, got {self.experts}")
         if not 1 <= self.k <= self.experts:
             raise ConfigError(f"k must lie in [1, {self.experts}], got {self.k}")
-        if self.k != 1:
-            raise UnsupportedConfigError(
-                f"top-{self.k} routing is not supported: merging more than one expert output "
-                "per token has no defined combination rule in this simulator"
-            )
         if self.d_in < 1 or self.d_out < 1:
             raise ConfigError(f"feature widths must be >= 1, got d_in={self.d_in}, d_out={self.d_out}")
         if len(self.expert_weights) != self.experts:

@@ -334,11 +334,11 @@ def _parse_hardware(hw_doc: dict, violations: list[str]) -> HardwareParams:
 def plan_bytes(plan: RunPlan) -> int:
     """Estimated peak bytes of a run of ``plan`` with its trace, from its shape alone.
 
-    Tile and record counts are upper bounds: the expert array's column tiles
-    are at most n * t / cols plus one per expert, an expert tile emits at
-    most 9 records, a routing tile 3, and an attention tile 3 on average (a
-    phase-1 tile 2, a phase-2 tile at most 4).  Every head's records become
-    trace rows, though only one head is walked.
+    The tile and record counts are upper bounds: the expert array's column
+    tiles are at most n * t / cols plus one per expert, an expert tile emits
+    at most 9 records, a routing tile 3, and an attention tile 3 on average
+    (a phase-1 tile 2, a phase-2 tile at most 4).  Every head's records
+    become trace rows, though only one head is walked.
     """
     m, hw = plan.model, plan.hardware
 
@@ -370,7 +370,7 @@ class RunResult:
 
     ``walks`` holds one ``(units, Records)`` pair per distinct array run
     plus the merge egress; ``merged_trace`` merges them on first access
-    only, and ``trace`` gives its rows as ``AccessEvent``s.
+    only.
     """
 
     kind: str
@@ -388,11 +388,6 @@ class RunResult:
     def merged_trace(self) -> dataflow.MergedTrace:
         """The merged (cycle, unit)-ordered access trace, as index arrays."""
         return dataflow.merge_walks(self.walks)
-
-    @cached_property
-    def trace(self) -> list[dataflow.AccessEvent]:
-        """The merged (cycle, unit)-ordered access trace."""
-        return self.merged_trace.events()
 
     def to_dict(self) -> dict:
         return {
@@ -532,10 +527,13 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
     system, assignment = dataflow.expert_parallel_schedule(scheduled, plan.hardware.cores, layer.overhead)
 
     # Merge: each unit's output leaves its act LB, the layer output lands in the act GLB.
-    end = system.total_cycles
-    egress = [(end, ACT_LB, "read", bits, "spike") for _, bits in layer.scheduled if bits]
-    egress.append((end, ACT_GLB, "write", layer.s_out.data.size, "spike"))
-    egress = dataflow.Records.from_rows(egress)
+    out_bits = [bits for _, bits in layer.scheduled if bits]
+    egress = dataflow.Records(
+        ((ACT_LB, "read", "spike"), (ACT_GLB, "write", "spike")),
+        np.full(len(out_bits) + 1, system.total_cycles, np.int64),
+        np.array([0] * len(out_bits) + [1], np.int64),
+        np.array([*out_bits, layer.s_out.data.size], np.int64),
+    )
     unit_counts["merge"] = memory.count_records(egress, ("merge",))
     # Units fold in name order, each in emission order: the order in which the
     # (cycle, unit)-sorted trace first touches each level, which fixes the

@@ -21,7 +21,6 @@ from spikesim import (
     builtin_calibration,
     dataflow,
     dump_calibration,
-    merge_traces,
     parse_workload,
     plan_attention_tiles,
     plan_expert_tiles,
@@ -33,6 +32,8 @@ from spikesim import (
 from spikesim.cli import _build_parser, main
 from spikesim.levels import ACT_GLB, ACT_LB, level_width_bits, level_words
 from spikesim.runner import load_report_csv
+
+from object_model import merge_traces, record_rows, records_from_rows
 
 MOE_DOC = {"kind": "moe", "N": 16, "T": 2, "D_in": 32, "D_out": 32, "E": 4, "seed": 3}
 MHA_DOC = {"kind": "mha", "N": 8, "T": 2, "H": 2, "d": 8, "seed": 3}
@@ -415,7 +416,6 @@ class TestTracePath:
 
     def test_builds_no_events(self, moe_config, mha_config, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dataflow.AccessEvent, "__post_init__", _refuse)
-        monkeypatch.setattr(dataflow, "merge_traces", _refuse)
         for config in (moe_config, mha_config):
             dest = tmp_path / "trace.csv"
             assert main(["run", config, "--trace", str(dest)]) == 0
@@ -435,7 +435,7 @@ class TestTracePath:
 
         def bad_walk(*args):
             stats, records = walk(*args)
-            return stats, dataflow.Records.from_rows([record, *records.rows()])
+            return stats, records_from_rows([record, *record_rows(records)])
 
         monkeypatch.setattr(dataflow, "attention_walk", bad_walk)
         assert main(["run", mha_config, "--trace", str(tmp_path / "trace.csv")]) == 2

@@ -16,10 +16,7 @@ from spikesim import (
     ShapeError,
     TraceError,
     SparsityStats,
-    Tile,
-    TileSchedule,
     expert_parallel_schedule,
-    merge_traces,
     plan_attention_tiles,
     plan_expert_tiles,
     simulate_attention_array,
@@ -30,7 +27,6 @@ from spikesim.dataflow import (
     TRACE_CHUNK_ROWS,
     TRACE_COLUMNS,
     MergedTrace,
-    Records,
     attention_walk,
     expert_walk,
     extraction_cycle_count,
@@ -39,6 +35,7 @@ from spikesim.dataflow import (
     write_trace_csv,
 )
 
+from object_model import Tile, merge_traces, records_from_rows, schedule, tiles, trace_events
 from oracles import (
     lpt_makespan,
     stepped_attention_cycles,
@@ -62,31 +59,63 @@ class TestGeometryAndTiles:
         assert ArrayGeometry(4, 8, "expert").pe_count == 32
 
     def test_tile_validation(self):
+        # A schedule checks its columns: each tile a non-empty block with a positive reduction.
         with pytest.raises(ShapeError):
-            Tile(2, 2, 0, 4, 8, "compute")
+            schedule([Tile(2, 2, 0, 4, 8, "compute")], 4, 4)
         with pytest.raises(ShapeError):
-            Tile(0, 2, 0, 4, 0, "compute")
-        t = Tile(0, 3, 4, 9, 8, "compute")
-        assert (t.rows_used, t.cols_used) == (3, 5)
+            schedule([Tile(0, 2, 0, 4, 0, "compute")], 4, 4)
+        ts = schedule([Tile(0, 3, 4, 9, 8, "compute")], 3, 9)
+        assert (ts.rows_used.tolist(), ts.cols_used.tolist()) == ([3], [5])
 
     def test_schedule_coverage_check(self):
-        good = TileSchedule.from_tiles(
-            (Tile(0, 2, 0, 2, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")),
-            row_extent=2, col_extent=4,
-        )
+        good = schedule((Tile(0, 2, 0, 2, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")), row_extent=2, col_extent=4)
         good.validate()
-        missing = TileSchedule.from_tiles((Tile(0, 2, 0, 2, 4, "compute"),), 2, 4)
+        missing = schedule((Tile(0, 2, 0, 2, 4, "compute"),), 2, 4)
         with pytest.raises(ShapeError):
             missing.validate()
-        overlapping = TileSchedule.from_tiles(
-            (Tile(0, 2, 0, 3, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")),
-            row_extent=2, col_extent=4,
-        )
+        overlapping = schedule((Tile(0, 2, 0, 3, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")), row_extent=2, col_extent=4)
         with pytest.raises(ShapeError):
             overlapping.validate()
-        beyond = TileSchedule.from_tiles((Tile(0, 2, 0, 5, 4, "compute"),), 2, 4)
+        beyond = schedule((Tile(0, 2, 0, 5, 4, "compute"),), 2, 4)
         with pytest.raises(ShapeError):
             beyond.validate()
+
+    def test_schedule_must_be_a_partition(self):
+        # The areas sum to the 2x2 space, but cell (0, 0) is covered twice and cell (1, 1) never.
+        l_shape = schedule((Tile(0, 2, 0, 1, 4, "compute"), Tile(0, 1, 0, 2, 4, "compute")), 2, 2)
+        with pytest.raises(ShapeError, match=r"group None phase compute covers cell \(row 0, col 0\) 2 times"):
+            l_shape.validate()
+        # The same tiles in different groups or phases are checked apart.
+        split = schedule((Tile(0, 2, 0, 2, 4, "phase1", (0, 0)), Tile(0, 2, 0, 2, 4, "phase2", (0, 0)),
+                          Tile(0, 2, 0, 2, 4, "phase1", (0, 1)), Tile(0, 2, 0, 2, 4, "phase1", (1, 0))), 2, 2)
+        split.validate()
+        doubled = schedule(tiles(split) + [Tile(1, 2, 1, 2, 4, "phase1", (0, 1))], 2, 2)
+        with pytest.raises(ShapeError, match=r"group \(0, 1\) phase phase1 covers cell \(row 1, col 1\) 2 times"):
+            doubled.validate()
+
+    def test_planned_schedules_validate(self):
+        rng = np.random.default_rng(58)
+        residue = 0
+        for ts in _planned_schedules(rng, 80):
+            ts.validate()
+            residue += len(set(ts.rows_used.tolist())) > 1 or len(set(ts.cols_used.tolist())) > 1
+        assert residue >= 40
+
+    def test_broken_partitions_rejected(self):
+        # Dropping, duplicating or shifting one tile by a column breaks the partition.
+        rng = np.random.default_rng(59)
+        partition_errors = 0
+        for ts in _planned_schedules(rng, 60):
+            rows = tiles(ts)
+            i = int(rng.integers(len(rows)))
+            tile = rows[i]
+            shift = 1 if tile.col_stop < ts.col_extent or tile.col_start == 0 else -1
+            moved = tile._replace(col_start=tile.col_start + shift, col_stop=tile.col_stop + shift)
+            for mutant in (rows[:i] + rows[i + 1:], rows[: i + 1] + rows[i:], rows[:i] + [moved] + rows[i + 1:]):
+                with pytest.raises(ShapeError) as info:
+                    schedule(mutant, ts.row_extent, ts.col_extent, ts.meta).validate()
+                partition_errors += "covers cell" in str(info.value)
+        assert partition_errors >= 150
 
     def test_cycle_stats_validation(self):
         with pytest.raises(ValueError):
@@ -107,6 +136,18 @@ class TestGeometryAndTiles:
             SparsityStats(5, 4)
         assert SparsityStats(1, 4).density == 0.25
         assert SparsityStats(0, 0).density == 0.0
+
+
+def _planned_schedules(rng, count):
+    """Planner schedules on random shapes, each with two or more tiles per (group, phase)."""
+    for case in range(count):
+        rows, cols = (int(x) for x in rng.integers(1, 7, 2))
+        if case % 2:
+            n_e, t, d_in = (int(x) for x in rng.integers(1, [12, 4, 20]))
+            yield plan_expert_tiles(n_e, t, d_in, int(rng.integers(rows + 1, 30)), ArrayGeometry(rows, cols, "expert"))
+        else:
+            d, t, heads = (int(x) for x in rng.integers(1, [6, 3, 3]))
+            yield plan_attention_tiles(int(rng.integers(max(rows, cols) + 1, 20)), d, t, heads, ArrayGeometry(rows, cols, "attention"))
 
 
 class TestFillFormula:
@@ -153,7 +194,7 @@ class TestExpertTiling:
     def test_column_residue(self):
         ts = plan_expert_tiles(65, 2, 64, 16, EXPERT16x128)  # 130 columns
         assert ts.tile_count == 2
-        assert [t.cols_used for t in ts.tiles] == [128, 2]
+        assert [t.cols_used for t in tiles(ts)] == [128, 2]
         ts.validate()
 
     def test_row_by_column_grid(self):
@@ -168,7 +209,7 @@ class TestExpertTiling:
     def test_row_outer_column_inner_order(self):
         g = ArrayGeometry(4, 8, "expert")
         ts = plan_expert_tiles(4, 4, 8, 8, g)  # 2 row tiles x 2 col tiles
-        spans = [(t.row_start, t.col_start) for t in ts.tiles]
+        spans = [(t.row_start, t.col_start) for t in tiles(ts)]
         assert spans == [(0, 0), (0, 8), (4, 0), (4, 8)]
 
     def test_role_check(self):
@@ -318,24 +359,24 @@ class TestRoutingArray:
 class TestAttentionTiling:
     def test_single_tile_per_group(self):
         ts = plan_attention_tiles(16, 16, 1, 1, ATTN16x16)
-        assert [t.phase for t in ts.tiles] == ["phase1", "phase2"]
+        assert [t.phase for t in tiles(ts)] == ["phase1", "phase2"]
         ts.validate()
 
     def test_group_product_count(self):
         ts = plan_attention_tiles(16, 16, 2, 2, ATTN16x16)
-        assert sum(t.phase == "phase1" for t in ts.tiles) == 4
+        assert sum(t.phase == "phase1" for t in tiles(ts)) == 4
         ts.validate()
 
     def test_map_grid_for_32_tokens(self):
         ts = plan_attention_tiles(32, 16, 1, 1, ATTN16x16)
-        assert sum(t.phase == "phase1" for t in ts.tiles) == 4
-        groups = {t.group for t in ts.tiles}
+        assert sum(t.phase == "phase1" for t in tiles(ts)) == 4
+        groups = {t.group for t in tiles(ts)}
         assert groups == {(0, 0)}
         ts.validate()
 
     def test_phase2_reduction_is_key_range(self):
         ts = plan_attention_tiles(20, 8, 1, 1, ATTN16x16)
-        p2 = [t for t in ts.tiles if t.phase == "phase2"]
+        p2 = [t for t in tiles(ts) if t.phase == "phase2"]
         assert sorted({t.reduction for t in p2}) == [4, 16]
 
 
@@ -458,7 +499,7 @@ class TestTraces:
         g = ArrayGeometry(8, 16, "expert")
         ts = plan_expert_tiles(8, 2, 16, 8, g)
         trace = merge_walks([(("expert0",), expert_walk(ts, g, SparsityStats(0, 1))[1])])
-        events = trace.events()
+        events = trace_events(trace)
         assert events == simulate_expert_array(ts, g, SparsityStats(0, 1))[1]
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, str(path))
@@ -475,16 +516,16 @@ class TestTraces:
         ts = plan_attention_tiles(5, 3, 2, 1, ATTN16x16)
         heads = ("attn2", "attn10", "attn1")
         egress = [(0, "act_glb", "write", 7, "spike"), (4, "act_lb", "read", 300, "spike")]
-        trace = merge_walks([(heads, attention_walk(ts, ATTN16x16)[1]), (("merge", "attn0"), Records.from_rows(egress))])
+        trace = merge_walks([(heads, attention_walk(ts, ATTN16x16)[1]), (("merge", "attn0"), records_from_rows(egress))])
         per_unit = [simulate_attention_array(ts, ATTN16x16, unit=unit)[1] for unit in heads]
         per_unit += [[AccessEvent(c, unit, level, d, -(-bits // 128), 128, tag) for c, level, d, bits, tag in egress]
                      for unit in ("merge", "attn0")]
-        assert trace.events() == merge_traces(*per_unit)
+        assert trace_events(trace) == merge_traces(*per_unit)
         assert len(trace) == sum(map(len, per_unit))
 
     def test_merge_of_nothing(self, tmp_path):
         trace = merge_walks([])
-        assert trace.events() == []
+        assert trace_events(trace) == []
         write_trace_csv(trace, str(tmp_path / "trace.csv"))
         assert (tmp_path / "trace.csv").read_bytes() == b"cycle,unit,level,direction,words,width_bits\r\n"
         assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
@@ -501,16 +542,16 @@ class TestTraces:
     def test_bad_walker_records_rejected(self, record, problem):
         good = (0, "act_glb", "read", 8, "spike")
         with pytest.raises(TraceError, match=problem) as info:
-            merge_walks([(("attn0", "attn1"), Records.from_rows([good, record]))])
+            merge_walks([(("attn0", "attn1"), records_from_rows([good, record]))])
         assert "attn0, attn1" in str(info.value)
 
 
 def _csv_writer_bytes(trace) -> bytes:
-    """The trace as csv.writer writes ``MergedTrace.events()``: the writer's reference."""
+    """The trace as csv.writer writes its ``AccessEvent`` rows: the writer's reference."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(TRACE_COLUMNS)
-    for ev in trace.events():
+    for ev in trace_events(trace):
         writer.writerow([ev.cycle, ev.unit, ev.level, ev.direction, ev.words, ev.width_bits])
     return buf.getvalue().encode()
 
@@ -532,16 +573,16 @@ def _rows(cycles) -> list[tuple]:
 
 
 class TestTraceWriter:
-    """``write_trace_csv`` against csv.writer over ``MergedTrace.events()``, byte for byte."""
+    """``write_trace_csv`` against csv.writer over the trace's ``AccessEvent`` rows, byte for byte."""
 
     @pytest.mark.parametrize("cycle", BOUNDARY_CYCLES)
     def test_digit_boundary_alone(self, cycle, tmp_path):
-        trace = merge_walks([(UNITS, Records.from_rows(_rows([cycle, cycle])))])
+        trace = merge_walks([(UNITS, records_from_rows(_rows([cycle, cycle])))])
         assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
 
     def test_digit_boundaries_in_one_chunk(self, tmp_path):
         # Every row is padded to the 5 digit groups of the largest cycle.
-        trace = merge_walks([(UNITS, Records.from_rows(_rows(BOUNDARY_CYCLES)))])
+        trace = merge_walks([(UNITS, records_from_rows(_rows(BOUNDARY_CYCLES)))])
         assert len(trace) == 4 * len(BOUNDARY_CYCLES)
         assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
 
@@ -552,34 +593,34 @@ class TestTraceWriter:
         shared = rows // 3 - 1
         cycles = np.sort(rng.integers(0, 10**6, rows - 2 * shared)).tolist()
         cycles[-1] = 2**63 - 1  # the last row, which needs more digit groups than the rest
-        walks = [(UNITS[:3], Records.from_rows(_rows(cycles[:shared]))),
-                 (UNITS[3:], Records.from_rows(_rows(cycles[shared:])))]
+        walks = [(UNITS[:3], records_from_rows(_rows(cycles[:shared]))),
+                 (UNITS[3:], records_from_rows(_rows(cycles[shared:])))]
         trace = merge_walks(walks)
         assert len(trace) == rows and trace.cycle[-1] == 2**63 - 1
         assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
 
     def test_units_and_walks_interleaved(self, tmp_path):
         # "e9" appears in two walks, so its records are not one contiguous range.
-        walks = [(("e9", "e10"), Records.from_rows(_rows([0, 5, 12]))),
-                 (("router",), Records.from_rows(_rows([5, 99999, 100000]))),
-                 (("e9", "merge"), Records.from_rows(_rows([7, 10**9])[::-1]))]
+        walks = [(("e9", "e10"), records_from_rows(_rows([0, 5, 12]))),
+                 (("router",), records_from_rows(_rows([5, 99999, 100000]))),
+                 (("e9", "merge"), records_from_rows(_rows([7, 10**9])[::-1]))]
         trace = merge_walks(walks)
         assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
 
     def test_unit_without_rows(self, tmp_path):
-        trace = merge_walks([(("idle",), Records.from_rows([])), (UNITS, Records.from_rows(_rows([3, 4])))])
+        trace = merge_walks([(("idle",), records_from_rows([])), (UNITS, records_from_rows(_rows([3, 4])))])
         assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
-        assert _written(merge_walks([(("idle",), Records.from_rows([]))]), tmp_path) == _csv_writer_bytes(merge_walks([]))
+        assert _written(merge_walks([(("idle",), records_from_rows([]))]), tmp_path) == _csv_writer_bytes(merge_walks([]))
 
     def test_every_plain_ascii_character(self, tmp_path):
         # csv.writer quotes none of these, and an empty name is an empty field.
         plain = "".join(chr(c) for c in range(1, 128) if chr(c) not in '",\r\n')
-        trace = merge_walks([(("", " ", plain, "e 1\t"), Records.from_rows(_rows([1, 2])))])
+        trace = merge_walks([(("", " ", plain, "e 1\t"), records_from_rows(_rows([1, 2])))])
         assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
 
     @pytest.mark.parametrize("char", ["\0", ",", '"', "\r", "\n", "\u00e9", "\u2028"])
     def test_names_that_need_quoting_refused(self, char, tmp_path):
-        trace = merge_walks([(("e1", f"e{char}2"), Records.from_rows(_rows([1])))])
+        trace = merge_walks([(("e1", f"e{char}2"), records_from_rows(_rows([1])))])
         with pytest.raises(TraceError, match="must be ASCII with no NUL, comma, double quote, CR or LF"):
             write_trace_csv(trace, str(tmp_path / "trace.csv"))
         # Level and direction names are checked the same way.

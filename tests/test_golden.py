@@ -1,11 +1,11 @@
-"""Golden bytes: the sha256 of every CLI artifact of three fixed plans.
+"""Golden bytes: the sha256 of every CLI artifact of four fixed plans.
 
 Reports (JSON and CSV, of ``run`` and ``compare``), the access trace, the
 output bitstream, the routing table and the calibration dumps are pinned
-byte for byte on the default MoE plan, the default MHA plan and a ragged
-multi-head plan.  A change that only makes the simulator faster must leave
-every hash as it is.  Re-record only when the output changes on purpose
-(a schema bump), from the repository root::
+byte for byte on the default MoE plan, the default MHA plan, a ragged
+multi-head plan and a twelve-expert MoE plan.  A change that only makes the
+simulator faster must leave every hash as it is.  Re-record only when the
+output changes on purpose (a schema bump), from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,6 +28,14 @@ PLANS = {
         "model": {"n": 7, "t": 3, "h": 3, "d": 5},
         "hardware": {"cores": 2, "attention_array": {"rows": 4, "cols": 3}},
         "input": {"spike_prob": 0.6, "seed": 11},
+    },
+    # Twelve experts, so unit names sort differently as strings and as numbers
+    # (expert10 before expert2); idle experts send nothing to the merge.
+    "moe_e12": {
+        "kind": "moe",
+        "model": {"n": 48, "t": 2, "d_in": 12, "d_out": 10, "e": 12},
+        "hardware": {"cores": 3, "expert_array": {"rows": 4, "cols": 6}, "routing_array": {"rows": 4, "cols": 5}},
+        "input": {"spike_prob": 0.5, "seed": 1},
     },
 }
 

@@ -15,7 +15,6 @@ from spikesim import (
     WorkloadShape,
     builtin_calibration,
     capacity_check,
-    count_accesses,
     dump_calibration,
     load_calibration,
     mem_report,
@@ -33,6 +32,8 @@ from spikesim.levels import (
     WEIGHT_LB,
     level_width_bits,
 )
+
+from object_model import count_accesses
 
 
 def ev(level, direction, words, cycle=0, unit="u"):

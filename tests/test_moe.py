@@ -236,8 +236,11 @@ class TestLayerConfig:
         w = (weights(np.zeros((2, 2))),) * 3
         with pytest.raises(ConfigError):
             MoeLayerConfig(experts=3, k=4, d_in=2, d_out=2, expert_weights=w)
-        with pytest.raises(UnsupportedConfigError):
-            MoeLayerConfig(experts=3, k=2, d_in=2, d_out=2, expert_weights=w)
+        # A k=2 layer is a valid shape; the aligned merge is the one guard that refuses to run it.
+        cfg = MoeLayerConfig(experts=3, k=2, d_in=2, d_out=2, expert_weights=w)
+        s = SpikeTensor(np.ones((4, 2, 2), dtype=np.uint8))
+        with pytest.raises(UnsupportedConfigError, match="only defined for top-1 routing"):
+            moe_layer_forward(s, cfg, RoutingWeights(weights(np.arange(6).reshape(2, 3))))
 
     def test_weight_shape_checks(self):
         good = weights(np.zeros((2, 2)))

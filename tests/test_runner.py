@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikesim import dataflow, memory, mha, runner
+from spikesim import dataflow, mha, runner
 from spikesim import (
     ConfigError,
     HardwareParams,
@@ -21,7 +21,6 @@ from spikesim import (
     compare_designs,
     dump_calibration,
     builtin_calibration,
-    count_accesses,
     emit_report,
     expert_forward,
     mem_report,
@@ -37,6 +36,7 @@ from spikesim.runner import (
     write_routing_csv,
 )
 
+from object_model import count_accesses, trace_events
 from oracles import lpt_makespan
 
 MOE_DOC = {"kind": "moe", "N": 24, "T": 2, "D_in": 48, "D_out": 32, "E": 4, "seed": 11}
@@ -298,15 +298,16 @@ class TestSystemComposition:
 
     def test_trace_sorted_and_ends_at_system_total(self):
         result = run_experiment(parse_workload(dict(MOE_DOC)))
-        keys = [(e.cycle, e.unit) for e in result.trace]
+        trace = trace_events(result.merged_trace)
+        keys = [(e.cycle, e.unit) for e in trace]
         assert keys == sorted(keys)
-        assert max(e.cycle for e in result.trace) == result.system_cycles.total_cycles
-        writes_out = [e for e in result.trace if e.unit == "merge" and e.level == "act_glb"]
+        assert max(e.cycle for e in trace) == result.system_cycles.total_cycles
+        writes_out = [e for e in trace if e.unit == "merge" and e.level == "act_glb"]
         assert len(writes_out) == 1
 
     def test_weight_glb_alternates_with_expert_parity(self):
         result = run_experiment(parse_workload(dict(MOE_DOC)))
-        for e in result.trace:
+        for e in trace_events(result.merged_trace):
             if e.unit.startswith("expert") and e.level.startswith("weight_glb"):
                 parity = int(e.unit[len("expert"):]) % 2
                 assert e.level == f"weight_glb{parity}"
@@ -388,14 +389,12 @@ def _refuse(*args, **kwargs):
 class TestRunPathWork:
     def test_no_trace_unless_requested(self, monkeypatch):
         monkeypatch.setattr(dataflow.AccessEvent, "__post_init__", _refuse)
-        monkeypatch.setattr(dataflow, "merge_traces", _refuse)
-        monkeypatch.setattr(memory, "count_accesses", _refuse)
         for doc in (MOE_DOC, MHA_DOC):
             plan = parse_workload(dict(doc))
             compare_designs(plan)
             result = run_experiment(plan)
             with pytest.raises(AssertionError, match="access trace"):
-                result.trace
+                trace_events(result.merged_trace)
 
     def test_attention_map_never_built(self, monkeypatch):
         def refuse_map(*args, **kwargs):
@@ -410,7 +409,7 @@ class TestRunPathWork:
 
     def test_trace_built_once_on_first_access(self):
         result = run_experiment(parse_workload(dict(MOE_DOC)))
-        assert result.trace is result.trace
+        assert result.merged_trace is result.merged_trace
 
     def test_compare_runs_one_functional_pass_and_one_head_walk(self, monkeypatch):
         calls = {"mha_forward": 0, "attention_walk": 0}
@@ -466,7 +465,7 @@ class TestFoldEqualsTrace:
             plan = parse_workload(_random_doc(rng, kind))
             result = run_experiment(plan)
             cal = resolve_calibration(plan)
-            replayed = mem_report(count_accesses(result.trace), cal, result.mem.capacity)
+            replayed = mem_report(count_accesses(trace_events(result.merged_trace)), cal, result.mem.capacity)
             assert replayed.to_dict()["levels"] == result.mem.to_dict()["levels"]
             assert replayed.total_energy_fj == result.mem.total_energy_fj
             assert replayed.total_words == result.mem.total_words

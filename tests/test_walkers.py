@@ -1,28 +1,30 @@
 """The columnar walkers against scalar per-tile reference walkers.
 
 Each reference below steps one tile at a time and emits records in the order
-the per-tile body reaches them, with the schedule's ``Tile`` objects; the
-walkers under test compute the whole tile grid with numpy.  Record sequences
-and cycle stats must be equal for random shapes, residue tiles, extract port
-counts, empty workloads and hand-built schedules in other tile orders.
+the per-tile body reaches them, over the schedule's rows as ``Tile`` tuples
+(``object_model.tiles``); the walkers under test compute the whole tile grid
+with numpy.  Record sequences and cycle stats must be equal for random
+shapes, residue tiles, extract port counts, empty workloads and hand-built
+schedules in other tile orders.
 """
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spikesim import ArrayGeometry, SparsityStats, Tile, TileSchedule, dataflow, plan_attention_tiles, plan_expert_tiles
+from spikesim import ArrayGeometry, SparsityStats, TileSchedule, dataflow, plan_attention_tiles, plan_expert_tiles
 from spikesim.cli import main
 from spikesim.levels import level_words
-from spikesim.dataflow import Records, _stats, attention_walk, expert_walk, fill_cycles, routing_walk
+from spikesim.dataflow import _stats, attention_walk, expert_walk, fill_cycles, routing_walk
+
+from object_model import Tile, record_rows, records_from_rows, schedule, tiles
 
 
 def reference_expert_walk(ts, g, sparsity, extract_ports=None, weight_glb="weight_glb0"):
     ports = g.rows if extract_ports is None else extract_ports
-    if not ts.tiles:
+    if not ts.tile_count:
         return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g), []
     d_in, d_out = ts.meta["d_in"], ts.row_extent
     records = [
@@ -33,7 +35,7 @@ def reference_expert_walk(ts, g, sparsity, extract_ports=None, weight_glb="weigh
     ]
     cycle = compute = extract_total = 0
     current_row_tile = None
-    for tile in ts.tiles:
+    for tile in tiles(ts):
         ru, cu = tile.rows_used, tile.cols_used
         if (tile.row_start, tile.row_stop) != current_row_tile:
             current_row_tile = (tile.row_start, tile.row_stop)
@@ -91,14 +93,14 @@ def reference_routing_walk(n, t, d_in, e, g, extract_ports=None):
 
 
 def reference_attention_walk(ts, g):
-    if not ts.tiles:
+    if not ts.tile_count:
         return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g), []
     d, n, t_steps = ts.meta["d"], ts.meta["n"], ts.meta["t"]
     key_tiles_per_row = math.ceil(n / g.cols)
     records = []
     cycle = phase1 = phase2 = mac_ops = 0
     seen_heads, seen_groups, contributions = set(), set(), {}
-    for tile in ts.tiles:
+    for tile in tiles(ts):
         head, _step = tile.group
         if head not in seen_heads:
             seen_heads.add(head)
@@ -137,7 +139,7 @@ def reference_attention_walk(ts, g):
 def _assert_same(walked, reference):
     (stats, records), (ref_stats, ref_records) = walked, reference
     assert stats == ref_stats
-    assert records.rows() == ref_records
+    assert record_rows(records) == ref_records
     assert len(set(records.kinds)) == len(records.kinds)
     for column in (records.cycle, records.kind, records.bits):
         assert column.dtype == np.int64
@@ -146,7 +148,8 @@ def _assert_same(walked, reference):
 def _shuffled(ts, rng):
     """The same tiles in a random order, built by hand."""
     order = rng.permutation(ts.tile_count)
-    return TileSchedule.from_tiles([ts.tiles[i] for i in order], ts.row_extent, ts.col_extent, ts.meta)
+    rows = tiles(ts)
+    return schedule([rows[i] for i in order], ts.row_extent, ts.col_extent, ts.meta)
 
 
 def test_expert_walk_matches_reference():
@@ -206,16 +209,16 @@ def test_attention_walk_sparse_group_ids():
         g = ArrayGeometry(int(rng.integers(1, 5)), int(rng.integers(1, 5)), "attention")
         n, d, t, heads = (int(x) for x in rng.integers(1, [9, 6, 5, 5]))
         ts = plan_attention_tiles(n, d, t, heads, g)
-        tiles = [replace(tile, group=(head_ids[tile.group[0]], step_ids[tile.group[1]])) for tile in ts.tiles]
-        tiles = [tiles[i] for i in rng.permutation(len(tiles))]
-        ts = TileSchedule.from_tiles(tiles, ts.row_extent, ts.col_extent, ts.meta)
+        rows = [tile._replace(group=(head_ids[tile.group[0]], step_ids[tile.group[1]])) for tile in tiles(ts)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        ts = schedule(rows, ts.row_extent, ts.col_extent, ts.meta)
         _assert_same(attention_walk(ts, g), reference_attention_walk(ts, g))
 
 
 def test_attention_walk_single_tile_records():
     g = ArrayGeometry(16, 16, "attention")
     _, records = attention_walk(plan_attention_tiles(16, 16, 1, 1, g), g)
-    assert records.rows() == [
+    assert record_rows(records) == [
         (0, "act_glb", "read", 768, "spike"),
         (0, "act_lb", "write", 768, "spike"),
         (0, "act_lb", "read", 768, "spike"),
@@ -246,27 +249,25 @@ def test_oversized_extract_ports_and_arrays():
 def test_schedule_columns_round_trip_tiles():
     g = ArrayGeometry(3, 4, "attention")
     ts = plan_attention_tiles(7, 2, 2, 2, g)
-    again = TileSchedule.from_tiles(ts.tiles, ts.row_extent, ts.col_extent, ts.meta)
-    assert again.tiles == ts.tiles
-    assert ts.tiles[0] == Tile(0, 3, 0, 4, 2, "phase1", (0, 0))
-    assert ts.tiles[1] == Tile(0, 3, 0, 4, 4, "phase2", (0, 0))
+    again = schedule(tiles(ts), ts.row_extent, ts.col_extent, ts.meta)
+    assert tiles(again) == tiles(ts)
+    assert tiles(ts)[0] == Tile(0, 3, 0, 4, 2, "phase1", (0, 0))
+    assert tiles(ts)[1] == Tile(0, 3, 0, 4, 4, "phase2", (0, 0))
 
 
 def test_bad_schedules_rejected():
     g = ArrayGeometry(4, 4, "attention")
-    with pytest.raises(dataflow.ConfigError, match="unknown tile phase"):
-        TileSchedule.from_tiles([Tile(0, 1, 0, 1, 1, "phase3")], 1, 1)
-    compute = TileSchedule.from_tiles([Tile(0, 1, 0, 1, 1, "compute", (0, 0))], 1, 1, {"d": 1, "n": 1, "t": 1})
+    # Phase 3 indexes past TILE_PHASES.
+    with pytest.raises(dataflow.ShapeError, match="degenerate tile 0: .* phase 3 "):
+        TileSchedule(*[np.array([value], np.int64) for value in (0, 1, 0, 1, 1, 3, -1, -1)], 1, 1)
+    compute = schedule([Tile(0, 1, 0, 1, 1, "compute", (0, 0))], 1, 1, {"d": 1, "n": 1, "t": 1})
     with pytest.raises(dataflow.ConfigError, match="unknown attention phase 'compute'"):
         attention_walk(compute, g)
     ts = plan_expert_tiles(4, 1, 2, 2, ArrayGeometry(4, 4, "expert"))
     with pytest.raises(dataflow.ShapeError, match="degenerate tile 0"):
         TileSchedule(ts.row_stop, ts.row_start, ts.col_start, ts.col_stop, ts.reduction, ts.phase, ts.head, ts.step, 2, 4)
     # A group is two non-negative ints, or -1 in both columns for none.
-    for group in [(-1, 0), (0, -1), (-2, 3)]:
-        with pytest.raises(dataflow.ShapeError, match="non-negative"):
-            TileSchedule.from_tiles([Tile(0, 1, 0, 1, 1, "phase1", group)], 1, 1)
-    for head, step in [(-1, 0), (0, -1), (-2, -2)]:
+    for head, step in [(-1, 0), (0, -1), (-2, 3), (-2, -2)]:
         columns = [np.array([value], np.int64) for value in (0, 1, 0, 1, 1, 1, head, step)]
         with pytest.raises(dataflow.ShapeError, match=rf"degenerate tile 0: .* group \({head}, {step}\)"):
             TileSchedule(*columns, 1, 1)
@@ -275,7 +276,7 @@ def test_bad_schedules_rejected():
 def test_words_are_exact_integer_ceilings():
     # Equal to math.ceil(bits / width) below 2**53; exact above, where the float quotient rounds.
     bits = [1, 127, 128, 129, 2**53 - 1, 2**53 + 1, 2**62 + 1]
-    words = Records.from_rows([(0, "act_lb", "read", b, "spike") for b in bits]).words(("u",)).tolist()
+    words = records_from_rows([(0, "act_lb", "read", b, "spike") for b in bits]).words(("u",)).tolist()
     assert words == [-(-b // 128) for b in bits]
     assert words == [level_words(b, "act_lb") for b in bits]
     assert words[:5] == [math.ceil(b / 128) for b in bits[:5]]
@@ -285,17 +286,12 @@ def test_words_are_exact_integer_ceilings():
 def test_first_bad_record_is_named():
     rows = [(0, "act_glb", "read", 8, "spike"), (5, "act_lb", "read", 0, "spike"), (-1, "act_dram", "peek", 8, "spike")]
     with pytest.raises(dataflow.TraceError, match=r"^events must move at least one word .* at cycle 5 of unit\(s\) expert3\)$"):
-        Records.from_rows(rows).words(("expert3",))
+        records_from_rows(rows).words(("expert3",))
     with pytest.raises(dataflow.TraceError, match=r"^trace references unknown level 'act_dram' \(record at cycle -1"):
-        Records.from_rows(rows[::2]).words(("expert3",))
+        records_from_rows(rows[::2]).words(("expert3",))
 
 
-def _refuse_tile(*args, **kwargs):
-    raise AssertionError("built a Tile object on the run path")
-
-
-def test_run_compare_and_trace_build_no_tiles(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(Tile, "__post_init__", _refuse_tile)
+def test_run_compare_and_trace_build_no_tiles(tmp_path, capsys):
     docs = {
         "moe": {"kind": "moe", "N": 24, "T": 2, "D_in": 16, "D_out": 40, "E": 5, "seed": 2,
                 "hardware": {"expert_array": {"rows": 8, "cols": 6}, "routing_array": {"rows": 4, "cols": 2}}},
