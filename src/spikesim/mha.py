@@ -20,8 +20,9 @@ computation; the timing model still charges the map.
 :func:`mha_forward` runs every head in one pass.  Q, K and V are viewed as
 (t, h, n, d), and both products run batched over (timestep, head).  Each
 entry of a batched product is a sum within one head, so the bounds stay the
-per-head n and n * d, and the one clamp to int16 counts each head's
-saturations.  The neuron update then fires the (n, t, h * d) integration
+per-head n and n * d, and the one step to int16 counts each head's
+saturations: a plain cast when n * d <= 32767, where no entry can clamp,
+and a clamp otherwise.  The neuron update then fires the (n, t, h * d) integration
 once.  This equals firing head by head because every neuron lane updates on
 its own, and the kernel's dtype bound depends only on t, the int16 input
 range and the parameters, which all heads share.
@@ -35,11 +36,12 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensors import (
+    _adopt,
     _exact_matmul,
+    _narrow_i16,
     IntegrationTensor,
     LifParams,
     SpikeTensor,
-    saturate_i16,
     lif_run,
 )
 
@@ -108,7 +110,7 @@ def attention_weighted_integration(a: AttentionMap, v_h: SpikeTensor) -> Integra
         raise ShapeError(f"attention map has {a.t} timesteps, values have {v_h.t}")
     # (t, n, n) @ (t, n, d) -> (t, n, d); map entries <= d, so |partial sum| <= d * n.
     acc = _exact_matmul(a.data, v_h.data.transpose(1, 0, 2), a.d_head * a.n)
-    x, saturations = saturate_i16(acc)
+    x, saturations = _narrow_i16(acc, 0, a.d_head * a.n)
     return IntegrationTensor(x.transpose(1, 0, 2), saturations)
 
 
@@ -124,9 +126,10 @@ def _reassociated_integration(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor, he
     q, k, v = (s.data.reshape(n, t, heads, d).transpose(1, 2, 0, 3) for s in (q, k, v))
     # (t, h, d, n) @ (t, h, n, d) -> (t, h, d, d); binary operands, |partial sum| <= n.
     kv = _exact_matmul(k.transpose(0, 1, 3, 2), v, n)
-    # (t, h, n, d) @ (t, h, d, d) -> (t, h, n, d); K.T @ V entries <= n, so |partial sum| <= n * d.
-    x, saturations = saturate_i16(_exact_matmul(q, kv, n * d))
-    return IntegrationTensor(x.transpose(2, 0, 1, 3).reshape(n, t, width), saturations)
+    # (t, h, n, d) @ (t, h, d, d) -> (t, h, n, d); K.T @ V entries <= n, so every entry lies in [0, n * d].
+    x, saturations = _narrow_i16(_exact_matmul(q, kv, n * d), 0, n * d)
+    # x is fresh from the cast or the clamp; nothing else holds it or its transpose-reshape.
+    return _adopt(IntegrationTensor, x.transpose(2, 0, 1, 3).reshape(n, t, width), saturations=saturations)
 
 
 def spiking_attention_head(

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, UnsupportedConfigError
 from .tensors import (
+    _adopt,
     _exact_matmul,
     IntegrationTensor,
     LifParams,
@@ -141,11 +142,13 @@ def compute_expert_scores(s_in: SpikeTensor, w_r: RoutingWeights) -> ExpertScore
 
     score[n, e] = sum over t, d of s_in[n, t, d] * w_r[d, e].  Spikes are
     binary, so the per-feature spike counts over time (each <= t) are folded
-    first; |partial sum| <= 128 * t * d_in, which ``_exact_matmul`` keeps exact.
+    first, summed in the smallest unsigned type that holds t, where no count
+    can wrap; |partial sum| <= 128 * t * d_in, which ``_exact_matmul`` keeps
+    exact.
     """
     if s_in.d != w_r.d_in:
         raise ShapeError(f"input features {s_in.d} do not match routing weight rows {w_r.d_in}")
-    counts = s_in.data.sum(axis=1, dtype=np.int64)
+    counts = s_in.data.sum(axis=1, dtype=np.min_scalar_type(s_in.t))
     scores = _exact_matmul(counts, w_r.w_r.data, 128 * s_in.t * w_r.d_in)
     return ExpertScores(scores.astype(np.int64))
 
@@ -189,19 +192,20 @@ def expert_forward(
     (n * t, d_in) matrix that :func:`spike_matmul` takes in blocks of
     ``_BLOCK_ROWS`` rows: a few large BLAS products per expert, one weight
     conversion per block, and float temporaries of at most ``_BLOCK_ROWS``
-    rows.  With ``lif=None`` there is no neuron update and the int16
-    integration is returned; :func:`moe_layer_forward` fires once, after the
-    merge.
+    rows.  The rows go in as a bool view of the spikes, whose 0/1 range the
+    dtype already proves.  With ``lif=None`` there is no neuron update and
+    the int16 integration is returned; :func:`moe_layer_forward` fires once,
+    after the merge.
     """
     if s_e.d != w_e.rows:
         raise ShapeError(f"expert input features {s_e.d} do not match weight rows {w_e.rows}")
-    rows = s_e.data.reshape(-1, s_e.d)
+    rows = s_e.data.view(bool).reshape(-1, s_e.d)
     x = np.empty((len(rows), w_e.cols), dtype=np.int16)
     saturations = 0
     for lo in range(0, len(rows), _BLOCK_ROWS):
         x[lo:lo + _BLOCK_ROWS], sat = spike_matmul(rows[lo:lo + _BLOCK_ROWS], w_e)
         saturations += sat
-    integration = IntegrationTensor(x.reshape(s_e.n, s_e.t, w_e.cols), saturations)
+    integration = _adopt(IntegrationTensor, x.reshape(s_e.n, s_e.t, w_e.cols), saturations=saturations)
     return integration if lif is None else lif_run(integration, lif)
 
 
@@ -245,8 +249,8 @@ def merge_aligned(
     if not seen.all():
         raise ShapeError("merge did not cover every token exactly once")
     if kind is IntegrationTensor:
-        return IntegrationTensor(merged, sum(out.saturations for out in outputs))
-    return SpikeTensor(merged)
+        return _adopt(IntegrationTensor, merged, saturations=sum(out.saturations for out in outputs))
+    return _adopt(SpikeTensor, merged)
 
 
 def moe_layer_forward(

@@ -21,6 +21,31 @@ order BLAS adds in:
 * the reassociated attention layer: n for K^T V, then n * d for Q (K^T V),
   per head, batched over heads and timesteps.
 
+The step to int16 (:func:`_narrow_i16`) follows a bound too.  Each caller
+passes the range of its accumulator:
+
+* ``spike_matmul``: [-128 * d_in, 127 * d_in], binary spikes times int8
+  weights, which fits int16 for d_in <= 256;
+* the attention integrations, Q (K^T V) and the map-based (Q K^T) V:
+  [0, n * d] per head, binary operands (map entries <= d), which fits int16
+  for n * d <= 32767.
+
+When the range fits, no entry can clamp: the exact accumulator is cast
+straight to int16 and 0 saturations are counted.  Otherwise every entry is
+clamped and the clamped ones counted (:func:`saturate_i16`).  The routing
+scores' spike counts over time are summed in the smallest unsigned type that
+holds t (uint8 up to t = 255), since no count exceeds t.
+
+Public constructors copy their input and check its values.  A pipeline
+stage that has just allocated an array of the carrier's dtype, with values
+its construction proves in range, and that holds the only reference, wraps
+it with :func:`_adopt` instead: the array is made read-only in place, with
+no second copy or check.  These are the token gather's fancy-index result,
+an expert's int16 block buffer, the merged buffer of ``merge_aligned``, the
+reassociated attention integration, and the spikes of :func:`lif_run` (its
+bool output viewed as uint8).  ``expert_forward`` feeds ``spike_matmul`` a
+bool view of the spike rows, so their 0/1 check costs no pass over the data.
+
 The neuron update (:func:`lif_run`, :func:`lif_step`) is one kernel that
 updates the potential in place and resets fired neurons by multiplying with
 the inverted spike mask.  Its dtype follows a bound: after s steps,
@@ -108,6 +133,33 @@ def saturate_i16(acc: np.ndarray) -> tuple[np.ndarray, int]:
     return clipped.astype(np.int16), saturated
 
 
+def _narrow_i16(acc: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """:func:`saturate_i16` of an accumulator whose entries all lie in [lo, hi].
+
+    When [lo, hi] fits int16 no entry can clamp, so the plain cast is the
+    clamped result and the count is 0; otherwise the entries are clamped and
+    counted.
+    """
+    if INT16_MIN <= lo and hi <= INT16_MAX:
+        return acc.astype(np.int16), 0
+    return saturate_i16(acc)
+
+
+def _adopt(cls, data: np.ndarray, **fields):
+    """A ``cls`` carrier holding ``data`` itself: no copy, no value check.
+
+    Only for an array the caller has just allocated, already of the
+    carrier's dtype and value range, that nothing else references; it is
+    made read-only in place.
+    """
+    carrier = object.__new__(cls)
+    data.setflags(write=False)
+    carrier.data = data
+    for name, value in fields.items():
+        setattr(carrier, name, value)
+    return carrier
+
+
 class SpikeTensor:
     """Binary activations laid out as (token, timestep, feature).
 
@@ -149,7 +201,17 @@ class SpikeTensor:
         return int(self.data.sum())
 
     def select_tokens(self, idx: np.ndarray) -> "SpikeTensor":
-        return SpikeTensor(self.data[np.asarray(idx, dtype=np.int64)])
+        """The rows at token ids ``idx`` (1-d integers in [0, n)), in that order."""
+        ids = np.asarray(idx)
+        if ids.ndim != 1:
+            raise ShapeError(f"token ids must be 1-d, got {ids.ndim}-d")
+        if ids.size == 0:
+            ids = ids.astype(np.int64)
+        elif ids.dtype.kind not in "iu":
+            raise ValueError(f"token ids must be integers, got dtype {ids.dtype}")
+        elif ids.min() < 0 or ids.max() >= self.n:
+            raise IndexError(f"token ids must lie in [0, {self.n}), got [{ids.min()}, {ids.max()}]")
+        return _adopt(SpikeTensor, self.data[ids])
 
     def to_bytes(self) -> bytes:
         """Serialize as a dims header plus a packed little-endian bitstream.
@@ -321,7 +383,7 @@ def spike_matmul(s_t: np.ndarray, w: QuantWeightMatrix) -> tuple[np.ndarray, int
     _check_integers(s, 0, 1, "spike slice entries must be 0 or 1")
     if s.shape[1] != w.rows:
         raise ShapeError(f"spike features {s.shape[1]} do not match weight rows {w.rows}")
-    return saturate_i16(_exact_matmul(s, w.data, 128 * w.rows))
+    return _narrow_i16(_exact_matmul(s, w.data, 128 * w.rows), -128 * w.rows, 127 * w.rows)
 
 
 def _lif(x: np.ndarray, x_peak: int, v0, v0_peak: int, p: LifParams) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +449,7 @@ def lif_run(x: IntegrationTensor, p: LifParams) -> SpikeTensor:
     if not INT32_MIN <= p.initial_potential <= INT32_MAX:
         raise OverflowError("membrane potential exceeds the 32-bit accumulator range")
     spikes, _ = _lif(x.data, -INT16_MIN, p.initial_potential, abs(p.initial_potential), p)
-    return SpikeTensor(spikes)
+    return _adopt(SpikeTensor, spikes.view(np.uint8))
 
 
 def quantize_weights(w_real: np.ndarray, bits: int = 8) -> QuantWeightMatrix:

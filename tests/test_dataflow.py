@@ -93,6 +93,28 @@ class TestGeometryAndTiles:
         with pytest.raises(ShapeError, match=r"group \(0, 1\) phase phase1 covers cell \(row 1, col 1\) 2 times"):
             doubled.validate()
 
+    def test_schedule_must_cover_every_group_meta_names(self):
+        # One tile per phase: the group's whole phase 2 is its second tile.
+        ts = plan_attention_tiles(4, 2, 1, 1, ArrayGeometry(4, 4, "attention"))
+        assert [t.phase for t in tiles(ts)] == ["phase1", "phase2"]
+        with pytest.raises(ShapeError, match=r"no tile covers group \(0, 0\) phase phase2"):
+            schedule(tiles(ts)[:1], ts.row_extent, ts.col_extent, ts.meta).validate()
+        # t = 2 with only timestep 0's tiles.
+        ts = plan_attention_tiles(5, 3, 2, 1, ArrayGeometry(2, 3, "attention"))
+        step0 = [t for t in tiles(ts) if t.group == (0, 0)]
+        with pytest.raises(ShapeError, match=r"no tile covers group \(0, 1\) phase phase1"):
+            schedule(step0, ts.row_extent, ts.col_extent, ts.meta).validate()
+        # A group meta does not name: head 1 of a one-head schedule.
+        extra = [t._replace(group=(1, 0)) for t in step0]
+        with pytest.raises(ShapeError, match=r"group \(1, 0\) phase phase1 lie outside"):
+            schedule(tiles(ts) + extra, ts.row_extent, ts.col_extent, ts.meta).validate()
+        # An expert schedule with tokens must have its compute tiles; one without has none.
+        ts = plan_expert_tiles(3, 2, 4, 5, ArrayGeometry(2, 4, "expert"))
+        with pytest.raises(ShapeError, match="no tile covers group None phase compute"):
+            schedule([], ts.row_extent, ts.col_extent, ts.meta).validate()
+        plan_expert_tiles(0, 2, 4, 5, ArrayGeometry(2, 4, "expert")).validate()
+        plan_attention_tiles(9, 2, 4, 3, ArrayGeometry(4, 2, "attention")).validate()
+
     def test_planned_schedules_validate(self):
         rng = np.random.default_rng(58)
         residue = 0

@@ -234,6 +234,78 @@ class TestReassociatedHead:
             assert matmul_dtypes == [np.float32, np.float32]
 
 
+@pytest.fixture
+def clamp_calls(monkeypatch):
+    """Record the size of every accumulator that reaches the clamp-and-count path."""
+    seen = []
+
+    def recording(acc):
+        seen.append(acc.size)
+        return saturate_i16(acc)
+
+    monkeypatch.setattr("spikesim.tensors.saturate_i16", recording)
+    return seen
+
+
+class TestInt16CastEdges:
+    """An accumulator whose bound fits int16 is cast, one past it is clamped and counted."""
+
+    @pytest.mark.parametrize("d_in,clamped", [(256, False), (257, True)])
+    def test_spike_matmul(self, d_in, clamped, clamp_calls):
+        # Every spike on: the columns sum d_in weights of -128 and of 127.
+        w = np.empty((d_in, 2), dtype=np.int8)
+        w[:, 0], w[:, 1] = -128, 127
+        out, sat = spike_matmul(np.ones((1, d_in), dtype=np.uint8), QuantWeightMatrix(w))
+        assert out.dtype == np.int16
+        if clamped:
+            assert out.tolist() == [[INT16_MIN, 127 * 257]] and sat == 1
+            assert clamp_calls == [2]
+        else:
+            assert out.tolist() == [[-32768, 32512]] and sat == 0
+            assert clamp_calls == []
+
+    @pytest.mark.parametrize("d_in,clamped", [(256, False), (257, True)])
+    def test_expert_forward(self, d_in, clamped, clamp_calls):
+        n, t = 3, 2
+        w = np.empty((d_in, 2), dtype=np.int8)
+        w[:, 0], w[:, 1] = -128, 127
+        x = expert_forward(SpikeTensor(np.ones((n, t, d_in), dtype=np.uint8)), QuantWeightMatrix(w), None)
+        ref, ref_sat = saturate_ref(np.full((n, t, 2), [-128 * d_in, 127 * d_in], dtype=np.int64))
+        np.testing.assert_array_equal(x.data, ref)
+        assert x.saturations == ref_sat == (n * t if clamped else 0)
+        assert clamp_calls == ([n * t * 2] if clamped else [])
+
+    @pytest.mark.parametrize("n,d,clamped", [(1057, 31, False), (1024, 32, True)])
+    def test_attention(self, n, d, clamped, clamp_calls):
+        # All-one Q, K and V: every entry of Q (K.T @ V) and of (Q @ K.T) @ V is n * d.
+        q, k, v = (SpikeTensor(np.ones((n, 1, d), dtype=np.uint8)) for _ in range(3))
+        for x in (_reassociated_integration(q, k, v, 1), attention_weighted_integration(spiking_attention_map(q, k), v)):
+            assert x.data.dtype == np.int16
+            if clamped:
+                assert (x.data == INT16_MAX).all() and x.saturations == n * d
+            else:
+                assert (x.data == n * d).all() and n * d == INT16_MAX and x.saturations == 0
+        assert clamp_calls == ([n * d, n * d] if clamped else [])
+
+    @pytest.mark.parametrize("t,count_dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_routing_counts(self, t, count_dtype, monkeypatch):
+        # Every spike on: each per-feature count is t, so every score is t * d_in.
+        counts = []
+
+        def recording(a, b, bound):
+            counts.append(a)
+            return _exact_matmul(a, b, bound)
+
+        monkeypatch.setattr("spikesim.moe._exact_matmul", recording)
+        d_in = 3
+        scores = compute_expert_scores(
+            SpikeTensor(np.ones((2, t, d_in), dtype=np.uint8)), RoutingWeights(QuantWeightMatrix(np.ones((d_in, 2))))
+        ).scores
+        assert scores.tolist() == [[t * d_in] * 2] * 2
+        assert [a.dtype for a in counts] == [count_dtype]
+        assert (counts[0] == t).all()
+
+
 def _saturating_qkv(heads: int = 1):
     """n * d = 34816 per head: near-full rows integrate past INT16_MAX, sparser rows stay below."""
     rng = np.random.default_rng(5)

@@ -1,11 +1,13 @@
-"""Golden bytes: the sha256 of every CLI artifact of four fixed plans.
+"""Golden bytes: the sha256 of every CLI artifact of eight fixed plans.
 
 Reports (JSON and CSV, of ``run`` and ``compare``), the access trace, the
 output bitstream, the routing table and the calibration dumps are pinned
 byte for byte on the default MoE plan, the default MHA plan, a ragged
-multi-head plan and a twelve-expert MoE plan.  A change that only makes the
-simulator faster must leave every hash as it is.  Re-record only when the
-output changes on purpose (a schema bump), from the repository root::
+multi-head plan, a twelve-expert MoE plan and four plans at the edges of
+the int16 bounds that decide whether an integration is clamped.  A change
+that only makes the simulator faster must leave every hash as it is.
+Re-record only when the output changes on purpose (a schema bump), from the
+repository root::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -36,6 +38,32 @@ PLANS = {
         "model": {"n": 48, "t": 2, "d_in": 12, "d_out": 10, "e": 12},
         "hardware": {"cores": 3, "expert_array": {"rows": 4, "cols": 6}, "routing_array": {"rows": 4, "cols": 5}},
         "input": {"spike_prob": 0.5, "seed": 1},
+    },
+    # All-one Q, K and V make every entry of Q (K^T V) equal n * d: 32767
+    # fits int16 and is cast, 32768 clamps every entry.
+    "mha_nd32767": {
+        "kind": "mha",
+        "model": {"n": 1057, "t": 1, "h": 1, "d": 31},
+        "hardware": {"attention_array": {"rows": 64, "cols": 64}},
+        "input": {"spike_prob": 1.0, "seed": 0},
+    },
+    "mha_nd32768": {
+        "kind": "mha",
+        "model": {"n": 1024, "t": 1, "h": 1, "d": 32},
+        "hardware": {"attention_array": {"rows": 64, "cols": 64}},
+        "input": {"spike_prob": 1.0, "seed": 0},
+    },
+    # Binary spikes times int8 weights fit int16 up to d_in = 256; one more
+    # input takes the clamp-and-count path.
+    "moe_d256": {
+        "kind": "moe",
+        "model": {"n": 32, "t": 2, "d_in": 256, "d_out": 16, "e": 3},
+        "input": {"spike_prob": 1.0, "seed": 0},
+    },
+    "moe_d257": {
+        "kind": "moe",
+        "model": {"n": 32, "t": 2, "d_in": 257, "d_out": 16, "e": 3},
+        "input": {"spike_prob": 1.0, "seed": 0},
     },
 }
 

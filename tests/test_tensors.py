@@ -18,6 +18,15 @@ from spikesim import (
     saturate_i16,
     spike_matmul,
 )
+from spikesim.mha import _reassociated_integration
+from spikesim.moe import (
+    RoutingWeights,
+    compute_expert_scores,
+    expert_forward,
+    gather_expert_tokens,
+    merge_aligned,
+    route_topk,
+)
 from spikesim.tensors import INT16_MAX, INT16_MIN
 
 from oracles import scalar_lif_lane, scalar_lif_run, triple_loop_matmul
@@ -74,6 +83,22 @@ class TestSpikeTensor:
         assert np.array_equal(picked.data, s.data[[4, 1]])
         empty = s.select_tokens(np.array([], dtype=np.int64))
         assert empty.n == 0 and (empty.t, empty.d) == (2, 4)
+        assert s.select_tokens([]).n == 0
+
+    def test_select_tokens_refuses_ids_it_would_misread(self):
+        s = rand_spikes(np.random.default_rng(3), 4, 2, 3)
+        # Plain numpy indexing reads these as the last token, token 0, and ids 1 and 0.
+        with pytest.raises(IndexError, match=r"\[0, 4\)"):
+            s.select_tokens([-1])
+        with pytest.raises(ValueError, match="integers"):
+            s.select_tokens([0.5])
+        with pytest.raises(ValueError, match="integers"):
+            s.select_tokens(np.array([False, True, False, False]))
+        with pytest.raises(IndexError, match=r"\[0, 4\)"):
+            s.select_tokens([1, 4])
+        with pytest.raises(ShapeError):
+            s.select_tokens([[0, 1]])
+        assert np.array_equal(s.select_tokens(np.array([3, 0], dtype=np.uint8)).data, s.data[[3, 0]])
 
 
 class TestSpikeSerialization:
@@ -332,6 +357,44 @@ class TestIntegrationTensor:
     def test_saturation_bookkeeping(self):
         x = IntegrationTensor(np.zeros((1, 2, 3), dtype=np.int16), saturations=4)
         assert x.saturations == 4 and (x.n, x.t, x.d) == (1, 2, 3)
+
+
+class TestCarrierOwnership:
+    """Public constructors copy their input; arrays the pipeline adopts are made read-only."""
+
+    def test_public_constructors_copy(self):
+        cases = (
+            (SpikeTensor, np.zeros((2, 2, 2), dtype=np.uint8), 1),
+            (IntegrationTensor, np.zeros((2, 2, 2), dtype=np.int16), 7),
+            (QuantWeightMatrix, np.zeros((2, 2), dtype=np.int8), -5),
+            (PotentialState, np.zeros((2, 2), dtype=np.int32), 9),
+        )
+        for cls, source, value in cases:
+            carrier = cls(source)
+            source[...] = value
+            assert not carrier.data.any(), cls.__name__
+            assert not np.shares_memory(carrier.data, source), cls.__name__
+
+    def test_adopted_arrays_are_read_only(self):
+        rng = np.random.default_rng(12)
+        s = rand_spikes(rng, 6, 2, 8, p=0.6)
+        w = QuantWeightMatrix(rng.integers(-128, 128, size=(8, 8)))
+        table = route_topk(compute_expert_scores(s, RoutingWeights(QuantWeightMatrix(w.data[:, :2]))), 1)
+        assert all(len(tokens) for tokens in table.expert_tokens)
+        integrations = [expert_forward(gather_expert_tokens(s, table, e), w, None) for e in range(2)]
+        adopted = {
+            "select_tokens": s.select_tokens(np.array([5, 0])),
+            "expert_forward": integrations[0],
+            "merge_aligned integration": merge_aligned(integrations, table),
+            "merge_aligned spikes": merge_aligned([lif_run(x, LifParams()) for x in integrations], table),
+            "reassociated integration": _reassociated_integration(s, s, s, 2),
+            "lif_run": lif_run(integrations[1], LifParams()),
+        }
+        for name, carrier in adopted.items():
+            assert not carrier.data.flags.writeable, name
+            with pytest.raises(ValueError):
+                carrier.data[0, 0, 0] = 0
+        assert adopted["lif_run"].data.dtype == np.uint8
 
 
 class TestQuantWeights:
