@@ -39,7 +39,6 @@ from .mha import (
     MhaConfig,
     attention_weighted_integration,
     mha_forward,
-    spiking_attention_head,
     spiking_attention_map,
 )
 from .moe import (

@@ -73,11 +73,11 @@ slots' conditions therefore lists exactly the records a per-tile loop emits,
 in the same order.
 
 ``simulate_*`` turn the records into ``AccessEvent`` lists.  A run folds the
-records straight into per-level counts instead (``memory.count_records``),
-so the merged trace is built only when it is requested.  Attention heads run
-identical schedules, so a run walks one head and counts it once per head;
-``compare`` runs the pipeline once and prices that one count set under both
-calibrations.
+same ``(units, Records)`` walks that the trace merges straight into the
+report's per-level table instead (``memory.count_walks``), so the merged
+trace is built only when it is requested.  Attention heads run identical
+schedules, so a run walks one head and counts it once per head; ``compare``
+runs the pipeline once and prices that one table under both calibrations.
 
 Trace merge
 -----------
@@ -338,10 +338,6 @@ class SparsityStats:
     def __post_init__(self):
         if not 0 <= self.ones <= self.total:
             raise ValueError(f"need 0 <= ones <= total, got ones={self.ones} total={self.total}")
-
-    @property
-    def density(self) -> float:
-        return self.ones / self.total if self.total else 0.0
 
 
 @dataclass(frozen=True, eq=False)

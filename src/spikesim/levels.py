@@ -36,11 +36,6 @@ def level_width_bits(level: str) -> int:
     return LEVEL_GEOMETRY[level][1]
 
 
-def level_words(bits, level: str):
-    """Words of ``level``'s width needed to move ``bits``, an int or an int array."""
-    return width_words(bits, level_width_bits(level))
-
-
 def width_words(bits, width):
     """Words of ``width`` bits needed to move ``bits``; ints or int arrays.
 

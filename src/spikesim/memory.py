@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataflow import Records
 from .errors import CalibrationValidationError, ConfigError, TraceError
 from .levels import (
     ACT_BUFFER,
@@ -174,83 +173,39 @@ def builtin_calibration(kind: str, design: str) -> MemCalibration:
     return MemCalibration(kind=kind, design=design, levels=levels, aggregate=_AGGREGATE_TABLE[(kind, design)])
 
 
-@dataclass
-class LevelCounts:
-    reads: int = 0
-    writes: int = 0
-    words_read: int = 0
-    words_written: int = 0
-
-    @property
-    def words(self) -> int:
-        return self.words_read + self.words_written
-
-    def to_dict(self) -> dict:
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "words_read": self.words_read,
-            "words_written": self.words_written,
-        }
+# A level's counts, and the event and word fields each direction adds to.
+_IDLE = {"reads": 0, "writes": 0, "words_read": 0, "words_written": 0}
+_DIRECTION_FIELDS = {"read": ("reads", "words_read"), "write": ("writes", "words_written")}
 
 
-@dataclass
-class AccessCounts:
-    """Per-level event and word totals, in the order the levels were first touched."""
+def count_walks(walks) -> dict:
+    """Fold ``(units, Records)`` walks into the report's level table.
 
-    per_level: dict
+    Returns ``{level: {"reads", "writes", "words_read", "words_written"}}``.
+    Every walk's records are checked once (``Records.words``; a bad one
+    raises TraceError naming the walk's units).  Events and words are summed
+    per kind in int64, and a walk shared by several units counts once per
+    unit.
 
-    @property
-    def total_words(self) -> int:
-        return sum(c.words for c in self.per_level.values())
-
-    @property
-    def total_events(self) -> int:
-        return sum(c.reads + c.writes for c in self.per_level.values())
-
-    def add(self, level: str, direction: str, words: int, events: int = 1) -> None:
-        counts = self.per_level.get(level)
-        if counts is None:
-            counts = self.per_level[level] = LevelCounts()
-        if direction == "read":
-            counts.reads += events
-            counts.words_read += words
-        else:
-            counts.writes += events
-            counts.words_written += words
-
-    def to_dict(self) -> dict:
-        return {level: counts.to_dict() for level, counts in sorted(self.per_level.items())}
-
-
-def count_records(records: Records, units=()) -> AccessCounts:
-    """Fold a walk's records into per-level totals, levels in first-touch order.
-
-    Every record is checked first (``Records.words``; a bad one raises
-    TraceError naming ``units``).  Events and words are summed per kind in
-    int64, then added per (level, direction) in the order the records first
-    touch each kind, so each level keeps its first-touch place.
+    Levels are ordered by unit name (``expert10`` before ``expert2``), each
+    unit's levels in the order its walk first touches them; a walk's levels
+    take the place of its first unit.  That order fixes the summation order
+    of the energy total, so it is part of the report's bytes.
     """
-    words = records.words(units)
-    events = np.bincount(records.kind, minlength=len(records.kinds))
-    words_per_kind = np.zeros(len(records.kinds), np.int64)
-    np.add.at(words_per_kind, records.kind, words)
-    touched, first = np.unique(records.kind, return_index=True)
-    counts = AccessCounts({})
-    for k in touched[np.argsort(first)].tolist():
-        level, direction, _tag = records.kinds[k]
-        counts.add(level, direction, int(words_per_kind[k]), int(events[k]))
-    return counts
-
-
-def sum_counts(parts) -> AccessCounts:
-    """Add count sets; each level keeps the place of the first part that touches it."""
-    total = AccessCounts({})
-    for part in parts:
-        for level, c in part.per_level.items():
-            total.add(level, "read", c.words_read, c.reads)
-            total.add(level, "write", c.words_written, c.writes)
-    return total
+    table: dict[str, dict] = {}
+    for units, records in sorted(walks, key=lambda walk: min(walk[0])):
+        words = records.words(units)
+        events = np.bincount(records.kind, minlength=len(records.kinds))
+        words_per_kind = np.zeros(len(records.kinds), np.int64)
+        np.add.at(words_per_kind, records.kind, words)
+        touched, first = np.unique(records.kind, return_index=True)
+        for k in touched[np.argsort(first)].tolist():
+            level, direction, _tag = records.kinds[k]
+            counts = table.setdefault(level, dict(_IDLE))
+            n_events, n_words = _DIRECTION_FIELDS[direction]
+            counts[n_events] += int(events[k]) * len(units)
+            counts[n_words] += int(words_per_kind[k]) * len(units)
+    return table
 
 
 @dataclass(frozen=True)
@@ -388,10 +343,8 @@ class MemReport:
         return out
 
 
-def mem_report(
-    counts: AccessCounts, cal: MemCalibration, capacity: CapacityReport | None = None
-) -> MemReport:
-    """Weight access counts by the calibrated per-access figures.
+def mem_report(counts: dict, cal: MemCalibration, capacity: CapacityReport | None = None) -> MemReport:
+    """Weight a ``count_walks`` level table by the calibrated per-access figures.
 
     The energy proxy for a level is words_moved * access_power_mw *
     access_latency_ps, i.e. femtojoules.  Calibrated aggregates are echoed
@@ -399,19 +352,22 @@ def mem_report(
     """
     levels = {}
     total_energy = 0.0
+    total_words = 0
     # Levels with no traffic still appear, with zero counts.
-    for level in {**counts.per_level, **cal.levels}:
+    for level in {**counts, **cal.levels}:
         if level not in cal.levels:
             raise TraceError(
                 f"trace touches level {level!r} which the {cal.kind}/{cal.design} calibration does not define"
             )
         spec = cal.levels[level]
-        c = counts.per_level.get(level, LevelCounts())
+        c = counts.get(level, _IDLE)
+        words = c["words_read"] + c["words_written"]
         # An idle level costs exactly 0.0, even under a non-finite calibration.
-        energy = c.words * spec.power_mw * spec.latency_ps if c.words else 0.0
+        energy = words * spec.power_mw * spec.latency_ps if words else 0.0
         total_energy += energy
+        total_words += words
         levels[level] = {
-            **c.to_dict(),
+            **c,
             "access_latency_ps": spec.latency_ps,
             "access_power_mw": spec.power_mw,
             "energy_fj": energy,
@@ -427,7 +383,7 @@ def mem_report(
         calibration_kind=cal.kind,
         calibration_design=cal.design,
         levels=levels,
-        total_words=counts.total_words,
+        total_words=total_words,
         total_energy_fj=total_energy,
         aggregate=cal.aggregate,
         capacity=capacity,

@@ -132,13 +132,6 @@ def _reassociated_integration(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor, he
     return _adopt(IntegrationTensor, x.transpose(2, 0, 1, 3).reshape(n, t, width), saturations=saturations)
 
 
-def spiking_attention_head(
-    q_h: SpikeTensor, k_h: SpikeTensor, v_h: SpikeTensor, lif: LifParams
-) -> SpikeTensor:
-    """One head end to end: the one-head case of :func:`mha_forward`."""
-    return mha_forward(q_h, k_h, v_h, MhaConfig(heads=1, d_head=q_h.d, lif=lif))
-
-
 def mha_forward(q: SpikeTensor, k: SpikeTensor, v: SpikeTensor, cfg: MhaConfig) -> SpikeTensor:
     """All heads in one pass, outputs concatenated along the feature axis in head order.
 

@@ -503,7 +503,7 @@ def _mha_layer(plan: RunPlan) -> _Layer:
 
 
 def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
-    """Run the pipeline once and price its one count set under each flavor's calibration."""
+    """Run the pipeline once and price its one level table under each flavor's calibration."""
     footprint = plan_bytes(plan)
     if footprint > MAX_PLAN_BYTES:
         raise WorkloadValidationError(
@@ -517,12 +517,7 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
     else:
         raise ConfigError(f"kind must be 'moe' or 'mha', got {plan.kind!r}")
 
-    unit_cycles: dict[str, dataflow.CycleStats] = {}
-    unit_counts: dict[str, memory.AccessCounts] = {}
-    for units, stats, records in layer.walks:
-        counts = memory.count_records(records, units)
-        for unit in units:
-            unit_cycles[unit], unit_counts[unit] = stats, counts
+    unit_cycles = {unit: stats for units, stats, _ in layer.walks for unit in units}
     scheduled = [unit_cycles[unit] for unit, _ in layer.scheduled]
     system, assignment = dataflow.expert_parallel_schedule(scheduled, plan.hardware.cores, layer.overhead)
 
@@ -534,11 +529,8 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
         np.array([0] * len(out_bits) + [1], np.int64),
         np.array([*out_bits, layer.s_out.data.size], np.int64),
     )
-    unit_counts["merge"] = memory.count_records(egress, ("merge",))
-    # Units fold in name order, each in emission order: the order in which the
-    # (cycle, unit)-sorted trace first touches each level, which fixes the
-    # summation order of the energy total.
-    counts = memory.sum_counts(unit_counts[unit] for unit in sorted(unit_counts))
+    walks = [*((units, records) for units, _, records in layer.walks), (("merge",), egress)]
+    counts = memory.count_walks(walks)
     digest = _digest(layer.s_out)
     return [
         RunResult(
@@ -551,7 +543,7 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
             mem=memory.mem_report(counts, cal, memory.capacity_check(layer.shape, cal)),
             s_out=layer.s_out,
             routing_table=layer.routing_table,
-            walks=[*((units, records) for units, _, records in layer.walks), (("merge",), egress)],
+            walks=walks,
         )
         for flavor, cal in zip(flavors, cals)
     ]

@@ -193,10 +193,6 @@ class SpikeTensor:
     def d(self) -> int:
         return self.data.shape[2]
 
-    def slice_t(self, t: int) -> np.ndarray:
-        """The (n, d) binary matrix at one timestep."""
-        return self.data[:, t, :]
-
     def popcount(self) -> int:
         return int(self.data.sum())
 
@@ -273,9 +269,6 @@ class QuantWeightMatrix:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def dequantize(self) -> np.ndarray:
-        return self.data.astype(np.float64) * self.scale
 
     def __repr__(self) -> str:
         return f"QuantWeightMatrix(rows={self.rows}, cols={self.cols}, scale={self.scale})"

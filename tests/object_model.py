@@ -14,7 +14,6 @@ import numpy as np
 from spikesim.dataflow import TILE_PHASES, AccessEvent, Records, TileSchedule
 from spikesim.errors import TraceError
 from spikesim.levels import LEVEL_GEOMETRY
-from spikesim.memory import AccessCounts
 
 
 class Tile(NamedTuple):
@@ -85,11 +84,21 @@ def merge_traces(*traces: list[AccessEvent]) -> list[AccessEvent]:
     return merged
 
 
-def count_accesses(trace: list[AccessEvent]) -> AccessCounts:
-    """A trace folded event by event into per-level read/write event and word totals."""
-    counts = AccessCounts({})
+def count_accesses(trace: list[AccessEvent]) -> dict:
+    """A trace folded event by event into a level table, levels in first-touch order.
+
+    The table has ``count_walks``'s form: ``{level: {"reads", "writes",
+    "words_read", "words_written"}}``.
+    """
+    counts: dict[str, dict] = {}
     for ev in trace:
         if ev.level not in LEVEL_GEOMETRY:
             raise TraceError(f"trace references unknown level {ev.level!r} (event at cycle {ev.cycle}, unit {ev.unit!r})")
-        counts.add(ev.level, ev.direction, ev.words)
+        c = counts.setdefault(ev.level, {"reads": 0, "writes": 0, "words_read": 0, "words_written": 0})
+        if ev.direction == "read":
+            c["reads"] += 1
+            c["words_read"] += ev.words
+        else:
+            c["writes"] += 1
+            c["words_written"] += ev.words
     return counts

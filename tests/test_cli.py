@@ -30,7 +30,7 @@ from spikesim import (
     simulate_routing_array,
 )
 from spikesim.cli import _build_parser, main
-from spikesim.levels import ACT_GLB, ACT_LB, level_width_bits, level_words
+from spikesim.levels import ACT_GLB, ACT_LB, level_width_bits, width_words
 from spikesim.runner import load_report_csv
 
 from object_model import merge_traces, record_rows, records_from_rows
@@ -375,9 +375,10 @@ def _reference_trace_csv(plan, result) -> bytes:
         out_bits = [m.n * m.t * m.d_head] * m.heads
     end = result.system_cycles.total_cycles
     egress = [(ACT_LB, "read", bits) for bits in out_bits if bits] + [(ACT_GLB, "write", result.s_out.data.size)]
-    per_unit.append(
-        [AccessEvent(end, "merge", lv, d, level_words(bits, lv), level_width_bits(lv), "spike") for lv, d, bits in egress]
-    )
+    per_unit.append([
+        AccessEvent(end, "merge", lv, d, width_words(bits, level_width_bits(lv)), level_width_bits(lv), "spike")
+        for lv, d, bits in egress
+    ])
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["cycle", "unit", "level", "direction", "words", "width_bits"])

@@ -24,7 +24,6 @@ from spikesim import (
     mha_forward,
     saturate_i16,
     spike_matmul,
-    spiking_attention_head,
     spiking_attention_map,
 )
 from spikesim.mha import _reassociated_integration
@@ -152,7 +151,7 @@ class TestForcedSaturation:
         spikes = SpikeTensor(s)
         slabs, saturations = [], 0
         for step in range(t):
-            out, sat = spike_matmul(spikes.slice_t(step), QuantWeightMatrix(w))
+            out, sat = spike_matmul(spikes.data[:, step, :], QuantWeightMatrix(w))
             ref, ref_sat = spike_matmul_ref(s[:, step, :], w)
             np.testing.assert_array_equal(out, ref)
             assert sat == ref_sat
@@ -185,7 +184,7 @@ class TestReassociatedHead:
         q, k, v = _saturating_qkv()
         lif = LifParams(v_threshold=30000)
         reference = lif_run(attention_weighted_integration(spiking_attention_map(q, k), v), lif)
-        assert spiking_attention_head(q, k, v, lif) == reference
+        assert mha_forward(q, k, v, MhaConfig(heads=1, d_head=q.d, lif=lif)) == reference
 
     @pytest.mark.parametrize("n,t,d,p", [(640, 2, 64, 0.95), (80, 3, 480, 0.97), (2300, 1, 16, 0.99)])
     def test_random_shapes(self, n, t, d, p):
@@ -197,7 +196,7 @@ class TestReassociatedHead:
         np.testing.assert_array_equal(x.data, ref.data)
         assert x.saturations == ref.saturations > 0
         lif = LifParams(v_threshold=float(n * d // 3))
-        assert spiking_attention_head(q, k, v, lif) == lif_run(ref, lif)
+        assert mha_forward(q, k, v, MhaConfig(heads=1, d_head=q.d, lif=lif)) == lif_run(ref, lif)
 
     @pytest.mark.parametrize("n,t,h,d,p", [(640, 2, 3, 64, 0.95), (7, 3, 3, 5, 0.6)])
     def test_batched_heads_match_per_head_maps(self, n, t, h, d, p):

@@ -218,7 +218,7 @@ def test_blocked_integration_equals_per_timestep_spike_matmul(block_rows, monkey
         s = SpikeTensor(rng.random((n, t, d_in)) < 0.9)
         w = QuantWeightMatrix(rng.integers(100, 128, size=(d_in, 3)).astype(np.int8))
         x = expert_forward(s, w, None)
-        steps = [spike_matmul(s.slice_t(step), w) for step in range(t)]
+        steps = [spike_matmul(s.data[:, step, :], w) for step in range(t)]
         assert np.array_equal(x.data, np.stack([out for out, _ in steps], axis=1).reshape(n, t, 3))
         assert x.saturations == sum(sat for _, sat in steps)
         saturated += x.saturations

@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from spikesim import (
@@ -19,6 +20,7 @@ from spikesim import (
     load_calibration,
     mem_report,
 )
+from spikesim.dataflow import Records
 from spikesim.levels import (
     ACT_BUFFER,
     ACT_GLB,
@@ -32,8 +34,9 @@ from spikesim.levels import (
     WEIGHT_LB,
     level_width_bits,
 )
+from spikesim.memory import count_walks
 
-from object_model import count_accesses
+from object_model import count_accesses, records_from_rows
 
 
 def ev(level, direction, words, cycle=0, unit="u"):
@@ -163,9 +166,7 @@ class TestCalibrationValidation:
 
 class TestCountAccesses:
     def test_empty_trace(self):
-        counts = count_accesses([])
-        assert counts.per_level == {}
-        assert counts.total_words == 0 and counts.total_events == 0
+        assert count_accesses([]) == {}
 
     def test_hand_counts(self):
         trace = [
@@ -176,21 +177,51 @@ class TestCountAccesses:
             ev(ACT_LB, "write", 3),
         ]
         counts = count_accesses(trace)
-        lb = counts.per_level[ACT_LB]
-        assert (lb.reads, lb.writes) == (3, 2)
-        assert (lb.words_read, lb.words_written) == (7, 13)
-        assert lb.words == 20
+        assert counts == {ACT_LB: {"reads": 3, "writes": 2, "words_read": 7, "words_written": 13}}
 
     def test_additive_over_concatenation(self):
         a = [ev(ACT_GLB, "read", 5), ev(ACT_LB, "write", 2)]
         b = [ev(ACT_GLB, "write", 7), ev(WEIGHT_LB, "read", 1)]
         whole = count_accesses(a + b)
-        assert whole.total_words == count_accesses(a).total_words + count_accesses(b).total_words
-        assert whole.total_events == 4
+
+        def words(counts):
+            return sum(c["words_read"] + c["words_written"] for c in counts.values())
+
+        assert words(whole) == words(count_accesses(a)) + words(count_accesses(b))
+        assert sum(c["reads"] + c["writes"] for c in whole.values()) == 4
 
     def test_unknown_level(self):
         with pytest.raises(TraceError, match="dram"):
             count_accesses([ev("dram", "read", 1, cycle=17, unit="expert3")])
+
+
+class TestCountWalks:
+    """``count_walks`` on hand-built walks; every level is 128 bits wide."""
+
+    def test_hand_walks(self):
+        # Kinds listed out of emission order: the walk first touches act_glb.
+        shared = Records(
+            ((ACT_LB, "write", "spike"), (ACT_GLB, "read", "spike")),
+            *(np.array(column, np.int64) for column in ([0, 3, 5], [1, 0, 1], [256, 129, 1])),
+        )
+        late = records_from_rows([(0, WEIGHT_LB, "read", 128, "weight"), (1, ACT_GLB, "write", 128, "spike")])
+        walks = [(("expert2",), late), (("expert0",), records_from_rows([])), (("expert10", "expert11"), shared)]
+        table = count_walks(walks)
+        # The idle expert0 touches nothing, and expert10 sorts before expert2,
+        # so the shared walk's levels lead, in the order it first touches them.
+        assert list(table) == [ACT_GLB, ACT_LB, WEIGHT_LB]
+        # Two units share one walk, so its counts double.
+        assert table == {
+            ACT_GLB: {"reads": 4, "writes": 1, "words_read": 6, "words_written": 1},
+            ACT_LB: {"reads": 0, "writes": 2, "words_read": 0, "words_written": 4},
+            WEIGHT_LB: {"reads": 1, "writes": 0, "words_read": 1, "words_written": 0},
+        }
+
+    def test_bad_record_names_the_walks_units(self):
+        bad = records_from_rows([(0, ACT_GLB, "read", 128, "spike"), (7, "dram", "read", 128, "spike")])
+        walks = [(("expert1", "expert2"), bad), (("expert0",), records_from_rows([(0, ACT_LB, "read", 1, "spike")]))]
+        with pytest.raises(TraceError, match=r"unknown level 'dram' \(record at cycle 7 of unit\(s\) expert1, expert2\)"):
+            count_walks(walks)
 
 
 class TestCapacity:

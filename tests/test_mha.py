@@ -13,7 +13,6 @@ from spikesim import (
     attention_weighted_integration,
     lif_run,
     mha_forward,
-    spiking_attention_head,
     spiking_attention_map,
 )
 
@@ -47,7 +46,6 @@ class TestPartitionHeads:
         q, k, v = rand_qkv(rng, 3, 2, 8, p=0.6)
         lif = LifParams(v_threshold=2.0)
         out = mha_forward(q, k, v, MhaConfig(heads=1, d_head=8, lif=lif))
-        assert out == spiking_attention_head(q, k, v, lif)
         assert out == lif_run(attention_weighted_integration(spiking_attention_map(q, k), v), lif)
         assert out.data.any()
 
@@ -58,7 +56,8 @@ class TestPartitionHeads:
         out = mha_forward(q, k, v, MhaConfig(heads=3, d_head=2, lif=lif))
         for lo in (0, 2, 4):
             head = (SpikeTensor(s.data[:, :, lo:lo + 2]) for s in (q, k, v))
-            assert np.array_equal(out.data[:, :, lo:lo + 2], spiking_attention_head(*head, lif).data)
+            one_head = mha_forward(*head, MhaConfig(heads=1, d_head=2, lif=lif))
+            assert np.array_equal(out.data[:, :, lo:lo + 2], one_head.data)
 
     def test_width_must_match(self):
         rng = np.random.default_rng(32)
@@ -152,7 +151,7 @@ class TestHeadAndForward:
         rng = np.random.default_rng(38)
         q, k, v = rand_qkv(rng, 6, 3, 8)
         lif = LifParams(v_threshold=4.0)
-        out = spiking_attention_head(q, k, v, lif)
+        out = mha_forward(q, k, v, MhaConfig(heads=1, d_head=q.d, lif=lif))
         ref = brute_force_mha(q.data, k.data, v.data, heads=1, d_head=8, v_th=4.0)
         assert np.array_equal(out.data, ref)
 

@@ -166,7 +166,7 @@ class TestExpertForward:
         w = rng.integers(-40, 41, size=(8, 8))
         out = expert_forward(s, weights(w), LifParams(v_threshold=5.0))
         x = np.stack(
-            [triple_loop_matmul(s.slice_t(t).tolist(), w.tolist())[0] for t in range(4)],
+            [triple_loop_matmul(s.data[:, t, :].tolist(), w.tolist())[0] for t in range(4)],
             axis=1,
         )
         assert np.array_equal(out.data, scalar_lif_run(x, v_th=5.0))

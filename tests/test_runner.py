@@ -467,6 +467,8 @@ class TestFoldEqualsTrace:
             cal = resolve_calibration(plan)
             replayed = mem_report(count_accesses(trace_events(result.merged_trace)), cal, result.mem.capacity)
             assert replayed.to_dict()["levels"] == result.mem.to_dict()["levels"]
+            # The level order fixes the energy total's summation order.
+            assert list(result.mem.levels) == list(replayed.levels)
             assert replayed.total_energy_fj == result.mem.total_energy_fj
             assert replayed.total_words == result.mem.total_words
 

@@ -73,7 +73,6 @@ class TestSpikeTensor:
     def test_slice_and_popcount(self):
         rng = np.random.default_rng(0)
         s = rand_spikes(rng, 4, 3, 8)
-        assert np.array_equal(s.slice_t(1), s.data[:, 1, :])
         assert s.popcount() == int(s.data.sum())
 
     def test_select_tokens_preserves_order_and_shape(self):
@@ -411,7 +410,7 @@ class TestQuantWeights:
         rng = np.random.default_rng(9)
         w = rng.normal(size=(16, 16))
         q = quantize_weights(w)
-        err = np.abs(q.dequantize() - w)
+        err = np.abs(q.data * q.scale - w)
         assert np.all(err <= q.scale / 2 + 1e-12)
 
     def test_narrow_widths(self):
@@ -435,10 +434,6 @@ class TestQuantWeights:
             with pytest.raises(ValueError):
                 QuantWeightMatrix(np.full((1, 1), bad))
         assert QuantWeightMatrix(np.array([[-128.0, 127.0]])).data.tolist() == [[-128, 127]]
-
-    def test_dequantize(self):
-        q = QuantWeightMatrix(np.array([[2, -4]], dtype=np.int8), scale=0.5)
-        assert q.dequantize().tolist() == [[1.0, -2.0]]
 
 
 class TestBinaryClosure:

@@ -16,7 +16,7 @@ import pytest
 
 from spikesim import ArrayGeometry, SparsityStats, TileSchedule, dataflow, plan_attention_tiles, plan_expert_tiles
 from spikesim.cli import main
-from spikesim.levels import level_words
+from spikesim.levels import level_width_bits, width_words
 from spikesim.dataflow import _stats, attention_walk, expert_walk, fill_cycles, routing_walk
 
 from object_model import Tile, record_rows, records_from_rows, schedule, tiles
@@ -278,7 +278,7 @@ def test_words_are_exact_integer_ceilings():
     bits = [1, 127, 128, 129, 2**53 - 1, 2**53 + 1, 2**62 + 1]
     words = records_from_rows([(0, "act_lb", "read", b, "spike") for b in bits]).words(("u",)).tolist()
     assert words == [-(-b // 128) for b in bits]
-    assert words == [level_words(b, "act_lb") for b in bits]
+    assert words == [width_words(b, level_width_bits("act_lb")) for b in bits]
     assert words[:5] == [math.ceil(b / 128) for b in bits[:5]]
     assert words[-1] != math.ceil(bits[-1] / 128)
 
