@@ -71,7 +71,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"cannot read config {args.config!r}: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:  # malformed JSON or undecodable bytes
+    # Malformed JSON, undecodable bytes, or nesting too deep to parse.
+    except (ValueError, RecursionError) as err:
         print(f"config {args.config!r} is not valid JSON: {err}", file=sys.stderr)
         return 2
 

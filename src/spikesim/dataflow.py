@@ -295,17 +295,6 @@ class CycleStats:
         if not 0.0 <= self.utilization <= 1.0:
             raise ValueError(f"utilization must lie in [0, 1], got {self.utilization}")
 
-    def to_dict(self) -> dict:
-        return {
-            "total_cycles": self.total_cycles,
-            "per_phase": dict(sorted(self.per_phase.items())),
-            "tile_count": self.tile_count,
-            "mac_ops": self.mac_ops,
-            "utilization": self.utilization,
-            "extraction_cycles": self.extraction_cycles,
-            "pe_count": self.pe_count,
-        }
-
 
 @dataclass(frozen=True)
 class AccessEvent:

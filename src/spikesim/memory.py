@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -76,19 +77,6 @@ class CalibrationAggregate:
     total_power_mw: float
     memory_access_latency_ps: float
     memory_access_power_mw: float
-
-    def to_dict(self) -> dict:
-        return {
-            "effective_frequency_ghz": self.effective_frequency_ghz,
-            "area_mm2": self.area_mm2,
-            "num_cells": self.num_cells,
-            "internal_power_mw": self.internal_power_mw,
-            "switching_power_mw": self.switching_power_mw,
-            "leakage_power_mw": self.leakage_power_mw,
-            "total_power_mw": self.total_power_mw,
-            "memory_access_latency_ps": self.memory_access_latency_ps,
-            "memory_access_power_mw": self.memory_access_power_mw,
-        }
 
 
 @dataclass(frozen=True)
@@ -258,7 +246,7 @@ class CapacityReport:
         return {
             "fits": self.fits,
             "overflowing": self.overflowing,
-            "levels": {level: v.to_dict() for level, v in sorted(self.verdicts.items())},
+            "levels": {level: v.to_dict() for level, v in self.verdicts.items()},
         }
 
 
@@ -330,9 +318,9 @@ class MemReport:
             "calibration": {
                 "kind": self.calibration_kind,
                 "design": self.calibration_design,
-                "aggregate": self.aggregate.to_dict(),
+                "aggregate": dict(vars(self.aggregate)),
             },
-            "levels": {level: dict(vals) for level, vals in sorted(self.levels.items())},
+            "levels": self.levels,
             "trace_totals": {
                 "total_words": self.total_words,
                 "total_energy_fj": self.total_energy_fj,
@@ -391,37 +379,17 @@ def mem_report(counts: dict, cal: MemCalibration, capacity: CapacityReport | Non
 
 
 def dump_calibration(cal: MemCalibration) -> dict:
-    """Serialize a calibration into the override-file schema."""
+    """Serialize a calibration into the override-file schema: each record's fields as declared."""
     return {
-        "kind": cal.kind,
-        "design": cal.design,
-        "levels": [
-            {
-                "id": spec.id,
-                "words": spec.words,
-                "width_bits": spec.width_bits,
-                "latency_ps": spec.latency_ps,
-                "power_mw": spec.power_mw,
-            }
-            for _, spec in sorted(cal.levels.items())
-        ],
-        "aggregate": cal.aggregate.to_dict(),
+        **vars(cal),
+        "levels": [dict(vars(spec)) for _, spec in sorted(cal.levels.items())],
+        "aggregate": dict(vars(cal.aggregate)),
     }
 
 
-# Override-file fields and the type each converts to.
-_LEVEL_FIELDS = (("id", str), ("words", int), ("width_bits", int), ("latency_ps", float), ("power_mw", float))
-_AGGREGATE_FIELDS = (
-    ("effective_frequency_ghz", float),
-    ("area_mm2", float),
-    ("num_cells", int),
-    ("internal_power_mw", float),
-    ("switching_power_mw", float),
-    ("leakage_power_mw", float),
-    ("total_power_mw", float),
-    ("memory_access_latency_ps", float),
-    ("memory_access_power_mw", float),
-)
+# Override-file fields and the type each converts to, as the records declare them.
+_LEVEL_FIELDS = tuple(get_type_hints(MemLevelSpec).items())
+_AGGREGATE_FIELDS = tuple(get_type_hints(CalibrationAggregate).items())
 
 
 # The JSON type each field takes, as Python types json.load produces; a bool
@@ -472,7 +440,8 @@ def load_calibration(source) -> MemCalibration:
         with open(source) as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as err:  # malformed JSON or undecodable bytes
+            # Malformed JSON, undecodable bytes, or nesting too deep to parse.
+            except (ValueError, RecursionError) as err:
                 problem = f"calibration file {source!r} is not valid JSON: {err}"
                 raise CalibrationValidationError([problem]) from None
     else:
@@ -482,6 +451,9 @@ def load_calibration(source) -> MemCalibration:
     violations = [
         f"calibration document missing {key!r}" for key in ("design", "levels", "aggregate") if key not in doc
     ]
+    design = doc.get("design", "")  # a missing design is listed above
+    if not isinstance(design, str):
+        violations.append(f"calibration design must be a string, got {design!r}")
     levels = {}
     first_entry: dict[str, int] = {}
     entries = doc.get("levels", [])
@@ -523,6 +495,6 @@ def load_calibration(source) -> MemCalibration:
     if kind is None:
         kind = "moe" if WEIGHT_GLB0 in levels else "mha"
     try:
-        return MemCalibration(kind=kind, design=str(doc["design"]), levels=levels, aggregate=aggregate)
+        return MemCalibration(kind=kind, design=design, levels=levels, aggregate=aggregate)
     except ConfigError as err:
         raise CalibrationValidationError([str(err)]) from None

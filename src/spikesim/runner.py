@@ -194,8 +194,8 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
     model = _parse_model(kind, model_doc, violations)
     hardware = _parse_hardware(hw_doc, violations)
 
-    source = cal_doc.pop("source", "builtin2d")
-    path = cal_doc.pop("path", None)
+    source = cal_doc.pop("source", RunPlan.calibration_source)
+    path = cal_doc.pop("path", RunPlan.calibration_path)
     if source not in CALIBRATION_SOURCES:
         violations.append(f"calibration.source must be one of {CALIBRATION_SOURCES}, got {source!r}")
     elif source == "file" and not path:
@@ -205,11 +205,10 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
     for key in sorted(cal_doc):
         violations.append(f"unknown calibration key {key!r}")
 
-    spike_prob = input_doc.pop("spike_prob", 0.2)
+    spike_prob = input_doc.pop("spike_prob", RunPlan.spike_prob)
     if not isinstance(spike_prob, (int, float)) or isinstance(spike_prob, bool) or not 0.0 <= spike_prob <= 1.0:
         violations.append(f"input.spike_prob must lie in [0, 1], got {spike_prob!r}")
-        spike_prob = 0.2
-    checked_seed = _as_int(input_doc.pop("seed", 0), "input.seed", 0, violations)
+    checked_seed = _as_int(input_doc.pop("seed", RunPlan.seed), "input.seed", 0, violations)
     if seed is not None:
         checked_seed = _as_int(seed, "--seed", 0, violations)
     for key in sorted(input_doc):
@@ -228,32 +227,37 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
     )
 
 
-def _section(doc: dict, name: str, violations: list[str]) -> dict:
-    """A copy of the mapping at ``doc[name]``; absent or empty reads as {}."""
-    section = doc.pop(name, None) or {}
+def _section(doc: dict, name: str, violations: list[str], where: str = "") -> dict:
+    """A copy of the mapping at ``doc[name]``; absent or null reads as {}.
+
+    ``where`` prefixes ``name`` in the violation for any other non-mapping.
+    """
+    section = doc.pop(name, None)
+    if section is None:
+        return {}
     if not isinstance(section, dict):
-        violations.append(f"{name} must be a mapping, got {section!r}")
+        violations.append(f"{where}{name} must be a mapping, got {section!r}")
         return {}
     return dict(section)
 
 
 def _parse_model(kind, model_doc: dict, violations: list[str]):
     if kind == "moe":
-        known = _MODEL_KEYS_MOE
+        known, default = _MODEL_KEYS_MOE, MoeModel
     elif kind == "mha":
-        known = _MODEL_KEYS_MHA
+        known, default = _MODEL_KEYS_MHA, MhaModel
     else:
         return None
     for key in sorted(set(model_doc) - known):
         violations.append(f"unknown model key {key!r} for kind {kind!r}")
 
-    n = _as_int(model_doc.get("n", 64), "model.n", 1, violations)
-    t = _as_int(model_doc.get("t", 4), "model.t", 1, violations)
+    n = _as_int(model_doc.get("n", default.n), "model.n", 1, violations)
+    t = _as_int(model_doc.get("t", default.t), "model.t", 1, violations)
     if kind == "moe":
-        d_in = _as_int(model_doc.get("d_in", 128), "model.d_in", 1, violations)
-        d_out = _as_int(model_doc.get("d_out", 128), "model.d_out", 1, violations)
-        e = _as_int(model_doc.get("e", model_doc.get("experts", 4)), "model.e", 1, violations)
-        k = _as_int(model_doc.get("k", 1), "model.k", 1, violations)
+        d_in = _as_int(model_doc.get("d_in", default.d_in), "model.d_in", 1, violations)
+        d_out = _as_int(model_doc.get("d_out", default.d_out), "model.d_out", 1, violations)
+        e = _as_int(model_doc.get("e", model_doc.get("experts", default.experts)), "model.e", 1, violations)
+        k = _as_int(model_doc.get("k", default.k), "model.k", 1, violations)
         if None in (n, t, d_in, d_out, e, k):
             return None
         if k > e:
@@ -265,7 +269,7 @@ def _parse_model(kind, model_doc: dict, violations: list[str]):
             )
         return MoeModel(n=n, t=t, d_in=d_in, d_out=d_out, experts=e, k=k)
 
-    heads = _as_int(model_doc.get("h", model_doc.get("heads", 8)), "model.h", 1, violations)
+    heads = _as_int(model_doc.get("h", model_doc.get("heads", default.heads)), "model.h", 1, violations)
     d_head = model_doc.get("d", model_doc.get("d_head"))
     d_model = model_doc.get("d_model")
     if d_head is not None:
@@ -275,7 +279,7 @@ def _parse_model(kind, model_doc: dict, violations: list[str]):
     if None in (n, t, heads):
         return None
     if d_head is None and d_model is None:
-        d_model = 128
+        d_model = default.heads * default.d_head
     if d_head is None:
         if d_model % heads != 0:
             violations.append(f"model.d_model ({d_model}) is not divisible by model.h ({heads})")
@@ -289,22 +293,19 @@ def _parse_model(kind, model_doc: dict, violations: list[str]):
 
 
 def _parse_hardware(hw_doc: dict, violations: list[str]) -> HardwareParams:
-    def array_pair(name: str, default_rows: int, default_cols: int) -> tuple[int, int]:
-        sub = hw_doc.pop(name, {}) or {}
-        if not isinstance(sub, dict):
-            violations.append(f"hardware.{name} must be a mapping with rows/cols")
-            return default_rows, default_cols
-        sub = dict(sub)
+    def array_pair(name: str, default_rows: int, default_cols: int) -> tuple[int | None, int | None]:
+        sub = _section(hw_doc, name, violations, "hardware.")
         rows = _as_int(sub.pop("rows", default_rows), f"hardware.{name}.rows", 1, violations)
         cols = _as_int(sub.pop("cols", default_cols), f"hardware.{name}.cols", 1, violations)
         for key in sorted(sub):
             violations.append(f"unknown hardware.{name} key {key!r}")
-        return (rows if rows is not None else default_rows, cols if cols is not None else default_cols)
+        return rows, cols
 
-    cores = _as_int(hw_doc.pop("cores", 4), "hardware.cores", 1, violations)
-    expert_rows, expert_cols = array_pair("expert_array", 16, 128)
-    routing_rows, routing_cols = array_pair("routing_array", 16, 8)
-    attention_rows, attention_cols = array_pair("attention_array", 16, 16)
+    default = HardwareParams
+    cores = _as_int(hw_doc.pop("cores", default.cores), "hardware.cores", 1, violations)
+    expert_rows, expert_cols = array_pair("expert_array", default.expert_rows, default.expert_cols)
+    routing_rows, routing_cols = array_pair("routing_array", default.routing_rows, default.routing_cols)
+    attention_rows, attention_cols = array_pair("attention_array", default.attention_rows, default.attention_cols)
     extract_ports = hw_doc.pop("extract_ports", None)
     if extract_ports is not None:
         extract_ports = _as_int(extract_ports, "hardware.extract_ports", 1, violations)
@@ -315,11 +316,10 @@ def _parse_hardware(hw_doc: dict, violations: list[str]) -> HardwareParams:
             violations.append(
                 f"hardware.router_overhead_cycles must be <= {MAX_ROUTER_OVERHEAD_CYCLES}, got {router_overhead}"
             )
-            router_overhead = None
     for key in sorted(hw_doc):
         violations.append(f"unknown hardware key {key!r}")
     return HardwareParams(
-        cores=cores if cores is not None else 4,
+        cores=cores,
         expert_rows=expert_rows,
         expert_cols=expert_cols,
         routing_rows=routing_rows,
@@ -396,8 +396,8 @@ class RunResult:
             "config": self.config,
             "output_digest": self.output_digest,
             "cycles": {
-                "system": self.system_cycles.to_dict(),
-                "units": {unit: stats.to_dict() for unit, stats in sorted(self.unit_cycles.items())},
+                "system": dict(vars(self.system_cycles)),
+                "units": {unit: dict(vars(stats)) for unit, stats in self.unit_cycles.items()},
                 "core_assignment": self.core_assignment,
             },
             "memory": self.mem.to_dict(),
@@ -575,7 +575,7 @@ class ComparisonReport:
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "functional_equal": self.functional_equal,
-            "reductions_pct": dict(sorted(self.reductions_pct.items())),
+            "reductions_pct": self.reductions_pct,
             "run_2d": self.run_2d.to_dict(),
             "run_3d": self.run_3d.to_dict(),
         }
@@ -594,8 +594,8 @@ def compare_designs(plan: RunPlan) -> ComparisonReport:
         raise ConfigError("compare needs the built-in calibration pair; the plan pins a calibration file")
     flavors = [replace(plan, calibration_source=source, calibration_path=None) for source in ("builtin2d", "builtin3d")]
     run_2d, run_3d = _run(plan, flavors)
-    agg2 = run_2d.mem.aggregate.to_dict()
-    agg3 = run_3d.mem.aggregate.to_dict()
+    agg2 = vars(run_2d.mem.aggregate)
+    agg3 = vars(run_3d.mem.aggregate)
     reductions = {}
     for key, v2 in agg2.items():
         v3 = agg3[key]

@@ -31,7 +31,7 @@ from spikesim import (
 )
 from spikesim.cli import _build_parser, main
 from spikesim.levels import ACT_GLB, ACT_LB, level_width_bits, width_words
-from spikesim.runner import load_report_csv
+from spikesim.runner import load_report_csv, report_json_bytes
 
 from object_model import merge_traces, record_rows, records_from_rows
 
@@ -126,6 +126,22 @@ class TestRunCommand:
         assert doc["kind"] == "moe" and doc["design"] == "2d"
         assert {entry["id"] for entry in doc["levels"]} >= {"act_glb", "weight_glb0"}
 
+    @pytest.mark.parametrize("config", ["moe_config", "mha_config"])
+    def test_dumped_calibration_prices_like_the_builtin(self, config, request, tmp_path, capsys):
+        """A plan that loads the ``builtin3d`` dump reports the same memory section as ``builtin3d``."""
+        doc = json.loads(Path(request.getfixturevalue(config)).read_text())
+        builtin = tmp_path / "builtin3d.json"
+        builtin.write_text(json.dumps({**doc, "calibration": {"source": "builtin3d"}}))
+        dump = tmp_path / "cal.json"
+        assert main(["run", str(builtin), "--dump-calibration", str(dump), "--output", str(tmp_path / "a.json")]) == 0
+        from_file = tmp_path / "file.json"
+        from_file.write_text(json.dumps({**doc, "calibration": {"source": "file", "path": str(dump)}}))
+        assert main(["run", str(from_file), "--output", str(tmp_path / "b.json")]) == 0
+        assert capsys.readouterr().out == ""
+        a, b = (json.loads((tmp_path / name).read_text()) for name in ("a.json", "b.json"))
+        assert report_json_bytes(b["memory"]) == report_json_bytes(a["memory"])
+        assert b["config"]["calibration"] == {"source": "file", "path": str(dump)}
+
 
 class TestCompareCommand:
     def test_compare_stdout(self, mha_config, capsys):
@@ -170,6 +186,20 @@ class TestErrorPaths:
         assert main(["run", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_too_deeply_nested_config(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config {str(path)!r} is not valid JSON: ")
+
+    def test_falsy_section_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "falsy.json"
+        path.write_text(json.dumps({**MOE_DOC, "hardware": False}))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "invalid configuration (1 problem(s)):\n  - hardware must be a mapping, got False\n"
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_negative_seed_override_listed(self, command, moe_config, capsys):
         assert main([command, moe_config, "--seed", "-1"]) == 2
@@ -198,6 +228,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("invalid calibration file (1 problem(s)):")
         assert "not valid JSON" in err
+
+    def test_calibration_file_too_deeply_nested(self, tmp_path, capsys):
+        assert self._run_with_calibration(tmp_path, "[" * 5000 + "]" * 5000) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid calibration file (1 problem(s)):\n")
+        assert "is not valid JSON: " in captured.err
 
     def test_calibration_level_fields_listed(self, tmp_path, capsys):
         doc = dump_calibration(builtin_calibration("moe", "2d"))

@@ -40,7 +40,7 @@ FUZZ = settings(derandomize=True, database=None, deadline=None)
 ALPHABET = "_abcdeglnotw0"
 
 _LEVEL_KEYS = ("id", "words", "width_bits", "latency_ps", "power_mw")
-_AGGREGATE_KEYS = tuple(builtin_calibration("moe", "2d").aggregate.to_dict())
+_AGGREGATE_KEYS = tuple(vars(builtin_calibration("moe", "2d").aggregate))
 
 scalars = (
     st.none()
@@ -132,7 +132,8 @@ def test_load_calibration_lists_problems(doc):
     for level, spec in cal.levels.items():
         assert (spec.words, spec.width_bits) == LEVEL_GEOMETRY[level]
         assert math.isfinite(spec.latency_ps) and math.isfinite(spec.power_mw)
-    assert all(math.isfinite(value) for value in cal.aggregate.to_dict().values())
+    assert isinstance(cal.design, str)
+    assert all(math.isfinite(value) for value in vars(cal.aggregate).values())
 
 
 @settings(FUZZ, max_examples=150)

@@ -361,6 +361,14 @@ class TestCalibrationSerialization:
         with pytest.raises(ConfigError):
             load_calibration(["not", "a", "mapping"])
 
+    @pytest.mark.parametrize("design", [None, 5, True, ["3d"]])
+    def test_design_must_be_a_string(self, design):
+        doc = dump_calibration(builtin_calibration("moe", "3d"))
+        doc["design"] = design
+        with pytest.raises(CalibrationValidationError) as info:
+            load_calibration(doc)
+        assert info.value.violations == [f"calibration design must be a string, got {design!r}"]
+
     def test_missing_aggregate_field(self):
         doc = dump_calibration(builtin_calibration("moe", "2d"))
         del doc["aggregate"]["area_mm2"]

@@ -132,8 +132,34 @@ class TestParseWorkload:
             "calibration must be a mapping, got 3",
             "input must be a mapping, got [['seed', 1]]",
         ]
-        # An absent or empty section still reads as the defaults.
-        assert parse_workload({"kind": "mha", "model": None, "hardware": {}, "input": []}) == parse_workload({"kind": "mha"})
+        # An absent, null or empty section still reads as the defaults.
+        assert parse_workload({"kind": "mha", "model": None, "hardware": {}, "input": None}) == parse_workload({"kind": "mha"})
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("model", 0),
+            ("hardware", False),
+            ("calibration", []),
+            ("input", ""),
+            ("hardware.expert_array", []),
+            ("hardware.routing_array", 0),
+            ("hardware.attention_array", ""),
+        ],
+    )
+    def test_falsy_non_mapping_section_refused(self, path, value):
+        doc = {"kind": "moe"}
+        *parents, name = path.split(".")
+        section = doc
+        for parent in parents:
+            section = section.setdefault(parent, {})
+        section[name] = value
+        with pytest.raises(WorkloadValidationError) as exc:
+            parse_workload(doc)
+        assert exc.value.violations == [f"{path} must be a mapping, got {value!r}"]
+        # Only an absent key or null means the defaults.
+        section[name] = None
+        assert parse_workload(doc) == parse_workload({"kind": "moe"})
 
     def test_calibration_path_must_be_a_string(self):
         with pytest.raises(WorkloadValidationError, match=r"calibration.path must be a string, got \{'kind': 'moe'\}"):
@@ -491,6 +517,15 @@ class TestFoldEqualsTrace:
         assert wanted <= seen
 
 
+def _reverse_keys(doc):
+    """``doc`` with every dict's insertion order reversed; lists keep their order."""
+    if isinstance(doc, dict):
+        return {key: _reverse_keys(doc[key]) for key in reversed(list(doc))}
+    if isinstance(doc, list):
+        return [_reverse_keys(item) for item in doc]
+    return doc
+
+
 class TestReportSerialization:
     def test_schema_version_present(self):
         doc = run_experiment(parse_workload(dict(MOE_DOC))).to_dict()
@@ -509,6 +544,15 @@ class TestReportSerialization:
         base = MOE_DOC if doc_source == "moe" else MHA_DOC
         doc = run_experiment(parse_workload(dict(base))).to_dict()
         assert load_report_csv(report_csv_bytes(doc)) == doc
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_serializers_fix_key_order(self, command):
+        plan = parse_workload(dict(MOE_DOC))
+        doc = (run_experiment if command == "run" else compare_designs)(plan).to_dict()
+        flipped = _reverse_keys(doc)
+        assert json.dumps(flipped) != json.dumps(doc)
+        assert report_json_bytes(flipped) == report_json_bytes(doc)
+        assert report_csv_bytes(flipped) == report_csv_bytes(doc)
 
     def test_compare_csv_round_trip(self):
         doc = compare_designs(parse_workload(dict(MHA_DOC))).to_dict()
