@@ -108,6 +108,7 @@ are those ``csv.writer`` writes.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -799,13 +800,13 @@ def expert_parallel_schedule(
     if router_overhead < 0:
         raise ConfigError(f"router overhead cannot be negative, got {router_overhead}")
     order = sorted(range(len(workloads)), key=lambda i: (-workloads[i].total_cycles, i))
-    loads = [0] * cores
+    loads = [(0, core) for core in range(cores)]  # a heap of (load, core): least load, then lowest id
     assignment: list[list[int]] = [[] for _ in range(cores)]
     for i in order:
-        core = min(range(cores), key=lambda c: (loads[c], c))
+        load, core = loads[0]
         assignment[core].append(i)
-        loads[core] += workloads[i].total_cycles
-    makespan = max(loads) if workloads else 0
+        heapq.heapreplace(loads, (load + workloads[i].total_cycles, core))
+    makespan = max(loads)[0]
     total = router_overhead + makespan
     mac_ops = sum(w.mac_ops for w in workloads)
     pe_unit = max((w.pe_count for w in workloads), default=0)

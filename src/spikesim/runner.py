@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -102,56 +103,60 @@ class RunPlan:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        if self.kind == "moe":
-            model = {
-                "n": self.model.n,
-                "t": self.model.t,
-                "d_in": self.model.d_in,
-                "d_out": self.model.d_out,
-                "e": self.model.experts,
-                "k": self.model.k,
-            }
-        else:
-            model = {
-                "n": self.model.n,
-                "t": self.model.t,
-                "h": self.model.heads,
-                "d": self.model.d_head,
-                "d_model": self.model.d_model,
-            }
+        hw = self.hardware
         return {
             "kind": self.kind,
-            "model": model,
+            "model": {key: getattr(self.model, attr) for key, attr in _MODEL_KEYS[self.kind].items()},
             "hardware": {
-                "cores": self.hardware.cores,
-                "expert_array": {"rows": self.hardware.expert_rows, "cols": self.hardware.expert_cols},
-                "routing_array": {"rows": self.hardware.routing_rows, "cols": self.hardware.routing_cols},
-                "attention_array": {"rows": self.hardware.attention_rows, "cols": self.hardware.attention_cols},
-                "extract_ports": self.hardware.extract_ports,
-                "router_overhead_cycles": self.hardware.router_overhead_cycles,
+                "cores": hw.cores,
+                **{f"{array}_array": {dim: getattr(hw, f"{array}_{dim}") for dim in ("rows", "cols")} for array in _ARRAYS},
+                "extract_ports": hw.extract_ports,
+                "router_overhead_cycles": hw.router_overhead_cycles,
             },
             "calibration": {"source": self.calibration_source, "path": self.calibration_path},
-            "input": {"spike_prob": self.spike_prob, "seed": self.seed},
+            "input": {key: getattr(self, attr) for key, attr in _INPUT_KEYS.items()},
         }
 
 
-# Flat aliases accepted at the document top level, mapped to their nested home.
+# Each kind's model fields as {report key: model attribute}.  The config echo
+# writes the key; the parser also accepts the attribute name inside ``model``.
+_MODEL_KEYS = {
+    "moe": {"n": "n", "t": "t", "d_in": "d_in", "d_out": "d_out", "e": "experts", "k": "k"},
+    "mha": {"n": "n", "t": "t", "h": "heads", "d": "d_head", "d_model": "d_model"},
+}
+_INPUT_KEYS = {"spike_prob": "spike_prob", "seed": "seed"}
+
+# Flat aliases accepted at the document top level, mapped to the key they spell.
 _FLAT_ALIASES = {
-    "N": ("model", "n"),
-    "T": ("model", "t"),
-    "D_in": ("model", "d_in"),
-    "D_out": ("model", "d_out"),
-    "E": ("model", "e"),
-    "K": ("model", "k"),
-    "H": ("model", "h"),
-    "d": ("model", "d"),
-    "D": ("model", "d_model"),
-    "seed": ("input", "seed"),
-    "spike_prob": ("input", "spike_prob"),
+    "N": "n",
+    "T": "t",
+    "D_in": "d_in",
+    "D_out": "d_out",
+    "E": "e",
+    "K": "k",
+    "H": "h",
+    "d": "d",
+    "D": "d_model",
+    "seed": "seed",
+    "spike_prob": "spike_prob",
 }
 
-_MODEL_KEYS_MOE = {"n", "t", "d_in", "d_out", "e", "experts", "k"}
-_MODEL_KEYS_MHA = {"n", "t", "h", "heads", "d", "d_head", "d_model"}
+# HardwareParams' arrays: ``<name>_array.rows/cols`` in a document, ``<name>_rows/_cols`` on the dataclass.
+_ARRAYS = ("expert", "routing", "attention")
+
+
+def _spellings(name: str, keys: dict[str, str]) -> dict[str, tuple[bool, str, str]]:
+    """Every spelling of section ``name``'s fields: {label: (inside the section?, spelling, key)}."""
+    return {
+        **{f"{name}.{spelling}": (True, spelling, key) for key, attr in keys.items() for spelling in (key, attr)},
+        **{alias: (False, alias, key) for alias, key in _FLAT_ALIASES.items() if key in keys},
+    }
+
+
+_MODEL_SPELLINGS = {kind: _spellings("model", keys) for kind, keys in _MODEL_KEYS.items()}
+# Without a valid kind the model is not built, but its spellings are still consumed.
+_MODEL_SPELLINGS[None] = {**_MODEL_SPELLINGS["moe"], **_MODEL_SPELLINGS["mha"]}
+_INPUT_SPELLINGS = _spellings("input", _INPUT_KEYS)
 
 
 def _as_int(value, name: str, minimum: int, violations: list[str]) -> int | None:
@@ -174,24 +179,21 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
     if not isinstance(doc, dict):
         raise WorkloadValidationError(["configuration document must be a mapping"])
     violations: list[str] = []
-    doc = {k: v for k, v in doc.items()}
+    doc = dict(doc)
 
     model_doc, hw_doc, cal_doc, input_doc = (
         _section(doc, name, violations) for name in ("model", "hardware", "calibration", "input")
     )
-    for flat, (section, key) in _FLAT_ALIASES.items():
-        if flat in doc:
-            target = model_doc if section == "model" else input_doc
-            target.setdefault(key, doc.pop(flat))
-
     kind = doc.pop("kind", None)
     if kind not in ("moe", "mha"):
         violations.append(f"kind must be 'moe' or 'mha', got {kind!r}")
         kind = None
+    model_fields = _resolve(doc, model_doc, "model", _MODEL_SPELLINGS[kind], violations)
+    input_fields = _resolve(doc, input_doc, "input", _INPUT_SPELLINGS, violations)
     for key in sorted(doc):
         violations.append(f"unknown top-level key {key!r}")
 
-    model = _parse_model(kind, model_doc, violations)
+    model = _parse_model(kind, model_fields, model_doc, violations)
     hardware = _parse_hardware(hw_doc, violations)
 
     source = cal_doc.pop("source", RunPlan.calibration_source)
@@ -200,15 +202,17 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
         violations.append(f"calibration.source must be one of {CALIBRATION_SOURCES}, got {source!r}")
     elif source == "file" and not path:
         violations.append("calibration.source 'file' requires calibration.path")
+    elif source != "file" and path is not None:
+        violations.append(f"calibration.path is read only with source 'file', got source {source!r}")
     if path is not None and not isinstance(path, str):
         violations.append(f"calibration.path must be a string, got {path!r}")
     for key in sorted(cal_doc):
         violations.append(f"unknown calibration key {key!r}")
 
-    spike_prob = input_doc.pop("spike_prob", RunPlan.spike_prob)
+    spike_prob = input_fields.get("spike_prob", RunPlan.spike_prob)
     if not isinstance(spike_prob, (int, float)) or isinstance(spike_prob, bool) or not 0.0 <= spike_prob <= 1.0:
         violations.append(f"input.spike_prob must lie in [0, 1], got {spike_prob!r}")
-    checked_seed = _as_int(input_doc.pop("seed", RunPlan.seed), "input.seed", 0, violations)
+    checked_seed = _as_int(input_fields.get("seed", RunPlan.seed), "input.seed", 0, violations)
     if seed is not None:
         checked_seed = _as_int(seed, "--seed", 0, violations)
     for key in sorted(input_doc):
@@ -241,25 +245,42 @@ def _section(doc: dict, name: str, violations: list[str], where: str = "") -> di
     return dict(section)
 
 
-def _parse_model(kind, model_doc: dict, violations: list[str]):
-    if kind == "moe":
-        known, default = _MODEL_KEYS_MOE, MoeModel
-    elif kind == "mha":
-        known, default = _MODEL_KEYS_MHA, MhaModel
-    else:
-        return None
-    for key in sorted(set(model_doc) - known):
-        violations.append(f"unknown model key {key!r} for kind {kind!r}")
+def _resolve(doc: dict, section: dict, name: str, spellings: dict, violations: list[str]) -> dict:
+    """Pop every spelling of section ``name``'s fields from ``section`` and the top-level ``doc``.
 
-    n = _as_int(model_doc.get("n", default.n), "model.n", 1, violations)
-    t = _as_int(model_doc.get("t", default.t), "model.t", 1, violations)
+    Returns {key: value} for the fields given.  A field given under more
+    than one spelling is one violation naming them all, and keeps its first
+    spelling's value.  What is left in ``section`` is unknown.
+    """
+    fields, labels = {}, {}
+    for label, (nested, spelling, key) in spellings.items():
+        holder = section if nested else doc
+        if spelling in holder:
+            fields.setdefault(key, holder.pop(spelling))
+            labels.setdefault(key, []).append(label)
+    for key, given in labels.items():
+        if len(given) > 1:
+            violations.append(f"{name}.{key} is given more than once: as {', '.join(given)}")
+    return fields
+
+
+def _parse_model(kind, fields: dict, model_doc: dict, violations: list[str]):
+    if kind is None:
+        return None
+    keys = _MODEL_KEYS[kind]
+    for key in sorted(model_doc):
+        violations.append(f"unknown model key {key!r} for kind {kind!r}")
+    default = MoeModel if kind == "moe" else MhaModel
+    # mha's d and d_model have no default of their own: absent or null, each is derived from the other.
+    values = {
+        key: _as_int(fields[key] if key in fields else getattr(default, attr), f"model.{key}", 1, violations)
+        for key, attr in keys.items()
+        if fields.get(key) is not None or key not in ("d", "d_model")
+    }
+    if None in values.values():
+        return None
     if kind == "moe":
-        d_in = _as_int(model_doc.get("d_in", default.d_in), "model.d_in", 1, violations)
-        d_out = _as_int(model_doc.get("d_out", default.d_out), "model.d_out", 1, violations)
-        e = _as_int(model_doc.get("e", model_doc.get("experts", default.experts)), "model.e", 1, violations)
-        k = _as_int(model_doc.get("k", default.k), "model.k", 1, violations)
-        if None in (n, t, d_in, d_out, e, k):
-            return None
+        e, k = values["e"], values["k"]
         if k > e:
             violations.append(f"model.k ({k}) cannot exceed model.e ({e})")
         elif k != 1:
@@ -267,68 +288,43 @@ def _parse_model(kind, model_doc: dict, violations: list[str]):
                 f"top-k routing with k={k} is not supported: merging multiple expert outputs "
                 "per token has no defined combination rule"
             )
-        return MoeModel(n=n, t=t, d_in=d_in, d_out=d_out, experts=e, k=k)
+        return MoeModel(**{keys[key]: value for key, value in values.items()})
 
-    heads = _as_int(model_doc.get("h", model_doc.get("heads", default.heads)), "model.h", 1, violations)
-    d_head = model_doc.get("d", model_doc.get("d_head"))
-    d_model = model_doc.get("d_model")
-    if d_head is not None:
-        d_head = _as_int(d_head, "model.d", 1, violations)
-    if d_model is not None:
-        d_model = _as_int(d_model, "model.d_model", 1, violations)
-    if None in (n, t, heads):
-        return None
-    if d_head is None and d_model is None:
-        d_model = default.heads * default.d_head
+    heads, d_head = values["h"], values.get("d")
+    d_model = values.get("d_model", default.heads * default.d_head)
     if d_head is None:
         if d_model % heads != 0:
             violations.append(f"model.d_model ({d_model}) is not divisible by model.h ({heads})")
             return None
         d_head = d_model // heads
-    elif d_model is not None and heads * d_head != d_model:
+    elif "d_model" in values and heads * d_head != d_model:
         violations.append(
             f"model.h * model.d = {heads}*{d_head} = {heads * d_head} contradicts model.d_model = {d_model}"
         )
-    return MhaModel(n=n, t=t, heads=heads, d_head=d_head)
+    return MhaModel(n=values["n"], t=values["t"], heads=heads, d_head=d_head)
 
 
 def _parse_hardware(hw_doc: dict, violations: list[str]) -> HardwareParams:
-    def array_pair(name: str, default_rows: int, default_cols: int) -> tuple[int | None, int | None]:
+    default = HardwareParams
+    fields = {"cores": _as_int(hw_doc.pop("cores", default.cores), "hardware.cores", 1, violations)}
+    for array in _ARRAYS:
+        name = f"{array}_array"
         sub = _section(hw_doc, name, violations, "hardware.")
-        rows = _as_int(sub.pop("rows", default_rows), f"hardware.{name}.rows", 1, violations)
-        cols = _as_int(sub.pop("cols", default_cols), f"hardware.{name}.cols", 1, violations)
+        for dim in ("rows", "cols"):
+            attr = f"{array}_{dim}"
+            fields[attr] = _as_int(sub.pop(dim, getattr(default, attr)), f"hardware.{name}.{dim}", 1, violations)
         for key in sorted(sub):
             violations.append(f"unknown hardware.{name} key {key!r}")
-        return rows, cols
-
-    default = HardwareParams
-    cores = _as_int(hw_doc.pop("cores", default.cores), "hardware.cores", 1, violations)
-    expert_rows, expert_cols = array_pair("expert_array", default.expert_rows, default.expert_cols)
-    routing_rows, routing_cols = array_pair("routing_array", default.routing_rows, default.routing_cols)
-    attention_rows, attention_cols = array_pair("attention_array", default.attention_rows, default.attention_cols)
-    extract_ports = hw_doc.pop("extract_ports", None)
-    if extract_ports is not None:
-        extract_ports = _as_int(extract_ports, "hardware.extract_ports", 1, violations)
-    router_overhead = hw_doc.pop("router_overhead_cycles", None)
-    if router_overhead is not None:
-        router_overhead = _as_int(router_overhead, "hardware.router_overhead_cycles", 0, violations)
-        if router_overhead is not None and router_overhead > MAX_ROUTER_OVERHEAD_CYCLES:
-            violations.append(
-                f"hardware.router_overhead_cycles must be <= {MAX_ROUTER_OVERHEAD_CYCLES}, got {router_overhead}"
-            )
+    # Absent or null, these are derived from the plan when it runs.
+    for key, minimum in (("extract_ports", 1), ("router_overhead_cycles", 0)):
+        value = hw_doc.pop(key, None)
+        fields[key] = None if value is None else _as_int(value, f"hardware.{key}", minimum, violations)
+    overhead = fields["router_overhead_cycles"]
+    if overhead is not None and overhead > MAX_ROUTER_OVERHEAD_CYCLES:
+        violations.append(f"hardware.router_overhead_cycles must be <= {MAX_ROUTER_OVERHEAD_CYCLES}, got {overhead}")
     for key in sorted(hw_doc):
         violations.append(f"unknown hardware key {key!r}")
-    return HardwareParams(
-        cores=cores,
-        expert_rows=expert_rows,
-        expert_cols=expert_cols,
-        routing_rows=routing_rows,
-        routing_cols=routing_cols,
-        attention_rows=attention_rows,
-        attention_cols=attention_cols,
-        extract_ports=extract_ports,
-        router_overhead_cycles=router_overhead,
-    )
+    return HardwareParams(**fields)
 
 
 def plan_bytes(plan: RunPlan) -> int:
@@ -596,11 +592,7 @@ def compare_designs(plan: RunPlan) -> ComparisonReport:
     run_2d, run_3d = _run(plan, flavors)
     agg2 = vars(run_2d.mem.aggregate)
     agg3 = vars(run_3d.mem.aggregate)
-    reductions = {}
-    for key, v2 in agg2.items():
-        v3 = agg3[key]
-        if v2:
-            reductions[key] = (v2 - v3) / v2 * 100.0
+    reductions = {key: (v2 - agg3[key]) / v2 * 100.0 for key, v2 in agg2.items() if v2}
     return ComparisonReport(kind=plan.kind, run_2d=run_2d, run_3d=run_3d, reductions_pct=reductions)
 
 
@@ -609,19 +601,10 @@ def report_json_bytes(doc: dict) -> bytes:
 
 
 def _flatten(doc, prefix: str, rows: list):
-    if isinstance(doc, dict):
-        if not doc:
-            rows.append((prefix, doc))
-            return
-        for key in doc:
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            _flatten(doc[key], sub, rows)
-    elif isinstance(doc, list):
-        if not doc:
-            rows.append((prefix, doc))
-            return
-        for i, item in enumerate(doc):
-            _flatten(item, f"{prefix}.{i}" if prefix else str(i), rows)
+    """Append a (dotted path, value) row per leaf; an empty dict or list is a leaf."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            _flatten(value, f"{prefix}.{key}" if prefix else str(key), rows)
     else:
         rows.append((prefix, doc))
 
@@ -636,8 +619,6 @@ def report_csv_bytes(doc: dict) -> bytes:
     rows: list[tuple[str, object]] = []
     _flatten(doc, "", rows)
     rows.sort(key=lambda r: r[0])
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["field", "value"])
@@ -654,13 +635,12 @@ def load_report_csv(blob: bytes) -> dict:
     if header != ["field", "value"]:
         raise ValueError(f"unexpected report CSV header {header!r}")
     tree: dict = {}
-    entries = [(path, json.loads(raw)) for path, raw in reader]
-    for path, value in entries:
+    for path, raw in reader:
         parts = path.split(".")
         node = tree
         for part in parts[:-1]:
             node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        node[parts[-1]] = json.loads(raw)
     return _listify(tree)
 
 

@@ -312,6 +312,33 @@ class TestErrorPaths:
             f"  - calibration level {index} field 'power_mw' must be a number, got True\n"
         )
 
+    @pytest.mark.parametrize(
+        "doc,violation",
+        [
+            ({"kind": "moe", "N": 5, "model": {"n": 6}}, "model.n is given more than once: as model.n, N"),
+            ({"kind": "mha", "model": {"h": 4, "heads": 2}}, "model.h is given more than once: as model.h, model.heads"),
+            ({"kind": "moe", "model": {"e": 4, "experts": 2}}, "model.e is given more than once: as model.e, model.experts"),
+        ],
+    )
+    def test_field_given_twice_listed(self, doc, violation, tmp_path, capsys):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid configuration (1 problem(s)):\n  - {violation}\n"
+
+    def test_calibration_path_without_source_file_listed(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({**MOE_DOC, "calibration": {"source": "builtin3d", "path": "/does/not/exist.json"}}))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid configuration (1 problem(s)):\n"
+            "  - calibration.path is read only with source 'file', got source 'builtin3d'\n"
+        )
+
     def test_compare_with_pinned_calibration(self, tmp_path, capsys):
         doc = {**MOE_DOC, "calibration": {"source": "file", "path": "whatever.json"}}
         path = tmp_path / "pinned.json"

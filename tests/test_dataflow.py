@@ -501,6 +501,37 @@ class TestExpertParallelSchedule:
             placed = sorted(i for core in assignment for i in core)
             assert placed == list(range(len(loads)))
 
+    @staticmethod
+    def _min_scan(workloads, cores):
+        """Reference placement: scan every core for the least load, ties to the lowest id."""
+        order = sorted(range(len(workloads)), key=lambda i: (-workloads[i].total_cycles, i))
+        loads = [0] * cores
+        assignment = [[] for _ in range(cores)]
+        for i in order:
+            core = min(range(cores), key=lambda c: (loads[c], c))
+            assignment[core].append(i)
+            loads[core] += workloads[i].total_cycles
+        return assignment, max(loads)
+
+    def test_matches_min_scan_reference(self):
+        # Few distinct loads force ties, zero loads are idle experts, and up
+        # to 12 cores for at most 9 workloads leaves cores empty.
+        rng = np.random.default_rng(58)
+        for _ in range(500):
+            cores = int(rng.integers(1, 13))
+            stats = [
+                self._stats(int(c), macs=int(c), tiles=int(t), pes=int(p))
+                for c, t, p in rng.integers(0, 4, size=(int(rng.integers(0, 10)), 3)) * (3, 2, 8) + (0, 0, 1)
+            ]
+            total, assignment = expert_parallel_schedule(stats, cores, 7)
+            expected, makespan = self._min_scan(stats, cores)
+            assert assignment == expected
+            assert total.total_cycles == 7 + makespan
+            assert total.per_phase == {"router": 7, "compute": makespan}
+            assert total.mac_ops == sum(w.mac_ops for w in stats)
+            assert total.tile_count == sum(w.tile_count for w in stats)
+            assert total.pe_count == cores * max((w.pe_count for w in stats), default=0)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             expert_parallel_schedule([], 0, 0)

@@ -11,13 +11,17 @@ or far past the size cap, and seeds that are negative or not integers, in
 ``input.seed`` or as the ``--seed`` override.  Every outcome must be a
 result or a listed validation error; on the command line, exit code 0 or 2,
 never a traceback.  Runs are derandomized and bounded so the suite stays
-deterministic.
+deterministic.  The last test runs pytest on a failing property under the
+suite's warning filters, which must let Hypothesis report its example.
 """
 
 import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -284,3 +288,39 @@ def test_cli_run_on_plan_documents_exits_0_or_2(tmp_path):
             assert err.getvalue().startswith(("invalid configuration", "invalid calibration file", "error:", "i/o error:"))
 
     check()
+
+
+# A property that fails for x >= 5 next to a test whose numpy cast warns.
+FAILING_PROPERTY = """
+import numpy as np
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(0, 10))
+def test_property(x):
+    assert x < 5
+
+
+def test_cast():
+    np.array([np.nan]).astype(np.int64)
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    """Under the suite's warning filters a falsified property fails with its example, not an INTERNALERROR."""
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "Falsifying example" in output
+    # The filter is narrow: a numpy cast warning still fails its test.
+    assert "FAILED test_property.py::test_cast - RuntimeWarning" in output

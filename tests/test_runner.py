@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -69,6 +70,8 @@ class TestParseWorkload:
     def test_mha_default_width(self):
         plan = parse_workload({"kind": "mha"})
         assert plan.model == MhaModel(n=64, t=4, heads=8, d_head=16)
+        # A null head or model width is derived like an absent one.
+        assert parse_workload({"kind": "mha", "H": 4, "model": {"d": None, "d_model": None}}).model.d_head == 32
 
     def test_all_violations_reported_at_once(self):
         doc = {"kind": "moe", "N": 0, "bogus": 1, "spike_prob": 7.0}
@@ -190,6 +193,86 @@ class TestParseWorkload:
     def test_config_echo_round_trips(self):
         plan = parse_workload(dict(MOE_DOC))
         assert parse_workload(plan.to_dict()) == plan
+
+
+# (kind, field, value, every other accepted spelling of the field, in the
+# order the parser lists them).  A dotted spelling sits in the field's
+# section; any other is a top-level alias.
+SPELLINGS = [
+    ("moe", "model.n", 12, ("N",)),
+    ("moe", "model.t", 3, ("T",)),
+    ("moe", "model.d_in", 16, ("D_in",)),
+    ("moe", "model.d_out", 24, ("D_out",)),
+    ("moe", "model.e", 3, ("model.experts", "E")),
+    ("moe", "model.k", 1, ("K",)),
+    ("mha", "model.n", 12, ("N",)),
+    ("mha", "model.t", 3, ("T",)),
+    ("mha", "model.h", 2, ("model.heads", "H")),
+    ("mha", "model.d", 8, ("model.d_head", "d")),
+    ("mha", "model.d_model", 32, ("D",)),
+    ("moe", "input.seed", 7, ("seed",)),
+    ("mha", "input.seed", 7, ("seed",)),
+    ("moe", "input.spike_prob", 0.5, ("spike_prob",)),
+    ("mha", "input.spike_prob", 0.5, ("spike_prob",)),
+]
+
+
+def _spelled(kind: str, values: dict) -> dict:
+    """A plan document giving each {spelling: value} where its spelling puts it."""
+    doc = {"kind": kind}
+    for spelling, value in values.items():
+        section, _, key = spelling.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
+
+
+class TestPlanSpellings:
+    @pytest.mark.parametrize(
+        "kind,field,value,spelling",
+        [(kind, field, value, spelling) for kind, field, value, others in SPELLINGS for spelling in others],
+    )
+    def test_spelling_parses_like_its_key(self, kind, field, value, spelling):
+        plan = parse_workload(_spelled(kind, {field: value}))
+        section, key = field.split(".")
+        assert plan.to_dict()[section][key] == value
+        assert parse_workload(_spelled(kind, {spelling: value})) == plan
+
+    @pytest.mark.parametrize(
+        "kind,field,value,pair",
+        [
+            (kind, field, value, pair)
+            for kind, field, value, others in SPELLINGS
+            for pair in itertools.combinations((field, *others), 2)
+        ],
+    )
+    def test_two_spellings_are_one_violation(self, kind, field, value, pair):
+        with pytest.raises(WorkloadValidationError) as exc:
+            parse_workload(_spelled(kind, dict.fromkeys(pair, value)))
+        assert exc.value.violations == [f"{field} is given more than once: as {', '.join(pair)}"]
+
+    def test_three_spellings_are_one_violation(self):
+        with pytest.raises(WorkloadValidationError) as exc:
+            parse_workload({"kind": "moe", "E": 3, "model": {"e": 4, "experts": 2}})
+        assert exc.value.violations == ["model.e is given more than once: as model.e, model.experts, E"]
+
+    def test_alias_of_the_other_kind_is_unknown(self):
+        with pytest.raises(WorkloadValidationError) as exc:
+            parse_workload({"kind": "moe", "H": 2, "model": {"heads": 2}})
+        assert exc.value.violations == ["unknown top-level key 'H'", "unknown model key 'heads' for kind 'moe'"]
+
+    def test_unknown_kind_still_consumes_model_spellings(self):
+        with pytest.raises(WorkloadValidationError) as exc:
+            parse_workload({"kind": "cnn", "N": 4, "E": 2, "H": 2, "D": 8})
+        assert exc.value.violations == ["kind must be 'moe' or 'mha', got 'cnn'"]
+
+    @pytest.mark.parametrize("source", ["builtin2d", "builtin3d"])
+    def test_calibration_path_needs_source_file(self, source):
+        doc = {"kind": "moe", "calibration": {"source": source, "path": "/does/not/exist.json"}}
+        with pytest.raises(WorkloadValidationError) as exc:
+            parse_workload(doc)
+        assert exc.value.violations == [f"calibration.path is read only with source 'file', got source {source!r}"]
+        # The echo of a built-in plan carries a null path, which still parses.
+        assert parse_workload({"kind": "moe", "calibration": {"source": source, "path": None}}).calibration_path is None
 
 
 class TestPlanSizeCap:
