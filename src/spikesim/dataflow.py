@@ -800,13 +800,14 @@ def expert_parallel_schedule(
     if router_overhead < 0:
         raise ConfigError(f"router overhead cannot be negative, got {router_overhead}")
     order = sorted(range(len(workloads)), key=lambda i: (-workloads[i].total_cycles, i))
-    loads = [(0, core) for core in range(cores)]  # a heap of (load, core): least load, then lowest id
+    # A heap of (load, core); placement j lands on a core with id <= j, the rest stay idle.
+    loads = [(0, core) for core in range(min(cores, len(workloads)))]
     assignment: list[list[int]] = [[] for _ in range(cores)]
     for i in order:
         load, core = loads[0]
         assignment[core].append(i)
         heapq.heapreplace(loads, (load + workloads[i].total_cycles, core))
-    makespan = max(loads)[0]
+    makespan = max(loads, default=(0, 0))[0]
     total = router_overhead + makespan
     mac_ops = sum(w.mac_ops for w in workloads)
     pe_unit = max((w.pe_count for w in workloads), default=0)

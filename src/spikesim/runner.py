@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -106,7 +105,7 @@ class RunPlan:
         hw = self.hardware
         return {
             "kind": self.kind,
-            "model": {key: getattr(self.model, attr) for key, attr in _MODEL_KEYS[self.kind].items()},
+            "model": {key: getattr(self.model, attr) for key, (attr, _) in _MODEL_KEYS[self.kind].items()},
             "hardware": {
                 "cores": hw.cores,
                 **{f"{array}_array": {dim: getattr(hw, f"{array}_{dim}") for dim in ("rows", "cols")} for array in _ARRAYS},
@@ -114,49 +113,34 @@ class RunPlan:
                 "router_overhead_cycles": hw.router_overhead_cycles,
             },
             "calibration": {"source": self.calibration_source, "path": self.calibration_path},
-            "input": {key: getattr(self, attr) for key, attr in _INPUT_KEYS.items()},
+            "input": {key: getattr(self, attr) for key, (attr, _) in _INPUT_KEYS.items()},
         }
 
 
-# Each kind's model fields as {report key: model attribute}.  The config echo
-# writes the key; the parser also accepts the attribute name inside ``model``.
+# Each field as {report key: (attribute, flat alias)}: the config echo writes
+# the key, and the parser also accepts the attribute's name inside the section
+# and the alias at the document top level.
 _MODEL_KEYS = {
-    "moe": {"n": "n", "t": "t", "d_in": "d_in", "d_out": "d_out", "e": "experts", "k": "k"},
-    "mha": {"n": "n", "t": "t", "h": "heads", "d": "d_head", "d_model": "d_model"},
+    "moe": {
+        "n": ("n", "N"),
+        "t": ("t", "T"),
+        "d_in": ("d_in", "D_in"),
+        "d_out": ("d_out", "D_out"),
+        "e": ("experts", "E"),
+        "k": ("k", "K"),
+    },
+    "mha": {
+        "n": ("n", "N"),
+        "t": ("t", "T"),
+        "h": ("heads", "H"),
+        "d": ("d_head", "d"),
+        "d_model": ("d_model", "D"),
+    },
 }
-_INPUT_KEYS = {"spike_prob": "spike_prob", "seed": "seed"}
-
-# Flat aliases accepted at the document top level, mapped to the key they spell.
-_FLAT_ALIASES = {
-    "N": "n",
-    "T": "t",
-    "D_in": "d_in",
-    "D_out": "d_out",
-    "E": "e",
-    "K": "k",
-    "H": "h",
-    "d": "d",
-    "D": "d_model",
-    "seed": "seed",
-    "spike_prob": "spike_prob",
-}
+_INPUT_KEYS = {"spike_prob": ("spike_prob", "spike_prob"), "seed": ("seed", "seed")}
 
 # HardwareParams' arrays: ``<name>_array.rows/cols`` in a document, ``<name>_rows/_cols`` on the dataclass.
 _ARRAYS = ("expert", "routing", "attention")
-
-
-def _spellings(name: str, keys: dict[str, str]) -> dict[str, tuple[bool, str, str]]:
-    """Every spelling of section ``name``'s fields: {label: (inside the section?, spelling, key)}."""
-    return {
-        **{f"{name}.{spelling}": (True, spelling, key) for key, attr in keys.items() for spelling in (key, attr)},
-        **{alias: (False, alias, key) for alias, key in _FLAT_ALIASES.items() if key in keys},
-    }
-
-
-_MODEL_SPELLINGS = {kind: _spellings("model", keys) for kind, keys in _MODEL_KEYS.items()}
-# Without a valid kind the model is not built, but its spellings are still consumed.
-_MODEL_SPELLINGS[None] = {**_MODEL_SPELLINGS["moe"], **_MODEL_SPELLINGS["mha"]}
-_INPUT_SPELLINGS = _spellings("input", _INPUT_KEYS)
 
 
 def _as_int(value, name: str, minimum: int, violations: list[str]) -> int | None:
@@ -188,12 +172,14 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
     if kind not in ("moe", "mha"):
         violations.append(f"kind must be 'moe' or 'mha', got {kind!r}")
         kind = None
-    model_fields = _resolve(doc, model_doc, "model", _MODEL_SPELLINGS[kind], violations)
-    input_fields = _resolve(doc, input_doc, "input", _INPUT_SPELLINGS, violations)
+    # Without a valid kind no model is built, but every kind's spellings are still consumed.
+    model_keys = _MODEL_KEYS[kind] if kind else _MODEL_KEYS["moe"] | _MODEL_KEYS["mha"]
+    model_fields = _resolve(doc, model_doc, "model", model_keys, violations)
+    input_fields = _resolve(doc, input_doc, "input", _INPUT_KEYS, violations)
     for key in sorted(doc):
         violations.append(f"unknown top-level key {key!r}")
 
-    model = _parse_model(kind, model_fields, model_doc, violations)
+    model = _parse_model(kind, model_fields, model_doc, violations) if kind else None
     hardware = _parse_hardware(hw_doc, violations)
 
     source = cal_doc.pop("source", RunPlan.calibration_source)
@@ -202,7 +188,7 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
         violations.append(f"calibration.source must be one of {CALIBRATION_SOURCES}, got {source!r}")
     elif source == "file" and not path:
         violations.append("calibration.source 'file' requires calibration.path")
-    elif source != "file" and path is not None:
+    elif source != "file" and isinstance(path, str):
         violations.append(f"calibration.path is read only with source 'file', got source {source!r}")
     if path is not None and not isinstance(path, str):
         violations.append(f"calibration.path must be a string, got {path!r}")
@@ -245,28 +231,28 @@ def _section(doc: dict, name: str, violations: list[str], where: str = "") -> di
     return dict(section)
 
 
-def _resolve(doc: dict, section: dict, name: str, spellings: dict, violations: list[str]) -> dict:
-    """Pop every spelling of section ``name``'s fields from ``section`` and the top-level ``doc``.
+def _resolve(doc: dict, section: dict, name: str, keys: dict, violations: list[str]) -> dict:
+    """Pop every spelling of section ``name``'s fields, ``keys`` as {key: (attribute, alias)}.
 
-    Returns {key: value} for the fields given.  A field given under more
-    than one spelling is one violation naming them all, and keeps its first
-    spelling's value.  What is left in ``section`` is unknown.
+    A field is spelled by its key or its attribute's name inside ``section``,
+    or by its flat alias in the top-level ``doc``.  Returns {key: value} for
+    the fields given.  A field given under more than one spelling is one
+    violation naming them all, and keeps its first spelling's value.  What is
+    left in ``section`` is unknown.
     """
-    fields, labels = {}, {}
-    for label, (nested, spelling, key) in spellings.items():
-        holder = section if nested else doc
-        if spelling in holder:
-            fields.setdefault(key, holder.pop(spelling))
-            labels.setdefault(key, []).append(label)
-    for key, given in labels.items():
+    fields = {}
+    for key, (attr, alias) in keys.items():
+        given = []
+        for holder, prefix, spelling in ((section, f"{name}.", key), (section, f"{name}.", attr), (doc, "", alias)):
+            if spelling in holder:
+                fields.setdefault(key, holder.pop(spelling))
+                given.append(prefix + spelling)
         if len(given) > 1:
             violations.append(f"{name}.{key} is given more than once: as {', '.join(given)}")
     return fields
 
 
-def _parse_model(kind, fields: dict, model_doc: dict, violations: list[str]):
-    if kind is None:
-        return None
+def _parse_model(kind: str, fields: dict, model_doc: dict, violations: list[str]):
     keys = _MODEL_KEYS[kind]
     for key in sorted(model_doc):
         violations.append(f"unknown model key {key!r} for kind {kind!r}")
@@ -274,7 +260,7 @@ def _parse_model(kind, fields: dict, model_doc: dict, violations: list[str]):
     # mha's d and d_model have no default of their own: absent or null, each is derived from the other.
     values = {
         key: _as_int(fields[key] if key in fields else getattr(default, attr), f"model.{key}", 1, violations)
-        for key, attr in keys.items()
+        for key, (attr, _) in keys.items()
         if fields.get(key) is not None or key not in ("d", "d_model")
     }
     if None in values.values():
@@ -288,7 +274,7 @@ def _parse_model(kind, fields: dict, model_doc: dict, violations: list[str]):
                 f"top-k routing with k={k} is not supported: merging multiple expert outputs "
                 "per token has no defined combination rule"
             )
-        return MoeModel(**{keys[key]: value for key, value in values.items()})
+        return MoeModel(**{keys[key][0]: value for key, value in values.items()})
 
     heads, d_head = values["h"], values.get("d")
     d_model = values.get("d_model", default.heads * default.d_head)
@@ -592,7 +578,11 @@ def compare_designs(plan: RunPlan) -> ComparisonReport:
     run_2d, run_3d = _run(plan, flavors)
     agg2 = vars(run_2d.mem.aggregate)
     agg3 = vars(run_3d.mem.aggregate)
-    reductions = {key: (v2 - agg3[key]) / v2 * 100.0 for key, v2 in agg2.items() if v2}
+    reductions = {}
+    for key, v2 in agg2.items():
+        v3 = agg3[key]
+        if v2:
+            reductions[key] = (v2 - v3) / v2 * 100.0
     return ComparisonReport(kind=plan.kind, run_2d=run_2d, run_3d=run_3d, reductions_pct=reductions)
 
 
@@ -601,10 +591,19 @@ def report_json_bytes(doc: dict) -> bytes:
 
 
 def _flatten(doc, prefix: str, rows: list):
-    """Append a (dotted path, value) row per leaf; an empty dict or list is a leaf."""
-    if isinstance(doc, (dict, list)) and doc:
-        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
-            _flatten(value, f"{prefix}.{key}" if prefix else str(key), rows)
+    if isinstance(doc, dict):
+        if not doc:
+            rows.append((prefix, doc))
+            return
+        for key in doc:
+            sub = f"{prefix}.{key}" if prefix else str(key)
+            _flatten(doc[key], sub, rows)
+    elif isinstance(doc, list):
+        if not doc:
+            rows.append((prefix, doc))
+            return
+        for i, item in enumerate(doc):
+            _flatten(item, f"{prefix}.{i}" if prefix else str(i), rows)
     else:
         rows.append((prefix, doc))
 
@@ -619,6 +618,8 @@ def report_csv_bytes(doc: dict) -> bytes:
     rows: list[tuple[str, object]] = []
     _flatten(doc, "", rows)
     rows.sort(key=lambda r: r[0])
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["field", "value"])
@@ -635,12 +636,13 @@ def load_report_csv(blob: bytes) -> dict:
     if header != ["field", "value"]:
         raise ValueError(f"unexpected report CSV header {header!r}")
     tree: dict = {}
-    for path, raw in reader:
+    entries = [(path, json.loads(raw)) for path, raw in reader]
+    for path, value in entries:
         parts = path.split(".")
         node = tree
         for part in parts[:-1]:
             node = node.setdefault(part, {})
-        node[parts[-1]] = json.loads(raw)
+        node[parts[-1]] = value
     return _listify(tree)
 
 

@@ -274,6 +274,12 @@ class TestPlanSpellings:
         # The echo of a built-in plan carries a null path, which still parses.
         assert parse_workload({"kind": "moe", "calibration": {"source": source, "path": None}}).calibration_path is None
 
+    def test_non_string_path_is_one_violation_under_any_source(self):
+        for source in ("builtin3d", "file"):
+            with pytest.raises(WorkloadValidationError) as exc:
+                parse_workload({"kind": "moe", "calibration": {"source": source, "path": 5}})
+            assert exc.value.violations == ["calibration.path must be a string, got 5"]
+
 
 class TestPlanSizeCap:
     # Shapes that must run: the benchmark's large plans, the long-sequence
