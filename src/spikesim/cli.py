@@ -15,12 +15,11 @@ import sys
 
 from .dataflow import write_trace_csv
 from .errors import CalibrationValidationError, ConfigError, TraceError, WorkloadValidationError
-from .memory import builtin_calibration, dump_calibration
+from .memory import dump_calibration
 from .runner import (
     compare_designs,
     emit_report,
     parse_workload,
-    resolve_calibration,
     run_experiment,
     write_routing_csv,
 )
@@ -83,10 +82,10 @@ def main(argv: list[str] | None = None) -> int:
             result = run_experiment(plan)
             if args.dump_calibration:
                 with open(args.dump_calibration, "w") as fh:
-                    json.dump(dump_calibration(resolve_calibration(plan)), fh, indent=2, sort_keys=True)
+                    json.dump(dump_calibration(result.calibration), fh, indent=2, sort_keys=True)
                     fh.write("\n")
             if args.trace:
-                write_trace_csv(result.merged_trace, args.trace)
+                write_trace_csv(result.walks, args.trace)
             if args.dump_routing:
                 if result.routing_table is None:
                     print("--dump-routing ignored: plan has no routing stage", file=sys.stderr)
@@ -100,8 +99,8 @@ def main(argv: list[str] | None = None) -> int:
             report = compare_designs(plan)
             if args.dump_calibration:
                 both = {
-                    "builtin2d": dump_calibration(builtin_calibration(plan.kind, "2d")),
-                    "builtin3d": dump_calibration(builtin_calibration(plan.kind, "3d")),
+                    "builtin2d": dump_calibration(report.run_2d.calibration),
+                    "builtin3d": dump_calibration(report.run_3d.calibration),
                 }
                 with open(args.dump_calibration, "w") as fh:
                     json.dump(both, fh, indent=2, sort_keys=True)

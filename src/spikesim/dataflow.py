@@ -73,37 +73,11 @@ slots' conditions therefore lists exactly the records a per-tile loop emits,
 in the same order.
 
 ``simulate_*`` turn the records into ``AccessEvent`` lists.  A run folds the
-same ``(units, Records)`` walks that the trace merges straight into the
-report's per-level table instead (``memory.count_walks``), so the merged
-trace is built only when it is requested.  Attention heads run identical
+same ``(units, Records)`` walks that ``write_trace_csv`` merges straight into
+the report's per-level table instead (``memory.count_walks``), so the merged
+trace is built only when it is written.  Attention heads run identical
 schedules, so a run walks one head and counts it once per head; ``compare``
 runs the pipeline once and prices that one table under both calibrations.
-
-Trace merge
------------
-``merge_walks`` builds the merged trace from ``(units, Records)`` pairs
-without per-event objects.  It validates each walk's records once
-(``Records.words``: each distinct kind once, cycles and word counts as
-arrays); units that share a walk differ only in their unit name, so that is
-the same as checking every copy.  Each distinct (kind, words) pair of a walk
-becomes one record entry.  The rows are index arrays (cycle, unit rank,
-record) in concatenation order: walks in order, the units of a walk in
-order, records in emission order.  The unit rank is the unit's position in
-sorted name order (``attn10`` before ``attn2``), so one stable
-``np.lexsort((unit_rank, cycle))`` orders the rows by (cycle, unit name)
-with ties in concatenation order: the order a stable sort of the
-concatenated per-unit event lists on ``(cycle, unit)`` gives.
-
-``write_trace_csv`` writes those rows in fixed-size chunks with no Python
-per row.  Each chunk is a NUL-padded byte grid, one row per line: the cycle
-as 4-digit ASCII groups gathered from a table (leading zeros as NUL), then
-the ``,unit,level,direction,words,width_bits\r\n`` tail gathered from a
-table formatted once per (unit, record) pair.  The file gets the grid's
-non-NUL bytes.  That is exact because no field can hold a NUL: digits never
-do, and each distinct unit, level and direction name is checked once to be
-ASCII without NUL.  The same check refuses a comma, a double quote, CR and
-LF, so no field needs the quoting ``csv.writer`` would add, and the bytes
-are those ``csv.writer`` writes.
 """
 
 from __future__ import annotations
@@ -383,56 +357,6 @@ class Records:
             AccessEvent(cycle, unit, kinds[k][0], kinds[k][1], w, kinds[k][2], kinds[k][3])
             for cycle, k, w in zip(self.cycle.tolist(), self.kind.tolist(), words)
         ]
-
-
-@dataclass(frozen=True)
-class MergedTrace:
-    """The merged access trace as index arrays over its distinct records.
-
-    Row ``i`` is an access at cycle ``cycle[i]`` by unit ``units[unit[i]]``
-    carrying ``records[record[i]]`` = ``(level, direction, words,
-    width_bits, tag)``; rows are in (cycle, unit name) order, ties in the
-    order of the walks and units ``merge_walks`` was given.
-    """
-
-    units: tuple
-    records: list
-    cycle: np.ndarray
-    unit: np.ndarray
-    record: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.cycle)
-
-
-def merge_walks(walks) -> MergedTrace:
-    """Merge ``(units, Records)`` pairs into one (cycle, unit)-ordered trace.
-
-    Each walk's records are validated once, however many units share them.
-    """
-    names = sorted({unit for units, _ in walks for unit in units})
-    rank = {unit: i for i, unit in enumerate(names)}
-    records: list[tuple] = []
-    cycles, ranks, record_ids = [np.empty(0, np.int64)], [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for units, walk in walks:
-        words = walk.words(units)
-        # One record entry per distinct (kind, words) pair, found by one sort.
-        order = np.lexsort((words, walk.kind))
-        kind, words = walk.kind[order], words[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (kind[1:] != kind[:-1]) | (words[1:] != words[:-1])
-        ids = np.empty(len(walk), np.intp)
-        ids[order] = np.cumsum(new) - 1 + len(records)
-        for k, w in zip(kind[new].tolist(), words[new].tolist()):
-            level, direction, tag = walk.kinds[k]
-            records.append((level, direction, w, level_width_bits(level), tag))
-        # Unit-major, record-minor: the concatenation order that breaks cycle and unit ties.
-        cycles.append(np.tile(walk.cycle, len(units)))
-        ranks.append(np.repeat(np.array([rank[unit] for unit in units], np.intp), len(walk)))
-        record_ids.append(np.tile(ids, len(units)))
-    cycle, unit, record = (np.concatenate(parts) for parts in (cycles, ranks, record_ids))
-    order = np.lexsort((unit, cycle))  # stable: ties keep concatenation order
-    return MergedTrace(tuple(names), records, cycle[order], unit[order], record[order])
 
 
 def fill_cycles(reduction, rows_used, cols_used):
@@ -825,63 +749,83 @@ def expert_parallel_schedule(
     return stats, assignment
 
 
-def write_trace_csv(trace: MergedTrace, path: str) -> None:
-    """Write a merged trace as CSV, streamed in chunks of ``TRACE_CHUNK_ROWS`` rows.
+def write_trace_csv(walks, path: str) -> None:
+    """Merge ``(units, Records)`` walks into one trace and write it as CSV.
 
-    The bytes are those ``csv.writer`` writes in its default dialect, built
-    with numpy and no Python per row.  Each chunk is a NUL-padded uint8 grid
-    of one row per line: the cycle's digits in 4-digit groups gathered as
-    uint32 from ``_digit_groups`` (leading zeros as NUL), then the line's
-    ``,unit,level,direction,words,width_bits\r\n`` tail gathered from a
-    table formatted once per (unit, record) pair.  The file gets the grid's
-    non-NUL bytes in order.
+    Rows are ordered by (cycle, unit name), ties in concatenation order:
+    walks in order, the units of a walk in order, records in emission order.
+    That is the order a stable sort of the concatenated per-unit event lists
+    on ``(cycle, unit)`` gives.  A unit's rank is its position in sorted name
+    order (``attn10`` before ``attn2``), so one stable ``np.lexsort((rank,
+    cycle))`` over the rows gives that order, with no per-event objects.
+
+    Each walk's records are checked once (``Records.words``: each distinct
+    kind once, cycles and word counts as arrays); units that share a walk
+    differ only in their unit name, so that is the same as checking every
+    copy.  One sort finds the walk's distinct (kind, words) pairs, and the
+    line tail ``,unit,level,direction,words,width_bits\r\n`` is formatted
+    once per unit of the walk and distinct pair.  A row carries the id of
+    its tail: the walk's first tail id + unit index * distinct pairs + the
+    pair's index.  Every check runs before the file is opened, so a refused
+    trace writes nothing.
+
+    The rows are written in chunks of ``TRACE_CHUNK_ROWS`` with no Python per
+    row, and the bytes are those ``csv.writer`` writes in its default
+    dialect.  Each chunk is a NUL-padded uint8 grid of one row per line: the
+    cycle's digits in 4-digit groups gathered as uint32 from
+    ``_digit_groups`` (leading zeros as NUL), then the row's tail gathered
+    by its tail id.  The file gets the grid's non-NUL bytes in order.
 
     Why that is exact: no field can hold a NUL.  The cycle digits and the
-    integer words and widths are decimal digits, and each distinct unit,
-    level and direction name is checked once to be ASCII without NUL; so
-    deleting the padding leaves exactly the fields, comma-joined.  No field
-    needs quoting either: ``csv.writer`` quotes only a field that holds a
-    comma, a double quote, CR or LF, which the check refuses too, and it
-    writes an integer as its decimal digits.  A name that fails the check,
-    or a negative cycle, raises TraceError.
+    integer words and widths are decimal digits, every level is a plain name
+    of ``LEVEL_GEOMETRY``, a direction is read or write, and each unit name
+    is checked once to be ASCII without NUL; so deleting the padding leaves
+    exactly the fields, comma-joined.  No field needs quoting either:
+    ``csv.writer`` quotes only a field that holds a comma, a double quote,
+    CR or LF, which the unit check refuses too, and it writes an integer as
+    its decimal digits.  A unit name that fails the check, or a record that
+    ``Records.words`` refuses, raises TraceError.
     """
-    units = [_plain_field(unit) for unit in trace.units]
-    records = [",".join(_plain_field(value) for value in record[:4]) for record in trace.records]
-    if len(trace) and trace.cycle.min() < 0:
-        raise TraceError("event cycle cannot be negative")
-    # A unit's rows draw on one range of records (a walk's records are
-    # contiguous), so the tail table lists each unit's range: every (unit,
-    # record) pair would grow as experts squared.  Pair (u, r) is tail row
-    # tail_row[u] + r.
-    first = np.full(len(units), len(records), dtype=np.intp)
-    last = np.full(len(units), -1, dtype=np.intp)
-    np.minimum.at(first, trace.unit, trace.record)
-    np.maximum.at(last, trace.unit, trace.record)
-    tails = [
-        f",{unit},{records[r]}\r\n".encode()
-        for unit, lo, hi in zip(units, first.tolist(), last.tolist())
-        for r in range(lo, hi + 1)
-    ]
-    span = np.maximum(last - first + 1, 0)
-    tail_row = np.cumsum(span) - span - first
+    names = sorted({_plain_field(unit) for units, _ in walks for unit in units})
+    rank = {unit: i for i, unit in enumerate(names)}
+    tails: list[bytes] = []
+    cycles, ranks, tail_ids = [np.empty(0, np.int64)], [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for units, walk in walks:
+        words = walk.words(units)
+        order = np.lexsort((words, walk.kind))
+        kind, words = walk.kind[order], words[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (kind[1:] != kind[:-1]) | (words[1:] != words[:-1])
+        local = np.empty(len(walk), np.intp)
+        local[order] = np.cumsum(new) - 1
+        pairs = [(walk.kinds[k][:2], w) for k, w in zip(kind[new].tolist(), words[new].tolist())]
+        # Unit-major, record-minor: the concatenation order that breaks cycle and unit ties.
+        cycles.append(np.tile(walk.cycle, len(units)))
+        ranks.append(np.repeat(np.array([rank[unit] for unit in units], np.intp), len(walk)))
+        tail_ids.append((len(tails) + len(pairs) * np.arange(len(units))[:, None] + local).ravel())
+        tails += [f",{unit},{lv},{d},{w},{level_width_bits(lv)}\r\n".encode() for unit in units for (lv, d), w in pairs]
+    cycle, tail_id = np.concatenate(cycles), np.concatenate(tail_ids)
+    order = np.lexsort((np.concatenate(ranks), cycle))  # stable: ties keep concatenation order
+    del cycles, ranks, tail_ids  # the per-walk parts, freed before the sorted copies are made
+    cycle, tail_id = cycle[order], tail_id[order]
     width = max(map(len, tails), default=0)
     tail = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), np.uint8).reshape(len(tails), width)
     digit_groups = _digit_groups()
     with open(path, "wb") as fh:
         fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
-        for start in range(0, len(trace), TRACE_CHUNK_ROWS):
+        for start in range(0, len(cycle), TRACE_CHUNK_ROWS):
             rows = slice(start, start + TRACE_CHUNK_ROWS)
-            cycle = trace.cycle[rows]
-            groups = -(-len(str(int(cycle.max()))) // 4)
+            chunk = cycle[rows]
+            groups = -(-len(str(int(chunk.max()))) // 4)
             # The tail starts on a uint32 boundary so the digits can be viewed as uint32.
-            grid = np.zeros((len(cycle), 4 * groups + width + (-width) % 4), np.uint8)
+            grid = np.zeros((len(chunk), 4 * groups + width + (-width) % 4), np.uint8)
             quads = grid.view("<u4")
-            rest = cycle
+            rest = chunk
             for j in reversed(range(groups)):
                 rest, group = np.divmod(rest, 10000)
                 quads[:, j] = digit_groups[group + 10000 * (rest > 0)]
-            quads[cycle == 0, groups - 1] = _ZERO_GROUP  # all of 0's digits are leading zeros but one
-            grid[:, 4 * groups : 4 * groups + width] = np.take(tail, tail_row[trace.unit[rows]] + trace.record[rows], axis=0)
+            quads[chunk == 0, groups - 1] = _ZERO_GROUP  # all of 0's digits are leading zeros but one
+            grid[:, 4 * groups : 4 * groups + width] = np.take(tail, tail_id[rows], axis=0)
             flat = grid.ravel()
             fh.write(flat[flat != 0])
 

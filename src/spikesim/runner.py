@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -44,10 +43,14 @@ MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 # float64 draw, the spike itself and float32 operand copies; a weight its
 # int8 value and a float32 copy.  A routing score (one per token and expert)
 # costs the matmul result, its int64 cast, the copy ExpertScores keeps, and
-# route_topk's negated scores and argsort order.  A tile holds 8 int64 schedule columns and a
-# 9-slot grid of cycle, kind and bits columns, a mask and the record columns
-# cut from it.  A merged-trace row holds cycle, unit and record indices, their
-# sort order and sorted copies.  A core holds its schedule load and list.
+# route_topk's negated scores and argsort order.  A tile holds 8 int64
+# schedule columns and a 9-slot grid of cycle, kind and bits columns, a mask
+# and the record columns cut from it.  A trace row costs the trace writer at
+# most 7 int64 values at once, at its sort: the row's cycle, unit rank and
+# tail id in per-walk parts, the joined cycles, ranks and tail ids, and the
+# sort order; the rest of the charge covers the sort's own buffer.  The
+# sorted cycles and tail ids it writes from are made after the parts are
+# freed.  A core holds its schedule load and list.
 _SPIKE_BYTES = 24
 _WEIGHT_BYTES = 8
 _SCORE_BYTES = 40
@@ -350,9 +353,9 @@ def plan_bytes(plan: RunPlan) -> int:
 class RunResult:
     """Serializable outcome of one run plus in-memory artifacts for dumps.
 
-    ``walks`` holds one ``(units, Records)`` pair per distinct array run
-    plus the merge egress; ``merged_trace`` merges them on first access
-    only.
+    ``calibration`` is the table the run was priced with.  ``walks`` holds
+    one ``(units, Records)`` pair per distinct array run plus the merge
+    egress; ``dataflow.write_trace_csv`` merges them into the trace.
     """
 
     kind: str
@@ -365,11 +368,7 @@ class RunResult:
     s_out: SpikeTensor = None
     routing_table: object = None
     walks: list = field(default_factory=list, repr=False)
-
-    @cached_property
-    def merged_trace(self) -> dataflow.MergedTrace:
-        """The merged (cycle, unit)-ordered access trace, as index arrays."""
-        return dataflow.merge_walks(self.walks)
+    calibration: memory.MemCalibration = None
 
     def to_dict(self) -> dict:
         return {
@@ -526,6 +525,7 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
             s_out=layer.s_out,
             routing_table=layer.routing_table,
             walks=walks,
+            calibration=cal,
         )
         for flavor, cal in zip(flavors, cals)
     ]

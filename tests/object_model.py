@@ -1,10 +1,10 @@
 """An object view of the columnar model, as references for the tests.
 
-``spikesim`` keeps tile schedules, walker records and the merged trace as
-int columns only.  The tests check them against per-object references: a
-``Tile`` per schedule row, a tuple per record, an ``AccessEvent`` per trace
-row, the merge as one stable sort of per-unit event lists, and per-level
-counts folded one event at a time.
+``spikesim`` keeps tile schedules and walker records as int columns only, and
+writes the merged trace straight from the records.  The tests check them
+against per-object references: a ``Tile`` per schedule row, a tuple per
+record, an ``AccessEvent`` per trace row, the merge as one stable sort of
+per-unit event lists, and per-level counts folded one event at a time.
 """
 
 from typing import NamedTuple
@@ -70,18 +70,16 @@ def record_rows(records: Records) -> list[tuple]:
     ]
 
 
-def trace_events(merged) -> list[AccessEvent]:
-    """A ``MergedTrace``'s rows as ``AccessEvent``s."""
-    units, records = merged.units, merged.records
-    rows = zip(merged.cycle.tolist(), merged.unit.tolist(), merged.record.tolist())
-    return [AccessEvent(cycle, units[unit], *records[rec]) for cycle, unit, rec in rows]
-
-
 def merge_traces(*traces: list[AccessEvent]) -> list[AccessEvent]:
     """Per-unit traces merged by one stable sort on (cycle, unit)."""
     merged = [ev for trace in traces for ev in trace]
     merged.sort(key=lambda ev: (ev.cycle, ev.unit))
     return merged
+
+
+def merged_events(walks) -> list[AccessEvent]:
+    """``(units, Records)`` walks as one trace: each unit's ``Records.events``, merged by ``merge_traces``."""
+    return merge_traces(*(records.events(unit) for units, records in walks for unit in units))
 
 
 def count_accesses(trace: list[AccessEvent]) -> dict:

@@ -21,6 +21,7 @@ from spikesim import (
     builtin_calibration,
     dataflow,
     dump_calibration,
+    memory,
     parse_workload,
     plan_attention_tiles,
     plan_expert_tiles,
@@ -29,6 +30,7 @@ from spikesim import (
     simulate_expert_array,
     simulate_routing_array,
 )
+import spikesim.cli as cli
 from spikesim.cli import _build_parser, main
 from spikesim.levels import ACT_GLB, ACT_LB, level_width_bits, width_words
 from spikesim.runner import load_report_csv, report_json_bytes
@@ -142,6 +144,21 @@ class TestRunCommand:
         assert report_json_bytes(b["memory"]) == report_json_bytes(a["memory"])
         assert b["config"]["calibration"] == {"source": "file", "path": str(dump)}
 
+    def test_file_calibration_read_once_and_dumped_as_priced(self, moe_config, tmp_path, capsys, monkeypatch):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(dump_calibration(builtin_calibration("moe", "3d")), indent=2, sort_keys=True) + "\n")
+        plan = tmp_path / "file.json"
+        doc = json.loads(Path(moe_config).read_text())
+        plan.write_text(json.dumps({**doc, "calibration": {"source": "file", "path": str(cal)}}))
+        calls = []
+        load = memory.load_calibration
+        monkeypatch.setattr(memory, "load_calibration", lambda source: calls.append(source) or load(source))
+        dump = tmp_path / "dump.json"
+        assert main(["run", str(plan), "--dump-calibration", str(dump), "--output", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        assert calls == [str(cal)]
+        assert dump.read_bytes() == cal.read_bytes()
+
 
 class TestCompareCommand:
     def test_compare_stdout(self, mha_config, capsys):
@@ -158,6 +175,16 @@ class TestCompareCommand:
         doc = json.loads(dest.read_text())
         assert set(doc) == {"builtin2d", "builtin3d"}
         assert doc["builtin3d"]["design"] == "3d"
+
+    def test_compare_dumps_the_calibrations_it_priced_with(self, moe_config, tmp_path, capsys, monkeypatch):
+        built, dumped = [], []
+        build, dump = memory.builtin_calibration, cli.dump_calibration
+        monkeypatch.setattr(memory, "builtin_calibration", lambda *args: built.append(build(*args)) or built[-1])
+        monkeypatch.setattr(cli, "dump_calibration", lambda cal: dumped.append(cal) or dump(cal))
+        assert main(["compare", moe_config, "--dump-calibration", str(tmp_path / "cal.json")]) == 0
+        capsys.readouterr()
+        assert [cal.design for cal in built] == ["2d", "3d"]
+        assert len(dumped) == 2 and all(a is b for a, b in zip(dumped, built))
 
 
 class TestErrorPaths:

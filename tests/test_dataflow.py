@@ -26,16 +26,16 @@ from spikesim import (
 from spikesim.dataflow import (
     TRACE_CHUNK_ROWS,
     TRACE_COLUMNS,
-    MergedTrace,
+    _plain_field,
     attention_walk,
     expert_walk,
     extraction_cycle_count,
     fill_cycles,
-    merge_walks,
     write_trace_csv,
 )
+from spikesim.levels import LEVEL_GEOMETRY
 
-from object_model import Tile, merge_traces, records_from_rows, schedule, tiles, trace_events
+from object_model import Tile, merge_traces, merged_events, records_from_rows, schedule, tiles
 from oracles import (
     lpt_makespan,
     stepped_attention_cycles,
@@ -549,11 +549,11 @@ class TestTraces:
     def test_trace_csv_round_readable(self, tmp_path):
         g = ArrayGeometry(8, 16, "expert")
         ts = plan_expert_tiles(8, 2, 16, 8, g)
-        trace = merge_walks([(("expert0",), expert_walk(ts, g, SparsityStats(0, 1))[1])])
-        events = trace_events(trace)
+        walks = [(("expert0",), expert_walk(ts, g, SparsityStats(0, 1))[1])]
+        events = merged_events(walks)
         assert events == simulate_expert_array(ts, g, SparsityStats(0, 1))[1]
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
+        write_trace_csv(walks, str(path))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(TRACE_COLUMNS)
@@ -561,25 +561,22 @@ class TestTraces:
         for row, ev in zip(rows[1:], events):
             assert row == [str(ev.cycle), ev.unit, ev.level, ev.direction, str(ev.words), str(ev.width_bits)]
 
-    def test_merge_walks_equals_merge_traces(self):
+    def test_trace_equals_merge_traces(self, tmp_path):
         # A shared walk whose unit names sort differently as strings and as
         # numbers, interleaved on equal cycles with a second walk.
         ts = plan_attention_tiles(5, 3, 2, 1, ATTN16x16)
         heads = ("attn2", "attn10", "attn1")
         egress = [(0, "act_glb", "write", 7, "spike"), (4, "act_lb", "read", 300, "spike")]
-        trace = merge_walks([(heads, attention_walk(ts, ATTN16x16)[1]), (("merge", "attn0"), records_from_rows(egress))])
+        walks = [(heads, attention_walk(ts, ATTN16x16)[1]), (("merge", "attn0"), records_from_rows(egress))]
         per_unit = [simulate_attention_array(ts, ATTN16x16, unit=unit)[1] for unit in heads]
         per_unit += [[AccessEvent(c, unit, level, d, -(-bits // 128), 128, tag) for c, level, d, bits, tag in egress]
                      for unit in ("merge", "attn0")]
-        assert trace_events(trace) == merge_traces(*per_unit)
-        assert len(trace) == sum(map(len, per_unit))
+        assert merged_events(walks) == merge_traces(*per_unit)
+        assert _written(walks, tmp_path) == _csv_writer_bytes(merge_traces(*per_unit))
 
     def test_merge_of_nothing(self, tmp_path):
-        trace = merge_walks([])
-        assert trace_events(trace) == []
-        write_trace_csv(trace, str(tmp_path / "trace.csv"))
-        assert (tmp_path / "trace.csv").read_bytes() == b"cycle,unit,level,direction,words,width_bits\r\n"
-        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+        assert _written([], tmp_path) == b"cycle,unit,level,direction,words,width_bits\r\n"
+        assert _written([], tmp_path) == _csv_writer_bytes([])
 
     @pytest.mark.parametrize(
         "record,problem",
@@ -590,27 +587,34 @@ class TestTraces:
             ((3, "act_lb", "write", 0, "spike"), "at least one word"),
         ],
     )
-    def test_bad_walker_records_rejected(self, record, problem):
+    def test_bad_walker_records_rejected(self, record, problem, tmp_path):
         good = (0, "act_glb", "read", 8, "spike")
+        path = tmp_path / "trace.csv"
         with pytest.raises(TraceError, match=problem) as info:
-            merge_walks([(("attn0", "attn1"), records_from_rows([good, record]))])
+            write_trace_csv([(("attn0", "attn1"), records_from_rows([good, record]))], str(path))
         assert "attn0, attn1" in str(info.value)
+        assert not path.exists()
 
 
-def _csv_writer_bytes(trace) -> bytes:
-    """The trace as csv.writer writes its ``AccessEvent`` rows: the writer's reference."""
+def _csv_writer_bytes(events) -> bytes:
+    """``AccessEvent`` rows as csv.writer writes them: the writer's reference."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(TRACE_COLUMNS)
-    for ev in trace_events(trace):
+    for ev in events:
         writer.writerow([ev.cycle, ev.unit, ev.level, ev.direction, ev.words, ev.width_bits])
     return buf.getvalue().encode()
 
 
-def _written(trace, tmp_path) -> bytes:
+def _written(walks, tmp_path) -> bytes:
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, str(path))
+    write_trace_csv(walks, str(path))
     return path.read_bytes()
+
+
+def _reference(walks) -> bytes:
+    """The walks' per-unit events merged by ``merge_traces``, written by csv.writer."""
+    return _csv_writer_bytes(merged_events(walks))
 
 
 # 0, each 10**k - 1 / 10**k digit boundary, 2**53 and the int64 maximum.
@@ -624,18 +628,19 @@ def _rows(cycles) -> list[tuple]:
 
 
 class TestTraceWriter:
-    """``write_trace_csv`` against csv.writer over the trace's ``AccessEvent`` rows, byte for byte."""
+    """``write_trace_csv`` against csv.writer over the walks' merged ``AccessEvent`` rows, byte for byte."""
 
     @pytest.mark.parametrize("cycle", BOUNDARY_CYCLES)
     def test_digit_boundary_alone(self, cycle, tmp_path):
-        trace = merge_walks([(UNITS, records_from_rows(_rows([cycle, cycle])))])
-        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+        walks = [(UNITS, records_from_rows(_rows([cycle, cycle])))]
+        assert _written(walks, tmp_path) == _reference(walks)
 
     def test_digit_boundaries_in_one_chunk(self, tmp_path):
         # Every row is padded to the 5 digit groups of the largest cycle.
-        trace = merge_walks([(UNITS, records_from_rows(_rows(BOUNDARY_CYCLES)))])
-        assert len(trace) == 4 * len(BOUNDARY_CYCLES)
-        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+        walks = [(UNITS, records_from_rows(_rows(BOUNDARY_CYCLES)))]
+        written = _written(walks, tmp_path)
+        assert written.count(b"\r\n") == 1 + 4 * len(BOUNDARY_CYCLES)
+        assert written == _reference(walks)
 
     @pytest.mark.parametrize("rows", [TRACE_CHUNK_ROWS - 1, TRACE_CHUNK_ROWS, TRACE_CHUNK_ROWS + 1])
     def test_chunk_edges(self, rows, tmp_path):
@@ -646,43 +651,51 @@ class TestTraceWriter:
         cycles[-1] = 2**63 - 1  # the last row, which needs more digit groups than the rest
         walks = [(UNITS[:3], records_from_rows(_rows(cycles[:shared]))),
                  (UNITS[3:], records_from_rows(_rows(cycles[shared:])))]
-        trace = merge_walks(walks)
-        assert len(trace) == rows and trace.cycle[-1] == 2**63 - 1
-        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+        lines = _written(walks, tmp_path).split(b"\r\n")
+        assert len(lines) == rows + 2 and lines[-2].startswith(b"%d," % (2**63 - 1))
+        assert b"\r\n".join(lines) == _reference(walks)
 
     def test_units_and_walks_interleaved(self, tmp_path):
         # "e9" appears in two walks, so its records are not one contiguous range.
         walks = [(("e9", "e10"), records_from_rows(_rows([0, 5, 12]))),
                  (("router",), records_from_rows(_rows([5, 99999, 100000]))),
                  (("e9", "merge"), records_from_rows(_rows([7, 10**9])[::-1]))]
-        trace = merge_walks(walks)
-        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+        assert _written(walks, tmp_path) == _reference(walks)
 
     def test_unit_without_rows(self, tmp_path):
-        trace = merge_walks([(("idle",), records_from_rows([])), (UNITS, records_from_rows(_rows([3, 4])))])
-        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
-        assert _written(merge_walks([(("idle",), records_from_rows([]))]), tmp_path) == _csv_writer_bytes(merge_walks([]))
+        walks = [(("idle",), records_from_rows([])), (UNITS, records_from_rows(_rows([3, 4])))]
+        assert _written(walks, tmp_path) == _reference(walks)
+        assert _written(walks[:1], tmp_path) == _csv_writer_bytes([])
 
     def test_every_plain_ascii_character(self, tmp_path):
         # csv.writer quotes none of these, and an empty name is an empty field.
         plain = "".join(chr(c) for c in range(1, 128) if chr(c) not in '",\r\n')
-        trace = merge_walks([(("", " ", plain, "e 1\t"), records_from_rows(_rows([1, 2])))])
-        assert _written(trace, tmp_path) == _csv_writer_bytes(trace)
+        walks = [(("", " ", plain, "e 1\t"), records_from_rows(_rows([1, 2])))]
+        assert _written(walks, tmp_path) == _reference(walks)
 
     @pytest.mark.parametrize("char", ["\0", ",", '"', "\r", "\n", "\u00e9", "\u2028"])
     def test_names_that_need_quoting_refused(self, char, tmp_path):
-        trace = merge_walks([(("e1", f"e{char}2"), records_from_rows(_rows([1])))])
-        with pytest.raises(TraceError, match="must be ASCII with no NUL, comma, double quote, CR or LF"):
-            write_trace_csv(trace, str(tmp_path / "trace.csv"))
-        # Level and direction names are checked the same way.
-        bad_level = MergedTrace(("e1",), [(f"act{char}lb", "read", 1, 128, "spike")], *np.zeros((3, 1), np.int64))
-        with pytest.raises(TraceError, match="must be ASCII"):
-            write_trace_csv(bad_level, str(tmp_path / "trace.csv"))
+        path = tmp_path / "trace.csv"
+        # A unit is checked whether or not it has rows, and nothing is written.
+        for records in (_rows([1]), []):
+            walks = [(("e1",), records_from_rows(_rows([0]))), (("e2", f"e{char}2"), records_from_rows(records))]
+            with pytest.raises(TraceError, match="must be ASCII with no NUL, comma, double quote, CR or LF"):
+                write_trace_csv(walks, str(path))
+            assert not path.exists()
+
+    def test_level_names_are_plain(self):
+        # Levels and directions are not checked per trace: Records.words admits
+        # only these levels and read or write, which need no quoting.
+        for name in (*LEVEL_GEOMETRY, "read", "write"):
+            assert _plain_field(name) == name
 
     def test_negative_cycle_refused(self, tmp_path):
-        trace = MergedTrace(("e1",), [("act_lb", "read", 1, 128, "spike")], np.array([-1]), np.zeros(1, np.intp), np.zeros(1, np.intp))
+        # A bad record in a later walk still leaves no file.
+        path = tmp_path / "trace.csv"
+        walks = [(("e1",), records_from_rows(_rows([0, 1]))), (("e2",), records_from_rows(_rows([-1])))]
         with pytest.raises(TraceError, match="cycle cannot be negative"):
-            write_trace_csv(trace, str(tmp_path / "trace.csv"))
+            write_trace_csv(walks, str(path))
+        assert not path.exists()
 
     def test_digit_table_not_built_at_import(self):
         probe = "import spikesim.cli, spikesim.dataflow as d; print(d._digit_groups.cache_info().currsize)"

@@ -1,10 +1,11 @@
-"""Golden bytes: the sha256 of every CLI artifact of eight fixed plans.
+"""Golden bytes: the sha256 of every CLI artifact of nine fixed plans.
 
 Reports (JSON and CSV, of ``run`` and ``compare``), the access trace, the
 output bitstream, the routing table and the calibration dumps are pinned
 byte for byte on the default MoE plan, the default MHA plan, a ragged
-multi-head plan, a twelve-expert MoE plan and four plans at the edges of
-the int16 bounds that decide whether an integration is clamped.  A change
+multi-head plan, a twelve-head plan on a ragged array, a twelve-expert MoE
+plan and four plans at the edges of the int16 bounds that decide whether an
+integration is clamped.  A change
 that only makes the simulator faster must leave every hash as it is.
 Re-record only when the output changes on purpose (a schema bump), from the
 repository root::
@@ -38,6 +39,14 @@ PLANS = {
         "model": {"n": 48, "t": 2, "d_in": 12, "d_out": 10, "e": 12},
         "hardware": {"cores": 3, "expert_array": {"rows": 4, "cols": 6}, "routing_array": {"rows": 4, "cols": 5}},
         "input": {"spike_prob": 0.5, "seed": 1},
+    },
+    # Twelve heads share one walk, so the trace orders them by name inside
+    # that walk (attn10 before attn2); the array is ragged on both axes.
+    "mha_h12": {
+        "kind": "mha",
+        "model": {"n": 9, "t": 2, "h": 12, "d": 3},
+        "hardware": {"cores": 5, "attention_array": {"rows": 4, "cols": 5}},
+        "input": {"spike_prob": 0.5, "seed": 2},
     },
     # All-one Q, K and V make every entry of Q (K^T V) equal n * d: 32767
     # fits int16 and is cast, 32768 clamps every entry.

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from spikesim.runner import (
     write_routing_csv,
 )
 
-from object_model import count_accesses, trace_events
+from object_model import count_accesses, merged_events
 from oracles import lpt_makespan
 
 MOE_DOC = {"kind": "moe", "N": 24, "T": 2, "D_in": 48, "D_out": 32, "E": 4, "seed": 11}
@@ -338,6 +339,30 @@ class TestPlanSizeCap:
         with pytest.raises(WorkloadValidationError, match="byte cap"):
             run_experiment(plan)
 
+    # Plans whose trace dominates the run: 370k, 100k and 660k trace rows.
+    TRACE_HEAVY = [
+        {"kind": "mha", "model": {"n": 96, "t": 4, "h": 8, "d": 4}, "hardware": {"attention_array": {"rows": 2, "cols": 2}}},
+        {"kind": "moe", "model": {"n": 128, "t": 4, "d_in": 16, "d_out": 32},
+         "hardware": {"expert_array": {"rows": 1, "cols": 1}, "routing_array": {"rows": 1, "cols": 1}}},
+        {"kind": "mha", "model": {"n": 32, "t": 2, "h": 64, "d": 2}, "hardware": {"attention_array": {"rows": 1, "cols": 1}}},
+    ]
+
+    @pytest.mark.parametrize("doc", TRACE_HEAVY)
+    def test_estimate_bounds_a_traced_run(self, doc, tmp_path, capsys):
+        from spikesim.cli import main
+
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        argv = ["run", str(path), "--output", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= runner.plan_bytes(parse_workload(doc))
+
     def test_estimate_covers_oversized_hardware(self):
         base = parse_workload({"kind": "moe"})
         cores = replace(base, hardware=replace(base.hardware, cores=2**40))
@@ -413,7 +438,7 @@ class TestSystemComposition:
 
     def test_trace_sorted_and_ends_at_system_total(self):
         result = run_experiment(parse_workload(dict(MOE_DOC)))
-        trace = trace_events(result.merged_trace)
+        trace = merged_events(result.walks)
         keys = [(e.cycle, e.unit) for e in trace]
         assert keys == sorted(keys)
         assert max(e.cycle for e in trace) == result.system_cycles.total_cycles
@@ -422,7 +447,7 @@ class TestSystemComposition:
 
     def test_weight_glb_alternates_with_expert_parity(self):
         result = run_experiment(parse_workload(dict(MOE_DOC)))
-        for e in trace_events(result.merged_trace):
+        for e in merged_events(result.walks):
             if e.unit.startswith("expert") and e.level.startswith("weight_glb"):
                 parity = int(e.unit[len("expert"):]) % 2
                 assert e.level == f"weight_glb{parity}"
@@ -509,7 +534,7 @@ class TestRunPathWork:
             compare_designs(plan)
             result = run_experiment(plan)
             with pytest.raises(AssertionError, match="access trace"):
-                trace_events(result.merged_trace)
+                merged_events(result.walks)
 
     def test_attention_map_never_built(self, monkeypatch):
         def refuse_map(*args, **kwargs):
@@ -521,10 +546,6 @@ class TestRunPathWork:
         plan = parse_workload({**MHA_DOC, "H": 4})
         assert run_experiment(plan).to_dict()["kind"] == "mha"
         assert compare_designs(plan).functional_equal
-
-    def test_trace_built_once_on_first_access(self):
-        result = run_experiment(parse_workload(dict(MOE_DOC)))
-        assert result.merged_trace is result.merged_trace
 
     def test_compare_runs_one_functional_pass_and_one_head_walk(self, monkeypatch):
         calls = {"mha_forward": 0, "attention_walk": 0}
@@ -580,7 +601,7 @@ class TestFoldEqualsTrace:
             plan = parse_workload(_random_doc(rng, kind))
             result = run_experiment(plan)
             cal = resolve_calibration(plan)
-            replayed = mem_report(count_accesses(trace_events(result.merged_trace)), cal, result.mem.capacity)
+            replayed = mem_report(count_accesses(merged_events(result.walks)), cal, result.mem.capacity)
             assert replayed.to_dict()["levels"] == result.mem.to_dict()["levels"]
             # The level order fixes the energy total's summation order.
             assert list(result.mem.levels) == list(replayed.levels)
