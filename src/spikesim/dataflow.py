@@ -76,8 +76,10 @@ in the same order.
 same ``(units, Records)`` walks that ``write_trace_csv`` merges straight into
 the report's per-level table instead (``memory.count_walks``), so the merged
 trace is built only when it is written.  Attention heads run identical
-schedules, so a run walks one head and counts it once per head; ``compare``
-runs the pipeline once and prices that one table under both calibrations.
+schedules, and so do a head's timesteps, so a run walks one (head, timestep)
+group, repeats it over the timesteps (``repeat_timesteps``) and counts it
+once per head; ``compare`` runs the pipeline once and prices that one table
+under both calibrations.
 """
 
 from __future__ import annotations
@@ -308,26 +310,50 @@ class SparsityStats:
 class Records:
     """A walk's access records as int64 columns, in emission order.
 
-    Record ``i`` moves ``bits[i]`` bits at cycle ``cycle[i]``; its level,
-    direction and payload tag are ``kinds[kind[i]]``.
+    Row ``i`` moves ``bits[i]`` bits at cycle ``cycle[i]``; its level,
+    direction and payload tag are ``kinds[kind[i]]``.  By default each row
+    is one record.  A walk of ``repeats`` identical groups keeps one group:
+    the first ``once`` rows are records emitted once, and the rows after
+    them recur ``repeats`` times, copy ``r`` shifted by ``r * period``
+    cycles (``period`` >= 0).  ``recur`` lays a per-row column out over
+    every record, and ``expand`` gives the walk one row per record.
     """
 
     kinds: tuple  # distinct (level, direction, tag)
     cycle: np.ndarray
     kind: np.ndarray
     bits: np.ndarray
+    once: int = 0
+    repeats: int = 1
+    period: int = 0
 
     def __len__(self) -> int:
-        return len(self.cycle)
+        """The number of records, every copy of a recurring row counted."""
+        return self.once + self.repeats * (len(self.cycle) - self.once)
+
+    def recur(self, column: np.ndarray, shift: int = 0) -> np.ndarray:
+        """Per-row ``column`` per record: the ``once`` rows' values, then copy ``r`` of the rest plus ``r * shift``."""
+        if self.repeats == 1:
+            return column
+        copies = column[self.once :] + shift * np.arange(self.repeats, dtype=np.int64)[:, None]
+        return np.concatenate((column[: self.once], copies.ravel()))
+
+    def expand(self) -> Records:
+        """The same records, one row each."""
+        if self.repeats == 1:
+            return self
+        return Records(self.kinds, self.recur(self.cycle, self.period), self.recur(self.kind), self.recur(self.bits))
 
     def words(self, units) -> np.ndarray:
-        """Words each record moves at its level's width, after checking every record.
+        """Words each row moves at its level's width, after checking every record.
 
         Raises TraceError on a record that names a level outside
         ``LEVEL_GEOMETRY`` or that ``AccessEvent`` would refuse: a negative
         cycle, a direction other than read or write, or a burst of no words.
         Each distinct kind is checked once; the error names the first bad
-        record's cycle and ``units``.
+        record's cycle and ``units``.  A recurring row's copies move the same
+        words at cycles no earlier than its own, so checking the rows checks
+        every record.
         """
         unknown = np.array([level not in LEVEL_GEOMETRY for level, _, _ in self.kinds], dtype=bool)
         misdirected = np.array([direction not in ("read", "write") for _, direction, _ in self.kinds], dtype=bool)
@@ -351,11 +377,12 @@ class Records:
 
     def events(self, unit: str) -> list[AccessEvent]:
         """The records as ``unit``'s ``AccessEvent`` list."""
-        words = self.words((unit,)).tolist()
-        kinds = [(level, direction, level_width_bits(level), tag) for level, direction, tag in self.kinds]
+        full = self.expand()
+        words = full.words((unit,)).tolist()
+        kinds = [(level, direction, level_width_bits(level), tag) for level, direction, tag in full.kinds]
         return [
             AccessEvent(cycle, unit, kinds[k][0], kinds[k][1], w, kinds[k][2], kinds[k][3])
-            for cycle, k, w in zip(self.cycle.tolist(), self.kind.tolist(), words)
+            for cycle, k, w in zip(full.cycle.tolist(), full.kind.tolist(), words)
         ]
 
 
@@ -616,8 +643,9 @@ def plan_attention_tiles(n: int, d: int, t: int, heads: int, g: ArrayGeometry) -
     return TileSchedule(row_start, row_stop, col_start, col_stop, reduction, phase, head, step, n, n, meta)
 
 
-# Attention walk: the 9 slots of a tile's body.  Slot 5 is phase 1's second
-# operand read (kind 4) or phase 2's read-modify-write read (kind 5).
+# Attention walk: the 9 slots of a tile's body.  Slots 0-1 are a head's
+# ingress, kept on its first tile only.  Slot 5 is phase 1's second operand
+# read (kind 4) or phase 2's read-modify-write read (kind 5).
 _ATTENTION_KINDS = (
     (ACT_GLB, "read", "spike"),
     (ACT_LB, "write", "spike"),
@@ -628,6 +656,7 @@ _ATTENTION_KINDS = (
     (ACT_BUFFER, "write", "integration"),
 )
 _ATTENTION_SLOTS = np.array([0, 1, 2, 3, 4, 4, 6, 5, 1], dtype=np.int64)
+_HEAD_INGRESS = 2
 
 
 def attention_walk(ts: TileSchedule, g: ArrayGeometry) -> tuple[CycleStats, Records]:
@@ -687,7 +716,7 @@ def attention_walk(ts: TileSchedule, g: ArrayGeometry) -> tuple[CycleStats, Reco
     bits[:, 6:8] = xbits[:, None]
     bits[:, 8] = ru * d
     kind[:, 5] = np.where(phase1, 4, 5)
-    mask[:, :2] = _first_occurrences(ts.head)[:, None]
+    mask[:, :_HEAD_INGRESS] = _first_occurrences(ts.head)[:, None]
     mask[:, 2:4] = _first_occurrences(group)[:, None]
     mask[:, 5] = phase1 | (ordinal > 0)
     mask[:, 6] = ~phase1
@@ -698,6 +727,41 @@ def attention_walk(ts: TileSchedule, g: ArrayGeometry) -> tuple[CycleStats, Reco
     per_phase = {"phase1": int(cost[phase1].sum()), "phase2": int(cost[~phase1].sum())}
     mac_ops = int((ru * cu).sum()) * d
     return _stats(int(end[-1]), per_phase, ts.tile_count, mac_ops, 0, g), records
+
+
+def repeat_timesteps(stats: CycleStats, records: Records, t: int, g: ArrayGeometry) -> tuple[CycleStats, Records]:
+    """A head's walk over ``t`` timesteps, from ``attention_walk`` of its first (head, timestep) group.
+
+    ``stats`` and ``records`` walk ``plan_attention_tiles(n, d, 1, 1, g)``.
+    The whole head, ``plan_attention_tiles(n, d, t, 1, g)``, runs those
+    tiles once per timestep, and a tile's cost, slots and bits depend only
+    on its shape and on the earlier tiles of its group, so timestep ``s``
+    emits the group's records ``s * stats.total_cycles`` cycles later.  The
+    one exception is the head ingress, the first tile's first two slots:
+    only the head's first tile emits them, and they move the query, key and
+    value slabs of all ``t`` timesteps, ``t`` times the group's bits.  So
+    the returned records are the ingress once, then the group's other
+    records ``t`` times at a period of ``stats.total_cycles``.  The ingress
+    is those two leading records, not a kind: kind 1 is also the
+    block-complete LB write.  Cycles, phases, tiles and operations are ``t``
+    times the group's, through ``_stats``, so ``utilization`` divides the
+    same integers a walk of the whole head divides.
+
+    Exactness: a plan under ``MAX_PLAN_BYTES`` has n * t * d < 2**24 (its
+    inputs are charged 96 bytes per element) and 2 * t * ceil(n / rows) *
+    ceil(n / cols) < 2**22 tiles (352 bytes each).  A tile costs at most
+    d + 2n - 1 < 2**26 cycles, so the head's t * period cycles, and with
+    them every copy's offset s * period and every copy's record cycle, are
+    below 2**48, and the ingress's 3 * n * t * d bits below 2**26: int64
+    holds every value, as in a walk of the whole head.
+    """
+    bits = records.bits.copy()
+    bits[:_HEAD_INGRESS] *= t
+    per_phase = {phase: t * cycles for phase, cycles in stats.per_phase.items()}
+    scaled = _stats(
+        t * stats.total_cycles, per_phase, t * stats.tile_count, t * stats.mac_ops, t * stats.extraction_cycles, g
+    )
+    return scaled, Records(records.kinds, records.cycle, records.kind, bits, _HEAD_INGRESS, t, stats.total_cycles)
 
 
 def simulate_attention_array(
@@ -766,7 +830,9 @@ def write_trace_csv(walks, path: str) -> None:
     line tail ``,unit,level,direction,words,width_bits\r\n`` is formatted
     once per unit of the walk and distinct pair.  A row carries the id of
     its tail: the walk's first tail id + unit index * distinct pairs + the
-    pair's index.  Every check runs before the file is opened, so a refused
+    pair's index.  A walk that keeps recurring rows is checked and paired
+    per row, and ``Records.recur`` lays its cycles and pair indices out over
+    every record.  Every check runs before the file is opened, so a refused
     trace writes nothing.
 
     The rows are written in chunks of ``TRACE_CHUNK_ROWS`` with no Python per
@@ -796,13 +862,13 @@ def write_trace_csv(walks, path: str) -> None:
         kind, words = walk.kind[order], words[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (kind[1:] != kind[:-1]) | (words[1:] != words[:-1])
-        local = np.empty(len(walk), np.intp)
+        local = np.empty(len(order), np.intp)
         local[order] = np.cumsum(new) - 1
         pairs = [(walk.kinds[k][:2], w) for k, w in zip(kind[new].tolist(), words[new].tolist())]
         # Unit-major, record-minor: the concatenation order that breaks cycle and unit ties.
-        cycles.append(np.tile(walk.cycle, len(units)))
+        cycles.append(np.tile(walk.recur(walk.cycle, walk.period), len(units)))
         ranks.append(np.repeat(np.array([rank[unit] for unit in units], np.intp), len(walk)))
-        tail_ids.append((len(tails) + len(pairs) * np.arange(len(units))[:, None] + local).ravel())
+        tail_ids.append((len(tails) + len(pairs) * np.arange(len(units))[:, None] + walk.recur(local)).ravel())
         tails += [f",{unit},{lv},{d},{w},{level_width_bits(lv)}\r\n".encode() for unit in units for (lv, d), w in pairs]
     cycle, tail_id = np.concatenate(cycles), np.concatenate(tail_ids)
     order = np.lexsort((np.concatenate(ranks), cycle))  # stable: ties keep concatenation order

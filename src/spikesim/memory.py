@@ -172,8 +172,8 @@ def count_walks(walks) -> dict:
     Returns ``{level: {"reads", "writes", "words_read", "words_written"}}``.
     Every walk's records are checked once (``Records.words``; a bad one
     raises TraceError naming the walk's units).  Events and words are summed
-    per kind in int64, and a walk shared by several units counts once per
-    unit.
+    per kind in int64, a recurring row once per copy, and a walk shared by
+    several units counts once per unit.
 
     Levels are ordered by unit name (``expert10`` before ``expert2``), each
     unit's levels in the order its walk first touches them; a walk's levels
@@ -186,6 +186,10 @@ def count_walks(walks) -> dict:
         events = np.bincount(records.kind, minlength=len(records.kinds))
         words_per_kind = np.zeros(len(records.kinds), np.int64)
         np.add.at(words_per_kind, records.kind, words)
+        if records.repeats > 1:
+            extra, rest = records.repeats - 1, slice(records.once, None)
+            events += extra * np.bincount(records.kind[rest], minlength=len(records.kinds))
+            np.add.at(words_per_kind, records.kind[rest], extra * words[rest])
         touched, first = np.unique(records.kind, return_index=True)
         for k in touched[np.argsort(first)].tolist():
             level, direction, _tag = records.kinds[k]

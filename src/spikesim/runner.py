@@ -50,12 +50,22 @@ MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 # tail id in per-walk parts, the joined cycles, ranks and tail ids, and the
 # sort order; the rest of the charge covers the sort's own buffer.  The
 # sorted cycles and tail ids it writes from are made after the parts are
-# freed.  A core holds its schedule load and list.
+# freed.  The writer then formats up to TRACE_CHUNK_ROWS rows at once.  A
+# line is at most 20 cycle digits and a 64-byte tail (a unit name of at
+# most 14 characters, a level, a direction, a word count of at most 19
+# digits and a width), and a chunk row holds about four copies of it (the
+# grid, the gathered tail, the non-NUL mask and the kept bytes) next to the
+# int64 temporaries of its digit groups.  A tail, one per unit and distinct
+# (kind, words) pair of its walk, is held as a bytes object, its padded
+# copy and its row of the tail table.  A core holds its schedule load and
+# list.
 _SPIKE_BYTES = 24
 _WEIGHT_BYTES = 8
 _SCORE_BYTES = 40
 _TILE_BYTES = 8 * 8 + 9 * 32
 _TRACE_ROW_BYTES = 64
+_TRACE_CHUNK_ROW_BYTES = 4 * (20 + 64) + 64
+_TRACE_TAIL_BYTES = 320
 _CORE_BYTES = 128
 
 
@@ -322,8 +332,14 @@ def plan_bytes(plan: RunPlan) -> int:
     The tile and record counts are upper bounds: the expert array's column
     tiles are at most n * t / cols plus one per expert, an expert tile emits
     at most 9 records, a routing tile 3, and an attention tile 3 on average
-    (a phase-1 tile 2, a phase-2 tile at most 4).  Every head's records
-    become trace rows, though only one head is walked.
+    (a phase-1 tile 2, a phase-2 tile at most 4).  The tiles and records of
+    every head and timestep are charged, though a run walks one (head,
+    timestep) group and lays the others out only for the trace.  A walk's
+    distinct (kind, words) pairs, and so its trace tails per unit, are at
+    most its slots times its tile shapes: a tile is full or an edge on each
+    axis, and an attention tile runs in one of two phases.  The merge has a
+    pair per distinct unit output size and one for its write, and no unit
+    has more tails than rows.
     """
     m, hw = plan.model, plan.hardware
 
@@ -338,14 +354,20 @@ def plan_bytes(plan: RunPlan) -> int:
         experts = tiles(m.d_out, hw.expert_rows) * (tiles(m.n * m.t, hw.expert_cols) + m.experts)
         n_tiles = routing + experts
         rows = 3 * routing + 2 + 9 * experts + 4 * m.experts
+        tails = 5 * 4 + 13 * 4 * m.experts + m.experts + 1
     else:
         spikes = 4 * m.n * m.t * m.d_model
         weights = scores = 0
         n_tiles = 2 * m.t * tiles(m.n, hw.attention_rows) * tiles(m.n, hw.attention_cols)
         rows = m.heads * (3 * n_tiles + 2 * m.t + 2)
+        tails = m.heads * 9 * 8 + 2
+    trace = (
+        _TRACE_ROW_BYTES * rows + _TRACE_CHUNK_ROW_BYTES * min(rows, dataflow.TRACE_CHUNK_ROWS)
+        + _TRACE_TAIL_BYTES * min(tails, rows)
+    )
     return (
         _SPIKE_BYTES * spikes + _WEIGHT_BYTES * weights + _SCORE_BYTES * scores + _TILE_BYTES * n_tiles
-        + _TRACE_ROW_BYTES * rows + _CORE_BYTES * hw.cores
+        + trace + _CORE_BYTES * hw.cores
     )
 
 
@@ -470,9 +492,10 @@ def _mha_layer(plan: RunPlan) -> _Layer:
     attn_geom = ArrayGeometry(hw.attention_rows, hw.attention_cols, "attention")
     heads = tuple(f"attn{h}" for h in range(m.heads))
     # Heads run the same tile schedule and differ only in their unit name,
-    # so one walk times and counts all of them.
-    ts = dataflow.plan_attention_tiles(m.n, m.d_head, m.t, 1, attn_geom)
-    walks = [(heads, *dataflow.attention_walk(ts, attn_geom))]
+    # and a head's timesteps run the same tiles, so one walk of one (head,
+    # timestep) group times and counts all of them.
+    ts = dataflow.plan_attention_tiles(m.n, m.d_head, 1, 1, attn_geom)
+    walks = [(heads, *dataflow.repeat_timesteps(*dataflow.attention_walk(ts, attn_geom), m.t, attn_geom))]
     scheduled = [(unit, m.n * m.t * m.d_head) for unit in heads]
 
     overhead = hw.router_overhead_cycles if hw.router_overhead_cycles is not None else 0

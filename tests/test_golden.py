@@ -1,9 +1,10 @@
-"""Golden bytes: the sha256 of every CLI artifact of nine fixed plans.
+"""Golden bytes: the sha256 of every CLI artifact of eleven fixed plans.
 
 Reports (JSON and CSV, of ``run`` and ``compare``), the access trace, the
 output bitstream, the routing table and the calibration dumps are pinned
 byte for byte on the default MoE plan, the default MHA plan, a ragged
-multi-head plan, a twelve-head plan on a ragged array, a twelve-expert MoE
+multi-head plan, a twelve-head plan on a ragged array, two more plans on
+arrays ragged on both axes (eight timesteps, and one), a twelve-expert MoE
 plan and four plans at the edges of the int16 bounds that decide whether an
 integration is clamped.  A change
 that only makes the simulator faster must leave every hash as it is.
@@ -47,6 +48,21 @@ PLANS = {
         "model": {"n": 9, "t": 2, "h": 12, "d": 3},
         "hardware": {"cores": 5, "attention_array": {"rows": 4, "cols": 5}},
         "input": {"spike_prob": 0.5, "seed": 2},
+    },
+    # Eight timesteps of five heads: the run walks one (head, timestep) group
+    # and repeats it; 11 tokens leave edge tiles on both axes of the 4x3 array.
+    "mha_t8": {
+        "kind": "mha",
+        "model": {"n": 11, "t": 8, "h": 5, "d": 3},
+        "hardware": {"cores": 2, "attention_array": {"rows": 4, "cols": 3}},
+        "input": {"spike_prob": 0.4, "seed": 3},
+    },
+    # One timestep: the walked group is the whole run.
+    "mha_t1_ragged": {
+        "kind": "mha",
+        "model": {"n": 10, "t": 1, "h": 3, "d": 4},
+        "hardware": {"cores": 3, "attention_array": {"rows": 3, "cols": 4}},
+        "input": {"spike_prob": 0.5, "seed": 4},
     },
     # All-one Q, K and V make every entry of Q (K^T V) equal n * d: 32767
     # fits int16 and is cast, 32768 clamps every entry.

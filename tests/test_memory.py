@@ -217,6 +217,24 @@ class TestCountWalks:
             WEIGHT_LB: {"reads": 1, "writes": 0, "words_read": 1, "words_written": 0},
         }
 
+    def test_recurring_rows_count_once_per_copy(self):
+        # One row kept once, then two rows that recur three times, 10 cycles apart.
+        rows = ([0, 1, 4], [0, 1, 0], [256, 129, 1])
+        kinds = ((ACT_GLB, "read", "spike"), (ACT_LB, "write", "spike"))
+        walk = Records(kinds, *(np.array(column, np.int64) for column in rows), once=1, repeats=3, period=10)
+        assert len(walk) == 7
+        full = walk.expand()
+        assert full.cycle.tolist() == [0, 1, 4, 11, 14, 21, 24]
+        assert full.kind.tolist() == [0, 1, 0, 1, 0, 1, 0]
+        assert full.bits.tolist() == [256, 129, 1, 129, 1, 129, 1]
+        assert walk.recur(np.array([5, 6, 7])).tolist() == [5, 6, 7, 6, 7, 6, 7]
+        table = count_walks([(("attn0", "attn1"), walk)])
+        assert list(table.items()) == list(count_walks([(("attn0", "attn1"), full)]).items())
+        assert table == {
+            ACT_GLB: {"reads": 8, "writes": 0, "words_read": 10, "words_written": 0},
+            ACT_LB: {"reads": 0, "writes": 6, "words_read": 0, "words_written": 12},
+        }
+
     def test_bad_record_names_the_walks_units(self):
         bad = records_from_rows([(0, ACT_GLB, "read", 128, "spike"), (7, "dram", "read", 128, "spike")])
         walks = [(("expert1", "expert2"), bad), (("expert0",), records_from_rows([(0, ACT_LB, "read", 1, "spike")]))]

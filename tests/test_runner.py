@@ -10,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikesim import dataflow, mha, runner
+from spikesim import dataflow, memory, mha, runner
 from spikesim import (
+    ArrayGeometry,
     ConfigError,
     HardwareParams,
     LifParams,
@@ -339,12 +340,20 @@ class TestPlanSizeCap:
         with pytest.raises(WorkloadValidationError, match="byte cap"):
             run_experiment(plan)
 
-    # Plans whose trace dominates the run: 370k, 100k and 660k trace rows.
+    # Plans whose trace dominates the run: 370k, 100k and 660k trace rows;
+    # then two short traces (12.8k and 13.6k rows) that fit in one writer
+    # chunk, with many units and so many line tails; then 45k rows of 4,096
+    # heads, a line tail for almost every row, whose peak exceeds the
+    # estimate without its charge for tails.
     TRACE_HEAVY = [
         {"kind": "mha", "model": {"n": 96, "t": 4, "h": 8, "d": 4}, "hardware": {"attention_array": {"rows": 2, "cols": 2}}},
         {"kind": "moe", "model": {"n": 128, "t": 4, "d_in": 16, "d_out": 32},
          "hardware": {"expert_array": {"rows": 1, "cols": 1}, "routing_array": {"rows": 1, "cols": 1}}},
         {"kind": "mha", "model": {"n": 32, "t": 2, "h": 64, "d": 2}, "hardware": {"attention_array": {"rows": 1, "cols": 1}}},
+        {"kind": "mha", "model": {"n": 4, "t": 1, "h": 128, "d": 1}, "hardware": {"attention_array": {"rows": 1, "cols": 1}}},
+        {"kind": "moe", "model": {"n": 96, "t": 2, "d_in": 4, "d_out": 4, "e": 32},
+         "hardware": {"expert_array": {"rows": 1, "cols": 1}, "routing_array": {"rows": 1, "cols": 1}}},
+        {"kind": "mha", "model": {"n": 1, "t": 1, "h": 4096, "d": 1}, "hardware": {"attention_array": {"rows": 1, "cols": 1}}},
     ]
 
     @pytest.mark.parametrize("doc", TRACE_HEAVY)
@@ -362,6 +371,40 @@ class TestPlanSizeCap:
             tracemalloc.stop()
         capsys.readouterr()
         assert peak <= runner.plan_bytes(parse_workload(doc))
+
+    def test_largest_timestep_count_the_cap_admits(self):
+        # One token and one head of width 1: the most timesteps any plan under
+        # the cap can have.  The run repeats one group t times; its cycles,
+        # ingress bits and level table stay exact in int64.
+        def plan(t):
+            return parse_workload({"kind": "mha", "model": {"n": 1, "t": t, "h": 1, "d": 1}})
+
+        lo, hi = 1, runner.MAX_PLAN_BYTES
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if runner.plan_bytes(plan(mid)) <= runner.MAX_PLAN_BYTES else (lo, mid - 1)
+        t = lo
+        assert t > 800_000 and runner.plan_bytes(plan(t + 1)) > runner.MAX_PLAN_BYTES
+        g = ArrayGeometry(16, 16, "attention")
+        group_stats, group = dataflow.attention_walk(dataflow.plan_attention_tiles(1, 1, 1, 1, g), g)
+        stats, records = dataflow.repeat_timesteps(group_stats, group, t, g)
+        period = group_stats.total_cycles
+        assert (stats.total_cycles, stats.tile_count, stats.mac_ops) == (t * period, 2 * t, 2 * t)
+        assert stats.per_phase == {phase: t * cycles for phase, cycles in group_stats.per_phase.items()}
+        assert stats.utilization == 2 * t / (t * period * g.pe_count)
+        # The last copy's records end within the run, far below 2**63.
+        assert int(records.cycle.max()) + (t - 1) * records.period <= stats.total_cycles < 2**48
+        assert records.bits[:2].tolist() == [3 * t] * 2
+        # The level table against a fold in Python ints: the ingress once, every other record t times.
+        expected = {}
+        for i, (cycle, k, bits) in enumerate(zip(group.cycle.tolist(), group.kind.tolist(), group.bits.tolist())):
+            level, direction, _ = group.kinds[k]
+            copies, bits = (1, bits * t) if i < 2 else (t, bits)
+            counts = expected.setdefault(level, {"reads": 0, "writes": 0, "words_read": 0, "words_written": 0})
+            counts["reads" if direction == "read" else "writes"] += copies
+            counts["words_read" if direction == "read" else "words_written"] += copies * -(-bits // 128)
+        assert memory.count_walks([(("attn0",), records)]) == expected
+        assert len(records) == 2 + t * (len(group) - 2)
 
     def test_estimate_covers_oversized_hardware(self):
         base = parse_workload({"kind": "moe"})
@@ -546,6 +589,22 @@ class TestRunPathWork:
         plan = parse_workload({**MHA_DOC, "H": 4})
         assert run_experiment(plan).to_dict()["kind"] == "mha"
         assert compare_designs(plan).functional_equal
+
+    def test_run_walks_one_head_timestep_group(self, monkeypatch):
+        walked = []
+        walk = dataflow.attention_walk
+
+        def counted(ts, g):
+            walked.append(ts.tile_count)
+            return walk(ts, g)
+
+        monkeypatch.setattr(dataflow, "attention_walk", counted)
+        doc = {"kind": "mha", "model": {"n": 13, "t": 4, "h": 3, "d": 5},
+               "hardware": {"attention_array": {"rows": 4, "cols": 5}}}
+        result = run_experiment(parse_workload(doc))
+        # 2 phases x ceil(13 / 4) row tiles x ceil(13 / 5) key tiles, for one timestep of one head.
+        assert walked == [2 * 4 * 3]
+        assert result.unit_cycles["attn2"].tile_count == 4 * 2 * 4 * 3
 
     def test_compare_runs_one_functional_pass_and_one_head_walk(self, monkeypatch):
         calls = {"mha_forward": 0, "attention_walk": 0}

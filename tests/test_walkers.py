@@ -17,7 +17,16 @@ import pytest
 from spikesim import ArrayGeometry, SparsityStats, TileSchedule, dataflow, plan_attention_tiles, plan_expert_tiles
 from spikesim.cli import main
 from spikesim.levels import level_width_bits, width_words
-from spikesim.dataflow import _stats, attention_walk, expert_walk, fill_cycles, routing_walk
+from spikesim.dataflow import (
+    _stats,
+    attention_walk,
+    expert_walk,
+    fill_cycles,
+    repeat_timesteps,
+    routing_walk,
+    write_trace_csv,
+)
+from spikesim.memory import count_walks
 
 from object_model import Tile, record_rows, records_from_rows, schedule, tiles
 
@@ -198,6 +207,43 @@ def test_attention_walk_matches_reference():
             shuffled += 1
         _assert_same(attention_walk(ts, g), reference_attention_walk(ts, g))
     assert shuffled >= 50
+
+
+def test_repeated_group_equals_a_walk_of_the_whole_head(tmp_path):
+    # A run walks one (head, timestep) group and repeats it over the t
+    # timesteps: its stats, level table, records and trace equal a walk of
+    # the head's whole schedule.
+    rng = np.random.default_rng(74)
+    seen = set()
+    for case in range(120):
+        g = ArrayGeometry(*(int(x) for x in rng.integers(1, 7, size=2)), "attention")
+        if case % 8 == 0:
+            g = ArrayGeometry(1, 1, "attention")
+        n, d, t = (int(x) for x in rng.integers(1, [16, 10, 7]))
+        if case % 6 == 0:
+            t = 1
+        seen |= {"1x1" if g.pe_count == 1 else "array", "t=1" if t == 1 else "timesteps"}
+        if n % g.rows and n % g.cols and n > max(g.rows, g.cols):
+            seen.add("ragged on both axes")
+        group, whole = plan_attention_tiles(n, d, 1, 1, g), plan_attention_tiles(n, d, t, 1, g)
+        group.validate()
+        stats, records = repeat_timesteps(*attention_walk(group, g), t, g)
+        full_stats, full = attention_walk(whole, g)
+        assert stats == full_stats
+        assert len(records) == len(full)
+        expanded = records.expand()
+        assert expanded.kinds == full.kinds
+        for column in ("cycle", "kind", "bits"):
+            assert getattr(expanded, column).dtype == np.int64
+            assert np.array_equal(getattr(expanded, column), getattr(full, column)), column
+        units = ("attn0", "attn10", "attn2")
+        assert list(count_walks([(units, records)]).items()) == list(count_walks([(units, full)]).items())
+        if case % 4 == 0:
+            assert records.events("attn1") == full.events("attn1")
+            write_trace_csv([(units, records)], tmp_path / "repeated.csv")
+            write_trace_csv([(units, full)], tmp_path / "full.csv")
+            assert (tmp_path / "repeated.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    assert seen == {"1x1", "array", "t=1", "timesteps", "ragged on both axes"}
 
 
 def test_attention_walk_sparse_group_ids():
