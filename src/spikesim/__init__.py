@@ -73,7 +73,6 @@ from .tensors import (
     SpikeTensor,
     lif_run,
     lif_step,
-    quantize_weights,
     saturate_i16,
     spike_matmul,
 )

@@ -81,9 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             result = run_experiment(plan)
             if args.dump_calibration:
-                with open(args.dump_calibration, "w") as fh:
-                    json.dump(dump_calibration(result.calibration), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                _emit(dump_calibration(result.calibration), "json", args.dump_calibration)
             if args.trace:
                 write_trace_csv(result.walks, args.trace)
             if args.dump_routing:
@@ -102,9 +100,7 @@ def main(argv: list[str] | None = None) -> int:
                     "builtin2d": dump_calibration(report.run_2d.calibration),
                     "builtin3d": dump_calibration(report.run_3d.calibration),
                 }
-                with open(args.dump_calibration, "w") as fh:
-                    json.dump(both, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                _emit(both, "json", args.dump_calibration)
             _emit(report.to_dict(), args.format, args.output)
     except (WorkloadValidationError, CalibrationValidationError) as err:
         subject = "configuration" if isinstance(err, WorkloadValidationError) else "calibration file"

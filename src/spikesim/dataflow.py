@@ -142,12 +142,13 @@ class ArrayGeometry:
 
 @dataclass(frozen=True, eq=False)
 class TileSchedule:
-    """Ordered tiles as int64 columns, plus the iteration space they must cover per phase.
+    """Ordered tiles as int64 columns over a ``row_extent`` x ``col_extent`` space.
 
     The ``i``-th tile covers rows ``[row_start[i], row_stop[i])`` and columns
     ``[col_start[i], col_stop[i])`` with reduction depth ``reduction[i]`` in
     phase ``TILE_PHASES[phase[i]]``; ``head[i]`` and ``step[i]`` name its
-    (head, timestep) group, -1 for none.
+    (head, timestep) group, -1 for none.  ``meta`` holds the workload
+    dimensions the walkers read.
     """
 
     row_start: np.ndarray
@@ -177,69 +178,6 @@ class TileSchedule:
                 f"cols [{self.col_start[i]},{self.col_stop[i]}) reduction {self.reduction[i]} phase {self.phase[i]} "
                 f"group ({self.head[i]}, {self.step[i]})"
             )
-
-    def validate(self) -> None:
-        """Check that the tiles cover the groups ``meta`` names, each partitioned once.
-
-        One lexsort groups the tiles by (head, step, phase).  An attention
-        ``meta`` names every head < ``heads`` and step < ``t`` in both
-        phases, and an expert ``meta`` the one ungrouped compute phase when
-        its space is not empty; the groups that have tiles must be exactly
-        those.  Within a group, the tiles' row and column boundaries (with 0
-        and the extents) cut the space into cells, and a 2-D difference array
-        over those cells counts how many tiles cover each one; every count
-        must be exactly 1.  It builds no per-tile object.
-        """
-        beyond = (self.row_stop > self.row_extent) | (self.col_stop > self.col_extent)
-        if beyond.any():
-            i = int(np.argmax(beyond))
-            raise ShapeError(f"tile {i} exceeds iteration space {self.row_extent}x{self.col_extent} in {self._where(i)}")
-        order = np.lexsort((self.phase, self.step, self.head))
-        keys = self.head[order], self.step[order], self.phase[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (keys[0][1:] != keys[0][:-1]) | (keys[1][1:] != keys[1][:-1]) | (keys[2][1:] != keys[2][:-1])
-        required = self._required_groups()
-        present = np.stack([key[new] for key in keys], axis=1)
-        if required is not None and not np.array_equal(present, required):
-            have, want = set(map(tuple, present.tolist())), set(map(tuple, required.tolist()))
-            if want - have:
-                raise ShapeError(f"no tile covers {self._name(*min(want - have))}, which the schedule's meta requires")
-            raise ShapeError(f"tiles in {self._name(*min(have - want))} lie outside the groups the schedule's meta names")
-        for members in np.split(order, np.flatnonzero(new)[1:]):
-            r0, r1, c0, c1 = (column[members] for column in (self.row_start, self.row_stop, self.col_start, self.col_stop))
-            rows = np.unique(np.concatenate(([0, self.row_extent], r0, r1)))
-            cols = np.unique(np.concatenate(([0, self.col_extent], c0, c1)))
-            r0, r1 = np.searchsorted(rows, r0), np.searchsorted(rows, r1)
-            c0, c1 = np.searchsorted(cols, c0), np.searchsorted(cols, c1)
-            diff = np.zeros((len(rows), len(cols)), np.int64)
-            for r, c, sign in ((r0, c0, 1), (r0, c1, -1), (r1, c0, -1), (r1, c1, 1)):
-                np.add.at(diff, (r, c), sign)
-            cover = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
-            if (cover != 1).any():
-                r, c = np.unravel_index(np.argmax(cover != 1), cover.shape)
-                raise ShapeError(
-                    f"{self._where(members[0])} covers cell (row {rows[r]}, col {cols[c]}) {cover[r, c]} times, expected once"
-                )
-
-    def _required_groups(self) -> np.ndarray | None:
-        """The (head, step, phase) rows ``meta`` says the tiles must cover, sorted; None if it does not say."""
-        if "heads" in self.meta:
-            grid = np.meshgrid(np.arange(self.meta["heads"]), np.arange(self.meta["t"]), [_PHASE1, _PHASE2], indexing="ij")
-            return np.stack([axis.ravel() for axis in grid], axis=1)
-        if "n_tokens" in self.meta:
-            groups = [(-1, -1, TILE_PHASES.index("compute"))] if self.row_extent and self.col_extent else []
-            return np.array(groups, dtype=np.int64).reshape(-1, 3)
-        return None
-
-    @staticmethod
-    def _name(head, step, phase) -> str:
-        """A (head, step, phase) group, for error messages."""
-        group = None if head < 0 else (int(head), int(step))
-        return f"group {group} phase {TILE_PHASES[phase]}"
-
-    def _where(self, i) -> str:
-        """The group and phase of tile ``i``, for error messages."""
-        return self._name(self.head[i], self.step[i], self.phase[i])
 
     @property
     def tile_count(self) -> int:

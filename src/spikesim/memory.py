@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -394,6 +395,7 @@ def dump_calibration(cal: MemCalibration) -> dict:
 # Override-file fields and the type each converts to, as the records declare them.
 _LEVEL_FIELDS = tuple(get_type_hints(MemLevelSpec).items())
 _AGGREGATE_FIELDS = tuple(get_type_hints(CalibrationAggregate).items())
+_DOCUMENT_KEYS = frozenset(get_type_hints(MemCalibration))
 
 
 # The JSON type each field takes, as Python types json.load produces; a bool
@@ -401,16 +403,22 @@ _AGGREGATE_FIELDS = tuple(get_type_hints(CalibrationAggregate).items())
 _JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
 
 
+def _unknown_keys(entry: dict, known, where: str) -> list[str]:
+    """A violation per key of ``entry`` outside ``known``: a mistyped override is listed, not ignored."""
+    return [f"{where} has unknown key {key!r}" for key in sorted(entry.keys() - known, key=str)]
+
+
 def _convert_fields(entry, fields, where: str, violations: list[str]) -> dict | None:
     """Convert ``entry``'s fields, appending a violation per problem; None if any.
 
-    Each field takes only its own JSON type: a string, an integer (int()
-    would truncate 8192.9 and read true as 1) or a number (float() would
-    read "148" and true).
+    A key that is not a field is a problem too.  Each field takes only its
+    own JSON type: a string, an integer (int() would truncate 8192.9 and
+    read true as 1) or a number (float() would read "148" and true).
     """
     if not isinstance(entry, dict):
         violations.append(f"{where} must be a mapping, got {type(entry).__name__}")
         return None
+    violations += _unknown_keys(entry, {name for name, _ in fields}, where)
     out = {}
     for name, cast in fields:
         if name not in entry:
@@ -435,18 +443,18 @@ def _convert_fields(entry, fields, where: str, violations: list[str]) -> dict | 
 
 
 def load_calibration(source) -> MemCalibration:
-    """Load a calibration override from a path or an already-parsed document.
+    """Load a calibration override from a path (str, bytes or path-like) or an already-parsed document.
 
     Every problem found is collected and raised together as a
     :class:`CalibrationValidationError`, the way the workload parser reports.
     """
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source) as fh:
             try:
                 doc = json.load(fh)
             # Malformed JSON, undecodable bytes, or nesting too deep to parse.
             except (ValueError, RecursionError) as err:
-                problem = f"calibration file {source!r} is not valid JSON: {err}"
+                problem = f"calibration file {os.fspath(source)!r} is not valid JSON: {err}"
                 raise CalibrationValidationError([problem]) from None
     else:
         doc = source
@@ -455,6 +463,7 @@ def load_calibration(source) -> MemCalibration:
     violations = [
         f"calibration document missing {key!r}" for key in ("design", "levels", "aggregate") if key not in doc
     ]
+    violations += _unknown_keys(doc, _DOCUMENT_KEYS, "calibration document")
     design = doc.get("design", "")  # a missing design is listed above
     if not isinstance(design, str):
         violations.append(f"calibration design must be a string, got {design!r}")

@@ -407,11 +407,14 @@ class RunResult:
         }
 
 
+# The design flavor each built-in calibration source names.
+_BUILTIN_DESIGNS = {"builtin2d": "2d", "builtin3d": "3d"}
+
+
 def resolve_calibration(plan: RunPlan) -> memory.MemCalibration:
-    if plan.calibration_source == "builtin2d":
-        return memory.builtin_calibration(plan.kind, "2d")
-    if plan.calibration_source == "builtin3d":
-        return memory.builtin_calibration(plan.kind, "3d")
+    design = _BUILTIN_DESIGNS.get(plan.calibration_source)
+    if design is not None:
+        return memory.builtin_calibration(plan.kind, design)
     cal = memory.load_calibration(plan.calibration_path)
     if cal.kind != plan.kind:
         raise ConfigError(

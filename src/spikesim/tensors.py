@@ -238,9 +238,6 @@ class SpikeTensor:
             return NotImplemented
         return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
 
-    def __hash__(self):  # pragma: no cover - tensors are not meant to be dict keys
-        return hash(self.to_bytes())
-
     def __repr__(self) -> str:
         return f"SpikeTensor(n={self.n}, t={self.t}, d={self.d}, ones={self.popcount()})"
 
@@ -443,28 +440,3 @@ def lif_run(x: IntegrationTensor, p: LifParams) -> SpikeTensor:
         raise OverflowError("membrane potential exceeds the 32-bit accumulator range")
     spikes, _ = _lif(x.data, -INT16_MIN, p.initial_potential, abs(p.initial_potential), p)
     return _adopt(SpikeTensor, spikes.view(np.uint8))
-
-
-def quantize_weights(w_real: np.ndarray, bits: int = 8) -> QuantWeightMatrix:
-    """Symmetric per-tensor quantization of real weights.
-
-    scale = max(|w|) / qmax with qmax = 2**(bits-1) - 1; entries are rounded
-    and clamped to [-qmax, qmax].  An all-zero matrix quantizes to zeros with
-    scale 1.0 so that dequantization stays well defined.
-    """
-    w = np.asarray(w_real, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"weights must be 2-d, got {w.ndim}-d")
-    if w.size == 0:
-        raise ShapeError("weights must be non-empty")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if not 2 <= bits <= 8:
-        raise ValueError(f"quantization width must be in [2, 8] bits, got {bits}")
-    qmax = 2 ** (bits - 1) - 1
-    peak = float(np.abs(w).max())
-    if peak == 0.0:
-        return QuantWeightMatrix(np.zeros(w.shape, dtype=np.int8), 1.0)
-    scale = peak / qmax
-    q = np.clip(np.round(w / scale), -qmax, qmax).astype(np.int8)
-    return QuantWeightMatrix(q, scale)

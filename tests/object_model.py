@@ -5,6 +5,8 @@ writes the merged trace straight from the records.  The tests check them
 against per-object references: a ``Tile`` per schedule row, a tuple per
 record, an ``AccessEvent`` per trace row, the merge as one stable sort of
 per-unit event lists, and per-level counts folded one event at a time.
+``validate`` checks that a schedule's tiles partition the iteration space
+its ``meta`` names, the property the planners must keep.
 """
 
 from typing import NamedTuple
@@ -12,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from spikesim.dataflow import TILE_PHASES, AccessEvent, Records, TileSchedule
-from spikesim.errors import TraceError
+from spikesim.errors import ShapeError, TraceError
 from spikesim.levels import LEVEL_GEOMETRY
 
 
@@ -50,6 +52,73 @@ def schedule(tile_list, row_extent: int, col_extent: int, meta: dict | None = No
     rows = [(*t[:5], TILE_PHASES.index(t.phase), *(t.group or (-1, -1))) for t in tile_list]
     columns = np.array(rows, dtype=np.int64).reshape(-1, 8).T
     return TileSchedule(*columns, row_extent, col_extent, {} if meta is None else meta)
+
+
+def validate(ts: TileSchedule) -> None:
+    """Check that the tiles cover the groups ``ts.meta`` names, each partitioned once.
+
+    One lexsort groups the tiles by (head, step, phase).  An attention
+    ``meta`` names every head < ``heads`` and step < ``t`` in both phases,
+    and an expert ``meta`` the one ungrouped compute phase when its space is
+    not empty; the groups that have tiles must be exactly those.  Within a
+    group, the tiles' row and column boundaries (with 0 and the extents) cut
+    the space into cells, and a 2-D difference array over those cells counts
+    how many tiles cover each one; every count must be exactly 1.  It builds
+    no per-tile object.
+    """
+    beyond = (ts.row_stop > ts.row_extent) | (ts.col_stop > ts.col_extent)
+    if beyond.any():
+        i = int(np.argmax(beyond))
+        raise ShapeError(f"tile {i} exceeds iteration space {ts.row_extent}x{ts.col_extent} in {_where(ts, i)}")
+    order = np.lexsort((ts.phase, ts.step, ts.head))
+    keys = ts.head[order], ts.step[order], ts.phase[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[0][1:] != keys[0][:-1]) | (keys[1][1:] != keys[1][:-1]) | (keys[2][1:] != keys[2][:-1])
+    required = _required_groups(ts)
+    present = np.stack([key[new] for key in keys], axis=1)
+    if required is not None and not np.array_equal(present, required):
+        have, want = set(map(tuple, present.tolist())), set(map(tuple, required.tolist()))
+        if want - have:
+            raise ShapeError(f"no tile covers {_name(*min(want - have))}, which the schedule's meta requires")
+        raise ShapeError(f"tiles in {_name(*min(have - want))} lie outside the groups the schedule's meta names")
+    for members in np.split(order, np.flatnonzero(new)[1:]):
+        r0, r1, c0, c1 = (column[members] for column in (ts.row_start, ts.row_stop, ts.col_start, ts.col_stop))
+        rows = np.unique(np.concatenate(([0, ts.row_extent], r0, r1)))
+        cols = np.unique(np.concatenate(([0, ts.col_extent], c0, c1)))
+        r0, r1 = np.searchsorted(rows, r0), np.searchsorted(rows, r1)
+        c0, c1 = np.searchsorted(cols, c0), np.searchsorted(cols, c1)
+        diff = np.zeros((len(rows), len(cols)), np.int64)
+        for r, c, sign in ((r0, c0, 1), (r0, c1, -1), (r1, c0, -1), (r1, c1, 1)):
+            np.add.at(diff, (r, c), sign)
+        cover = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
+        if (cover != 1).any():
+            r, c = np.unravel_index(np.argmax(cover != 1), cover.shape)
+            raise ShapeError(
+                f"{_where(ts, members[0])} covers cell (row {rows[r]}, col {cols[c]}) {cover[r, c]} times, expected once"
+            )
+
+
+def _required_groups(ts: TileSchedule) -> np.ndarray | None:
+    """The (head, step, phase) rows ``ts.meta`` says the tiles must cover, sorted; None if it does not say."""
+    if "heads" in ts.meta:
+        phases = [TILE_PHASES.index("phase1"), TILE_PHASES.index("phase2")]
+        grid = np.meshgrid(np.arange(ts.meta["heads"]), np.arange(ts.meta["t"]), phases, indexing="ij")
+        return np.stack([axis.ravel() for axis in grid], axis=1)
+    if "n_tokens" in ts.meta:
+        groups = [(-1, -1, TILE_PHASES.index("compute"))] if ts.row_extent and ts.col_extent else []
+        return np.array(groups, dtype=np.int64).reshape(-1, 3)
+    return None
+
+
+def _name(head, step, phase) -> str:
+    """A (head, step, phase) group, for error messages."""
+    group = None if head < 0 else (int(head), int(step))
+    return f"group {group} phase {TILE_PHASES[phase]}"
+
+
+def _where(ts: TileSchedule, i) -> str:
+    """The group and phase of tile ``i``, for error messages."""
+    return _name(ts.head[i], ts.step[i], ts.phase[i])
 
 
 def records_from_rows(rows) -> Records:

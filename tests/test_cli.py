@@ -263,6 +263,17 @@ class TestErrorPaths:
         assert captured.err.startswith("invalid calibration file (1 problem(s)):\n")
         assert "is not valid JSON: " in captured.err
 
+    def test_calibration_unknown_keys_listed(self, tmp_path, capsys):
+        doc = dump_calibration(builtin_calibration("moe", "3d"))
+        doc["levels"][0]["latency_ns"] = 1.0
+        doc["aggregate"]["area_um2"] = 5.0
+        doc["colour"] = "red"
+        assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid calibration file (3 problem(s)):")
+        for key in ("'latency_ns'", "'area_um2'", "'colour'"):
+            assert f"has unknown key {key}" in err
+
     def test_calibration_level_fields_listed(self, tmp_path, capsys):
         doc = dump_calibration(builtin_calibration("moe", "2d"))
         del doc["levels"][0]["words"]

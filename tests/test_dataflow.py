@@ -35,7 +35,7 @@ from spikesim.dataflow import (
 )
 from spikesim.levels import LEVEL_GEOMETRY
 
-from object_model import Tile, merge_traces, merged_events, records_from_rows, schedule, tiles
+from object_model import Tile, merge_traces, merged_events, records_from_rows, schedule, tiles, validate
 from oracles import (
     lpt_makespan,
     stepped_attention_cycles,
@@ -69,57 +69,57 @@ class TestGeometryAndTiles:
 
     def test_schedule_coverage_check(self):
         good = schedule((Tile(0, 2, 0, 2, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")), row_extent=2, col_extent=4)
-        good.validate()
+        validate(good)
         missing = schedule((Tile(0, 2, 0, 2, 4, "compute"),), 2, 4)
         with pytest.raises(ShapeError):
-            missing.validate()
+            validate(missing)
         overlapping = schedule((Tile(0, 2, 0, 3, 4, "compute"), Tile(0, 2, 2, 4, 4, "compute")), row_extent=2, col_extent=4)
         with pytest.raises(ShapeError):
-            overlapping.validate()
+            validate(overlapping)
         beyond = schedule((Tile(0, 2, 0, 5, 4, "compute"),), 2, 4)
         with pytest.raises(ShapeError):
-            beyond.validate()
+            validate(beyond)
 
     def test_schedule_must_be_a_partition(self):
         # The areas sum to the 2x2 space, but cell (0, 0) is covered twice and cell (1, 1) never.
         l_shape = schedule((Tile(0, 2, 0, 1, 4, "compute"), Tile(0, 1, 0, 2, 4, "compute")), 2, 2)
         with pytest.raises(ShapeError, match=r"group None phase compute covers cell \(row 0, col 0\) 2 times"):
-            l_shape.validate()
+            validate(l_shape)
         # The same tiles in different groups or phases are checked apart.
         split = schedule((Tile(0, 2, 0, 2, 4, "phase1", (0, 0)), Tile(0, 2, 0, 2, 4, "phase2", (0, 0)),
                           Tile(0, 2, 0, 2, 4, "phase1", (0, 1)), Tile(0, 2, 0, 2, 4, "phase1", (1, 0))), 2, 2)
-        split.validate()
+        validate(split)
         doubled = schedule(tiles(split) + [Tile(1, 2, 1, 2, 4, "phase1", (0, 1))], 2, 2)
         with pytest.raises(ShapeError, match=r"group \(0, 1\) phase phase1 covers cell \(row 1, col 1\) 2 times"):
-            doubled.validate()
+            validate(doubled)
 
     def test_schedule_must_cover_every_group_meta_names(self):
         # One tile per phase: the group's whole phase 2 is its second tile.
         ts = plan_attention_tiles(4, 2, 1, 1, ArrayGeometry(4, 4, "attention"))
         assert [t.phase for t in tiles(ts)] == ["phase1", "phase2"]
         with pytest.raises(ShapeError, match=r"no tile covers group \(0, 0\) phase phase2"):
-            schedule(tiles(ts)[:1], ts.row_extent, ts.col_extent, ts.meta).validate()
+            validate(schedule(tiles(ts)[:1], ts.row_extent, ts.col_extent, ts.meta))
         # t = 2 with only timestep 0's tiles.
         ts = plan_attention_tiles(5, 3, 2, 1, ArrayGeometry(2, 3, "attention"))
         step0 = [t for t in tiles(ts) if t.group == (0, 0)]
         with pytest.raises(ShapeError, match=r"no tile covers group \(0, 1\) phase phase1"):
-            schedule(step0, ts.row_extent, ts.col_extent, ts.meta).validate()
+            validate(schedule(step0, ts.row_extent, ts.col_extent, ts.meta))
         # A group meta does not name: head 1 of a one-head schedule.
         extra = [t._replace(group=(1, 0)) for t in step0]
         with pytest.raises(ShapeError, match=r"group \(1, 0\) phase phase1 lie outside"):
-            schedule(tiles(ts) + extra, ts.row_extent, ts.col_extent, ts.meta).validate()
+            validate(schedule(tiles(ts) + extra, ts.row_extent, ts.col_extent, ts.meta))
         # An expert schedule with tokens must have its compute tiles; one without has none.
         ts = plan_expert_tiles(3, 2, 4, 5, ArrayGeometry(2, 4, "expert"))
         with pytest.raises(ShapeError, match="no tile covers group None phase compute"):
-            schedule([], ts.row_extent, ts.col_extent, ts.meta).validate()
-        plan_expert_tiles(0, 2, 4, 5, ArrayGeometry(2, 4, "expert")).validate()
-        plan_attention_tiles(9, 2, 4, 3, ArrayGeometry(4, 2, "attention")).validate()
+            validate(schedule([], ts.row_extent, ts.col_extent, ts.meta))
+        validate(plan_expert_tiles(0, 2, 4, 5, ArrayGeometry(2, 4, "expert")))
+        validate(plan_attention_tiles(9, 2, 4, 3, ArrayGeometry(4, 2, "attention")))
 
     def test_planned_schedules_validate(self):
         rng = np.random.default_rng(58)
         residue = 0
         for ts in _planned_schedules(rng, 80):
-            ts.validate()
+            validate(ts)
             residue += len(set(ts.rows_used.tolist())) > 1 or len(set(ts.cols_used.tolist())) > 1
         assert residue >= 40
 
@@ -135,7 +135,7 @@ class TestGeometryAndTiles:
             moved = tile._replace(col_start=tile.col_start + shift, col_stop=tile.col_stop + shift)
             for mutant in (rows[:i] + rows[i + 1:], rows[: i + 1] + rows[i:], rows[:i] + [moved] + rows[i + 1:]):
                 with pytest.raises(ShapeError) as info:
-                    schedule(mutant, ts.row_extent, ts.col_extent, ts.meta).validate()
+                    validate(schedule(mutant, ts.row_extent, ts.col_extent, ts.meta))
                 partition_errors += "covers cell" in str(info.value)
         assert partition_errors >= 150
 
@@ -209,18 +209,18 @@ class TestExpertTiling:
     def test_perfect_fit_single_tile(self):
         ts = plan_expert_tiles(32, 4, 64, 16, EXPERT16x128)  # 128 columns, 16 rows
         assert ts.tile_count == 1
-        ts.validate()
+        validate(ts)
 
     def test_column_residue(self):
         ts = plan_expert_tiles(65, 2, 64, 16, EXPERT16x128)  # 130 columns
         assert ts.tile_count == 2
         assert [t.cols_used for t in tiles(ts)] == [128, 2]
-        ts.validate()
+        validate(ts)
 
     def test_row_by_column_grid(self):
         ts = plan_expert_tiles(16, 4, 128, 128, EXPERT16x128)  # 64 cols, 8 row tiles
         assert ts.tile_count == 8
-        ts.validate()
+        validate(ts)
 
     def test_empty_workload(self):
         ts = plan_expert_tiles(0, 4, 64, 16, EXPERT16x128)
@@ -380,19 +380,19 @@ class TestAttentionTiling:
     def test_single_tile_per_group(self):
         ts = plan_attention_tiles(16, 16, 1, 1, ATTN16x16)
         assert [t.phase for t in tiles(ts)] == ["phase1", "phase2"]
-        ts.validate()
+        validate(ts)
 
     def test_group_product_count(self):
         ts = plan_attention_tiles(16, 16, 2, 2, ATTN16x16)
         assert sum(t.phase == "phase1" for t in tiles(ts)) == 4
-        ts.validate()
+        validate(ts)
 
     def test_map_grid_for_32_tokens(self):
         ts = plan_attention_tiles(32, 16, 1, 1, ATTN16x16)
         assert sum(t.phase == "phase1" for t in tiles(ts)) == 4
         groups = {t.group for t in tiles(ts)}
         assert groups == {(0, 0)}
-        ts.validate()
+        validate(ts)
 
     def test_phase2_reduction_is_key_range(self):
         ts = plan_attention_tiles(20, 8, 1, 1, ATTN16x16)

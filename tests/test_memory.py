@@ -370,6 +370,10 @@ class TestCalibrationSerialization:
         path = tmp_path / "cal.json"
         path.write_text(json.dumps(dump_calibration(cal)))
         assert load_calibration(str(path)) == cal
+        assert load_calibration(path) == cal
+        path.write_text("{")
+        with pytest.raises(CalibrationValidationError, match=f"calibration file {str(path)!r} is not valid JSON"):
+            load_calibration(path)
 
     def test_missing_sections(self):
         doc = dump_calibration(builtin_calibration("moe", "2d"))
@@ -386,6 +390,22 @@ class TestCalibrationSerialization:
         with pytest.raises(CalibrationValidationError) as info:
             load_calibration(doc)
         assert info.value.violations == [f"calibration design must be a string, got {design!r}"]
+
+    def test_unknown_keys_listed(self):
+        # A mistyped override key is listed, not silently ignored.
+        doc = dump_calibration(builtin_calibration("moe", "3d"))
+        doc["levels"][1]["latency_ns"] = 1.0
+        doc["aggregate"]["area_um2"] = 5.0
+        doc["colour"] = "red"
+        doc[7] = None
+        with pytest.raises(CalibrationValidationError) as info:
+            load_calibration(doc)
+        assert sorted(info.value.violations) == [
+            "calibration aggregate has unknown key 'area_um2'",
+            "calibration document has unknown key 'colour'",
+            "calibration document has unknown key 7",
+            "calibration level 1 has unknown key 'latency_ns'",
+        ]
 
     def test_missing_aggregate_field(self):
         doc = dump_calibration(builtin_calibration("moe", "2d"))

@@ -28,7 +28,7 @@ from spikesim.dataflow import (
 )
 from spikesim.memory import count_walks
 
-from object_model import Tile, record_rows, records_from_rows, schedule, tiles
+from object_model import Tile, record_rows, records_from_rows, schedule, tiles, validate
 
 
 def reference_expert_walk(ts, g, sparsity, extract_ports=None, weight_glb="weight_glb0"):
@@ -226,7 +226,7 @@ def test_repeated_group_equals_a_walk_of_the_whole_head(tmp_path):
         if n % g.rows and n % g.cols and n > max(g.rows, g.cols):
             seen.add("ragged on both axes")
         group, whole = plan_attention_tiles(n, d, 1, 1, g), plan_attention_tiles(n, d, t, 1, g)
-        group.validate()
+        validate(group)
         stats, records = repeat_timesteps(*attention_walk(group, g), t, g)
         full_stats, full = attention_walk(whole, g)
         assert stats == full_stats
