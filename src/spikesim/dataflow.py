@@ -112,7 +112,7 @@ _PHASE1, _PHASE2 = TILE_PHASES.index("phase1"), TILE_PHASES.index("phase2")
 TRACE_COLUMNS = ("cycle", "unit", "level", "direction", "words", "width_bits")
 
 # Trace rows formatted and written per chunk, which bounds the bytes held at once.
-TRACE_CHUNK_ROWS = 1 << 14
+TRACE_CHUNK_ROWS = 1 << 13
 
 # NUL pads the writer's grid; csv.writer would quote a field holding any of the others.
 _UNPLAIN = '\0,"\r\n'
@@ -293,25 +293,22 @@ class Records:
         words at cycles no earlier than its own, so checking the rows checks
         every record.
         """
-        unknown = np.array([level not in LEVEL_GEOMETRY for level, _, _ in self.kinds], dtype=bool)
-        misdirected = np.array([direction not in ("read", "write") for _, direction, _ in self.kinds], dtype=bool)
-        width = np.array([LEVEL_GEOMETRY.get(level, (0, 1))[1] for level, _, _ in self.kinds], dtype=np.int64)
-        words = width_words(self.bits, width[self.kind])
-        bad = (unknown | misdirected)[self.kind] | (self.cycle < 0) | (words < 1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            k, cycle = int(self.kind[i]), int(self.cycle[i])
-            level, direction, _ = self.kinds[k]
-            if unknown[k]:
+        # Each record's level width, 0 for an unknown level or direction; bits >= 1 and width >= 1 give words >= 1.
+        table = [LEVEL_GEOMETRY.get(lv, (0, 0))[1] * (d in ("read", "write")) for lv, d, _ in self.kinds]
+        width = np.array(table, dtype=np.int64)[self.kind]
+        if len(width) and (0 in table and width.min() == 0 or self.cycle.min() < 0 or self.bits.min() < 1):
+            i = int(np.argmax((width == 0) | (self.cycle < 0) | (self.bits < 1)))
+            cycle, (level, direction, _) = int(self.cycle[i]), self.kinds[int(self.kind[i])]
+            if level not in LEVEL_GEOMETRY:
                 problem = f"trace references unknown level {level!r}"
             elif cycle < 0:
                 problem = "event cycle cannot be negative"
-            elif misdirected[k]:
+            elif direction not in ("read", "write"):
                 problem = f"direction must be read or write, got {direction!r}"
             else:
                 problem = "events must move at least one word of at least one bit"
             raise TraceError(f"{problem} (record at cycle {cycle} of unit(s) {', '.join(units)})")
-        return words
+        return width_words(self.bits, width)
 
     def events(self, unit: str) -> list[AccessEvent]:
         """The records as ``unit``'s ``AccessEvent`` list."""
@@ -754,84 +751,111 @@ def expert_parallel_schedule(
 def write_trace_csv(walks, path: str) -> None:
     """Merge ``(units, Records)`` walks into one trace and write it as CSV.
 
-    Rows are ordered by (cycle, unit name), ties in concatenation order:
-    walks in order, the units of a walk in order, records in emission order.
-    That is the order a stable sort of the concatenated per-unit event lists
-    on ``(cycle, unit)`` gives.  A unit's rank is its position in sorted name
-    order (``attn10`` before ``attn2``), so one stable ``np.lexsort((rank,
-    cycle))`` over the rows gives that order, with no per-event objects.
+    Rows go by (cycle, unit name), ties by walk, then unit position, then
+    emission order.  A row is a (record, slot) pair, a slot being a unit's
+    (walk, position); ranking slots by (unit name, walk, position) encodes
+    the tie order (``attn10`` before ``attn2``).  Each walk is checked once
+    (``Records.words``) before the file is opened.  The records of all
+    walks (``Records.recur``) are sorted once, stably on cycle, so a run of
+    one cycle comes walk by walk; in a run, rows go by slot rank, then
+    record.  One sort (words, then kind) finds each walk's distinct (kind,
+    words) pairs; a ``,unit,level,direction,words,width_bits`` tail is
+    formatted once per unit and pair, cycle digits once per record.
 
-    Each walk's records are checked once (``Records.words``: each distinct
-    kind once, cycles and word counts as arrays); units that share a walk
-    differ only in their unit name, so that is the same as checking every
-    copy.  One sort finds the walk's distinct (kind, words) pairs, and the
-    line tail ``,unit,level,direction,words,width_bits\r\n`` is formatted
-    once per unit of the walk and distinct pair.  A row carries the id of
-    its tail: the walk's first tail id + unit index * distinct pairs + the
-    pair's index.  A walk that keeps recurring rows is checked and paired
-    per row, and ``Records.recur`` lays its cycles and pair indices out over
-    every record.  Every check runs before the file is opened, so a refused
-    trace writes nothing.
+    A chunk of at most ``TRACE_CHUNK_ROWS`` rows orders the (run, slot)
+    groups of the runs it touches by one stable sort on (run index in the
+    chunk * slots + slot rank), which fits int64 (each run after the first
+    holds a row of the chunk; fewer than 2**48 slots fit in memory), and
+    clips its first and last runs: a run's order does not depend on where a
+    chunk starts.  Digits and tails fill a reused NUL-padded grid whose
+    non-NUL bytes are written; no array with an entry per row outlives it.
 
-    The rows are written in chunks of ``TRACE_CHUNK_ROWS`` with no Python per
-    row, and the bytes are those ``csv.writer`` writes in its default
-    dialect.  Each chunk is a NUL-padded uint8 grid of one row per line: the
-    cycle's digits in 4-digit groups gathered as uint32 from
-    ``_digit_groups`` (leading zeros as NUL), then the row's tail gathered
-    by its tail id.  The file gets the grid's non-NUL bytes in order.
-
-    Why that is exact: no field can hold a NUL.  The cycle digits and the
-    integer words and widths are decimal digits, every level is a plain name
-    of ``LEVEL_GEOMETRY``, a direction is read or write, and each unit name
-    is checked once to be ASCII without NUL; so deleting the padding leaves
-    exactly the fields, comma-joined.  No field needs quoting either:
-    ``csv.writer`` quotes only a field that holds a comma, a double quote,
-    CR or LF, which the unit check refuses too, and it writes an integer as
-    its decimal digits.  A unit name that fails the check, or a record that
-    ``Records.words`` refuses, raises TraceError.
+    That is exact: no field holds a NUL or needs quoting.  Cycles, words and
+    widths are digits, levels ``LEVEL_GEOMETRY`` names, directions read or
+    write, and a unit name with a non-ASCII character, NUL, comma, double
+    quote, CR or LF (``csv.writer`` quotes those) raises TraceError.
     """
-    names = sorted({_plain_field(unit) for units, _ in walks for unit in units})
-    rank = {unit: i for i, unit in enumerate(names)}
-    tails: list[bytes] = []
-    cycles, ranks, tail_ids = [np.empty(0, np.int64)], [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for units, walk in walks:
-        words = walk.words(units)
-        order = np.lexsort((words, walk.kind))
-        kind, words = walk.kind[order], words[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (kind[1:] != kind[:-1]) | (words[1:] != words[:-1])
-        local = np.empty(len(order), np.intp)
-        local[order] = np.cumsum(new) - 1
-        pairs = [(walk.kinds[k][:2], w) for k, w in zip(kind[new].tolist(), words[new].tolist())]
-        # Unit-major, record-minor: the concatenation order that breaks cycle and unit ties.
-        cycles.append(np.tile(walk.recur(walk.cycle, walk.period), len(units)))
-        ranks.append(np.repeat(np.array([rank[unit] for unit in units], np.intp), len(walk)))
-        tail_ids.append((len(tails) + len(pairs) * np.arange(len(units))[:, None] + walk.recur(local)).ravel())
-        tails += [f",{unit},{lv},{d},{w},{level_width_bits(lv)}\r\n".encode() for unit in units for (lv, d), w in pairs]
-    cycle, tail_id = np.concatenate(cycles), np.concatenate(tail_ids)
-    order = np.lexsort((np.concatenate(ranks), cycle))  # stable: ties keep concatenation order
-    del cycles, ranks, tail_ids  # the per-walk parts, freed before the sorted copies are made
-    cycle, tail_id = cycle[order], tail_id[order]
-    width = max(map(len, tails), default=0)
-    tail = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), np.uint8).reshape(len(tails), width)
-    digit_groups = _digit_groups()
+    rank = {unit: i for i, unit in enumerate(sorted({_plain_field(unit) for units, _ in walks for unit in units}))}
+    kinds = [kind for _, walk in walks for kind in walk.kinds]
+    first_kind = np.cumsum([0] + [len(walk.kinds) for _, walk in walks]).tolist()
+    words = np.concatenate([np.empty(0, np.int64)] + [walk.words(units) for units, walk in walks])
+    kind = np.concatenate([np.empty(0, np.int64)] + [walk.kind + first_kind[w] for w, (_, walk) in enumerate(walks)])
+    order = words.argsort()
+    order = order[kind[order].astype(np.min_scalar_type(first_kind[-1])).argsort(kind="stable")]
+    kind, words, new = kind[order], words[order], np.ones(len(order), bool)
+    new[1:] = (kind[1:] != kind[:-1]) | (words[1:] != words[:-1])
+    pair = np.empty(len(order), np.intp)
+    pair[order] = new.cumsum() - 1
+    walk_pairs = kind[new].searchsorted(first_kind).tolist()
+    ends = [f",{lv},{d},{n},{level_width_bits(lv)}\r\n" for k, n in zip(kind[new].tolist(), words[new].tolist())
+            for lv, d, _ in (kinds[k],)]
+    hw, ew = 1 + max(map(len, rank), default=0), max(map(len, ends), default=0)  # a tail's ``,unit`` and its end
+    ends = [end.ljust(ew, "\0").encode() for end in ends]
+    tails, slots, cycles, bases, row = [], [], [np.empty(0, np.int64)], [np.empty(0, np.intp)], 0
+    for w, ((units, walk), p0, p1) in enumerate(zip(walks, walk_pairs, walk_pairs[1:])):
+        slots += [(rank[unit], w, j * (p1 - p0)) for j, unit in enumerate(units)]  # with its tail offset
+        cycles.append(walk.recur(walk.cycle, walk.period))
+        bases.append(walk.recur(pair[row : row + len(walk.cycle)] + (len(tails) - p0)))
+        row += len(walk.cycle)
+        tails += [f",{u}".ljust(hw, "\0").encode() + end for u in units for end in ends[p0:p1]]
+    tail = np.frombuffer(b"".join(tails), np.uint8).reshape(len(tails), hw + ew)
+    del kind, words, order, new, pair, tails
+    cycle = np.concatenate(cycles)
+    order = cycle.argsort(kind="stable")
+    cycle, base = cycle[order], np.concatenate(bases)[order]
+    del cycles, bases
+    walk_of = np.arange(len(walks)).repeat([len(walk) for _, walk in walks])[order]
+    # A segment is one walk's records of a run.  ``edge`` marks run starts, then walk changes; a last column ends both.
+    edge = np.ones((2, len(cycle) + 1), bool)
+    np.not_equal(cycle[1:], cycle[:-1], out=edge[0, 1:-1])
+    np.not_equal(walk_of[1:], walk_of[:-1], out=edge[1, 1:-1])
+    seg = (edge[0] | edge[1]).nonzero()[0]  # each segment's first record, then the record count
+    new_run = edge[0, seg]  # where a run starts, and a closing True
+    run_first, seg_walk = new_run.nonzero()[0], walk_of[seg[:-1]]  # each run's first segment, then the count
+    del order, walk_of, edge
+    groups = -(-len(str(int(cycle[-1]) if len(cycle) else 0)) // 4)
+    digits, zeros, table = np.empty((len(cycle), 4 * groups), np.uint8), cycle.searchsorted(1), _digit_groups()
+    for j in reversed(range(groups)):
+        cycle, group = np.divmod(cycle, 10000)
+        np.add(group, 10000, out=group, where=cycle > 0)  # zero-padded below a nonzero group
+        digits.view("<u4")[:, j] = table[group]
+    digits.view("<u4")[:zeros, -1] = _ZERO_GROUP  # all of 0's digits are leading zeros but one
+    del cycle, group
+    units_of = np.array([len(units) for units, _ in walks], np.intp)
+    seg_end = np.concatenate(([0], ((seg[1:] - seg[:-1]) * units_of[seg_walk]).cumsum()))  # rows before each segment
+    slot_rank = np.argsort(sorted(range(len(slots)), key=slots.__getitem__)).astype(np.intp)
+    slot_tail = np.array([s[2] for s in slots], np.intp)
+    grid = np.empty((min(int(seg_end[-1]), TRACE_CHUNK_ROWS), digits.shape[1] + tail.shape[1]), np.uint8)
+    # The mask's bytes first hold the gathered columns: a contiguous out and mode "clip" spare take a buffered copy.
+    mask = np.empty(grid.shape, bool)
+
+    def fill(start: int, stop: int) -> int:
+        run = run_first.searchsorted(seg_end.searchsorted([start, stop - 1], "right") - 1, "right")
+        first, last = run_first[run[0] - 1], run_first[run[1]]
+        per = units_of[seg_walk[first:last]]
+        g_seg, end = np.arange(first, last).repeat(per), per.cumsum()
+        g_slot = np.arange(end[-1]) + ((units_of.cumsum() - units_of)[seg_walk[first:last]] - end + per).repeat(per)
+        run = (new_run[first:last].cumsum() - 1).repeat(per)  # each group's run index in the chunk
+        order = (run * len(slots) + slot_rank[g_slot]).argsort(kind="stable")
+        g_seg, g_slot = g_seg[order], g_slot[order]
+        low, high = seg[g_seg], seg[1:][g_seg]  # each group's records
+        end = (high - low).cumsum() + seg_end[first]  # each group's last row + 1
+        count = np.maximum(np.minimum(end, stop) - np.maximum(end - high + low, start), 0)
+        n, cut, scratch = stop - start, (stop - start) * digits.shape[1], mask.reshape(-1).view(np.uint8)
+        at = np.arange(n)
+        at += (high - end + start).repeat(count)  # each row's record
+        grid[:n, :cut // n] = digits.take(at, 0, scratch[:cut].reshape(n, -1), "clip")
+        at = base[at]
+        at += slot_tail[g_slot].repeat(count)  # each row's tail
+        grid[:n, cut // n :] = tail.take(at, 0, scratch[cut : grid[:n].size].reshape(n, -1), "clip")
+        return n
+
     with open(path, "wb") as fh:
         fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
-        for start in range(0, len(cycle), TRACE_CHUNK_ROWS):
-            rows = slice(start, start + TRACE_CHUNK_ROWS)
-            chunk = cycle[rows]
-            groups = -(-len(str(int(chunk.max()))) // 4)
-            # The tail starts on a uint32 boundary so the digits can be viewed as uint32.
-            grid = np.zeros((len(chunk), 4 * groups + width + (-width) % 4), np.uint8)
-            quads = grid.view("<u4")
-            rest = chunk
-            for j in reversed(range(groups)):
-                rest, group = np.divmod(rest, 10000)
-                quads[:, j] = digit_groups[group + 10000 * (rest > 0)]
-            quads[chunk == 0, groups - 1] = _ZERO_GROUP  # all of 0's digits are leading zeros but one
-            grid[:, 4 * groups : 4 * groups + width] = np.take(tail, tail_id[rows], axis=0)
-            flat = grid.ravel()
-            fh.write(flat[flat != 0])
+        for start in range(0, int(seg_end[-1]), TRACE_CHUNK_ROWS):
+            n = fill(start, min(start + TRACE_CHUNK_ROWS, int(seg_end[-1])))
+            np.not_equal(grid[:n], 0, out=mask[:n])
+            fh.write(grid[:n][mask[:n]])
 
 
 def _plain_field(value) -> str:
@@ -850,8 +874,8 @@ def _digit_groups() -> np.ndarray:
     leading zeros as NUL, so entry 0 is all NUL: a number's leading group.
     Entry ``10000 + v`` holds them zero-padded: any later group.
     """
-    v = np.arange(10000, dtype=np.int64)[:, None]
-    place = 10 ** np.arange(3, -1, -1, dtype=np.int64)
+    v = np.arange(10000, dtype=np.int16)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.int16)
     digits = v // place % 10 + ord("0")
     table = np.concatenate([np.where(v >= place, digits, 0), digits]).astype(np.uint8).view("<u4").ravel()
     table.flags.writeable = False

@@ -45,26 +45,22 @@ MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 # costs the matmul result, its int64 cast, the copy ExpertScores keeps, and
 # route_topk's negated scores and argsort order.  A tile holds 8 int64
 # schedule columns and a 9-slot grid of cycle, kind and bits columns, a mask
-# and the record columns cut from it.  A trace row costs the trace writer at
-# most 7 int64 values at once, at its sort: the row's cycle, unit rank and
-# tail id in per-walk parts, the joined cycles, ranks and tail ids, and the
-# sort order; the rest of the charge covers the sort's own buffer.  The
-# sorted cycles and tail ids it writes from are made after the parts are
-# freed.  The writer then formats up to TRACE_CHUNK_ROWS rows at once.  A
-# line is at most 20 cycle digits and a 64-byte tail (a unit name of at
-# most 14 characters, a level, a direction, a word count of at most 19
-# digits and a width), and a chunk row holds about four copies of it (the
-# grid, the gathered tail, the non-NUL mask and the kept bytes) next to the
-# int64 temporaries of its digit groups.  A tail, one per unit and distinct
-# (kind, words) pair of its walk, is held as a bytes object, its padded
-# copy and its row of the tail table.  A core holds its schedule load and
-# list.
+# and the record columns cut from it.  The trace writer holds at most 8
+# int64 values per record, and no walk has more records than trace rows:
+# cycle and tail base in per-walk parts, joined and sorted, order and walk.
+# A chunk holds up to TRACE_CHUNK_ROWS lines of at most 20 cycle digits and
+# a 64-byte tail (a unit name of at most 14 characters, a level, a
+# direction, a word count of at most 19 digits and a width) three times
+# (the grid, the NUL mask, the kept bytes) next to 8 int64 indices.  A tail,
+# one per unit and distinct (kind, words) pair of its walk, is held as a
+# bytes object, its joined copy and its row of the tail table.  A core
+# holds its schedule load and list.
 _SPIKE_BYTES = 24
 _WEIGHT_BYTES = 8
 _SCORE_BYTES = 40
 _TILE_BYTES = 8 * 8 + 9 * 32
 _TRACE_ROW_BYTES = 64
-_TRACE_CHUNK_ROW_BYTES = 4 * (20 + 64) + 64
+_TRACE_CHUNK_ROW_BYTES = 3 * (20 + 64) + 8 * 8
 _TRACE_TAIL_BYTES = 320
 _CORE_BYTES = 128
 

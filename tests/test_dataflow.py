@@ -2,8 +2,10 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from spikesim import (
 from spikesim.dataflow import (
     TRACE_CHUNK_ROWS,
     TRACE_COLUMNS,
+    Records,
+    _digit_groups,
     _plain_field,
     attention_walk,
     expert_walk,
@@ -34,6 +38,7 @@ from spikesim.dataflow import (
     write_trace_csv,
 )
 from spikesim.levels import LEVEL_GEOMETRY
+from spikesim.runner import parse_workload, run_experiment
 
 from object_model import Tile, merge_traces, merged_events, records_from_rows, schedule, tiles, validate
 from oracles import (
@@ -622,6 +627,21 @@ BOUNDARY_CYCLES = [0] + [c for k in range(1, 19) for c in (10**k - 1, 10**k)] + 
 UNITS = ("e9", "e10", "router", "merge")
 
 
+_RANDOM_KINDS = (
+    ("act_glb", "read", "spike"),
+    ("act_lb", "write", "spike"),
+    ("weight_buffer", "read", "weight"),
+    ("act_buffer", "write", "integration"),
+)
+
+
+def _random_records(rng, rows, cycles, once=0, repeats=1, period=0) -> Records:
+    """``rows`` records on cycles drawn from ``cycles`` in no order, with random kinds and bursts."""
+    return Records(
+        _RANDOM_KINDS, rng.choice(cycles, rows), rng.integers(0, 4, rows), rng.integers(1, 700, rows), once, repeats, period
+    )
+
+
 def _rows(cycles) -> list[tuple]:
     kinds = [("act_glb", "read"), ("act_lb", "write"), ("weight_buffer", "read"), ("act_buffer", "write")]
     return [(c, *kinds[i % 4], 1 + 37 * i % 900, "spike") for i, c in enumerate(cycles)]
@@ -701,3 +721,55 @@ class TestTraceWriter:
         probe = "import spikesim.cli, spikesim.dataflow as d; print(d._digit_groups.cache_info().currsize)"
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, check=True)
         assert out.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_walk_lists(self, seed, tmp_path):
+        # Unsorted walks on few cycles, so runs are long and cross chunk edges;
+        # a walk whose recurring copies coincide (period 0) and one whose copies
+        # interleave (period below the span); "u2" in two walks and "u10" twice
+        # in one; cycles 0 and 2**63 - 1; and a walk with no records.
+        rng = np.random.default_rng(seed)
+        few = np.arange(0, 60, 3)
+        walks = [
+            (("u10", "u2", "u10"), _random_records(rng, 900, few, int(rng.integers(0, 50)), 3, 0)),
+            (("u2",), _random_records(rng, 1200, few, int(rng.integers(0, 50)), 4, int(rng.integers(1, 30)))),
+            (("merge", "u1"), _random_records(rng, 1500, np.array([0, 7, 30, 2**63 - 1]))),
+            (("idle",), _random_records(rng, 0, few)),
+            (("u3", "u1"), _random_records(rng, 600, few)),
+        ]
+        rng.shuffle(walks)
+        events = merged_events(walks)
+        cycles = [ev.cycle for ev in events]
+        assert any(cycles[k - 1] == cycles[k] for k in range(TRACE_CHUNK_ROWS, len(cycles), TRACE_CHUNK_ROWS))
+        assert _written(walks, tmp_path) == _csv_writer_bytes(events)
+
+    def test_cycle_longer_than_two_chunks(self, tmp_path):
+        # Cycle 5 holds more than two chunks of rows from three walks, one of
+        # 48 units, so chunks start and end inside it and clip its groups.
+        rng = np.random.default_rng(7)
+        walks = [
+            (tuple(f"h{i}" for i in range(48)), _random_records(rng, TRACE_CHUNK_ROWS // 20, np.array([5, 5, 5, 9]))),
+            (("solo",), _random_records(rng, TRACE_CHUNK_ROWS * 11 // 10, np.array([5, 2]))),
+            (("h7",), _random_records(rng, 50, np.array([5, 11]))),
+        ]
+        events = merged_events(walks)
+        assert sum(ev.cycle == 5 for ev in events) > 2 * TRACE_CHUNK_ROWS
+        assert _written(walks, tmp_path) == _csv_writer_bytes(events)
+
+    def test_peak_is_per_record_plus_per_chunk(self):
+        # 657k rows of 82k records: the 8 heads share one walk.  The writer
+        # holds under 64 bytes per record and, per chunk row, under 512 bytes of
+        # grid, mask, kept bytes and indices.  Sorting int64 columns per row
+        # holds 56 bytes per row, more than twice this bound.
+        walks = run_experiment(parse_workload({"kind": "mha", "model": {"n": 1024, "t": 4, "h": 8, "d": 32}})).walks
+        rows = sum(len(units) * len(records) for units, records in walks)
+        bound = 64 * sum(len(records) for _, records in walks) + 512 * TRACE_CHUNK_ROWS
+        assert rows >= 500_000 and 2 * bound <= 56 * rows
+        _digit_groups()  # built once per process
+        tracemalloc.start()
+        try:
+            write_trace_csv(walks, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound

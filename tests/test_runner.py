@@ -341,8 +341,8 @@ class TestPlanSizeCap:
             run_experiment(plan)
 
     # Plans whose trace dominates the run: 370k, 100k and 660k trace rows;
-    # then two short traces (12.8k and 13.6k rows) that fit in one writer
-    # chunk, with many units and so many line tails; then 45k rows of 4,096
+    # then two short traces (12.8k and 13.6k rows) of at most two writer
+    # chunks, with many units and so many line tails; then 45k rows of 4,096
     # heads, a line tail for almost every row, whose peak exceeds the
     # estimate without its charge for tails.
     TRACE_HEAVY = [
