@@ -662,7 +662,8 @@ class TestTraceWriter:
         assert written.count(b"\r\n") == 1 + 4 * len(BOUNDARY_CYCLES)
         assert written == _reference(walks)
 
-    @pytest.mark.parametrize("rows", [TRACE_CHUNK_ROWS - 1, TRACE_CHUNK_ROWS, TRACE_CHUNK_ROWS + 1])
+    # The edges of the first chunk and of the second.
+    @pytest.mark.parametrize("rows", [k * TRACE_CHUNK_ROWS + d for k in (1, 2) for d in (-1, 0, 1)])
     def test_chunk_edges(self, rows, tmp_path):
         rng = np.random.default_rng(rows)
         # Three units share one walk, "merge" has its own, so any row count is reachable.
