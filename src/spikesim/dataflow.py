@@ -249,32 +249,29 @@ class Records:
     """A walk's access records as int64 columns, in emission order.
 
     Row ``i`` moves ``bits[i]`` bits at cycle ``cycle[i]``; its level,
-    direction and payload tag are ``kinds[kind[i]]``.  By default each row
-    is one record.  A walk of ``repeats`` identical groups keeps one group:
-    the first ``once`` rows are records emitted once, and the rows after
-    them recur ``repeats`` times, copy ``r`` shifted by ``r * period``
-    cycles (``period`` >= 0).  ``recur`` lays a per-row column out over
-    every record, and ``expand`` gives the walk one row per record.
+    direction and payload tag are ``kinds[kind[i]]``.  Every row recurs
+    ``repeats`` times (1 by default), copy ``r`` shifted by ``r * period``
+    cycles (``period`` >= 0): a walk of ``repeats`` identical groups keeps
+    one group.  ``recur`` lays a per-row column out over every record, and
+    ``expand`` gives the walk one row per record.
     """
 
     kinds: tuple  # distinct (level, direction, tag)
     cycle: np.ndarray
     kind: np.ndarray
     bits: np.ndarray
-    once: int = 0
     repeats: int = 1
     period: int = 0
 
     def __len__(self) -> int:
-        """The number of records, every copy of a recurring row counted."""
-        return self.once + self.repeats * (len(self.cycle) - self.once)
+        """The number of records, every copy of a row counted."""
+        return self.repeats * len(self.cycle)
 
     def recur(self, column: np.ndarray, shift: int = 0) -> np.ndarray:
-        """Per-row ``column`` per record: the ``once`` rows' values, then copy ``r`` of the rest plus ``r * shift``."""
+        """Per-row ``column`` per record: copy ``r`` of the rows' values plus ``r * shift``."""
         if self.repeats == 1:
             return column
-        copies = column[self.once :] + shift * np.arange(self.repeats, dtype=np.int64)[:, None]
-        return np.concatenate((column[: self.once], copies.ravel()))
+        return (column + shift * np.arange(self.repeats, dtype=np.int64)[:, None]).ravel()
 
     def expand(self) -> Records:
         """The same records, one row each."""
@@ -285,25 +282,28 @@ class Records:
     def words(self, units) -> np.ndarray:
         """Words each row moves at its level's width, after checking every record.
 
-        Raises TraceError on a record that names a level outside
-        ``LEVEL_GEOMETRY`` or that ``AccessEvent`` would refuse: a negative
-        cycle, a direction other than read or write, or a burst of no words.
-        Each distinct kind is checked once; the error names the first bad
-        record's cycle and ``units``.  A recurring row's copies move the same
-        words at cycles no earlier than its own, so checking the rows checks
-        every record.
+        Raises TraceError on a record whose kind is not an index into
+        ``kinds``, that names a level outside ``LEVEL_GEOMETRY`` or that
+        ``AccessEvent`` would refuse: a negative cycle, a direction other than
+        read or write, or a burst of no words.  Each distinct kind is checked
+        once; the error names the first bad record's cycle and ``units``.  A
+        row's copies move the same words at cycles no earlier than its own,
+        so checking the rows checks every record.
         """
-        # Each record's level width, 0 for an unknown level or direction; bits >= 1 and width >= 1 give words >= 1.
+        # Width 0 marks an unknown level or direction, or a stray kind (clipped onto an appended 0); 1+ bits: 1+ words.
         table = [LEVEL_GEOMETRY.get(lv, (0, 0))[1] * (d in ("read", "write")) for lv, d, _ in self.kinds]
-        width = np.array(table, dtype=np.int64)[self.kind]
-        if len(width) and (0 in table and width.min() == 0 or self.cycle.min() < 0 or self.bits.min() < 1):
+        stray = len(self.kind) and not 0 <= self.kind.min() <= self.kind.max() < len(table)
+        width = np.array(table + [0], dtype=np.int64)[self.kind.clip(-1, len(table)) if stray else self.kind]
+        if stray or len(width) and (0 in table and width.min() == 0 or self.cycle.min() < 0 or self.bits.min() < 1):
             i = int(np.argmax((width == 0) | (self.cycle < 0) | (self.bits < 1)))
-            cycle, (level, direction, _) = int(self.cycle[i]), self.kinds[int(self.kind[i])]
-            if level not in LEVEL_GEOMETRY:
+            cycle, kind = int(self.cycle[i]), int(self.kind[i])
+            if not 0 <= kind < len(table):
+                problem = f"record kind {kind} is not an index into the walk's {len(table)} kinds"
+            elif (level := self.kinds[kind][0]) not in LEVEL_GEOMETRY:
                 problem = f"trace references unknown level {level!r}"
             elif cycle < 0:
                 problem = "event cycle cannot be negative"
-            elif direction not in ("read", "write"):
+            elif (direction := self.kinds[kind][1]) not in ("read", "write"):
                 problem = f"direction must be read or write, got {direction!r}"
             else:
                 problem = "events must move at least one word of at least one bit"
@@ -664,7 +664,7 @@ def attention_walk(ts: TileSchedule, g: ArrayGeometry) -> tuple[CycleStats, Reco
     return _stats(int(end[-1]), per_phase, ts.tile_count, mac_ops, 0, g), records
 
 
-def repeat_timesteps(stats: CycleStats, records: Records, t: int, g: ArrayGeometry) -> tuple[CycleStats, Records]:
+def repeat_timesteps(stats: CycleStats, records: Records, t: int, g: ArrayGeometry) -> tuple[CycleStats, Records, Records]:
     """A head's walk over ``t`` timesteps, from ``attention_walk`` of its first (head, timestep) group.
 
     ``stats`` and ``records`` walk ``plan_attention_tiles(n, d, 1, 1, g)``.
@@ -675,12 +675,12 @@ def repeat_timesteps(stats: CycleStats, records: Records, t: int, g: ArrayGeomet
     one exception is the head ingress, the first tile's first two slots:
     only the head's first tile emits them, and they move the query, key and
     value slabs of all ``t`` timesteps, ``t`` times the group's bits.  So
-    the returned records are the ingress once, then the group's other
-    records ``t`` times at a period of ``stats.total_cycles``.  The ingress
-    is those two leading records, not a kind: kind 1 is also the
-    block-complete LB write.  Cycles, phases, tiles and operations are ``t``
-    times the group's, through ``_stats``, so ``utilization`` divides the
-    same integers a walk of the whole head divides.
+    the head is two walks, which in this order lay out, count and trace as
+    one: the ingress (the two leading records, not a kind: kind 1 is also
+    the block-complete LB write) once, then the group's other records ``t``
+    times at a period of ``stats.total_cycles``.  Cycles, phases, tiles and
+    operations are ``t`` times the group's, through ``_stats``, so
+    ``utilization`` divides the same integers as the whole head's walk.
 
     Exactness: a plan under ``MAX_PLAN_BYTES`` has n * t * d < 2**24 (its
     inputs are charged 96 bytes per element) and 2 * t * ceil(n / rows) *
@@ -690,13 +690,14 @@ def repeat_timesteps(stats: CycleStats, records: Records, t: int, g: ArrayGeomet
     below 2**48, and the ingress's 3 * n * t * d bits below 2**26: int64
     holds every value, as in a walk of the whole head.
     """
-    bits = records.bits.copy()
-    bits[:_HEAD_INGRESS] *= t
+    lead, rest = slice(_HEAD_INGRESS), slice(_HEAD_INGRESS, None)
+    ingress = Records(records.kinds, records.cycle[lead], records.kind[lead], t * records.bits[lead])
+    group = Records(records.kinds, records.cycle[rest], records.kind[rest], records.bits[rest], t, stats.total_cycles)
     per_phase = {phase: t * cycles for phase, cycles in stats.per_phase.items()}
     scaled = _stats(
         t * stats.total_cycles, per_phase, t * stats.tile_count, t * stats.mac_ops, t * stats.extraction_cycles, g
     )
-    return scaled, Records(records.kinds, records.cycle, records.kind, bits, _HEAD_INGRESS, t, stats.total_cycles)
+    return scaled, ingress, group
 
 
 def simulate_attention_array(

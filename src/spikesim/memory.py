@@ -173,8 +173,8 @@ def count_walks(walks) -> dict:
     Returns ``{level: {"reads", "writes", "words_read", "words_written"}}``.
     Every walk's records are checked once (``Records.words``; a bad one
     raises TraceError naming the walk's units).  Events and words are summed
-    per kind in int64, a recurring row once per copy, and a walk shared by
-    several units counts once per unit.
+    per kind over the walk's rows in int64, and each sum counts once per
+    record a row stands for: ``repeats`` copies for each of the walk's units.
 
     Levels are ordered by unit name (``expert10`` before ``expert2``), each
     unit's levels in the order its walk first touches them; a walk's levels
@@ -187,17 +187,15 @@ def count_walks(walks) -> dict:
         events = np.bincount(records.kind, minlength=len(records.kinds))
         words_per_kind = np.zeros(len(records.kinds), np.int64)
         np.add.at(words_per_kind, records.kind, words)
-        if records.repeats > 1:
-            extra, rest = records.repeats - 1, slice(records.once, None)
-            events += extra * np.bincount(records.kind[rest], minlength=len(records.kinds))
-            np.add.at(words_per_kind, records.kind[rest], extra * words[rest])
-        touched, first = np.unique(records.kind, return_index=True)
-        for k in touched[np.argsort(first)].tolist():
+        copies = len(units) * records.repeats
+        first = np.full(len(records.kinds), len(records.kind))  # each kind's first row, or the row count if none
+        np.minimum.at(first, records.kind, np.arange(len(records.kind)))
+        for k in first.argsort()[: np.count_nonzero(events)].tolist():
             level, direction, _tag = records.kinds[k]
             counts = table.setdefault(level, dict(_IDLE))
             n_events, n_words = _DIRECTION_FIELDS[direction]
-            counts[n_events] += int(events[k]) * len(units)
-            counts[n_words] += int(words_per_kind[k]) * len(units)
+            counts[n_events] += int(events[k]) * copies
+            counts[n_words] += int(words_per_kind[k]) * copies
     return table
 
 
@@ -293,12 +291,7 @@ def capacity_check(shape: WorkloadShape, cal: MemCalibration) -> CapacityReport:
     """
     if shape.kind != cal.kind:
         raise ConfigError(f"workload kind {shape.kind!r} does not match calibration kind {cal.kind!r}")
-    if shape.kind == "moe":
-        required = _required_bits_moe(shape)
-    elif shape.kind == "mha":
-        required = _required_bits_mha(shape)
-    else:
-        raise ConfigError(f"kind must be one of {KINDS}, got {shape.kind!r}")
+    required = _required_bits_moe(shape) if shape.kind == "moe" else _required_bits_mha(shape)
     verdicts = {
         level: CapacityVerdict(level, bits, cal.levels[level].capacity_bits)
         for level, bits in required.items()

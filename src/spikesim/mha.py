@@ -65,7 +65,7 @@ class MhaConfig:
         return self.heads * self.d_head
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionMap:
     """Per-timestep coincidence counts for one head: (t, n, n) integers in [0, d]."""
 

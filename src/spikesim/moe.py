@@ -54,7 +54,7 @@ class RoutingWeights:
         return self.w_r.cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpertScores:
     """Integer routing scores, one row per token, one column per expert."""
 
@@ -79,7 +79,7 @@ class ExpertScores:
         return self.scores.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingTable:
     """Top-k assignment per token plus the per-expert gather lists.
 

@@ -46,8 +46,8 @@ MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 # route_topk's negated scores and argsort order.  A tile holds 8 int64
 # schedule columns and a 9-slot grid of cycle, kind and bits columns, a mask
 # and the record columns cut from it.  The trace writer holds at most 8
-# int64 values per record, and no walk has more records than trace rows:
-# cycle and tail base in per-walk parts, joined and sorted, order and walk.
+# int64 values per record laid out (units share them): cycle and tail base
+# in per-walk parts, joined and sorted, order and walk.
 # A chunk holds up to TRACE_CHUNK_ROWS lines of at most 20 cycle digits and
 # a 64-byte tail (a unit name of at most 14 characters, a level, a
 # direction, a word count of at most 19 digits and a width) three times
@@ -59,7 +59,7 @@ _SPIKE_BYTES = 24
 _WEIGHT_BYTES = 8
 _SCORE_BYTES = 40
 _TILE_BYTES = 8 * 8 + 9 * 32
-_TRACE_ROW_BYTES = 64
+_TRACE_RECORD_BYTES = 64
 _TRACE_CHUNK_ROW_BYTES = 3 * (20 + 64) + 8 * 8
 _TRACE_TAIL_BYTES = 320
 _CORE_BYTES = 128
@@ -327,15 +327,15 @@ def plan_bytes(plan: RunPlan) -> int:
 
     The tile and record counts are upper bounds: the expert array's column
     tiles are at most n * t / cols plus one per expert, an expert tile emits
-    at most 9 records, a routing tile 3, and an attention tile 3 on average
-    (a phase-1 tile 2, a phase-2 tile at most 4).  The tiles and records of
-    every head and timestep are charged, though a run walks one (head,
-    timestep) group and lays the others out only for the trace.  A walk's
-    distinct (kind, words) pairs, and so its trace tails per unit, are at
-    most its slots times its tile shapes: a tile is full or an edge on each
-    axis, and an attention tile runs in one of two phases.  The merge has a
-    pair per distinct unit output size and one for its write, and no unit
-    has more tails than rows.
+    at most 9 records, a routing tile 3, an attention tile 3 on average (a
+    phase-1 tile 2, a phase-2 tile at most 4) and the merge one per unit
+    plus one.  Every timestep's tiles and records are charged, as the trace
+    lays them out, but heads share records and multiply only the trace
+    rows, which bound the chunk and the tails.  A walk's distinct (kind,
+    words) pairs, and so its tails per unit, are at most its slots times its
+    tile shapes: a tile is full or an edge on each axis, an attention tile
+    runs in one of two phases, and the merge has a pair per distinct unit
+    output size and one for its write.  No unit has more tails than rows.
     """
     m, hw = plan.model, plan.hardware
 
@@ -349,16 +349,17 @@ def plan_bytes(plan: RunPlan) -> int:
         routing = tiles(m.n, hw.routing_rows) * tiles(m.experts, hw.routing_cols)
         experts = tiles(m.d_out, hw.expert_rows) * (tiles(m.n * m.t, hw.expert_cols) + m.experts)
         n_tiles = routing + experts
-        rows = 3 * routing + 2 + 9 * experts + 4 * m.experts
+        records = rows = 3 * routing + 2 + 9 * experts + 4 * m.experts
         tails = 5 * 4 + 13 * 4 * m.experts + m.experts + 1
     else:
         spikes = 4 * m.n * m.t * m.d_model
         weights = scores = 0
         n_tiles = 2 * m.t * tiles(m.n, hw.attention_rows) * tiles(m.n, hw.attention_cols)
-        rows = m.heads * (3 * n_tiles + 2 * m.t + 2)
+        head = 3 * n_tiles + 2 * m.t + 2
+        records, rows = head + m.heads + 1, m.heads * (head + 1) + 1
         tails = m.heads * 9 * 8 + 2
     trace = (
-        _TRACE_ROW_BYTES * rows + _TRACE_CHUNK_ROW_BYTES * min(rows, dataflow.TRACE_CHUNK_ROWS)
+        _TRACE_RECORD_BYTES * records + _TRACE_CHUNK_ROW_BYTES * min(rows, dataflow.TRACE_CHUNK_ROWS)
         + _TRACE_TAIL_BYTES * min(tails, rows)
     )
     return (
@@ -492,9 +493,10 @@ def _mha_layer(plan: RunPlan) -> _Layer:
     heads = tuple(f"attn{h}" for h in range(m.heads))
     # Heads run the same tile schedule and differ only in their unit name,
     # and a head's timesteps run the same tiles, so one walk of one (head,
-    # timestep) group times and counts all of them.
+    # timestep) group times and counts all of them, its ingress walk first.
     ts = dataflow.plan_attention_tiles(m.n, m.d_head, 1, 1, attn_geom)
-    walks = [(heads, *dataflow.repeat_timesteps(*dataflow.attention_walk(ts, attn_geom), m.t, attn_geom))]
+    stats, ingress, group = dataflow.repeat_timesteps(*dataflow.attention_walk(ts, attn_geom), m.t, attn_geom)
+    walks = [(heads, stats, ingress), (heads, stats, group)]
     scheduled = [(unit, m.n * m.t * m.d_head) for unit in heads]
 
     overhead = hw.router_overhead_cycles if hw.router_overhead_cycles is not None else 0

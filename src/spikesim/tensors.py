@@ -222,14 +222,14 @@ class SpikeTensor:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SpikeTensor":
-        """Inverse of :meth:`to_bytes`."""
+        """Inverse of :meth:`to_bytes`: the payload is exactly ceil(n * t * d / 8) bytes."""
         if len(blob) < _HEADER.size:
             raise ValueError("spike stream too short for dims header")
         a, b, c = _HEADER.unpack_from(blob, 0)
         nbits = a * b * c
         payload = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size)
-        if payload.size * 8 < nbits:
-            raise ValueError(f"spike stream payload holds {payload.size * 8} bits, needs {nbits}")
+        if payload.size != -(-nbits // 8):
+            raise ValueError(f"spike stream payload holds {payload.size} bytes, {nbits} bits need {-(-nbits // 8)}")
         bits = np.unpackbits(payload, count=nbits, bitorder="little")
         return cls(bits.reshape(a, b, c))
 

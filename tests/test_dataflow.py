@@ -38,9 +38,19 @@ from spikesim.dataflow import (
     write_trace_csv,
 )
 from spikesim.levels import LEVEL_GEOMETRY
+from spikesim.memory import count_walks
 from spikesim.runner import parse_workload, run_experiment
 
-from object_model import Tile, merge_traces, merged_events, records_from_rows, schedule, tiles, validate
+from object_model import (
+    Tile,
+    count_accesses,
+    merge_traces,
+    merged_events,
+    records_from_rows,
+    schedule,
+    tiles,
+    validate,
+)
 from oracles import (
     lpt_makespan,
     stepped_attention_cycles,
@@ -635,11 +645,43 @@ _RANDOM_KINDS = (
 )
 
 
-def _random_records(rng, rows, cycles, once=0, repeats=1, period=0) -> Records:
-    """``rows`` records on cycles drawn from ``cycles`` in no order, with random kinds and bursts."""
+def _random_records(rng, rows, cycles, repeats=1, period=0) -> Records:
+    """``rows`` rows on cycles drawn from ``cycles`` in no order, with random kinds and bursts."""
     return Records(
-        _RANDOM_KINDS, rng.choice(cycles, rows), rng.integers(0, 4, rows), rng.integers(1, 700, rows), once, repeats, period
+        _RANDOM_KINDS, rng.choice(cycles, rows), rng.integers(0, 4, rows), rng.integers(1, 700, rows), repeats, period
     )
+
+
+def _random_walks(seed) -> list:
+    """A seeded walk list that exercises the copy rule and the writer's runs.
+
+    Unsorted walks on few cycles, so runs are long and cross chunk edges; a
+    walk whose recurring copies coincide (period 0) and one whose copies
+    interleave (period below the span), each with a short walk of its units
+    that occurs once (a head ingress's shape); "u2" in four walks and "u10"
+    twice in two; cycles 0 and 2**63 - 1; and a walk with no records.
+    """
+    rng = np.random.default_rng(seed)
+    few = np.arange(0, 60, 3)
+    walks = [
+        (("u10", "u2", "u10"), _random_records(rng, int(rng.integers(0, 50)), few)),
+        (("u10", "u2", "u10"), _random_records(rng, 900, few, 3, 0)),
+        (("u2",), _random_records(rng, int(rng.integers(0, 50)), few)),
+        (("u2",), _random_records(rng, 1200, few, 4, int(rng.integers(1, 30)))),
+        (("merge", "u1"), _random_records(rng, 1500, np.array([0, 7, 30, 2**63 - 1]))),
+        (("idle",), _random_records(rng, 0, few)),
+        (("u3", "u1"), _random_records(rng, 600, few)),
+    ]
+    rng.shuffle(walks)
+    return walks
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_copy_rule_counts_every_record(seed):
+    # Each row of a walk occurs ``repeats`` times for each of its units: the
+    # fold of the rows equals a fold of the merged trace, event by event.
+    walks = _random_walks(seed)
+    assert count_walks(walks) == count_accesses(merged_events(walks))
 
 
 def _rows(cycles) -> list[tuple]:
@@ -718,6 +760,17 @@ class TestTraceWriter:
             write_trace_csv(walks, str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", [-1, len(_RANDOM_KINDS)])
+    def test_kind_outside_the_walks_kinds_refused(self, kind, tmp_path):
+        # -1 would take the last kind's width, and 4 no kind at all; nothing is written.
+        path = tmp_path / "trace.csv"
+        bad = Records(_RANDOM_KINDS, *(np.array(column, np.int64) for column in ([0, 2], [0, kind], [5, 5])), 3, 10)
+        walks = [(("e1",), records_from_rows(_rows([0, 1]))), (("e2", "e3"), bad)]
+        match = rf"record kind {kind} is not an index into the walk's 4 kinds \(record at cycle 2 of unit\(s\) e2, e3\)"
+        with pytest.raises(TraceError, match=match):
+            write_trace_csv(walks, str(path))
+        assert not path.exists()
+
     def test_digit_table_not_built_at_import(self):
         probe = "import spikesim.cli, spikesim.dataflow as d; print(d._digit_groups.cache_info().currsize)"
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, check=True)
@@ -725,20 +778,7 @@ class TestTraceWriter:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_walk_lists(self, seed, tmp_path):
-        # Unsorted walks on few cycles, so runs are long and cross chunk edges;
-        # a walk whose recurring copies coincide (period 0) and one whose copies
-        # interleave (period below the span); "u2" in two walks and "u10" twice
-        # in one; cycles 0 and 2**63 - 1; and a walk with no records.
-        rng = np.random.default_rng(seed)
-        few = np.arange(0, 60, 3)
-        walks = [
-            (("u10", "u2", "u10"), _random_records(rng, 900, few, int(rng.integers(0, 50)), 3, 0)),
-            (("u2",), _random_records(rng, 1200, few, int(rng.integers(0, 50)), 4, int(rng.integers(1, 30)))),
-            (("merge", "u1"), _random_records(rng, 1500, np.array([0, 7, 30, 2**63 - 1]))),
-            (("idle",), _random_records(rng, 0, few)),
-            (("u3", "u1"), _random_records(rng, 600, few)),
-        ]
-        rng.shuffle(walks)
+        walks = _random_walks(seed)
         events = merged_events(walks)
         cycles = [ev.cycle for ev in events]
         assert any(cycles[k - 1] == cycles[k] for k in range(TRACE_CHUNK_ROWS, len(cycles), TRACE_CHUNK_ROWS))

@@ -218,18 +218,21 @@ class TestCountWalks:
         }
 
     def test_recurring_rows_count_once_per_copy(self):
-        # One row kept once, then two rows that recur three times, 10 cycles apart.
-        rows = ([0, 1, 4], [0, 1, 0], [256, 129, 1])
+        # A walk of one row that occurs once, then a walk of the same units
+        # whose two rows recur three times, 10 cycles apart.
         kinds = ((ACT_GLB, "read", "spike"), (ACT_LB, "write", "spike"))
-        walk = Records(kinds, *(np.array(column, np.int64) for column in rows), once=1, repeats=3, period=10)
-        assert len(walk) == 7
+        once = Records(kinds, *(np.array(column, np.int64) for column in ([0], [0], [256])))
+        walk = Records(kinds, *(np.array(column, np.int64) for column in ([1, 4], [1, 0], [129, 1])), repeats=3, period=10)
+        assert (len(once), len(walk)) == (1, 6)
         full = walk.expand()
-        assert full.cycle.tolist() == [0, 1, 4, 11, 14, 21, 24]
-        assert full.kind.tolist() == [0, 1, 0, 1, 0, 1, 0]
-        assert full.bits.tolist() == [256, 129, 1, 129, 1, 129, 1]
-        assert walk.recur(np.array([5, 6, 7])).tolist() == [5, 6, 7, 6, 7, 6, 7]
-        table = count_walks([(("attn0", "attn1"), walk)])
-        assert list(table.items()) == list(count_walks([(("attn0", "attn1"), full)]).items())
+        assert full.cycle.tolist() == [1, 4, 11, 14, 21, 24]
+        assert full.kind.tolist() == [1, 0, 1, 0, 1, 0]
+        assert full.bits.tolist() == [129, 1, 129, 1, 129, 1]
+        assert walk.recur(np.array([6, 7])).tolist() == [6, 7, 6, 7, 6, 7]
+        assert walk.recur(np.array([6, 7]), 100).tolist() == [6, 7, 106, 107, 206, 207]
+        units = ("attn0", "attn1")
+        table = count_walks([(units, once), (units, walk)])
+        assert list(table.items()) == list(count_walks([(units, once), (units, full)]).items())
         assert table == {
             ACT_GLB: {"reads": 8, "writes": 0, "words_read": 10, "words_written": 0},
             ACT_LB: {"reads": 0, "writes": 6, "words_read": 0, "words_written": 12},
@@ -240,6 +243,15 @@ class TestCountWalks:
         walks = [(("expert1", "expert2"), bad), (("expert0",), records_from_rows([(0, ACT_LB, "read", 1, "spike")]))]
         with pytest.raises(TraceError, match=r"unknown level 'dram' \(record at cycle 7 of unit\(s\) expert1, expert2\)"):
             count_walks(walks)
+
+    @pytest.mark.parametrize("kind", [-1, 2, 2**62])
+    def test_kind_outside_the_walks_kinds_refused(self, kind):
+        # -1 would index the last kind, and 2 or more no kind at all.
+        kinds = ((ACT_GLB, "read", "spike"), (ACT_LB, "write", "spike"))
+        bad = Records(kinds, *(np.array(column, np.int64) for column in ([0, 3, 5], [0, kind, 1], [128, 128, 128])))
+        match = rf"record kind {kind} is not an index into the walk's 2 kinds \(record at cycle 3 of unit\(s\) expert1\)"
+        with pytest.raises(TraceError, match=match):
+            count_walks([(("expert0",), records_from_rows([])), (("expert1",), bad)])
 
 
 class TestCapacity:

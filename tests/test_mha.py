@@ -116,6 +116,12 @@ class TestAttentionMap:
         with pytest.raises(ShapeError):
             AttentionMap(np.zeros((2, 2, 3), dtype=np.int64), d_head=4)
 
+    def test_identity_equality_and_hash(self):
+        # Two equal maps are distinct records: == is identity and never asks an array for a truth value.
+        a, b = (AttentionMap(np.ones((2, 3, 3), dtype=np.int64), d_head=4) for _ in range(2))
+        assert a == a and a != b and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
 
 class TestWeightedIntegration:
     def test_zero_map_zero_integration(self):

@@ -73,6 +73,21 @@ class TestExpertScores:
         with pytest.raises(ValueError):
             scores.scores[0, 0] = 1
 
+    def test_identity_equality_and_hash(self):
+        # Two equal score matrices are distinct records: == is identity and never asks an array for a truth value.
+        a, b = (ExpertScores(np.arange(6).reshape(3, 2)) for _ in range(2))
+        assert a == a and a != b and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
+
+class TestRoutingTableRecord:
+    def test_identity_equality_and_hash(self):
+        scores = ExpertScores(np.array([[3, 1], [0, 2], [5, 5]]))
+        a, b = route_topk(scores, 1), route_topk(scores, 1)
+        assert a.assignments.tolist() == b.assignments.tolist()
+        assert a == a and a != b and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
 
 class TestRouteTopk:
     def test_argmax(self):

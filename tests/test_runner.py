@@ -285,11 +285,15 @@ class TestPlanSpellings:
 
 class TestPlanSizeCap:
     # Shapes that must run: the benchmark's large plans, the long-sequence
-    # MHA plan, and the defaults on the smallest sweep arrays.
+    # MHA plan, two many-head plans whose heads share one head's records
+    # (traced peaks of 11 and 23 MiB), and the defaults on the smallest
+    # sweep arrays.
     ADMITTED = [
         {"kind": "moe", "model": {"n": 1024, "t": 8, "d_in": 256, "d_out": 256, "e": 8, "k": 1}},
         {"kind": "mha", "model": {"n": 512, "t": 4, "h": 8, "d": 32}, "hardware": {"attention_array": {"rows": 16, "cols": 16}}},
         {"kind": "mha", "model": {"n": 2048, "t": 4, "h": 8, "d": 32}},
+        {"kind": "mha", "model": {"n": 1024, "t": 4, "h": 256, "d": 1}},
+        {"kind": "mha", "model": {"n": 2048, "t": 4, "h": 64, "d": 4}},
         {"kind": "moe", "hardware": {"cores": 1, "expert_array": {"rows": 8, "cols": 64}}},
         {"kind": "mha", "hardware": {"cores": 1, "attention_array": {"rows": 8, "cols": 8}}},
     ]
@@ -387,14 +391,14 @@ class TestPlanSizeCap:
         assert t > 800_000 and runner.plan_bytes(plan(t + 1)) > runner.MAX_PLAN_BYTES
         g = ArrayGeometry(16, 16, "attention")
         group_stats, group = dataflow.attention_walk(dataflow.plan_attention_tiles(1, 1, 1, 1, g), g)
-        stats, records = dataflow.repeat_timesteps(group_stats, group, t, g)
+        stats, ingress, records = dataflow.repeat_timesteps(group_stats, group, t, g)
         period = group_stats.total_cycles
         assert (stats.total_cycles, stats.tile_count, stats.mac_ops) == (t * period, 2 * t, 2 * t)
         assert stats.per_phase == {phase: t * cycles for phase, cycles in group_stats.per_phase.items()}
         assert stats.utilization == 2 * t / (t * period * g.pe_count)
         # The last copy's records end within the run, far below 2**63.
         assert int(records.cycle.max()) + (t - 1) * records.period <= stats.total_cycles < 2**48
-        assert records.bits[:2].tolist() == [3 * t] * 2
+        assert ingress.bits.tolist() == [3 * t] * 2 and ingress.repeats == 1
         # The level table against a fold in Python ints: the ingress once, every other record t times.
         expected = {}
         for i, (cycle, k, bits) in enumerate(zip(group.cycle.tolist(), group.kind.tolist(), group.bits.tolist())):
@@ -403,8 +407,8 @@ class TestPlanSizeCap:
             counts = expected.setdefault(level, {"reads": 0, "writes": 0, "words_read": 0, "words_written": 0})
             counts["reads" if direction == "read" else "writes"] += copies
             counts["words_read" if direction == "read" else "words_written"] += copies * -(-bits // 128)
-        assert memory.count_walks([(("attn0",), records)]) == expected
-        assert len(records) == 2 + t * (len(group) - 2)
+        assert memory.count_walks([(("attn0",), ingress), (("attn0",), records)]) == expected
+        assert (len(ingress), len(records)) == (2, t * (len(group) - 2))
 
     def test_estimate_covers_oversized_hardware(self):
         base = parse_workload({"kind": "moe"})

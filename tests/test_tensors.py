@@ -128,6 +128,16 @@ class TestSpikeSerialization:
         with pytest.raises(ValueError):
             SpikeTensor.from_bytes(s.to_bytes()[:-2])
 
+    @pytest.mark.parametrize("shape", [(2, 2, 8), (3, 1, 5), (0, 2, 3)])
+    def test_payload_must_be_exactly_its_bits(self, shape):
+        # 32, 15 and 0 bits: 4, 2 and 0 payload bytes, no more and no fewer.
+        blob = SpikeTensor(np.ones(shape, dtype=np.uint8)).to_bytes()
+        assert len(blob) == 12 + -(-np.prod(shape) // 8)
+        for bad in (blob + b"x", blob + b"\x00", blob[:-1] if len(blob) > 12 else None):
+            if bad is not None:
+                with pytest.raises(ValueError, match="payload holds"):
+                    SpikeTensor.from_bytes(bad)
+
 
 class TestSaturation:
     def test_clamps_and_counts(self):

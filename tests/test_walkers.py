@@ -211,8 +211,9 @@ def test_attention_walk_matches_reference():
 
 def test_repeated_group_equals_a_walk_of_the_whole_head(tmp_path):
     # A run walks one (head, timestep) group and repeats it over the t
-    # timesteps: its stats, level table, records and trace equal a walk of
-    # the head's whole schedule.
+    # timesteps, with the head ingress as a walk of its own listed first:
+    # their stats, level table, records and trace equal a walk of the head's
+    # whole schedule.
     rng = np.random.default_rng(74)
     seen = set()
     for case in range(120):
@@ -227,20 +228,22 @@ def test_repeated_group_equals_a_walk_of_the_whole_head(tmp_path):
             seen.add("ragged on both axes")
         group, whole = plan_attention_tiles(n, d, 1, 1, g), plan_attention_tiles(n, d, t, 1, g)
         validate(group)
-        stats, records = repeat_timesteps(*attention_walk(group, g), t, g)
+        stats, ingress, records = repeat_timesteps(*attention_walk(group, g), t, g)
         full_stats, full = attention_walk(whole, g)
         assert stats == full_stats
-        assert len(records) == len(full)
+        assert len(ingress) + len(records) == len(full)
         expanded = records.expand()
-        assert expanded.kinds == full.kinds
+        assert ingress.kinds == expanded.kinds == full.kinds
         for column in ("cycle", "kind", "bits"):
-            assert getattr(expanded, column).dtype == np.int64
-            assert np.array_equal(getattr(expanded, column), getattr(full, column)), column
+            assert getattr(ingress, column).dtype == getattr(expanded, column).dtype == np.int64
+            joined = np.concatenate((getattr(ingress, column), getattr(expanded, column)))
+            assert np.array_equal(joined, getattr(full, column)), column
         units = ("attn0", "attn10", "attn2")
-        assert list(count_walks([(units, records)]).items()) == list(count_walks([(units, full)]).items())
+        walks = [(units, ingress), (units, records)]
+        assert list(count_walks(walks).items()) == list(count_walks([(units, full)]).items())
         if case % 4 == 0:
-            assert records.events("attn1") == full.events("attn1")
-            write_trace_csv([(units, records)], tmp_path / "repeated.csv")
+            assert ingress.events("attn1") + records.events("attn1") == full.events("attn1")
+            write_trace_csv(walks, tmp_path / "repeated.csv")
             write_trace_csv([(units, full)], tmp_path / "full.csv")
             assert (tmp_path / "repeated.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
     assert seen == {"1x1", "array", "t=1", "timesteps", "ragged on both axes"}
