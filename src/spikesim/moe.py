@@ -98,11 +98,10 @@ class RoutingTable:
     def n(self) -> int:
         return self.assignments.shape[0]
 
-    def routing_rows(self):
-        """Yield (token_id, rank, expert_id, score) rows for dumps."""
-        for token in range(self.n):
-            for rank in range(self.k):
-                yield token, rank, int(self.assignments[token, rank]), int(self.assignment_scores[token, rank])
+    def routing_rows(self) -> list[tuple[int, int, int, int]]:
+        """(token_id, rank, expert_id, score) rows for dumps, token-major."""
+        rows = enumerate(zip(self.assignments.tolist(), self.assignment_scores.tolist()))
+        return [(token, rank, experts[rank], scores[rank]) for token, (experts, scores) in rows for rank in range(self.k)]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -23,13 +25,15 @@ from .errors import ConfigError, WorkloadValidationError
 from .levels import ACT_GLB, ACT_LB, WEIGHT_GLB0, WEIGHT_GLB1
 from .mha import MhaConfig, mha_forward
 from .moe import MoeLayerConfig, RoutingWeights, moe_layer_forward
-from .tensors import QuantWeightMatrix, SpikeTensor
+from .tensors import _F32_EXACT, QuantWeightMatrix, SpikeTensor
 
 SCHEMA_VERSION = "1"
 
 CALIBRATION_SOURCES = ("builtin2d", "builtin3d", "file")
 
 ROUTING_CSV_COLUMNS = ("token_id", "rank", "expert_id", "score")
+
+_INF = float("inf")
 
 # A plan whose estimated footprint (plan_bytes) exceeds this is refused
 # before any input is synthesized.
@@ -39,7 +43,7 @@ MAX_PLAN_BYTES = 1 << 30
 # under the size cap.
 MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 
-# Bytes behind plan_bytes, each rounded up.  A spike element costs its
+# Bytes behind plan_bytes, each rounded up.  A MoE spike element costs its
 # float64 draw, the spike itself and float32 operand copies; a weight its
 # int8 value and a float32 copy.  A routing score (one per token and expert)
 # costs the matmul result, its int64 cast, the copy ExpertScores keeps, and
@@ -54,8 +58,12 @@ MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 # (the grid, the NUL mask, the kept bytes) next to 8 int64 indices.  A tail,
 # one per unit and distinct (kind, words) pair of its walk, is held as a
 # bytes object, its joined copy and its row of the tail table.  A core
-# holds its schedule load and list.
+# holds its schedule load and list.  An element of q (or k, v) costs one
+# draw, as they are drawn in turn, the uint8 q, k, v and output, and two
+# operand copies in mha_forward, float64 once a head's n * d reaches 2**24;
+# an entry of the (t, h, d, d) K.T @ V two such floats.
 _SPIKE_BYTES = 24
+_ATTENTION_BYTES = 8 + 4
 _WEIGHT_BYTES = 8
 _SCORE_BYTES = 40
 _TILE_BYTES = 8 * 8 + 9 * 32
@@ -343,17 +351,16 @@ def plan_bytes(plan: RunPlan) -> int:
         return -(-extent // step)
 
     if plan.kind == "moe":
-        spikes = m.n * m.t * (m.d_in + m.d_out)
-        weights = m.d_in * m.experts * (m.d_out + 1)
-        scores = m.n * m.experts
+        inputs = _SPIKE_BYTES * m.n * m.t * (m.d_in + m.d_out) + _WEIGHT_BYTES * m.d_in * m.experts * (m.d_out + 1)
+        inputs += _SCORE_BYTES * m.n * m.experts
         routing = tiles(m.n, hw.routing_rows) * tiles(m.experts, hw.routing_cols)
         experts = tiles(m.d_out, hw.expert_rows) * (tiles(m.n * m.t, hw.expert_cols) + m.experts)
         n_tiles = routing + experts
         records = rows = 3 * routing + 2 + 9 * experts + 4 * m.experts
         tails = 5 * 4 + 13 * 4 * m.experts + m.experts + 1
     else:
-        spikes = 4 * m.n * m.t * m.d_model
-        weights = scores = 0
+        operand = 4 if m.n * m.d_head < _F32_EXACT else 8
+        inputs = (_ATTENTION_BYTES + 2 * operand) * m.n * m.t * m.d_model + 2 * operand * m.t * m.heads * m.d_head**2
         n_tiles = 2 * m.t * tiles(m.n, hw.attention_rows) * tiles(m.n, hw.attention_cols)
         head = 3 * n_tiles + 2 * m.t + 2
         records, rows = head + m.heads + 1, m.heads * (head + 1) + 1
@@ -362,10 +369,7 @@ def plan_bytes(plan: RunPlan) -> int:
         _TRACE_RECORD_BYTES * records + _TRACE_CHUNK_ROW_BYTES * min(rows, dataflow.TRACE_CHUNK_ROWS)
         + _TRACE_TAIL_BYTES * min(tails, rows)
     )
-    return (
-        _SPIKE_BYTES * spikes + _WEIGHT_BYTES * weights + _SCORE_BYTES * scores + _TILE_BYTES * n_tiles
-        + trace + _CORE_BYTES * hw.cores
-    )
+    return inputs + _TILE_BYTES * n_tiles + trace + _CORE_BYTES * hw.cores
 
 
 @dataclass
@@ -611,25 +615,64 @@ def compare_designs(plan: RunPlan) -> ComparisonReport:
 
 
 def report_json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    """``(json.dumps(doc, indent=2, sort_keys=True) + "\\n").encode()``, built by direct recursion."""
+    out: list[str] = []
+    _emit(doc, out, "\n")
+    return ("".join(out) + "\n").encode()
 
 
-def _flatten(doc, prefix: str, rows: list):
-    if isinstance(doc, dict):
-        if not doc:
-            rows.append((prefix, doc))
-            return
-        for key in doc:
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            _flatten(doc[key], sub, rows)
-    elif isinstance(doc, list):
-        if not doc:
-            rows.append((prefix, doc))
-            return
-        for i, item in enumerate(doc):
-            _flatten(item, f"{prefix}.{i}" if prefix else str(i), rows)
+def _emit(value, out: list, newline: str) -> None:
+    """Append ``value`` as json's indent-2, sorted-key encoder writes it after ``newline``."""
+    if isinstance(value, dict) and value:
+        brackets, items = "{}", [(_key(key) + ": ", item) for key, item in sorted(value.items())]
+    elif isinstance(value, (list, tuple)) and value:
+        brackets, items = "[]", [("", item) for item in value]
     else:
-        rows.append((prefix, doc))
+        out.append(_scalar(value))
+        return
+    inner = newline + "  "
+    sep = brackets[0] + inner
+    for key, item in items:
+        out.append(sep + key)
+        _emit(item, out, inner)
+        sep = "," + inner
+    out.append(newline + brackets[1])
+
+
+def _scalar(value) -> str:
+    """``json.dumps(value)``, types checked in json.encoder's order; only a CSV tuple leaf is a non-empty container."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        return "Infinity" if value == _INF else "-Infinity" if value == -_INF else float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_scalar, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_key(key)}: {_scalar(item)}" for key, item in value.items()) + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a non-str key as the string of its scalar text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _flatten(doc, prefix: str, rows: list) -> None:
+    if isinstance(doc, (dict, list)) and doc:
+        for key, item in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            _flatten(item, f"{prefix}.{key}" if prefix else str(key), rows)
+    else:
+        rows.append((prefix, _scalar(doc)))
 
 
 def report_csv_bytes(doc: dict) -> bytes:
@@ -639,34 +682,29 @@ def report_csv_bytes(doc: dict) -> bytes:
     metrics come out one row per (level, metric) and the encoding is exactly
     invertible.
     """
-    rows: list[tuple[str, object]] = []
+    rows: list[tuple[str, str]] = []
     _flatten(doc, "", rows)
     rows.sort(key=lambda r: r[0])
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["field", "value"])
-    for path, value in rows:
-        writer.writerow([path, json.dumps(value)])
+    writer.writerows(rows)
     return buf.getvalue().encode()
 
 
 def load_report_csv(blob: bytes) -> dict:
     """Rebuild the nested report from its CSV flattening."""
-    text = blob.decode()
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(blob.decode().splitlines())
     header = next(reader)
     if header != ["field", "value"]:
         raise ValueError(f"unexpected report CSV header {header!r}")
     tree: dict = {}
-    entries = [(path, json.loads(raw)) for path, raw in reader]
-    for path, value in entries:
+    for path, raw in reader:
         parts = path.split(".")
         node = tree
         for part in parts[:-1]:
             node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        node[parts[-1]] = json.loads(raw)
     return _listify(tree)
 
 
@@ -691,5 +729,4 @@ def write_routing_csv(table, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ROUTING_CSV_COLUMNS)
-        for row in table.routing_rows():
-            writer.writerow(row)
+        writer.writerows(table.routing_rows())

@@ -136,6 +136,17 @@ class TestRouteTopk:
         table = route_topk(ExpertScores(np.array([[7, 1], [0, 2]])), k=1)
         assert list(table.routing_rows()) == [(0, 0, 0, 7), (1, 0, 1, 2)]
 
+    def test_routing_rows_list_every_rank_as_python_ints(self):
+        scores = np.random.default_rng(3).integers(-(2**40), 2**40, size=(9, 5))
+        table = route_topk(ExpertScores(scores), k=3)
+        rows = table.routing_rows()
+        assert rows == [
+            (token, rank, int(table.assignments[token, rank]), int(table.assignment_scores[token, rank]))
+            for token in range(9)
+            for rank in range(3)
+        ]
+        assert {type(value) for row in rows for value in row} == {int}
+
 
 class TestGather:
     def test_all_tokens_to_one_expert(self):

@@ -2,15 +2,19 @@
 
 import csv
 import hashlib
+import io
 import itertools
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spikesim import dataflow, memory, mha, runner
+from spikesim import dataflow, memory, mha, runner, tensors
 from spikesim import (
     ArrayGeometry,
     ConfigError,
@@ -335,6 +339,35 @@ class TestPlanSizeCap:
         with pytest.raises(WorkloadValidationError, match="byte cap"):
             run_experiment(plan)
 
+    def test_wide_head_refused_before_synthesis(self, monkeypatch):
+        # One head of width 32768 on 16 tokens: the inputs are 0.5M elements,
+        # but K.T @ V is a 32768 x 32768 float32 product, 4 GiB.
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesized inputs for a plan over the size cap")
+
+        monkeypatch.setattr(runner, "_synth_spikes", refuse)
+        plan = parse_workload({"kind": "mha", "model": {"n": 16, "t": 1, "h": 1, "d": 32768}})
+        assert runner.plan_bytes(plan) >= 4 * 32768**2
+        with pytest.raises(WorkloadValidationError, match="byte cap"):
+            run_experiment(plan)
+
+    # Under the real limit a head's n * d below 2**24 runs in float32; the
+    # lowered one sends the second attention product through float64.
+    @pytest.mark.parametrize("f32_limit", [tensors._F32_EXACT, 2**8])
+    def test_wide_head_peaks_under_its_estimate(self, f32_limit, monkeypatch):
+        # K.T @ V (2048 x 2048) outweighs the 131k-element inputs about eight times over.
+        monkeypatch.setattr(tensors, "_F32_EXACT", f32_limit)
+        monkeypatch.setattr(runner, "_F32_EXACT", f32_limit)
+        plan = parse_workload({"kind": "mha", "model": {"n": 64, "t": 1, "h": 1, "d": 2048}})
+        run_experiment(plan)
+        tracemalloc.start()
+        try:
+            run_experiment(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= runner.plan_bytes(plan)
+
     @pytest.mark.parametrize("doc", [MOE_DOC, MHA_DOC])
     def test_cap_is_inclusive(self, doc, monkeypatch):
         plan = parse_workload(dict(doc))
@@ -627,6 +660,21 @@ class TestRunPathWork:
         compare_designs(parse_workload({**MHA_DOC, "H": 4}))
         assert calls == {"mha_forward": 1, "attention_walk": 1}
 
+    def test_reports_skip_the_json_encoder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report went through the json module's encoder")
+
+        reports = []
+        for doc in (MOE_DOC, MHA_DOC):
+            plan = parse_workload(dict(doc))
+            reports += [run_experiment(plan).to_dict(), compare_designs(plan).to_dict()]
+        expected = [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode() for doc in reports]
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+        assert [emit_report(doc, "json") for doc in reports] == expected
+        for doc in reports:
+            assert load_report_csv(emit_report(doc, "csv")) == doc
+
 
 def _random_doc(rng: np.random.Generator, kind: str) -> dict:
     def draw(lo, hi):
@@ -699,6 +747,105 @@ def _reverse_keys(doc):
     return doc
 
 
+class _Int(int):
+    def __repr__(self):
+        return "_Int()"
+
+    __str__ = __repr__
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float()"
+
+    __str__ = __repr__
+
+
+class _Str(str):
+    def __repr__(self):
+        return "_Str()"
+
+
+# Quotes, backslashes, controls, DEL, a dot, a line separator, non-ASCII
+# letters and an astral character; a lone surrogate only json's escape can write.
+_SPECIAL_TEXT = st.text('a."\\\x00\n\x1f\x7f\u00e9\u2028\U0001f600\ud800', max_size=5)
+_NUMBERS = (
+    st.integers() | st.integers(2**63, 2**100) | st.integers(-(2**100), -(2**63)) | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+)
+_LEAVES = (
+    st.none() | st.booleans() | _NUMBERS | _SPECIAL_TEXT | st.text(max_size=4)
+    | st.builds(_Int, st.integers()) | st.builds(_Float, st.floats()) | st.builds(_Str, _SPECIAL_TEXT)
+)
+# Keys of one family sort among themselves, so most dicts encode; a mixed
+# dict fails to sort and a tuple key is refused, in both encoders alike.
+_KEY_FAMILIES = [
+    _SPECIAL_TEXT | st.text(max_size=3),
+    _NUMBERS | st.booleans() | st.builds(_Int, st.integers(0, 3)),
+    st.none(),
+    st.text(max_size=1) | st.integers(0, 2) | st.none() | st.tuples(st.integers(0, 1)),
+]
+_JSON_DOCS = st.recursive(
+    _LEAVES | st.just(set()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        *(st.dictionaries(keys, inner, max_size=3) for keys in _KEY_FAMILIES),
+    ),
+    max_leaves=8,
+)
+
+
+def _reference_csv(doc) -> bytes:
+    """The report CSV as csv.writer writes ``json.dumps`` of each flattened leaf."""
+    rows = []
+
+    def flatten(node, prefix):
+        if isinstance(node, dict) and node:
+            for key in node:
+                flatten(node[key], f"{prefix}.{key}" if prefix else str(key))
+        elif isinstance(node, list) and node:
+            for i, item in enumerate(node):
+                flatten(item, f"{prefix}.{i}" if prefix else str(i))
+        else:
+            rows.append((prefix, node))
+
+    flatten(doc, "")
+    rows.sort(key=lambda r: r[0])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["field", "value"])
+    for path, value in rows:
+        writer.writerow([path, json.dumps(value)])
+    return buf.getvalue().encode()
+
+
+def _reference_json(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _assert_same_outcome(reference, emitter, doc):
+    """``emitter(doc)`` returns ``reference(doc)``'s bytes, or raises what it raises."""
+    try:
+        expected = reference(doc)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            emitter(doc)
+    else:
+        assert emitter(doc) == expected
+
+
+# One document with every case the emitters special-case, all of it encodable.
+_EDGE_DOC = {
+    "caf\u00e9 \"q\" \\ \x00\x1f.\u2028\U0001f600": [1, -0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf],
+    "big": [2**63, -(2**64) - 1, 10**30],
+    "b": {3: "i", 1.5: "f", True: "t", _Int(2): "s"},
+    "a": {None: {"z": 1, "y": {"x": (), "w": {}}, "\u00e9": [[], {}]}},
+    "t": (1, (2.5, "x"), [True, False], {"k": ()}),
+    "s": [_Int(7), _Float(0.1), _Str("\u00e9")],
+}
+
+
 class TestReportSerialization:
     def test_schema_version_present(self):
         doc = run_experiment(parse_workload(dict(MOE_DOC))).to_dict()
@@ -739,6 +886,27 @@ class TestReportSerialization:
         assert "c.0,true" in rows and "c.1,null" in rows
         assert "d,{}" in rows and "e,[]" in rows
         assert load_report_csv(report_csv_bytes(doc)) == doc
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(doc=_JSON_DOCS)
+    def test_json_bytes_are_json_dumps(self, doc):
+        _assert_same_outcome(_reference_json, report_json_bytes, doc)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(doc=_JSON_DOCS)
+    def test_csv_bytes_are_csv_of_json_dumps(self, doc):
+        _assert_same_outcome(_reference_csv, report_csv_bytes, doc)
+
+    def test_edge_document(self):
+        assert report_json_bytes(_EDGE_DOC) == _reference_json(_EDGE_DOC)
+        assert report_csv_bytes(_EDGE_DOC) == _reference_csv(_EDGE_DOC)
+
+    @pytest.mark.parametrize("doc", [{"a": set()}, {(1, 2): 1}, {"a": {1: 0, "1": 0}}, [np.int64(1)]])
+    def test_unencodable_documents_refused_like_json(self, doc):
+        with pytest.raises(TypeError):
+            _reference_json(doc)
+        with pytest.raises(TypeError):
+            report_json_bytes(doc)
 
     def test_bad_format(self):
         with pytest.raises(ConfigError):
