@@ -24,7 +24,7 @@ from .dataflow import ArrayGeometry, SparsityStats
 from .errors import ConfigError, WorkloadValidationError
 from .levels import ACT_GLB, ACT_LB, WEIGHT_GLB0, WEIGHT_GLB1
 from .mha import MhaConfig, mha_forward
-from .moe import MoeLayerConfig, RoutingWeights, moe_layer_forward
+from .moe import _BLOCK_ROWS, MoeLayerConfig, RoutingWeights, moe_layer_forward
 from .tensors import _F32_EXACT, QuantWeightMatrix, SpikeTensor
 
 SCHEMA_VERSION = "1"
@@ -43,11 +43,18 @@ MAX_PLAN_BYTES = 1 << 30
 # under the size cap.
 MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 
-# Bytes behind plan_bytes, each rounded up.  A MoE spike element costs its
-# float64 draw, the spike itself and float32 operand copies; a weight its
-# int8 value and a float32 copy.  A routing score (one per token and expert)
-# costs the matmul result, its int64 cast, the copy ExpertScores keeps, and
-# route_topk's negated scores and argsort order.  A tile holds 8 int64
+# Bytes behind plan_bytes, each rounded up.  A MoE input element costs its
+# float64 draw, the draw's bool, the uint8 spikes and one expert's gathered
+# rows; an output element its expert's int16 integration, the merged copy,
+# the fired bool and the bitstream of the digest; an output neuron its
+# potential (int64 at most) and spike buffer.  An input (token, feature)
+# pair costs its routing spike count and that count's float operand.  An
+# expert's integration runs blocks of at most moe._BLOCK_ROWS rows, each
+# holding a float operand per input feature and a float result and its int16
+# cast per output feature.  A weight costs its int8 value and a float32
+# copy.  A routing score (one per token and expert) costs the matmul
+# result, its int64 cast, the copy ExpertScores keeps, and route_topk's
+# negated scores and argsort order.  A tile holds 8 int64
 # schedule columns and a 9-slot grid of cycle, kind and bits columns, a mask
 # and the record columns cut from it.  The trace writer holds at most 8
 # int64 values per record laid out (units share them): cycle and tail base
@@ -62,7 +69,9 @@ MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 # draw, as they are drawn in turn, the uint8 q, k, v and output, and two
 # operand copies in mha_forward, float64 once a head's n * d reaches 2**24;
 # an entry of the (t, h, d, d) K.T @ V two such floats.
-_SPIKE_BYTES = 24
+_SPIKE_IN_BYTES = 8 + 1 + 1 + 1
+_SPIKE_OUT_BYTES = 2 + 2 + 1 + 1
+_NEURON_BYTES = 8 + 1
 _ATTENTION_BYTES = 8 + 4
 _WEIGHT_BYTES = 8
 _SCORE_BYTES = 40
@@ -351,8 +360,12 @@ def plan_bytes(plan: RunPlan) -> int:
         return -(-extent // step)
 
     if plan.kind == "moe":
-        inputs = _SPIKE_BYTES * m.n * m.t * (m.d_in + m.d_out) + _WEIGHT_BYTES * m.d_in * m.experts * (m.d_out + 1)
-        inputs += _SCORE_BYTES * m.n * m.experts
+        # The routing product's bound, 128 * t * d_in, is at least spike_matmul's.
+        operand = 4 if 128 * m.t * m.d_in < _F32_EXACT else 8
+        inputs = _SPIKE_IN_BYTES * m.n * m.t * m.d_in + _SPIKE_OUT_BYTES * m.n * m.t * m.d_out
+        inputs += (1 + operand) * m.n * m.d_in + _NEURON_BYTES * m.n * m.d_out
+        inputs += min(m.n * m.t, _BLOCK_ROWS) * (operand * (m.d_in + m.d_out) + 2 * m.d_out)
+        inputs += _WEIGHT_BYTES * m.d_in * m.experts * (m.d_out + 1) + _SCORE_BYTES * m.n * m.experts
         routing = tiles(m.n, hw.routing_rows) * tiles(m.experts, hw.routing_cols)
         experts = tiles(m.d_out, hw.expert_rows) * (tiles(m.n * m.t, hw.expert_cols) + m.experts)
         n_tiles = routing + experts
@@ -448,6 +461,16 @@ class _Layer(NamedTuple):
 
 
 def _moe_layer(plan: RunPlan) -> _Layer:
+    """The MoE layer's functional pass and its router and expert walks.
+
+    An expert's sparsity counts the ones of its tokens' input rows.  A row
+    holds t * d_in entries of 0 or 1, so its count is at most t * d_in, and
+    it is summed over the flattened row in the smallest unsigned type that
+    holds t * d_in, where no partial count can wrap.  Under
+    ``MAX_PLAN_BYTES`` that type is at most uint32: ``plan_bytes`` charges
+    more than one byte per input element, so a plan it admits has
+    t * d_in <= n * t * d_in < 2**30.
+    """
     m = plan.model
     hw = plan.hardware
     rng = np.random.default_rng(plan.seed)
@@ -463,7 +486,7 @@ def _moe_layer(plan: RunPlan) -> _Layer:
     expert_geom = ArrayGeometry(hw.expert_rows, hw.expert_cols, "expert")
     walks = [(("router",), *dataflow.routing_walk(m.n, m.t, m.d_in, m.experts, routing_geom, hw.extract_ports))]
     scheduled = []
-    token_ones = s_in.data.sum(axis=(1, 2))
+    token_ones = s_in.data.reshape(m.n, m.t * m.d_in).sum(axis=1, dtype=np.min_scalar_type(m.t * m.d_in))
     for e in range(m.experts):
         tokens = table.expert_tokens[e]
         ts = dataflow.plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert_geom)

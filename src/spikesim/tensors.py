@@ -49,14 +49,22 @@ bool view of the spike rows, so their 0/1 check costs no pass over the data.
 The neuron update (:func:`lif_run`, :func:`lif_step`) is one kernel that
 updates the potential in place and resets fired neurons by multiplying with
 the inverted spike mask.  Its dtype follows a bound: after s steps,
-|v| <= |v0| + s * (max|x| + |leak|), since a reset only moves v to 0.  When
-that bound for s = t is at most 2**31 - 1, the loop runs in int32; it can
-neither wrap nor leave the 32-bit accumulator range, so no step is checked.
-Otherwise the same loop runs in int64 and checks the range after each reset,
-raising :class:`OverflowError` when a potential leaves it.  :func:`lif_run`
-takes max|x| <= 2**15 from the int16 carrier, with no pass over the data.
-:func:`lif_step` starts from an int32 state, |v0| <= 2**31, so it always runs
-the checked int64 loop.
+|v| <= |v0| + s * (x_peak + |leak|), where x_peak = max(-min x, max x) is the
+integration's own peak, since a step adds at most x_peak + |leak| in either
+direction and a reset only moves v to 0.  The loop runs in the narrowest
+type whose range holds that bound for s = t:
+
+* int16 when it is at most 2**15 - 1, the int16 carrier's own range;
+* int32 when it is at most 2**31 - 1;
+* otherwise int64, checking the range after each reset and raising
+  :class:`OverflowError` when a potential leaves the 32-bit range.
+
+In int16 and int32 every intermediate value, before and after the reset,
+lies inside the bound, so no addition can wrap and no step is checked.  A
+threshold above the type's maximum is clipped to it, which no potential can
+exceed, so the comparison is exact too.  :func:`lif_run` finds x_peak with
+one min and one max pass over the int16 data; :func:`lif_step` starts from
+an int32 state, |v0| <= 2**31, so it always runs the checked int64 loop.
 """
 
 from __future__ import annotations
@@ -382,18 +390,22 @@ def _lif(x: np.ndarray, x_peak: int, v0, v0_peak: int, p: LifParams) -> tuple[np
     ``x`` holds (n, t, d) integers with |x| <= ``x_peak``; ``v0`` is the
     starting potential, a scalar or an (n, d) array inside the 32-bit range
     with |v0| <= ``v0_peak``.  Returns the (n, t, d) bool spikes and the final
-    (n, d) potential.  The potential is int32 when the bound in the module
-    docstring, ``v0_peak + t * (x_peak + |leak|)``, fits in int32, and int64
-    with a range check after every reset otherwise; the int64 candidate of
-    one step, below 2**31 + x_peak + |leak|, must not wrap.  An integer
-    exceeds a real threshold exactly when it exceeds the threshold's floor,
-    which is clipped to the potential's type.
+    (n, d) potential.  The potential is int16 or int32 when the bound in the
+    module docstring, ``v0_peak + t * (x_peak + |leak|)``, fits that type, and
+    int64 with a range check after every reset otherwise; the int64
+    candidate of one step, below 2**31 + x_peak + |leak|, must not wrap.  An
+    integer exceeds a real threshold exactly when it exceeds the threshold's
+    floor, which is clipped to the potential's type.
     """
     n, t, d = x.shape
-    wide = v0_peak + t * (x_peak + abs(p.v_leak)) > INT32_MAX
+    peak = v0_peak + t * (x_peak + abs(p.v_leak))
+    wide = peak > INT32_MAX
     if wide and INT32_MAX + 1 + x_peak + abs(p.v_leak) > INT64_MAX:
         raise OverflowError("one step of integrated input exceeds the 64-bit potential update")
-    dtype = np.int64 if wide else np.int32
+    if peak <= INT16_MAX:
+        dtype = np.int16
+    else:
+        dtype = np.int64 if wide else np.int32
     threshold = min(math.floor(p.v_threshold), int(np.iinfo(dtype).max))
     v = np.empty((n, d), dtype=dtype)
     v[...] = v0
@@ -405,7 +417,7 @@ def _lif(x: np.ndarray, x_peak: int, v0, v0_peak: int, p: LifParams) -> tuple[np
             np.subtract(v, p.v_leak, out=v)
         np.greater(v, threshold, out=spikes)
         out[:, s, :] = spikes
-        v *= ~spikes
+        v *= np.logical_not(spikes, out=spikes)
         if wide and v.size and (v.min() < INT32_MIN or v.max() > INT32_MAX):
             raise OverflowError("membrane potential exceeds the 32-bit accumulator range")
     return out, v
@@ -438,5 +450,6 @@ def lif_run(x: IntegrationTensor, p: LifParams) -> SpikeTensor:
     """
     if not INT32_MIN <= p.initial_potential <= INT32_MAX:
         raise OverflowError("membrane potential exceeds the 32-bit accumulator range")
-    spikes, _ = _lif(x.data, -INT16_MIN, p.initial_potential, abs(p.initial_potential), p)
+    x_peak = max(-int(x.data.min()), int(x.data.max())) if x.data.size else 0
+    spikes, _ = _lif(x.data, x_peak, p.initial_potential, abs(p.initial_potential), p)
     return _adopt(SpikeTensor, spikes.view(np.uint8))

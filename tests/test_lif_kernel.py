@@ -1,4 +1,4 @@
-"""The LIF kernel at the edges of its int32 bound, and the MoE layer that fires once after its merge."""
+"""The LIF kernel at the edges of its int16 and int32 bounds, and the MoE layer that fires once after its merge."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,9 @@ from spikesim import (
     lif_step,
     merge_aligned,
     moe_layer_forward,
+    parse_workload,
     route_topk,
+    run_experiment,
     spike_matmul,
 )
 from spikesim import moe, tensors
@@ -67,8 +69,26 @@ def lif_dtypes(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def lif_calls(monkeypatch):
+    """(x_peak, final potential) of each kernel call."""
+    calls = []
+    kernel = tensors._lif
+
+    def spy(x, x_peak, v0, v0_peak, p):
+        spikes, v = kernel(x, x_peak, v0, v0_peak, p)
+        calls.append((x_peak, v))
+        return spikes, v
+
+    monkeypatch.setattr(tensors, "_lif", spy)
+    return calls
+
+
 def _edge_params(bound: int, direction: int, threshold: float) -> tuple[LifParams, int]:
     """Parameters with |v0| + t * (2**15 + |leak|) == bound over t = 2 steps.
+
+    The bound holds for data whose peak is the carrier's, 2**15: data with
+    an INT16_MIN entry.
 
     ``direction`` -1 drives the potential down with a positive leak, +1 up
     with a negative one.  Returns the parameters and the drive per step.
@@ -109,11 +129,91 @@ class TestBoundEdge:
             p, _ = _edge_params(bound, +1, threshold)
             x = rng.integers(INT16_MIN, INT16_MAX + 1, size=(4, 2, 5)).astype(np.int16)
             x[0] = INT16_MAX  # lane 0 rides the bound
+            x[1, 0, 0] = INT16_MIN  # the data reach the carrier's peak, 2**15
             out = lif_run(IntegrationTensor(x), p)
             want, _ = stepped_lif(x, p)
             assert np.array_equal(out.data, want)
             assert np.array_equal(out.data, scalar_lif_run(x, p.v_threshold, p.v_leak, p.initial_potential))
         assert set(lif_dtypes) == {np.dtype(np.int32 if bound == INT32_MAX else np.int64)}
+
+
+def _int16_edge(bound: int, direction: int, threshold: float) -> tuple[LifParams, np.ndarray]:
+    """Parameters and a constant drive with |v0| + t * (x_peak + |leak|) == bound.
+
+    Two steps of drive 9,000 and leak 1,000, both in ``direction``: the
+    potential ends on ``direction * bound`` unless it fires.
+    """
+    drive, leak = 9000, 1000
+    v0 = direction * (bound - 2 * (drive + leak))
+    p = LifParams(v_threshold=threshold, v_leak=-direction * leak, initial_potential=v0)
+    return p, np.full((2, 2, 3), direction * drive, dtype=np.int16)
+
+
+class TestInt16Edge:
+    def test_downward_drive_to_minus_int16_max(self, lif_calls):
+        # The bound is exactly INT16_MAX: int16, ending on -32767 with no
+        # wrap (a wrap would turn it positive and fire) and no spike.
+        p, x = _int16_edge(INT16_MAX, -1, threshold=1.0)
+        out = lif_run(IntegrationTensor(x), p)
+        [(x_peak, v)] = lif_calls
+        want, want_v = stepped_lif(x, p)
+        assert x_peak == 9000 and v.dtype == np.int16
+        assert v.tolist() == want_v and want_v[0][0] == -INT16_MAX
+        assert np.array_equal(out.data, want)
+        assert not out.data.any()
+
+    @pytest.mark.parametrize(
+        "threshold", [1.0, INT16_MAX - 0.5, INT16_MAX, INT16_MAX + 0.5, INT16_MAX + 1, 40000.0, 1e300]
+    )
+    @pytest.mark.parametrize("bound", [INT16_MAX, INT16_MAX + 1])
+    def test_upward_drive_at_the_edge(self, bound, threshold, lif_calls):
+        # INT16_MAX runs in int16, where a threshold at or above 32767 never
+        # fires; one more runs in int32, where the potential reaches 32768.
+        p, x = _int16_edge(bound, +1, threshold)
+        out = lif_run(IntegrationTensor(x), p)
+        [(_, v)] = lif_calls
+        want, want_v = stepped_lif(x, p)
+        assert v.dtype == (np.int16 if bound == INT16_MAX else np.int32)
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(out.data, scalar_lif_run(x, p.v_threshold, p.v_leak, p.initial_potential))
+        assert v.tolist() == want_v
+        assert bool(out.data[:, 1].all()) == bool(out.data.any()) == (threshold < bound)
+
+    def test_peak_of_int16_min_data_is_two_to_the_15(self, lif_calls):
+        x = np.full((1, 3, 2), 5, dtype=np.int16)
+        lif_run(IntegrationTensor(x), LifParams())
+        x[0, 1, 1] = INT16_MIN
+        lif_run(IntegrationTensor(x), LifParams())
+        x[0, 1, 1] = INT16_MAX
+        lif_run(IntegrationTensor(x), LifParams())
+        assert [(x_peak, v.dtype) for x_peak, v in lif_calls] == [
+            (5, np.int16), (2**15, np.int32), (INT16_MAX, np.int32)
+        ]
+
+    def test_downward_drive_past_int16_min_with_a_small_maximum(self, lif_calls):
+        # The peak is the minimum's magnitude: 2 * 20,000 would wrap int16
+        # to a positive potential that fires.
+        x = np.array([[[-20000], [-20000], [5]]], dtype=np.int16)
+        p = LifParams()
+        out = lif_run(IntegrationTensor(x), p)
+        want, want_v = stepped_lif(x, p)
+        assert [(x_peak, v.tolist()) for x_peak, v in lif_calls] == [(20000, want_v)] == [(20000, [[-39995]])]
+        assert np.array_equal(out.data, want) and not out.data.any()
+
+
+# Bench and default plan shapes: each fires its one layer in int16.
+FAST_PLANS = [
+    {"kind": "moe", "model": {"n": 1024, "t": 8, "d_in": 256, "d_out": 256, "e": 8, "k": 1}},
+    {"kind": "mha", "model": {"n": 512, "t": 4, "h": 8, "d": 32}, "hardware": {"attention_array": {"rows": 16, "cols": 16}}},
+    {"kind": "moe"},
+    {"kind": "mha"},
+]
+
+
+@pytest.mark.parametrize("doc", FAST_PLANS)
+def test_bench_and_default_plans_fire_in_int16(doc, lif_dtypes):
+    run_experiment(parse_workload({**doc, "seed": 0}))
+    assert lif_dtypes == [np.int16]
 
 
 class TestOverflowParity:

@@ -368,6 +368,28 @@ class TestPlanSizeCap:
             tracemalloc.stop()
         assert peak <= runner.plan_bytes(plan)
 
+    # A MoE estimate charges what the layer holds: moe_large, the default plan
+    # and the default at n = 4096 peak at 0.25-0.38 of it, plain or traced.
+    @pytest.mark.parametrize("doc", [ADMITTED[0], {"kind": "moe"}, {"kind": "moe", "model": {"n": 4096}}])
+    def test_moe_estimate_is_a_tight_upper_bound(self, doc, tmp_path, capsys):
+        from spikesim.cli import main
+
+        plan = parse_workload(doc)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        argv = ["run", str(path), "--output", str(tmp_path / "report.json"), "--trace", str(tmp_path / "trace.csv")]
+        run_experiment(plan)
+        peaks = []
+        for call in (lambda: run_experiment(plan), lambda: main(argv)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert all(0.2 <= peak / runner.plan_bytes(plan) <= 1 for peak in peaks), peaks
+
     @pytest.mark.parametrize("doc", [MOE_DOC, MHA_DOC])
     def test_cap_is_inclusive(self, doc, monkeypatch):
         plan = parse_workload(dict(doc))
@@ -482,6 +504,16 @@ class TestFunctionalPath:
         digest = "sha256:" + hashlib.sha256(expected.to_bytes()).hexdigest()
         assert result.output_digest == digest
         assert list(result.routing_table.expert_tokens[0]) == list(range(12))
+
+    def test_expert_mac_ops_count_each_input_one(self):
+        # Dense rows of 2 * 300 entries: a token's count passes 255.
+        doc = {"kind": "moe", "N": 40, "T": 2, "D_in": 300, "D_out": 3, "E": 3, "spike_prob": 0.9, "seed": 4}
+        result = run_experiment(parse_workload(doc))
+        s_in = np.random.default_rng(4).random((40, 2, 300)) < 0.9
+        counts = [int(row.sum()) for row in s_in]
+        assert min(counts) > 255
+        for e, tokens in enumerate(result.routing_table.expert_tokens):
+            assert result.unit_cycles[f"expert{e}"].mac_ops == 3 * sum(counts[i] for i in tokens.tolist())
 
     def test_output_digest_matches_payload(self):
         result = run_experiment(parse_workload(dict(MHA_DOC)))
