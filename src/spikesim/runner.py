@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +69,8 @@ MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 # holds its schedule load and list.  An element of q (or k, v) costs one
 # draw, as they are drawn in turn, the uint8 q, k, v and output, and two
 # operand copies in mha_forward, float64 once a head's n * d reaches 2**24;
-# an entry of the (t, h, d, d) K.T @ V two such floats.
+# an entry of the (t, h, d, d) K.T @ V two such floats.  Any run holds its
+# report, the report's emission, its calibration and the writer's state.
 _SPIKE_IN_BYTES = 8 + 1 + 1 + 1
 _SPIKE_OUT_BYTES = 2 + 2 + 1 + 1
 _NEURON_BYTES = 8 + 1
@@ -80,6 +82,7 @@ _TRACE_RECORD_BYTES = 64
 _TRACE_CHUNK_ROW_BYTES = 3 * (20 + 64) + 8 * 8
 _TRACE_TAIL_BYTES = 320
 _CORE_BYTES = 128
+_RUN_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -353,6 +356,7 @@ def plan_bytes(plan: RunPlan) -> int:
     tile shapes: a tile is full or an edge on each axis, an attention tile
     runs in one of two phases, and the merge has a pair per distinct unit
     output size and one for its write.  No unit has more tails than rows.
+    A fixed term charges what any run holds, however small its plan.
     """
     m, hw = plan.model, plan.hardware
 
@@ -382,7 +386,7 @@ def plan_bytes(plan: RunPlan) -> int:
         _TRACE_RECORD_BYTES * records + _TRACE_CHUNK_ROW_BYTES * min(rows, dataflow.TRACE_CHUNK_ROWS)
         + _TRACE_TAIL_BYTES * min(tails, rows)
     )
-    return inputs + _TILE_BYTES * n_tiles + trace + _CORE_BYTES * hw.cores
+    return _RUN_BYTES + inputs + _TILE_BYTES * n_tiles + trace + _CORE_BYTES * hw.cores
 
 
 @dataclass
@@ -638,7 +642,14 @@ def compare_designs(plan: RunPlan) -> ComparisonReport:
 
 
 def report_json_bytes(doc: dict) -> bytes:
-    """``(json.dumps(doc, indent=2, sort_keys=True) + "\\n").encode()``, built by direct recursion."""
+    """``(json.dumps(doc, indent=2, sort_keys=True) + "\\n").encode()``, built by direct recursion.
+
+    Exact by construction: entries in json's ``sorted(dict.items())`` order
+    with its separators and indent; a dict value of exact type ``int``,
+    ``str`` or finite ``float`` is written inline by json's own call for that
+    type, and every other value (a bool, a subclass, NaN, an infinity, a list
+    item) goes through ``_scalar``, which tests types in json's order.
+    """
     out: list[str] = []
     _emit(doc, out, "\n")
     return ("".join(out) + "\n").encode()
@@ -647,19 +658,30 @@ def report_json_bytes(doc: dict) -> bytes:
 def _emit(value, out: list, newline: str) -> None:
     """Append ``value`` as json's indent-2, sorted-key encoder writes it after ``newline``."""
     if isinstance(value, dict) and value:
-        brackets, items = "{}", [(_key(key) + ": ", item) for key, item in sorted(value.items())]
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            key = encode_basestring_ascii(key) if key.__class__ is str else _key(key)
+            cls = item.__class__
+            if cls is int:
+                out.append(f"{sep}{key}: {int.__repr__(item)}")
+            elif cls is str:
+                out.append(f"{sep}{key}: {encode_basestring_ascii(item)}")
+            elif cls is float and -_INF < item < _INF:
+                out.append(f"{sep}{key}: {float.__repr__(item)}")
+            else:
+                out.append(f"{sep}{key}: ")
+                _emit(item, out, inner)
+            sep = comma
+        out.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
-        brackets, items = "[]", [("", item) for item in value]
+        inner = newline + "  "
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _emit(item, out, inner)
+        out.append(newline + "]")
     else:
         out.append(_scalar(value))
-        return
-    inner = newline + "  "
-    sep = brackets[0] + inner
-    for key, item in items:
-        out.append(sep + key)
-        _emit(item, out, inner)
-        sep = "," + inner
-    out.append(newline + brackets[1])
 
 
 def _scalar(value) -> str:
@@ -693,7 +715,16 @@ def _key(key) -> str:
 def _flatten(doc, prefix: str, rows: list) -> None:
     if isinstance(doc, (dict, list)) and doc:
         for key, item in doc.items() if isinstance(doc, dict) else enumerate(doc):
-            _flatten(item, f"{prefix}.{key}" if prefix else str(key), rows)
+            path = f"{prefix}.{key}" if prefix else str(key)
+            cls = item.__class__
+            if cls is int:
+                rows.append((path, int.__repr__(item)))
+            elif cls is str:
+                rows.append((path, encode_basestring_ascii(item)))
+            elif cls is float and -_INF < item < _INF:
+                rows.append((path, float.__repr__(item)))
+            else:
+                _flatten(item, path, rows)
     else:
         rows.append((prefix, _scalar(doc)))
 
@@ -703,16 +734,24 @@ def report_csv_bytes(doc: dict) -> bytes:
 
     Nested structure flattens to dotted paths (lists by index), so per-level
     metrics come out one row per (level, metric) and the encoding is exactly
-    invertible.
+    invertible.  Leaves are typed as in ``report_json_bytes``, and rows
+    sorted stably by path alone.  csv.writer's minimal quoting writes a field
+    as it is unless it holds the delimiter, the quote character or a line
+    terminator character, so a row whose fields hold no comma, double quote,
+    CR or LF is joined by hand; every other row goes through csv.writer.
     """
     rows: list[tuple[str, str]] = []
     _flatten(doc, "", rows)
-    rows.sort(key=lambda r: r[0])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["field", "value"])
-    writer.writerows(rows)
-    return buf.getvalue().encode()
+    rows.sort(key=itemgetter(0))
+    lines = ["field,value\n"]
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    for path, value in rows:
+        both = path + value  # holds a character iff one of the fields does
+        if "," in both or '"' in both or "\r" in both or "\n" in both:
+            writer.writerow((path, value))
+        else:
+            lines.append(f"{path},{value}\n")
+    return "".join(lines).encode()
 
 
 def load_report_csv(blob: bytes) -> dict:

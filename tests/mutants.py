@@ -1,0 +1,172 @@
+"""Hand mutants: the bounds and invariants the fast paths rely on, each with a test that bites.
+
+Each row breaks one invariant with one exact edit: ``snippet``, which must
+occur exactly once in ``path``, becomes ``replacement``.  Applied alone to a
+copy of the repository, the edit must make every test in ``kills`` fail.
+Tier-1 checks only that each snippet still occurs exactly once
+(``tests/test_mutants.py``), so the table cannot silently go stale; the full
+gate applies each mutant to a temporary copy and runs its tests, from the
+repository root::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py 3 7        # rows 3 and 7 (0-based)
+
+It exits 1 if a mutant survives, that is if a listed test passes under it.
+A change that mutation-tests its own code adds its rows here.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    invariant: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    kills: tuple[str, ...]  # pytest node ids that must fail under the mutant
+
+
+_LIF = "tests/test_lif_kernel.py"
+_SERIAL = "tests/test_runner.py::TestReportSerialization"
+_GOLDEN = "tests/test_golden.py::test_every_artifact_matches_its_golden_hash"
+_JSON_EQUALS_DUMPS = f"{_SERIAL}::test_json_bytes_are_json_dumps"
+_CSV_EQUALS_DUMPS = f"{_SERIAL}::test_csv_bytes_are_csv_of_json_dumps"
+
+MUTANTS = (
+    Mutant(
+        "the LIF kernel runs in int16 only when its bound is at most INT16_MAX",
+        "src/spikesim/tensors.py",
+        "if peak <= INT16_MAX:",
+        "if peak <= INT16_MAX + 1:",
+        tuple(
+            f"{_LIF}::TestInt16Edge::test_upward_drive_at_the_edge[32768-{threshold}]"
+            for threshold in ("1.0", "32766.5", "32767", "32767.5", "32768", "40000.0", "1e+300")
+        ),
+    ),
+    Mutant(
+        "lif_run's x_peak is the larger of -min and max of the integration",
+        "src/spikesim/tensors.py",
+        "x_peak = max(-int(x.data.min()), int(x.data.max())) if x.data.size else 0",
+        "x_peak = int(x.data.max()) if x.data.size else 0",
+        (
+            f"{_LIF}::TestBoundEdge::test_int64_at_two_to_the_31",
+            f"{_LIF}::TestBoundEdge::test_upward_drive_matches_references[2147483648]",
+            f"{_LIF}::TestInt16Edge::test_downward_drive_to_minus_int16_max",
+            f"{_LIF}::TestInt16Edge::test_peak_of_int16_min_data_is_two_to_the_15",
+            f"{_LIF}::TestInt16Edge::test_downward_drive_past_int16_min_with_a_small_maximum",
+        ),
+    ),
+    Mutant(
+        "a token's ones are counted in a type that holds t * d_in",
+        "src/spikesim/runner.py",
+        "dtype=np.min_scalar_type(m.t * m.d_in))",
+        "dtype=np.uint8)",
+        (_GOLDEN, "tests/test_runner.py::TestFunctionalPath::test_expert_mac_ops_count_each_input_one"),
+    ),
+    Mutant(
+        "the JSON emitter writes a float inline only when it is finite",
+        "src/spikesim/runner.py",
+        "elif cls is float and -_INF < item < _INF:\n                out.append(",
+        "elif cls is float:\n                out.append(",
+        (_JSON_EQUALS_DUMPS,),
+    ),
+    Mutant(
+        "the CSV emitter writes a float inline only when it is finite",
+        "src/spikesim/runner.py",
+        "elif cls is float and -_INF < item < _INF:\n                rows.append(",
+        "elif cls is float:\n                rows.append(",
+        (_CSV_EQUALS_DUMPS,),
+    ),
+    Mutant(
+        "the JSON emitter writes only an exact int inline, never a bool",
+        "src/spikesim/runner.py",
+        "if cls is int:\n                out.append(",
+        "if isinstance(item, int):\n                out.append(",
+        (_JSON_EQUALS_DUMPS, _GOLDEN, "tests/test_runner.py::TestRunPathWork::test_reports_skip_the_json_encoder"),
+    ),
+    Mutant(
+        "the CSV emitter writes only an exact int inline, never a bool",
+        "src/spikesim/runner.py",
+        "if cls is int:\n                rows.append(",
+        "if isinstance(item, int):\n                rows.append(",
+        (_CSV_EQUALS_DUMPS, _GOLDEN),
+    ),
+    Mutant(
+        "a CSV row holding a double quote goes through csv.writer",
+        "src/spikesim/runner.py",
+        """if "," in both or '"' in both or "\\r" in both or "\\n" in both:""",
+        """if "," in both or "\\r" in both or "\\n" in both:""",
+        (_CSV_EQUALS_DUMPS, _GOLDEN),
+    ),
+    Mutant(
+        "CSV rows are sorted stably by path alone",
+        "src/spikesim/runner.py",
+        "rows.sort(key=itemgetter(0))",
+        "rows.sort()",
+        (_CSV_EQUALS_DUMPS,),
+    ),
+    Mutant(
+        "the core count leaves the digest and the memory section unchanged",
+        "src/spikesim/runner.py",
+        "np.array([*out_bits, layer.s_out.data.size], np.int64),",
+        "np.array([*out_bits, layer.s_out.data.size * plan.hardware.cores], np.int64),",
+        tuple(f"tests/test_metamorphic.py::test_cores_leave_digest_and_memory_unchanged[{kind}]" for kind in ("moe", "mha")),
+    ),
+    Mutant(
+        "the extract ports leave the digest and the memory section unchanged",
+        "src/spikesim/dataflow.py",
+        "bits[:, 12] = area\n",
+        "bits[:, 12] = end - filled\n",
+        ("tests/test_metamorphic.py::test_extract_ports_leave_digest_and_memory_unchanged[moe]",),
+    ),
+)
+
+
+def _run(index: int, mutant: Mutant) -> bool:
+    """Apply ``mutant`` to a fresh copy of the repository; True if every listed test fails."""
+    with tempfile.TemporaryDirectory(prefix="spikesim-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(
+            ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*")
+        )
+        target = copy / mutant.path
+        text = target.read_text()
+        if text.count(mutant.snippet) != 1:
+            print(f"[{index}] snippet does not occur exactly once in {mutant.path}")
+            return False
+        target.write_text(text.replace(mutant.snippet, mutant.replacement))
+        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.kills],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE))
+    survivors = [test for test in mutant.kills if test not in failed]
+    print(f"[{index}] {'killed' if not survivors else 'SURVIVED'}: {mutant.invariant}")
+    for test in survivors:
+        print(f"      passed under the mutant: {test}")
+    return not survivors
+
+
+def main(argv: list[str]) -> int:
+    rows = [int(arg) for arg in argv] or range(len(MUTANTS))
+    start = time.perf_counter()
+    killed = [_run(i, MUTANTS[i]) for i in rows]
+    print(f"{sum(killed)} of {len(killed)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 0 if all(killed) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
