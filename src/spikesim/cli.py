@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             result = run_experiment(plan)
             if args.dump_calibration:
-                _emit(dump_calibration(result.calibration), "json", args.dump_calibration)
+                _emit(dump_calibration(result.mem.calibration), "json", args.dump_calibration)
             if args.trace:
                 write_trace_csv(result.walks, args.trace)
             if args.dump_routing:
@@ -97,8 +97,8 @@ def main(argv: list[str] | None = None) -> int:
             report = compare_designs(plan)
             if args.dump_calibration:
                 both = {
-                    "builtin2d": dump_calibration(report.run_2d.calibration),
-                    "builtin3d": dump_calibration(report.run_3d.calibration),
+                    "builtin2d": dump_calibration(report.run_2d.mem.calibration),
+                    "builtin3d": dump_calibration(report.run_3d.mem.calibration),
                 }
                 _emit(both, "json", args.dump_calibration)
             _emit(report.to_dict(), args.format, args.output)

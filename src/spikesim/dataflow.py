@@ -369,9 +369,9 @@ def _check_fits(rows: np.ndarray, cols: np.ndarray, g: ArrayGeometry) -> None:
         raise ConfigError(f"tile {rows[i]}x{cols[i]} does not fit the {g.rows}x{g.cols} array")
 
 
-def _stats(cycles: int, per_phase: dict, tiles: int, mac_ops: int, extraction: int, g: ArrayGeometry) -> CycleStats:
-    utilization = mac_ops / (cycles * g.pe_count) if cycles else 0.0
-    return CycleStats(cycles, per_phase, tiles, mac_ops, utilization, extraction, g.pe_count)
+def _stats(cycles: int, per_phase: dict, tiles: int, mac_ops: int, extraction: int, pe_count: int) -> CycleStats:
+    capacity = cycles * pe_count
+    return CycleStats(cycles, per_phase, tiles, mac_ops, mac_ops / capacity if capacity else 0.0, extraction, pe_count)
 
 
 def _no_tiles(kinds: tuple) -> Records:
@@ -403,7 +403,7 @@ def _compute_tiles(reduction, ru, cu, ports: int, mac_ops: int, g: ArrayGeometry
     end = np.cumsum(fills + ext)
     start = end - fills - ext
     compute, extract = int(fills.sum()), int(ext.sum())
-    stats = _stats(compute + extract, {"compute": compute, "extract": extract}, len(end), mac_ops, extract, g)
+    stats = _stats(compute + extract, {"compute": compute, "extract": extract}, len(end), mac_ops, extract, g.pe_count)
     return stats, start, start + fills, end
 
 
@@ -458,7 +458,7 @@ def expert_walk(
     ports = _extract_ports(g, extract_ports)
     kinds = ((weight_glb, "read", "weight"), *_EXPERT_KINDS)
     if not ts.tile_count:
-        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g), _no_tiles(kinds)
+        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g.pe_count), _no_tiles(kinds)
 
     d_in = ts.meta["d_in"]
     d_out = ts.row_extent
@@ -516,7 +516,7 @@ def routing_walk(
         raise ConfigError(f"bad routing shape n={n} t={t} d_in={d_in} e={e}")
     ports = _extract_ports(g, extract_ports)
     if n == 0:
-        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g), _no_tiles(_ROUTING_KINDS)
+        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g.pe_count), _no_tiles(_ROUTING_KINDS)
 
     reduction = t * d_in
     count = -(-n // g.rows) * -(-e // g.cols)
@@ -607,7 +607,7 @@ def attention_walk(ts: TileSchedule, g: ArrayGeometry) -> tuple[CycleStats, Reco
     ru, cu = ts.rows_used, ts.cols_used
     _check_fits(ru, cu, g)
     if not ts.tile_count:
-        return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g), _no_tiles(_ATTENTION_KINDS)
+        return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g.pe_count), _no_tiles(_ATTENTION_KINDS)
     unknown = (ts.phase != _PHASE1) & (ts.phase != _PHASE2)
     if unknown.any():
         raise ConfigError(f"unknown attention phase {TILE_PHASES[ts.phase[np.argmax(unknown)]]!r}")
@@ -661,7 +661,7 @@ def attention_walk(ts: TileSchedule, g: ArrayGeometry) -> tuple[CycleStats, Reco
 
     per_phase = {"phase1": int(cost[phase1].sum()), "phase2": int(cost[~phase1].sum())}
     mac_ops = int((ru * cu).sum()) * d
-    return _stats(int(end[-1]), per_phase, ts.tile_count, mac_ops, 0, g), records
+    return _stats(int(end[-1]), per_phase, ts.tile_count, mac_ops, 0, g.pe_count), records
 
 
 def repeat_timesteps(stats: CycleStats, records: Records, t: int, g: ArrayGeometry) -> tuple[CycleStats, Records, Records]:
@@ -695,7 +695,8 @@ def repeat_timesteps(stats: CycleStats, records: Records, t: int, g: ArrayGeomet
     group = Records(records.kinds, records.cycle[rest], records.kind[rest], records.bits[rest], t, stats.total_cycles)
     per_phase = {phase: t * cycles for phase, cycles in stats.per_phase.items()}
     scaled = _stats(
-        t * stats.total_cycles, per_phase, t * stats.tile_count, t * stats.mac_ops, t * stats.extraction_cycles, g
+        t * stats.total_cycles, per_phase, t * stats.tile_count, t * stats.mac_ops, t * stats.extraction_cycles,
+        g.pe_count,
     )
     return scaled, ingress, group
 
@@ -717,7 +718,8 @@ def expert_parallel_schedule(
 
     Workloads are placed in descending cycle order onto the currently
     least-loaded core (ties toward the lower core id).  System cycles are the
-    router overhead plus the busiest core's load.
+    router overhead plus the busiest core's load; every core counts the
+    widest workload's processing elements.
     """
     if cores < 1:
         raise ConfigError(f"core count must be >= 1, got {cores}")
@@ -733,18 +735,13 @@ def expert_parallel_schedule(
         heapq.heapreplace(loads, (load + workloads[i].total_cycles, core))
     makespan = max(loads, default=(0, 0))[0]
     total = router_overhead + makespan
-    mac_ops = sum(w.mac_ops for w in workloads)
-    pe_unit = max((w.pe_count for w in workloads), default=0)
-    capacity = total * cores * pe_unit
-    utilization = mac_ops / capacity if capacity else 0.0
-    stats = CycleStats(
-        total_cycles=total,
-        per_phase={"router": router_overhead, "compute": makespan},
-        tile_count=sum(w.tile_count for w in workloads),
-        mac_ops=mac_ops,
-        utilization=utilization,
-        extraction_cycles=sum(w.extraction_cycles for w in workloads),
-        pe_count=cores * pe_unit,
+    stats = _stats(
+        total,
+        {"router": router_overhead, "compute": makespan},
+        sum(w.tile_count for w in workloads),
+        sum(w.mac_ops for w in workloads),
+        sum(w.extraction_cycles for w in workloads),
+        cores * max((w.pe_count for w in workloads), default=0),
     )
     return stats, assignment
 

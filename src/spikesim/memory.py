@@ -54,6 +54,8 @@ class MemLevelSpec:
             raise ConfigError(f"level {self.id}: access latency must be positive and finite")
         if not 0 <= self.power_mw < math.inf:
             raise ConfigError(f"level {self.id}: access power must be non-negative and finite")
+        if self.power_mw == 0:  # -0.0 would price every word this level moves as -0.0 fJ
+            object.__setattr__(self, "power_mw", 0.0)
 
     @property
     def capacity_bits(self) -> int:
@@ -301,23 +303,18 @@ def capacity_check(shape: WorkloadShape, cal: MemCalibration) -> CapacityReport:
 
 @dataclass(frozen=True)
 class MemReport:
-    """Access counts, energy proxies, calibrated aggregates, capacity verdicts."""
+    """Access counts, energy proxies, capacity verdicts and the calibration they were priced with."""
 
-    calibration_kind: str
-    calibration_design: str
+    calibration: MemCalibration
     levels: dict
     total_words: int
     total_energy_fj: float
-    aggregate: CalibrationAggregate
     capacity: CapacityReport | None = None
 
     def to_dict(self) -> dict:
+        cal = self.calibration
         out = {
-            "calibration": {
-                "kind": self.calibration_kind,
-                "design": self.calibration_design,
-                "aggregate": dict(vars(self.aggregate)),
-            },
+            "calibration": {"kind": cal.kind, "design": cal.design, "aggregate": dict(vars(cal.aggregate))},
             "levels": self.levels,
             "trace_totals": {
                 "total_words": self.total_words,
@@ -348,8 +345,7 @@ def mem_report(counts: dict, cal: MemCalibration, capacity: CapacityReport | Non
         spec = cal.levels[level]
         c = counts.get(level, _IDLE)
         words = c["words_read"] + c["words_written"]
-        # An idle level costs exactly 0.0, even under a non-finite calibration.
-        energy = words * spec.power_mw * spec.latency_ps if words else 0.0
+        energy = words * spec.power_mw * spec.latency_ps
         total_energy += energy
         total_words += words
         levels[level] = {
@@ -365,15 +361,7 @@ def mem_report(counts: dict, cal: MemCalibration, capacity: CapacityReport | Non
             f"energy under the {cal.kind}/{cal.design} calibration is not finite for "
             f"{', '.join(overflowed) or 'the total'}"
         )
-    return MemReport(
-        calibration_kind=cal.kind,
-        calibration_design=cal.design,
-        levels=levels,
-        total_words=total_words,
-        total_energy_fj=total_energy,
-        aggregate=cal.aggregate,
-        capacity=capacity,
-    )
+    return MemReport(cal, levels, total_words, total_energy, capacity)
 
 
 def dump_calibration(cal: MemCalibration) -> dict:

@@ -210,6 +210,9 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
 
     model = _parse_model(kind, model_fields, model_doc, violations) if kind else None
     hardware = _parse_hardware(hw_doc, violations)
+    # The attention array's timing has no readout ports; null is the config echo's spelling of absent.
+    if kind == "mha" and hardware.extract_ports is not None:
+        violations.append(f"hardware.extract_ports applies only to kind 'moe', got {hardware.extract_ports} for kind 'mha'")
 
     source = cal_doc.pop("source", RunPlan.calibration_source)
     path = cal_doc.pop("path", RunPlan.calibration_path)
@@ -393,7 +396,7 @@ def plan_bytes(plan: RunPlan) -> int:
 class RunResult:
     """Serializable outcome of one run plus in-memory artifacts for dumps.
 
-    ``calibration`` is the table the run was priced with.  ``walks`` holds
+    ``mem.calibration`` is the table the run was priced with.  ``walks`` holds
     one ``(units, Records)`` pair per distinct array run plus the merge
     egress; ``dataflow.write_trace_csv`` merges them into the trace.
     """
@@ -408,7 +411,6 @@ class RunResult:
     s_out: SpikeTensor = None
     routing_table: object = None
     walks: list = field(default_factory=list, repr=False)
-    calibration: memory.MemCalibration = None
 
     def to_dict(self) -> dict:
         return {
@@ -460,7 +462,7 @@ class _Layer(NamedTuple):
     routing_table: object
     walks: list  # (units, CycleStats, Records) per distinct array run
     scheduled: list  # (unit, output bits) per unit placed on the cores, in order
-    overhead: int
+    overhead: int  # the kind's router overhead, unless the plan sets one
     shape: memory.WorkloadShape
 
 
@@ -499,14 +501,11 @@ def _moe_layer(plan: RunPlan) -> _Layer:
         walks.append(((f"expert{e}",), *dataflow.expert_walk(ts, expert_geom, sparsity, hw.extract_ports, glb)))
         scheduled.append((f"expert{e}", len(tokens) * m.t * m.d_out))
 
-    overhead = hw.router_overhead_cycles
-    if overhead is None:
-        overhead = m.t * m.d_in + 16 + m.experts
     shape = memory.WorkloadShape(
         kind="moe", n=m.n, t=m.t, d_in=m.d_in, d_out=m.d_out, experts=m.experts,
         tile_rows=hw.expert_rows, tile_cols=hw.expert_cols,
     )
-    return _Layer(s_out, table, walks, scheduled, overhead, shape)
+    return _Layer(s_out, table, walks, scheduled, m.t * m.d_in + 16 + m.experts, shape)
 
 
 def _mha_layer(plan: RunPlan) -> _Layer:
@@ -530,12 +529,11 @@ def _mha_layer(plan: RunPlan) -> _Layer:
     walks = [(heads, stats, ingress), (heads, stats, group)]
     scheduled = [(unit, m.n * m.t * m.d_head) for unit in heads]
 
-    overhead = hw.router_overhead_cycles if hw.router_overhead_cycles is not None else 0
     shape = memory.WorkloadShape(
         kind="mha", n=m.n, t=m.t, heads=m.heads, d_head=m.d_head,
         tile_rows=hw.attention_rows, tile_cols=hw.attention_cols,
     )
-    return _Layer(s_out, None, walks, scheduled, overhead, shape)
+    return _Layer(s_out, None, walks, scheduled, 0, shape)
 
 
 def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
@@ -555,7 +553,10 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
 
     unit_cycles = {unit: stats for units, stats, _ in layer.walks for unit in units}
     scheduled = [unit_cycles[unit] for unit, _ in layer.scheduled]
-    system, assignment = dataflow.expert_parallel_schedule(scheduled, plan.hardware.cores, layer.overhead)
+    overhead = plan.hardware.router_overhead_cycles
+    system, assignment = dataflow.expert_parallel_schedule(
+        scheduled, plan.hardware.cores, layer.overhead if overhead is None else overhead
+    )
 
     # Merge: each unit's output leaves its act LB, the layer output lands in the act GLB.
     out_bits = [bits for _, bits in layer.scheduled if bits]
@@ -580,7 +581,6 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
             s_out=layer.s_out,
             routing_table=layer.routing_table,
             walks=walks,
-            calibration=cal,
         )
         for flavor, cal in zip(flavors, cals)
     ]
@@ -631,8 +631,8 @@ def compare_designs(plan: RunPlan) -> ComparisonReport:
         raise ConfigError("compare needs the built-in calibration pair; the plan pins a calibration file")
     flavors = [replace(plan, calibration_source=source, calibration_path=None) for source in ("builtin2d", "builtin3d")]
     run_2d, run_3d = _run(plan, flavors)
-    agg2 = vars(run_2d.mem.aggregate)
-    agg3 = vars(run_3d.mem.aggregate)
+    agg2 = vars(run_2d.mem.calibration.aggregate)
+    agg3 = vars(run_3d.mem.calibration.aggregate)
     reductions = {}
     for key, v2 in agg2.items():
         v3 = agg3[key]

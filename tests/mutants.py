@@ -43,6 +43,9 @@ _SERIAL = "tests/test_runner.py::TestReportSerialization"
 _GOLDEN = "tests/test_golden.py::test_every_artifact_matches_its_golden_hash"
 _JSON_EQUALS_DUMPS = f"{_SERIAL}::test_json_bytes_are_json_dumps"
 _CSV_EQUALS_DUMPS = f"{_SERIAL}::test_csv_bytes_are_csv_of_json_dumps"
+_CORE_PER_UNIT = "tests/test_metamorphic.py::test_a_core_per_unit_takes_overhead_plus_slowest_unit"
+_DOUBLED_POWER = "tests/test_metamorphic.py::test_doubled_level_power_doubles_that_level_energy"
+_PORTS_LISTED = "tests/test_cli.py::TestErrorPaths::test_attention_plan_with_extract_ports_listed"
 
 MUTANTS = (
     Mutant(
@@ -130,6 +133,54 @@ MUTANTS = (
         "bits[:, 12] = area\n",
         "bits[:, 12] = end - filled\n",
         ("tests/test_metamorphic.py::test_extract_ports_leave_digest_and_memory_unchanged[moe]",),
+    ),
+    Mutant(
+        "utilization is 0.0 when cycles x processing elements is zero, not only when cycles are",
+        "src/spikesim/dataflow.py",
+        "mac_ops / capacity if capacity else 0.0",
+        "mac_ops / capacity if cycles else 0.0",
+        ("tests/test_dataflow.py::TestExpertParallelSchedule::test_empty_workloads",),
+    ),
+    Mutant(
+        "every core counts the widest unit's processing elements",
+        "src/spikesim/dataflow.py",
+        "cores * max((w.pe_count for w in workloads), default=0),",
+        "max((w.pe_count for w in workloads), default=0),",
+        tuple(f"{_CORE_PER_UNIT}[{kind}]" for kind in ("moe", "mha")),
+    ),
+    Mutant(
+        "a given router overhead replaces the kind's default, zero too",
+        "src/spikesim/runner.py",
+        "layer.overhead if overhead is None else overhead",
+        "overhead or layer.overhead",
+        (
+            f"{_CORE_PER_UNIT}[moe]",
+            "tests/test_runner.py::TestSystemComposition::test_router_overhead_override",
+        ),
+    ),
+    Mutant(
+        "an attention plan refuses a non-null extract_ports and takes null",
+        "src/spikesim/runner.py",
+        'if kind == "mha" and hardware.extract_ports is not None:',
+        'if kind == "mha" and hardware.extract_ports is None:',
+        (
+            "tests/test_runner.py::TestParseWorkload::test_attention_plan_refuses_extract_ports",
+            *(f"{_PORTS_LISTED}[{command}]" for command in ("run", "compare")),
+        ),
+    ),
+    Mutant(
+        "zero access power is +0.0, so no level reports -0.0 energy",
+        "src/spikesim/memory.py",
+        'object.__setattr__(self, "power_mw", 0.0)',
+        'object.__setattr__(self, "power_mw", self.power_mw)',
+        ("tests/test_cli.py::TestRunCommand::test_negative_zero_power_prices_and_echoes_as_zero",),
+    ),
+    Mutant(
+        "each level is priced with its own calibrated access power",
+        "src/spikesim/memory.py",
+        "energy = words * spec.power_mw * spec.latency_ps",
+        "energy = words * cal.aggregate.memory_access_power_mw * spec.latency_ps",
+        tuple(f"{_DOUBLED_POWER}[{kind}]" for kind in ("moe", "mha")),
     ),
 )
 

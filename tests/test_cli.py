@@ -159,6 +159,25 @@ class TestRunCommand:
         assert calls == [str(cal)]
         assert dump.read_bytes() == cal.read_bytes()
 
+    def test_negative_zero_power_prices_and_echoes_as_zero(self, tmp_path, capsys):
+        """-0.0 power on a busy level (act_lb) and an idle one (weight_lb) reads 0.0 in the report and the dump."""
+        cal = dump_calibration(builtin_calibration("mha", "2d"))
+        for entry in cal["levels"]:
+            if entry["id"] in (ACT_LB, "weight_lb"):
+                entry["power_mw"] = -0.0
+        (tmp_path / "cal.json").write_text(json.dumps(cal))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({**MHA_DOC, "calibration": {"source": "file", "path": str(tmp_path / "cal.json")}}))
+        report, dump = tmp_path / "report.json", tmp_path / "dump.json"
+        assert main(["run", str(plan), "--output", str(report), "--dump-calibration", str(dump)]) == 0
+        assert capsys.readouterr().out == ""
+        levels = json.loads(report.read_text())["memory"]["levels"]
+        assert levels[ACT_LB]["words_read"] > 0 and levels["weight_lb"]["words_read"] == 0
+        for level in (ACT_LB, "weight_lb"):
+            for key in ("access_power_mw", "energy_fj"):
+                assert str(levels[level][key]) == "0.0", (level, key)
+        assert b"-0.0" not in report.read_bytes() and b"-0.0" not in dump.read_bytes()
+
 
 class TestCompareCommand:
     def test_compare_stdout(self, mha_config, capsys):
@@ -366,6 +385,18 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"invalid configuration (1 problem(s)):\n  - {violation}\n"
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_attention_plan_with_extract_ports_listed(self, command, tmp_path, capsys):
+        path = tmp_path / "ports.json"
+        path.write_text(json.dumps({**MHA_DOC, "hardware": {"extract_ports": 4}}))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid configuration (1 problem(s)):\n"
+            "  - hardware.extract_ports applies only to kind 'moe', got 4 for kind 'mha'\n"
+        )
+
     def test_calibration_path_without_source_file_listed(self, tmp_path, capsys):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({**MOE_DOC, "calibration": {"source": "builtin3d", "path": "/does/not/exist.json"}}))
@@ -451,7 +482,9 @@ def _random_plan(rng: np.random.Generator, kind: str) -> dict:
         model = {"n": draw(1, 12), "t": draw(1, 3), "h": draw(1, 14), "d": draw(1, 8)}
         hardware["attention_array"] = {"rows": draw(1, 6), "cols": draw(1, 6)}
     if rng.random() < 0.5:
-        hardware["extract_ports"] = draw(1, 6)
+        ports = draw(1, 6)  # drawn for both kinds, so each kind's plans stay the same
+        if kind == "moe":  # attention plans refuse the setting
+            hardware["extract_ports"] = ports
     return {"kind": kind, "model": model, "hardware": hardware,
             "input": {"spike_prob": float(rng.random()), "seed": draw(0, 10**6)}}
 

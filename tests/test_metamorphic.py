@@ -1,18 +1,26 @@
 """Metamorphic relations: how the reports of two related plans must agree.
 
-Each relation changes one hardware field of a plan that the model defines
-not to reach a quantity, and checks that the quantity is unchanged.  The
+Two relations change one hardware field of a plan that the model defines
+not to reach a quantity, and check that the quantity is unchanged.  The
 core count only decides how units are scheduled, and the extract ports only
 how many cycles a tile takes to drain; neither changes what is computed or
 what is moved.  So changing either leaves the output digest and the whole
 ``memory`` section (per-level accesses, words and energy, trace totals,
 capacity verdicts) as they are, to the byte.
 
-Each relation runs on 100 random small plans of each kind, two runs per
-plan: 800 runs in all, about 2 s on a 2-core VM (budget: 15 s).  Each
-test also asserts that the changed field did move the cycles of some of its
-plans, so the relation is checked where it could fail; the attention array
-is timed without extract ports, so on MHA plans that field moves nothing.
+The calibration relation doubles one level's access power in a calibration
+file.  Energy is words * power * latency, and doubling a float is exact, so
+that level's energy doubles exactly and nothing else moves but the total
+and the echoed path.  The schedule relation gives every scheduled unit a
+core of its own: the system then takes the router overhead plus the
+slowest unit, and its utilization is the summed operations over the
+cycles of every core's widest-unit array.
+
+Each relation runs on 100 random small plans of each kind: 1,400 runs in
+all, about 2 s on a 2-core VM (budget: 15 s).  Each test also asserts that
+the change did reach some of its plans, so the relation is checked where it
+could fail; the attention array is timed without extract ports, so on MHA
+plans that field moves nothing.
 """
 
 import json
@@ -21,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikesim import parse_workload, run_experiment
+from spikesim import builtin_calibration, dump_calibration, parse_workload, run_experiment
 
 PLANS_PER_KIND = 100
 
@@ -44,7 +52,9 @@ def _small_plans(kind: str, seed: int):
             model = {"n": draw(1, 20), "t": draw(1, 3), "h": draw(1, 6), "d": draw(1, 12)}
             hardware["attention_array"] = {"rows": draw(1, 9), "cols": draw(1, 9)}
         if rng.random() < 0.5:
-            hardware["extract_ports"] = draw(1, 12)
+            ports = draw(1, 12)  # drawn for both kinds, so each kind's plans stay the same
+            if kind == "moe":  # attention plans refuse the setting
+                hardware["extract_ports"] = ports
         doc = {
             "kind": kind,
             "model": model,
@@ -100,3 +110,77 @@ def test_extract_ports_leave_digest_and_memory_unchanged(kind):
     moved = _check_relation(plans, other_ports)
     # The attention array's timing has no extract ports, so on MHA plans the field moves nothing.
     assert moved >= PLANS_PER_KIND // 4 if kind == "moe" else moved == 0
+
+
+def _calibration_files(tmp_path, kind: str) -> dict:
+    """Files by (design, level): each built-in calibration as dumped (level None) or with one level's power doubled."""
+    files = {}
+    for design in ("2d", "3d"):
+        doc = dump_calibration(builtin_calibration(kind, design))
+        for level in (None, *(entry["id"] for entry in doc["levels"])):
+            levels = [
+                {**entry, "power_mw": 2 * entry["power_mw"]} if entry["id"] == level else entry for entry in doc["levels"]
+            ]
+            path = tmp_path / f"{design}-{level}.json"
+            path.write_text(json.dumps({**doc, "levels": levels}))
+            files[design, level] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("kind", ["moe", "mha"])
+def test_doubled_level_power_doubles_that_level_energy(kind, tmp_path):
+    plans, rng = _small_plans(kind, 2105 if kind == "moe" else 2106)
+    files = _calibration_files(tmp_path, kind)
+    levels = sorted(level for _, level in files if level)
+    busy = 0
+    for plan in plans:
+        design = "3d" if plan.calibration_source == "builtin3d" else "2d"
+        level = levels[int(rng.integers(len(levels)))]
+        base, doubled = (
+            run_experiment(replace(plan, calibration_source="file", calibration_path=files[design, key])).to_dict()
+            for key in (None, level)
+        )
+        base_mem, doubled_mem = base.pop("memory"), doubled.pop("memory")
+        # Outside ``memory`` only the calibration path echoed in the config differs.
+        doubled["config"]["calibration"]["path"] = files[design, None]
+        assert doubled == base, (plan, level)
+        base_levels, doubled_levels = base_mem.pop("levels"), doubled_mem.pop("levels")
+        base_totals, doubled_totals = base_mem.pop("trace_totals"), doubled_mem.pop("trace_totals")
+        assert doubled_mem == base_mem, (plan, level)  # the calibration echo and the capacity verdicts
+        assert list(doubled_levels) == list(base_levels)
+        for name, fields in base_levels.items():
+            if name == level:
+                fields = {**fields, "access_power_mw": 2 * fields["access_power_mw"]}
+                fields["energy_fj"] = 2 * fields["energy_fj"]
+            assert doubled_levels[name] == fields, (plan, level, name)
+        total = 0.0
+        for fields in doubled_levels.values():
+            total += fields["energy_fj"]
+        assert doubled_totals == {**base_totals, "total_energy_fj": total}, (plan, level)
+        busy += base_levels[level]["energy_fj"] > 0
+    assert busy >= PLANS_PER_KIND // 4
+
+
+@pytest.mark.parametrize("kind", ["moe", "mha"])
+def test_a_core_per_unit_takes_overhead_plus_slowest_unit(kind):
+    plans, rng = _small_plans(kind, 2107 if kind == "moe" else 2108)
+    overridden = 0
+    for plan in plans:
+        m = plan.model
+        units = [f"expert{e}" for e in range(m.experts)] if kind == "moe" else [f"attn{h}" for h in range(m.heads)]
+        cores = len(units) + int(rng.integers(0, 3))
+        # Absent, zero or a count: the plan's override replaces the kind's default whenever it is given.
+        draw = rng.random()
+        overhead = None if draw < 0.4 else 0 if draw < 0.6 else int(rng.integers(1, 60))
+        hardware = replace(plan.hardware, cores=cores, router_overhead_cycles=overhead)
+        result = run_experiment(replace(plan, hardware=hardware))
+        if overhead is None:
+            overhead = m.t * m.d_in + 16 + m.experts if kind == "moe" else 0
+        else:
+            overridden += 1
+        stats = [result.unit_cycles[unit] for unit in units]
+        system = result.system_cycles
+        assert system.total_cycles == overhead + max(s.total_cycles for s in stats), plan
+        capacity = system.total_cycles * cores * max(s.pe_count for s in stats)
+        assert system.utilization == sum(s.mac_ops for s in stats) / capacity, plan
+    assert overridden >= PLANS_PER_KIND // 4

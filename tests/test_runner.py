@@ -200,6 +200,16 @@ class TestParseWorkload:
         plan = parse_workload(dict(MOE_DOC))
         assert parse_workload(plan.to_dict()) == plan
 
+    def test_attention_plan_refuses_extract_ports(self):
+        doc = {**MHA_DOC, "hardware": {"extract_ports": 2}}
+        with pytest.raises(WorkloadValidationError) as exc:
+            parse_workload(doc)
+        assert exc.value.violations == ["hardware.extract_ports applies only to kind 'moe', got 2 for kind 'mha'"]
+        # Null is absent, and the config echo spells it that way.
+        plan = parse_workload({**doc, "hardware": {"extract_ports": None}})
+        assert plan.to_dict()["hardware"]["extract_ports"] is None
+        assert parse_workload(plan.to_dict()) == plan == parse_workload(dict(MHA_DOC))
+
 
 # (kind, field, value, every other accepted spelling of the field, in the
 # order the parser lists them).  A dotted spelling sits in the field's
@@ -731,7 +741,9 @@ def _random_doc(rng: np.random.Generator, kind: str) -> dict:
         model = {"n": draw(1, 20), "t": draw(1, 3), "h": draw(1, 4), "d": draw(1, 12)}
         hardware["attention_array"] = {"rows": draw(1, 9), "cols": draw(1, 9)}
     if rng.random() < 0.5:
-        hardware["extract_ports"] = draw(1, 8)
+        ports = draw(1, 8)  # drawn for both kinds, so each kind's plans stay the same
+        if kind == "moe":  # attention plans refuse the setting
+            hardware["extract_ports"] = ports
     if rng.random() < 0.3:
         hardware["router_overhead_cycles"] = draw(0, 50)
     return {
@@ -776,7 +788,7 @@ class TestFoldEqualsTrace:
                     seen.add("heads>1")
                 if m.n % hw.attention_rows or m.n % hw.attention_cols:
                     seen.add("ragged tiles")
-        wanted = {"extract_ports", "ragged tiles"} | ({"e>=10", "idle expert"} if kind == "moe" else {"heads>1"})
+        wanted = {"ragged tiles"} | ({"extract_ports", "e>=10", "idle expert"} if kind == "moe" else {"heads>1"})
         assert wanted <= seen
 
 

@@ -34,7 +34,7 @@ from object_model import Tile, record_rows, records_from_rows, schedule, tiles, 
 def reference_expert_walk(ts, g, sparsity, extract_ports=None, weight_glb="weight_glb0"):
     ports = g.rows if extract_ports is None else extract_ports
     if not ts.tile_count:
-        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g), []
+        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g.pe_count), []
     d_in, d_out = ts.meta["d_in"], ts.row_extent
     records = [
         (0, weight_glb, "read", d_in * d_out * 8, "weight"),
@@ -70,14 +70,14 @@ def reference_expert_walk(ts, g, sparsity, extract_ports=None, weight_glb="weigh
         cycle += fills + ext
         compute += fills
         extract_total += ext
-    stats = _stats(cycle, {"compute": compute, "extract": extract_total}, ts.tile_count, sparsity.ones * d_out, extract_total, g)
+    stats = _stats(cycle, {"compute": compute, "extract": extract_total}, ts.tile_count, sparsity.ones * d_out, extract_total, g.pe_count)
     return stats, records
 
 
 def reference_routing_walk(n, t, d_in, e, g, extract_ports=None):
     ports = g.rows if extract_ports is None else extract_ports
     if n == 0:
-        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g), []
+        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g.pe_count), []
     reduction = t * d_in
     records = [(0, "weight_glb0", "read", d_in * e * 8, "weight"), (0, "weight_lb", "write", d_in * e * 8, "weight")]
     cycle = compute = extract_total = tiles = mac_ops = 0
@@ -98,12 +98,12 @@ def reference_routing_walk(n, t, d_in, e, g, extract_ports=None):
             extract_total += ext
             tiles += 1
             mac_ops += ru * cu * reduction
-    return _stats(cycle, {"compute": compute, "extract": extract_total}, tiles, mac_ops, extract_total, g), records
+    return _stats(cycle, {"compute": compute, "extract": extract_total}, tiles, mac_ops, extract_total, g.pe_count), records
 
 
 def reference_attention_walk(ts, g):
     if not ts.tile_count:
-        return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g), []
+        return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g.pe_count), []
     d, n, t_steps = ts.meta["d"], ts.meta["n"], ts.meta["t"]
     key_tiles_per_row = math.ceil(n / g.cols)
     records = []
@@ -142,7 +142,7 @@ def reference_attention_walk(ts, g):
             cycle += cycles_here
             phase2 += cycles_here
             mac_ops += ru * d * cu
-    return _stats(cycle, {"phase1": phase1, "phase2": phase2}, ts.tile_count, mac_ops, 0, g), records
+    return _stats(cycle, {"phase1": phase1, "phase2": phase2}, ts.tile_count, mac_ops, 0, g.pe_count), records
 
 
 def _assert_same(walked, reference):
