@@ -664,7 +664,7 @@ def attention_walk(ts: TileSchedule, g: ArrayGeometry) -> tuple[CycleStats, Reco
     return _stats(int(end[-1]), per_phase, ts.tile_count, mac_ops, 0, g.pe_count), records
 
 
-def repeat_timesteps(stats: CycleStats, records: Records, t: int, g: ArrayGeometry) -> tuple[CycleStats, Records, Records]:
+def repeat_timesteps(stats: CycleStats, records: Records, t: int) -> tuple[CycleStats, Records, Records]:
     """A head's walk over ``t`` timesteps, from ``attention_walk`` of its first (head, timestep) group.
 
     ``stats`` and ``records`` walk ``plan_attention_tiles(n, d, 1, 1, g)``.
@@ -696,7 +696,7 @@ def repeat_timesteps(stats: CycleStats, records: Records, t: int, g: ArrayGeomet
     per_phase = {phase: t * cycles for phase, cycles in stats.per_phase.items()}
     scaled = _stats(
         t * stats.total_cycles, per_phase, t * stats.tile_count, t * stats.mac_ops, t * stats.extraction_cycles,
-        g.pe_count,
+        stats.pe_count,
     )
     return scaled, ingress, group
 

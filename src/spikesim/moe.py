@@ -5,17 +5,25 @@ of routing weights at every (timestep, feature) position where the token
 spiked.  There is no softmax and no capacity limit; top-k selection breaks
 score ties toward the lower expert id so results are reproducible.
 
-The layer fires once, after the merge.  The neuron update acts on each
-(token, feature) lane on its own: a lane's spikes depend only on that lane's
-integration over time and on the shared parameters, never on another row.
-With top-1 routing each token's lane comes from exactly one expert, so
-scattering the integrations into token order and then firing gives the same
-spikes as firing each expert and scattering its spikes.
+The layer holds its experts in one expert-ordered buffer: the permute,
+compute per expert, un-permute layout of MoE kernels (GShard's dispatch and
+combine, MegaBlocks).  It gathers the input rows once, in expert order (the
+concatenated ``expert_tokens``), so each expert's tokens are one contiguous
+block; each expert integrates its block into the same rows of one int16
+buffer; the buffer fires once; and the 1-byte spikes, not the 2-byte
+integrations, are scattered back to token order.  The neuron update acts on
+each (token, feature) lane on its own: a lane's spikes depend only on that
+lane's integration over time and on the shared parameters, never on another
+row, and its dtype follows the integration's peak, which a reordering of
+rows leaves as it is.  With top-1 routing each token's lane comes from
+exactly one expert, so firing in expert order and then un-permuting gives
+the same spikes as firing in token order, or firing each expert alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -183,7 +191,7 @@ def gather_expert_tokens(s_in: SpikeTensor, table: RoutingTable, e: int) -> Spik
 
 
 def expert_forward(
-    s_e: SpikeTensor, w_e: QuantWeightMatrix, lif: LifParams | None
+    s_e: SpikeTensor, w_e: QuantWeightMatrix, lif: LifParams | None, out: np.ndarray | None = None
 ) -> SpikeTensor | IntegrationTensor:
     """One expert: synaptic integration, then the neuron update.
 
@@ -192,19 +200,26 @@ def expert_forward(
     ``_BLOCK_ROWS`` rows: a few large BLAS products per expert, one weight
     conversion per block, and float temporaries of at most ``_BLOCK_ROWS``
     rows.  The rows go in as a bool view of the spikes, whose 0/1 range the
-    dtype already proves.  With ``lif=None`` there is no neuron update and
-    the int16 integration is returned; :func:`moe_layer_forward` fires once,
-    after the merge.
+    dtype already proves.  The integration is written into ``out``, a
+    C-contiguous (n, t, d_out) int16 array, when given, and into a new one
+    otherwise.  With ``lif=None`` there is no neuron update and the int16
+    integration is returned; :func:`moe_layer_forward` fires once, after
+    every expert has written its block of the layer's buffer.
     """
     if s_e.d != w_e.rows:
         raise ShapeError(f"expert input features {s_e.d} do not match weight rows {w_e.rows}")
+    shape = (s_e.n, s_e.t, w_e.cols)
+    if out is None:
+        out = np.empty(shape, dtype=np.int16)
+    elif out.shape != shape or out.dtype != np.int16 or not out.flags.c_contiguous:
+        raise ShapeError(f"expert output buffer must be a C-contiguous int16 array of shape {shape}")
     rows = s_e.data.view(bool).reshape(-1, s_e.d)
-    x = np.empty((len(rows), w_e.cols), dtype=np.int16)
+    x = out.reshape(-1, w_e.cols)
     saturations = 0
     for lo in range(0, len(rows), _BLOCK_ROWS):
         x[lo:lo + _BLOCK_ROWS], sat = spike_matmul(rows[lo:lo + _BLOCK_ROWS], w_e)
         saturations += sat
-    integration = _adopt(IntegrationTensor, x.reshape(s_e.n, s_e.t, w_e.cols), saturations=saturations)
+    integration = _adopt(IntegrationTensor, out, saturations=saturations)
     return integration if lif is None else lif_run(integration, lif)
 
 
@@ -255,7 +270,7 @@ def merge_aligned(
 def moe_layer_forward(
     s_in: SpikeTensor, cfg: MoeLayerConfig, w_r: RoutingWeights
 ) -> tuple[SpikeTensor, RoutingTable]:
-    """Full layer: score, route, per-expert integration, aligned merge, one neuron update."""
+    """Full layer: score, route, gather in expert order, integrate, fire once, scatter to token order."""
     if s_in.d != cfg.d_in:
         raise ShapeError(f"input features {s_in.d} do not match layer d_in {cfg.d_in}")
     if w_r.d_in != cfg.d_in or w_r.experts != cfg.experts:
@@ -264,8 +279,27 @@ def moe_layer_forward(
         )
     scores = compute_expert_scores(s_in, w_r)
     table = route_topk(scores, cfg.k)
-    integrations = [
-        expert_forward(gather_expert_tokens(s_in, table, e), cfg.expert_weights[e], None)
-        for e in range(cfg.experts)
-    ]
-    return lif_run(merge_aligned(integrations, table), cfg.lif), table
+    bounds = list(accumulate(map(len, table.expert_tokens), initial=0))
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    fired = lif_run(_integrate_in_expert_order(s_in, cfg, table, blocks), cfg.lif)
+    return merge_aligned([_adopt(SpikeTensor, fired.data[block]) for block in blocks], table), table
+
+
+def _integrate_in_expert_order(
+    s_in: SpikeTensor, cfg: MoeLayerConfig, table: RoutingTable, blocks: list[slice]
+) -> IntegrationTensor:
+    """Every expert's integration, in expert order: expert ``e``'s tokens fill rows ``blocks[e]``.
+
+    The input rows are gathered once, in the concatenated ``expert_tokens``
+    order, and each expert reads its block of them and writes its block of
+    one int16 buffer.  The blocks are disjoint, and each is adopted once it
+    is written, so no adopted rows change afterwards.  The gathered rows are
+    freed when this returns, before the buffer fires.
+    """
+    rows = s_in.data[np.concatenate(table.expert_tokens)]
+    x = np.empty((len(rows), s_in.t, cfg.d_out), dtype=np.int16)
+    saturations = sum(
+        expert_forward(_adopt(SpikeTensor, rows[block]), w, None, out=x[block]).saturations
+        for block, w in zip(blocks, cfg.expert_weights)
+    )
+    return _adopt(IntegrationTensor, x, saturations=saturations)

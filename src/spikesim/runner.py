@@ -26,7 +26,7 @@ from .errors import ConfigError, WorkloadValidationError
 from .levels import ACT_GLB, ACT_LB, WEIGHT_GLB0, WEIGHT_GLB1
 from .mha import MhaConfig, mha_forward
 from .moe import _BLOCK_ROWS, MoeLayerConfig, RoutingWeights, moe_layer_forward
-from .tensors import _F32_EXACT, QuantWeightMatrix, SpikeTensor
+from .tensors import _F32_EXACT, QuantWeightMatrix, SpikeTensor, _adopt
 
 SCHEMA_VERSION = "1"
 
@@ -44,11 +44,16 @@ MAX_PLAN_BYTES = 1 << 30
 # under the size cap.
 MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 
-# Bytes behind plan_bytes, each rounded up.  A MoE input element costs its
-# float64 draw, the draw's bool, the uint8 spikes and one expert's gathered
-# rows; an output element its expert's int16 integration, the merged copy,
-# the fired bool and the bitstream of the digest; an output neuron its
-# potential (int64 at most) and spike buffer.  An input (token, feature)
+# Elements per chunk of a spike draw: a larger draw goes through one reused
+# float64 buffer of this many elements (8 MiB), not one float64 per element.
+_DRAW_CHUNK = 1 << 20
+
+# Bytes behind plan_bytes, each rounded up.  A MoE input draw costs its
+# float64 uniforms, one chunk at most, and an input element its uint8 spikes
+# and their expert-ordered copy (a one-chunk draw's bool is gone before the
+# copy is made); an output element the layer's int16 integration, the fired
+# bool, the merged uint8 and the bitstream of the digest; an output neuron
+# its potential (int64 at most) and spike buffer.  An input (token, feature)
 # pair costs its routing spike count and that count's float operand.  An
 # expert's integration runs blocks of at most moe._BLOCK_ROWS rows, each
 # holding a float operand per input feature and a float result and its int16
@@ -71,8 +76,9 @@ MAX_ROUTER_OVERHEAD_CYCLES = 1 << 53
 # operand copies in mha_forward, float64 once a head's n * d reaches 2**24;
 # an entry of the (t, h, d, d) K.T @ V two such floats.  Any run holds its
 # report, the report's emission, its calibration and the writer's state.
-_SPIKE_IN_BYTES = 8 + 1 + 1 + 1
-_SPIKE_OUT_BYTES = 2 + 2 + 1 + 1
+_DRAW_BYTES = 8
+_SPIKE_IN_BYTES = 1 + 1
+_SPIKE_OUT_BYTES = 2 + 1 + 1 + 1
 _NEURON_BYTES = 8 + 1
 _ATTENTION_BYTES = 8 + 4
 _WEIGHT_BYTES = 8
@@ -210,9 +216,7 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
 
     model = _parse_model(kind, model_fields, model_doc, violations) if kind else None
     hardware = _parse_hardware(hw_doc, violations)
-    # The attention array's timing has no readout ports; null is the config echo's spelling of absent.
-    if kind == "mha" and hardware.extract_ports is not None:
-        violations.append(f"hardware.extract_ports applies only to kind 'moe', got {hardware.extract_ports} for kind 'mha'")
+    violations += _kind_violations(kind, hardware)
 
     source = cal_doc.pop("source", RunPlan.calibration_source)
     path = cal_doc.pop("path", RunPlan.calibration_path)
@@ -322,6 +326,14 @@ def _parse_model(kind: str, fields: dict, model_doc: dict, violations: list[str]
     return MhaModel(n=values["n"], t=values["t"], heads=heads, d_head=d_head)
 
 
+def _kind_violations(kind: str | None, hardware: HardwareParams) -> list[str]:
+    """The hardware settings ``kind`` refuses, listed by ``parse_workload`` and checked again by a run."""
+    # The attention array's timing has no readout ports; null is the config echo's spelling of absent.
+    if kind == "mha" and hardware.extract_ports is not None:
+        return [f"hardware.extract_ports applies only to kind 'moe', got {hardware.extract_ports} for kind 'mha'"]
+    return []
+
+
 def _parse_hardware(hw_doc: dict, violations: list[str]) -> HardwareParams:
     default = HardwareParams
     fields = {"cores": _as_int(hw_doc.pop("cores", default.cores), "hardware.cores", 1, violations)}
@@ -369,7 +381,9 @@ def plan_bytes(plan: RunPlan) -> int:
     if plan.kind == "moe":
         # The routing product's bound, 128 * t * d_in, is at least spike_matmul's.
         operand = 4 if 128 * m.t * m.d_in < _F32_EXACT else 8
-        inputs = _SPIKE_IN_BYTES * m.n * m.t * m.d_in + _SPIKE_OUT_BYTES * m.n * m.t * m.d_out
+        size = m.n * m.t * m.d_in
+        inputs = _DRAW_BYTES * min(size, _DRAW_CHUNK) + _SPIKE_IN_BYTES * size
+        inputs += _SPIKE_OUT_BYTES * m.n * m.t * m.d_out
         inputs += (1 + operand) * m.n * m.d_in + _NEURON_BYTES * m.n * m.d_out
         inputs += min(m.n * m.t, _BLOCK_ROWS) * (operand * (m.d_in + m.d_out) + 2 * m.d_out)
         inputs += _WEIGHT_BYTES * m.d_in * m.experts * (m.d_out + 1) + _SCORE_BYTES * m.n * m.experts
@@ -448,7 +462,29 @@ def _digest(s_out: SpikeTensor) -> str:
 
 
 def _synth_spikes(rng: np.random.Generator, n: int, t: int, d: int, p: float) -> SpikeTensor:
-    return SpikeTensor(rng.random((n, t, d)) < p)
+    """(n, t, d) Bernoulli(p) spikes: one float64 uniform per element, in C order, below ``p``.
+
+    A draw of more than ``_DRAW_CHUNK`` elements fills one float64 buffer of
+    that many elements chunk by chunk and compares each chunk straight into
+    the uint8 spikes, which are adopted.  ``Generator.random`` takes one
+    64-bit output per element in C order, so consecutive fills equal one
+    fill of the whole draw and leave the generator in the same state.  A
+    draw that fits one chunk is one fill and one comparison, and its bool
+    result is copied into the spikes: the 8 MiB buffer would raise the peak
+    of a run whose draws are small (mha_tiled's, 0.5M elements each).
+    """
+    size = n * t * d
+    if size <= _DRAW_CHUNK:
+        return SpikeTensor(rng.random((n, t, d)) < p)
+    out = np.empty((n, t, d), dtype=np.uint8)
+    spikes = out.reshape(-1).view(bool)
+    buf = np.empty(_DRAW_CHUNK)
+    for lo in range(0, size, _DRAW_CHUNK):
+        hi = min(lo + _DRAW_CHUNK, size)
+        chunk = buf[:hi - lo]
+        rng.random(out=chunk)
+        np.less(chunk, p, out=spikes[lo:hi])
+    return _adopt(SpikeTensor, out)
 
 
 def _synth_weights(rng: np.random.Generator, rows: int, cols: int) -> QuantWeightMatrix:
@@ -481,7 +517,8 @@ def _moe_layer(plan: RunPlan) -> _Layer:
     hw = plan.hardware
     rng = np.random.default_rng(plan.seed)
     # Synthesis order is part of the plan contract: input spikes, routing
-    # weights, then expert weights in expert order.
+    # weights, then expert weights in expert order.  Each spike takes one
+    # float64 uniform in C order, however the draw is chunked.
     s_in = _synth_spikes(rng, m.n, m.t, m.d_in, plan.spike_prob)
     w_r = RoutingWeights(_synth_weights(rng, m.d_in, m.experts))
     weights = tuple(_synth_weights(rng, m.d_in, m.d_out) for _ in range(m.experts))
@@ -525,7 +562,7 @@ def _mha_layer(plan: RunPlan) -> _Layer:
     # and a head's timesteps run the same tiles, so one walk of one (head,
     # timestep) group times and counts all of them, its ingress walk first.
     ts = dataflow.plan_attention_tiles(m.n, m.d_head, 1, 1, attn_geom)
-    stats, ingress, group = dataflow.repeat_timesteps(*dataflow.attention_walk(ts, attn_geom), m.t, attn_geom)
+    stats, ingress, group = dataflow.repeat_timesteps(*dataflow.attention_walk(ts, attn_geom), m.t)
     walks = [(heads, stats, ingress), (heads, stats, group)]
     scheduled = [(unit, m.n * m.t * m.d_head) for unit in heads]
 
@@ -538,6 +575,10 @@ def _mha_layer(plan: RunPlan) -> _Layer:
 
 def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
     """Run the pipeline once and price its one level table under each flavor's calibration."""
+    # A RunPlan built without parse_workload is held to the same kind rules.
+    refused = _kind_violations(plan.kind, plan.hardware)
+    if refused:
+        raise WorkloadValidationError(refused)
     footprint = plan_bytes(plan)
     if footprint > MAX_PLAN_BYTES:
         raise WorkloadValidationError(

@@ -41,10 +41,14 @@ stage that has just allocated an array of the carrier's dtype, with values
 its construction proves in range, and that holds the only reference, wraps
 it with :func:`_adopt` instead: the array is made read-only in place, with
 no second copy or check.  These are the token gather's fancy-index result,
-an expert's int16 block buffer, the merged buffer of ``merge_aligned``, the
-reassociated attention integration, and the spikes of :func:`lif_run` (its
-bool output viewed as uint8).  ``expert_forward`` feeds ``spike_matmul`` a
-bool view of the spike rows, so their 0/1 check costs no pass over the data.
+an expert's int16 integration, the MoE layer's per-expert blocks of its
+expert-ordered gather and of its int16 buffer (disjoint, each adopted once
+written and never written again) and that buffer once every block is
+written, the merged buffer of ``merge_aligned``, the reassociated attention
+integration, the spikes of :func:`lif_run` (its bool output viewed as
+uint8) and those of a chunked input draw.  ``expert_forward`` feeds
+``spike_matmul`` a bool view of the spike rows, so their 0/1 check costs no
+pass over the data.
 
 The neuron update (:func:`lif_run`, :func:`lif_step`) is one kernel that
 updates the potential in place and resets fired neurons by multiplying with

@@ -46,6 +46,12 @@ _CSV_EQUALS_DUMPS = f"{_SERIAL}::test_csv_bytes_are_csv_of_json_dumps"
 _CORE_PER_UNIT = "tests/test_metamorphic.py::test_a_core_per_unit_takes_overhead_plus_slowest_unit"
 _DOUBLED_POWER = "tests/test_metamorphic.py::test_doubled_level_power_doubles_that_level_energy"
 _PORTS_LISTED = "tests/test_cli.py::TestErrorPaths::test_attention_plan_with_extract_ports_listed"
+_DRAW = "tests/test_runner.py::TestChunkedDraw"
+_LAYER = "tests/test_moe.py::TestExpertOrderedLayer::test_equals_the_per_expert_path"
+# The layer cases with more than one busy expert; with one, its block is the whole buffer.
+_LAYER_SPLIT = tuple(
+    f"{_LAYER}[{case}]" for case in ("24-3-10-7-6-idle", "4-2-6-4-7-random", "29-1-12-9-5-random", "61-3-8-6-5-random")
+)
 
 MUTANTS = (
     Mutant(
@@ -166,6 +172,7 @@ MUTANTS = (
         (
             "tests/test_runner.py::TestParseWorkload::test_attention_plan_refuses_extract_ports",
             *(f"{_PORTS_LISTED}[{command}]" for command in ("run", "compare")),
+            "tests/test_metamorphic.py::test_extract_ports_leave_digest_and_memory_unchanged[mha]",
         ),
     ),
     Mutant(
@@ -181,6 +188,37 @@ MUTANTS = (
         "energy = words * spec.power_mw * spec.latency_ps",
         "energy = words * cal.aggregate.memory_access_power_mw * spec.latency_ps",
         tuple(f"{_DOUBLED_POWER}[{kind}]" for kind in ("moe", "mha")),
+    ),
+    Mutant(
+        "a chunk of the spike draw ends at the draw's last element",
+        "src/spikesim/runner.py",
+        "hi = min(lo + _DRAW_CHUNK, size)",
+        "hi = min(lo + _DRAW_CHUNK, size - 1)",
+        (
+            *(f"{_DRAW}::test_equals_one_draw_around_the_chunk[0.3-{size}]" for size in ("chunk+1", "3chunk+5")),
+            f"{_DRAW}::test_equals_one_draw_one_past_the_real_chunk",
+        ),
+    ),
+    Mutant(
+        "the spike draw takes a chunk for every element, a last one-element chunk too",
+        "src/spikesim/runner.py",
+        "for lo in range(0, size, _DRAW_CHUNK):",
+        "for lo in range(0, size - 1, _DRAW_CHUNK):",
+        (f"{_DRAW}::test_equals_one_draw_around_the_chunk[0.3-chunk+1]", f"{_DRAW}::test_equals_one_draw_one_past_the_real_chunk"),
+    ),
+    Mutant(
+        "each expert integrates into its own block of the layer's int16 buffer",
+        "src/spikesim/moe.py",
+        "out=x[block]",
+        "out=x[:block.stop - block.start]",
+        _LAYER_SPLIT,
+    ),
+    Mutant(
+        "each expert's spikes are scattered from its own block of the fired buffer",
+        "src/spikesim/moe.py",
+        "_adopt(SpikeTensor, fired.data[block])",
+        "_adopt(SpikeTensor, fired.data[:block.stop - block.start])",
+        _LAYER_SPLIT,
     ),
 )
 

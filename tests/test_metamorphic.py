@@ -19,8 +19,8 @@ cycles of every core's widest-unit array.
 Each relation runs on 100 random small plans of each kind: 1,400 runs in
 all, about 2 s on a 2-core VM (budget: 15 s).  Each test also asserts that
 the change did reach some of its plans, so the relation is checked where it
-could fail; the attention array is timed without extract ports, so on MHA
-plans that field moves nothing.
+could fail.  The attention array is timed without extract ports, so an MHA
+plan that sets them is refused by the run itself, not only by the parser.
 """
 
 import json
@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikesim import builtin_calibration, dump_calibration, parse_workload, run_experiment
+from spikesim import WorkloadValidationError, builtin_calibration, dump_calibration, parse_workload, run_experiment
 
 PLANS_PER_KIND = 100
 
@@ -107,9 +107,24 @@ def test_extract_ports_leave_digest_and_memory_unchanged(kind):
             ports = None if rng.random() < 0.2 else int(rng.integers(1, 13))
         return replace(plan, hardware=replace(plan.hardware, extract_ports=ports))
 
-    moved = _check_relation(plans, other_ports)
-    # The attention array's timing has no extract ports, so on MHA plans the field moves nothing.
-    assert moved >= PLANS_PER_KIND // 4 if kind == "moe" else moved == 0
+    if kind == "moe":
+        assert _check_relation(plans, other_ports) >= PLANS_PER_KIND // 4
+        return
+    # The attention array's timing has no extract ports, so a run refuses an
+    # attention plan that sets them, also one built without parse_workload.
+    refused = 0
+    for plan in plans:
+        changed = other_ports(plan)
+        if changed.hardware.extract_ports is None:
+            assert _invariant_part(run_experiment(changed)) == _invariant_part(run_experiment(plan))
+            continue
+        with pytest.raises(WorkloadValidationError) as exc:
+            run_experiment(changed)
+        assert exc.value.violations == [
+            f"hardware.extract_ports applies only to kind 'moe', got {changed.hardware.extract_ports} for kind 'mha'"
+        ]
+        refused += 1
+    assert refused >= PLANS_PER_KIND // 2
 
 
 def _calibration_files(tmp_path, kind: str) -> dict:

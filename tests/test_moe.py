@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spikesim import moe
 from spikesim import (
     ConfigError,
     ExpertScores,
@@ -344,3 +345,79 @@ class TestLayerForward:
         bad_w_r = RoutingWeights(weights(np.zeros((8, 3))))
         with pytest.raises(ShapeError):
             moe_layer_forward(SpikeTensor(np.zeros((2, 1, 8), dtype=np.uint8)), cfg, bad_w_r)
+
+
+class TestExpertOrderedLayer:
+    """The layer's one expert-ordered buffer equals firing each expert alone and scattering its spikes."""
+
+    @staticmethod
+    def _per_expert(s, cfg, table):
+        fired = [
+            expert_forward(gather_expert_tokens(s, table, e), w, cfg.lif) for e, w in enumerate(cfg.expert_weights)
+        ]
+        return merge_aligned(fired, table)
+
+    @staticmethod
+    def _routing(rng, d, e, route):
+        """Routing weights: random, some experts idle, or every token with a spike on expert ``route``."""
+        if route == "random":
+            return RoutingWeights(weights(rng.integers(-30, 31, size=(d, e))))
+        if route == "idle":
+            # Odd experts score at most 0 and lose to expert 0, which scores at least 0.
+            w = rng.integers(0, 31, size=(d, e))
+            w[:, 1::2] = -w[:, 1::2] - 1
+            return RoutingWeights(weights(w))
+        w = np.full((d, e), -100)
+        w[:, route] = 100
+        return RoutingWeights(weights(w))
+
+    CASES = [
+        # (n, t, d_in, d_out, e, route)
+        (24, 3, 10, 7, 6, "idle"),
+        (17, 2, 9, 5, 4, 3),  # every token on the last expert
+        (17, 2, 9, 5, 4, 0),  # every token on the first expert
+        (4, 2, 6, 4, 7, "random"),  # more experts than tokens
+        (29, 1, 12, 9, 5, "random"),  # one timestep
+        (61, 3, 8, 6, 5, "random"),  # ragged blocks, against 4-row spike_matmul blocks
+    ]
+
+    @pytest.mark.parametrize("n, t, d_in, d_out, e, route", CASES)
+    def test_equals_the_per_expert_path(self, n, t, d_in, d_out, e, route, monkeypatch):
+        monkeypatch.setattr(moe, "_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(n * 100 + e)
+        data = rng.random((n, t, d_in)) < 0.35
+        data[:, 0, 0] = True  # every token scores on its routed expert's weights
+        s = SpikeTensor(data)
+        lif = LifParams(v_threshold=float(rng.integers(1, 40)), v_leak=int(rng.integers(0, 3)))
+        cfg = make_layer(rng, e, d_in, d_out, lif)
+        w_r = self._routing(rng, d_in, e, route)
+        out, table = moe_layer_forward(s, cfg, w_r)
+        sizes = [len(tokens) for tokens in table.expert_tokens]
+        if route == "idle":
+            assert sizes[1::2] == [0] * len(sizes[1::2])
+        elif route != "random":
+            assert sizes[route] == n
+        else:
+            assert sum(size > 0 for size in sizes) > 1 and len(set(sizes)) > 2
+        assert out == self._per_expert(s, cfg, table)
+        ref = dense_moe_forward(s.data, w_r.w_r.data, [w.data for w in cfg.expert_weights], lif.v_threshold, lif.v_leak)
+        assert np.array_equal(out.data, ref)
+
+    def test_expert_forward_writes_into_a_given_buffer(self):
+        rng = np.random.default_rng(3)
+        s = rand_spikes(rng, 5, 2, 6)
+        w = weights(rng.integers(-60, 61, size=(6, 4)))
+        buf = np.full((7, 2, 4), 99, dtype=np.int16)
+        x = expert_forward(s, w, None, out=buf[1:6])
+        assert np.shares_memory(x.data, buf)
+        assert np.array_equal(buf[1:6], expert_forward(s, w, None).data)
+        assert (buf[0] == 99).all() and (buf[6] == 99).all()
+
+    # Wrong shape, wrong dtype, not C-contiguous.
+    @pytest.mark.parametrize(
+        "out", [np.empty((5, 2, 3), np.int16), np.empty((5, 2, 4), np.int32), np.empty((5, 4, 4), np.int16)[:, ::2]]
+    )
+    def test_expert_forward_refuses_a_wrong_buffer(self, out):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ShapeError, match="output buffer"):
+            expert_forward(rand_spikes(rng, 5, 2, 6), weights(np.ones((6, 4))), None, out=out)

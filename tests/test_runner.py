@@ -379,7 +379,7 @@ class TestPlanSizeCap:
         assert peak <= runner.plan_bytes(plan)
 
     # A MoE estimate charges what the layer holds: moe_large, the default plan
-    # and the default at n = 4096 peak at 0.25-0.38 of it, plain or traced.
+    # and the default at n = 4096 peak at 0.25-0.31 of it, plain or traced.
     @pytest.mark.parametrize("doc", [ADMITTED[0], {"kind": "moe"}, {"kind": "moe", "model": {"n": 4096}}])
     def test_moe_estimate_is_a_tight_upper_bound(self, doc, tmp_path, capsys):
         from spikesim.cli import main
@@ -466,7 +466,7 @@ class TestPlanSizeCap:
         assert t > 800_000 and runner.plan_bytes(plan(t + 1)) > runner.MAX_PLAN_BYTES
         g = ArrayGeometry(16, 16, "attention")
         group_stats, group = dataflow.attention_walk(dataflow.plan_attention_tiles(1, 1, 1, 1, g), g)
-        stats, ingress, records = dataflow.repeat_timesteps(group_stats, group, t, g)
+        stats, ingress, records = dataflow.repeat_timesteps(group_stats, group, t)
         period = group_stats.total_cycles
         assert (stats.total_cycles, stats.tile_count, stats.mac_ops) == (t * period, 2 * t, 2 * t)
         assert stats.per_phase == {phase: t * cycles for phase, cycles in group_stats.per_phase.items()}
@@ -510,6 +510,49 @@ class TestDeterminism:
         a = report_json_bytes(run_experiment(plan).to_dict())
         b = report_json_bytes(run_experiment(plan).to_dict())
         assert a == b
+
+
+class TestChunkedDraw:
+    """A draw of more than ``_DRAW_CHUNK`` elements equals one ``rng.random(shape) < p``, and holds one chunk."""
+
+    CHUNK = 97  # a prime: of the sizes below, only the chunk itself is a whole number of chunks
+
+    @staticmethod
+    def _both(shape, p, seed=5):
+        one, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
+        return one.random(shape) < p, one, runner._synth_spikes(chunked, *shape, p), chunked
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 2, 4), (97, 1, 1), (7, 2, 7), (37, 2, 4)], ids=["chunk-1", "chunk", "chunk+1", "3chunk+5"]
+    )
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_equals_one_draw_around_the_chunk(self, shape, p, monkeypatch):
+        monkeypatch.setattr(runner, "_DRAW_CHUNK", self.CHUNK)
+        ref, ref_rng, got, rng = self._both(shape, p)
+        assert got.data.dtype == np.uint8 and not got.data.flags.writeable
+        assert np.array_equal(got.data, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_equals_one_draw_one_past_the_real_chunk(self):
+        shape = (17, 1, 61681)  # 2**20 + 1 elements
+        assert math.prod(shape) == runner._DRAW_CHUNK + 1
+        ref, ref_rng, got, rng = self._both(shape, 0.2, seed=11)
+        assert np.array_equal(got.data, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_multi_chunk_draw_holds_one_chunk_of_floats(self):
+        shape = (1, 1, 3 * runner._DRAW_CHUNK + 5)
+        size = math.prod(shape)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            spikes = runner._synth_spikes(rng, *shape, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spikes.data.size == size > 3 * runner._DRAW_CHUNK
+        # The uint8 spikes and one float64 chunk; a whole float64 draw would be 8 * size.
+        assert peak < size + 9 * runner._DRAW_CHUNK
 
 
 class TestFunctionalPath:

@@ -228,7 +228,7 @@ def test_repeated_group_equals_a_walk_of_the_whole_head(tmp_path):
             seen.add("ragged on both axes")
         group, whole = plan_attention_tiles(n, d, 1, 1, g), plan_attention_tiles(n, d, t, 1, g)
         validate(group)
-        stats, ingress, records = repeat_timesteps(*attention_walk(group, g), t, g)
+        stats, ingress, records = repeat_timesteps(*attention_walk(group, g), t)
         full_stats, full = attention_walk(whole, g)
         assert stats == full_stats
         assert len(ingress) + len(records) == len(full)
