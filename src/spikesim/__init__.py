@@ -48,7 +48,6 @@ from .moe import (
     RoutingWeights,
     compute_expert_scores,
     expert_forward,
-    gather_expert_tokens,
     merge_aligned,
     moe_layer_forward,
     route_topk,

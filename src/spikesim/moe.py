@@ -1,29 +1,30 @@
-"""Spiking mixture-of-experts layer: score, route, gather, integrate, merge, fire.
+"""Spiking mixture-of-experts layer: score, route, permute, integrate, fire, un-permute.
 
 Routing is pure integer arithmetic: a token's score for an expert is the sum
 of routing weights at every (timestep, feature) position where the token
 spiked.  There is no softmax and no capacity limit; top-k selection breaks
 score ties toward the lower expert id so results are reproducible.
 
-The layer holds its experts in one expert-ordered buffer: the permute,
-compute per expert, un-permute layout of MoE kernels (GShard's dispatch and
-combine, MegaBlocks).  It gathers the input rows once, in expert order (the
-concatenated ``expert_tokens``), so each expert's tokens are one contiguous
-block; each expert integrates its block into the same rows of one int16
-buffer; the buffer fires once; and the 1-byte spikes, not the 2-byte
-integrations, are scattered back to token order.  The neuron update acts on
-each (token, feature) lane on its own: a lane's spikes depend only on that
-lane's integration over time and on the shared parameters, never on another
-row, and its dtype follows the integration's peak, which a reordering of
-rows leaves as it is.  With top-1 routing each token's lane comes from
-exactly one expert, so firing in expert order and then un-permuting gives
-the same spikes as firing in token order, or firing each expert alone.
+The layer is one permutation of the token rows, the permute, compute per
+expert, un-permute layout of MoE kernels (GShard's dispatch and combine,
+MegaBlocks).  The permutation is the routing table's ``order``, every
+expert's tokens expert by expert.  The layer gathers the input rows by it
+once, so each expert's tokens are one contiguous slice; each expert
+integrates its slice into the same rows of one int16 buffer
+(:func:`expert_forward`); the buffer fires once; and :func:`merge_aligned`
+scatters the 1-byte spikes, not the 2-byte integrations, back by the same
+``order``.  The neuron update acts on each (token, feature) lane on its own:
+a lane's spikes depend only on that lane's integration over time and on the
+shared parameters, never on another row, and its dtype follows the
+integration's peak, which a reordering of rows leaves as it is.  With top-1
+routing ``order`` holds every token exactly once, so firing in expert order
+and then un-permuting gives the same spikes as firing in token order, or
+firing each expert alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -89,11 +90,11 @@ class ExpertScores:
 
 @dataclass(frozen=True, eq=False)
 class RoutingTable:
-    """Top-k assignment per token plus the per-expert gather lists.
+    """Top-k assignment per token plus the per-expert token lists.
 
     ``assignments[n]`` holds k expert ids ordered by descending score (ties
     toward the lower id); ``expert_tokens[e]`` holds the assigned token ids in
-    ascending order, which is also the row order used when gathering.
+    ascending order.
     """
 
     assignments: np.ndarray
@@ -106,6 +107,11 @@ class RoutingTable:
     def n(self) -> int:
         return self.assignments.shape[0]
 
+    @property
+    def order(self) -> np.ndarray:
+        """Every expert's tokens, expert by expert: with k = 1, the layer's one permutation of the token rows."""
+        return np.concatenate(self.expert_tokens)
+
     def routing_rows(self) -> list[tuple[int, int, int, int]]:
         """(token_id, rank, expert_id, score) rows for dumps, token-major."""
         rows = enumerate(zip(self.assignments.tolist(), self.assignment_scores.tolist()))
@@ -116,7 +122,7 @@ class RoutingTable:
 class MoeLayerConfig:
     """Static layer shape: expert count, top-k, widths, neuron params, weights.
 
-    Only k = 1 runs end to end: ``merge_aligned`` refuses any other table.
+    Only k = 1 runs end to end: ``moe_layer_forward`` refuses any other k.
     """
 
     experts: int
@@ -165,8 +171,8 @@ def route_topk(scores: ExpertScores, k: int) -> RoutingTable:
     if not 1 <= k <= scores.experts:
         raise ConfigError(f"k must lie in [1, {scores.experts}], got {k}")
     # Stable sort on negated scores keeps equal scores in ascending id order.
-    order = np.argsort(-scores.scores, axis=1, kind="stable")
-    assignments = order[:, :k].astype(np.int64)
+    ranked = np.argsort(-scores.scores, axis=1, kind="stable")
+    assignments = ranked[:, :k].astype(np.int64)
     assignment_scores = np.take_along_axis(scores.scores, assignments, axis=1)
     expert_tokens = tuple(
         np.nonzero((assignments == e).any(axis=1))[0].astype(np.int64)
@@ -183,17 +189,8 @@ def route_topk(scores: ExpertScores, k: int) -> RoutingTable:
     )
 
 
-def gather_expert_tokens(s_in: SpikeTensor, table: RoutingTable, e: int) -> SpikeTensor:
-    """Rows of the input assigned to expert ``e``, in ascending token order."""
-    if not 0 <= e < table.experts:
-        raise ConfigError(f"expert id {e} out of range [0, {table.experts})")
-    return s_in.select_tokens(table.expert_tokens[e])
-
-
-def expert_forward(
-    s_e: SpikeTensor, w_e: QuantWeightMatrix, lif: LifParams | None, out: np.ndarray | None = None
-) -> SpikeTensor | IntegrationTensor:
-    """One expert: synaptic integration, then the neuron update.
+def expert_forward(s_e: SpikeTensor, w_e: QuantWeightMatrix, out: np.ndarray | None = None) -> IntegrationTensor:
+    """One expert's synaptic integration; the caller fires it with :func:`lif_run`.
 
     The (token, timestep) rows are independent, so they fold into one
     (n * t, d_in) matrix that :func:`spike_matmul` takes in blocks of
@@ -202,9 +199,8 @@ def expert_forward(
     rows.  The rows go in as a bool view of the spikes, whose 0/1 range the
     dtype already proves.  The integration is written into ``out``, a
     C-contiguous (n, t, d_out) int16 array, when given, and into a new one
-    otherwise.  With ``lif=None`` there is no neuron update and the int16
-    integration is returned; :func:`moe_layer_forward` fires once, after
-    every expert has written its block of the layer's buffer.
+    otherwise; :func:`moe_layer_forward` passes each expert its slice of the
+    layer's buffer.
     """
     if s_e.d != w_e.rows:
         raise ShapeError(f"expert input features {s_e.d} do not match weight rows {w_e.rows}")
@@ -219,87 +215,63 @@ def expert_forward(
     for lo in range(0, len(rows), _BLOCK_ROWS):
         x[lo:lo + _BLOCK_ROWS], sat = spike_matmul(rows[lo:lo + _BLOCK_ROWS], w_e)
         saturations += sat
-    integration = _adopt(IntegrationTensor, out, saturations=saturations)
-    return integration if lif is None else lif_run(integration, lif)
+    return _adopt(IntegrationTensor, out, saturations=saturations)
 
 
-def merge_aligned(
-    outputs: list[SpikeTensor] | list[IntegrationTensor], table: RoutingTable
-) -> SpikeTensor | IntegrationTensor:
-    """Scatter per-expert tensors back into original token order.
+def merge_aligned(fired: SpikeTensor, table: RoutingTable) -> SpikeTensor:
+    """Scatter the layer's expert-ordered spikes back to token order: the inverse of its one gather.
 
-    ``outputs`` are all :class:`SpikeTensor` or all :class:`IntegrationTensor`,
-    one per expert; the result is one tensor of the same kind, and merged
-    integrations carry the sum of the experts' saturation counts.  Only
-    defined for k = 1, where the per-expert token lists partition the token
-    set and every output row has exactly one home.
+    Row i of ``fired`` belongs to token ``table.order[i]``.  Only defined for
+    k = 1, where the per-expert token lists partition the token set, so
+    ``order`` is a permutation and every row has exactly one home.
     """
     if table.k != 1:
         raise UnsupportedConfigError(
             f"aligned merge is only defined for top-1 routing, table has k={table.k}"
         )
-    if len(outputs) != table.experts:
-        raise ShapeError(f"expected {table.experts} expert outputs, got {len(outputs)}")
-    kind = type(outputs[0])
-    if kind not in (SpikeTensor, IntegrationTensor) or any(type(out) is not kind for out in outputs):
-        raise TypeError("expert outputs must be all SpikeTensor or all IntegrationTensor")
-    for e, out in enumerate(outputs):
-        if out.n != len(table.expert_tokens[e]):
-            raise ShapeError(
-                f"expert {e} produced {out.n} rows but was assigned {len(table.expert_tokens[e])} tokens"
-            )
-    t, d = outputs[0].t, outputs[0].d
-    # Every row is written once the coverage check below passes.
-    merged = np.empty((table.n, t, d), dtype=outputs[0].data.dtype)
+    order = table.order
     seen = np.zeros(table.n, dtype=bool)
-    for e, out in enumerate(outputs):
-        tokens = table.expert_tokens[e]
-        if out.n == 0:
-            continue
-        if out.t != t or out.d != d:
-            raise ShapeError(f"expert {e} output shape disagrees with the other experts")
-        merged[tokens] = out.data
-        seen[tokens] = True
-    if not seen.all():
-        raise ShapeError("merge did not cover every token exactly once")
-    if kind is IntegrationTensor:
-        return _adopt(IntegrationTensor, merged, saturations=sum(out.saturations for out in outputs))
+    seen[order] = True
+    if len(order) != table.n or not seen.all():
+        raise ShapeError("the expert token lists must cover every token exactly once")
+    if fired.n != table.n:
+        raise ShapeError(f"fired buffer has {fired.n} rows but the table routes {table.n} tokens")
+    merged = np.empty((table.n, fired.t, fired.d), dtype=np.uint8)
+    merged[order] = fired.data
     return _adopt(SpikeTensor, merged)
 
 
 def moe_layer_forward(
     s_in: SpikeTensor, cfg: MoeLayerConfig, w_r: RoutingWeights
 ) -> tuple[SpikeTensor, RoutingTable]:
-    """Full layer: score, route, gather in expert order, integrate, fire once, scatter to token order."""
+    """Full layer: score, route, gather by ``order``, integrate, fire once, scatter by ``order``."""
+    if cfg.k != 1:
+        raise UnsupportedConfigError(f"the MoE layer is only defined for top-1 routing, got k={cfg.k}")
     if s_in.d != cfg.d_in:
         raise ShapeError(f"input features {s_in.d} do not match layer d_in {cfg.d_in}")
     if w_r.d_in != cfg.d_in or w_r.experts != cfg.experts:
         raise ShapeError(
             f"routing weights are {w_r.d_in}x{w_r.experts}, layer expects {cfg.d_in}x{cfg.experts}"
         )
-    scores = compute_expert_scores(s_in, w_r)
-    table = route_topk(scores, cfg.k)
-    bounds = list(accumulate(map(len, table.expert_tokens), initial=0))
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    fired = lif_run(_integrate_in_expert_order(s_in, cfg, table, blocks), cfg.lif)
-    return merge_aligned([_adopt(SpikeTensor, fired.data[block]) for block in blocks], table), table
+    table = route_topk(compute_expert_scores(s_in, w_r), cfg.k)
+    fired = lif_run(_integrate_in_expert_order(s_in, cfg, table), cfg.lif)
+    return merge_aligned(fired, table), table
 
 
-def _integrate_in_expert_order(
-    s_in: SpikeTensor, cfg: MoeLayerConfig, table: RoutingTable, blocks: list[slice]
-) -> IntegrationTensor:
-    """Every expert's integration, in expert order: expert ``e``'s tokens fill rows ``blocks[e]``.
+def _integrate_in_expert_order(s_in: SpikeTensor, cfg: MoeLayerConfig, table: RoutingTable) -> IntegrationTensor:
+    """Every expert's integration, in ``table.order``: expert ``e``'s tokens fill one contiguous slice of rows.
 
-    The input rows are gathered once, in the concatenated ``expert_tokens``
-    order, and each expert reads its block of them and writes its block of
-    one int16 buffer.  The blocks are disjoint, and each is adopted once it
-    is written, so no adopted rows change afterwards.  The gathered rows are
-    freed when this returns, before the buffer fires.
+    The input rows are gathered once, by ``order``, and each expert reads its
+    slice of them and writes the same slice of one int16 buffer.  The slices
+    are disjoint, and each is adopted once it is written, so no adopted rows
+    change afterwards.  The gathered rows are freed when this returns, before
+    the buffer fires.
     """
-    rows = s_in.data[np.concatenate(table.expert_tokens)]
+    rows = s_in.data[table.order]
     x = np.empty((len(rows), s_in.t, cfg.d_out), dtype=np.int16)
-    saturations = sum(
-        expert_forward(_adopt(SpikeTensor, rows[block]), w, None, out=x[block]).saturations
-        for block, w in zip(blocks, cfg.expert_weights)
-    )
+    saturations = lo = 0
+    for tokens, w in zip(table.expert_tokens, cfg.expert_weights):
+        hi = lo + len(tokens)
+        saturations += expert_forward(_adopt(SpikeTensor, rows[lo:hi]), w, out=x[lo:hi]).saturations
+        lo = hi
     return _adopt(IntegrationTensor, x, saturations=saturations)

@@ -40,15 +40,14 @@ Public constructors copy their input and check its values.  A pipeline
 stage that has just allocated an array of the carrier's dtype, with values
 its construction proves in range, and that holds the only reference, wraps
 it with :func:`_adopt` instead: the array is made read-only in place, with
-no second copy or check.  These are the token gather's fancy-index result,
-an expert's int16 integration, the MoE layer's per-expert blocks of its
-expert-ordered gather and of its int16 buffer (disjoint, each adopted once
-written and never written again) and that buffer once every block is
-written, the merged buffer of ``merge_aligned``, the reassociated attention
-integration, the spikes of :func:`lif_run` (its bool output viewed as
-uint8) and those of a chunked input draw.  ``expert_forward`` feeds
-``spike_matmul`` a bool view of the spike rows, so their 0/1 check costs no
-pass over the data.
+no second copy or check.  These are an expert's int16 integration, the MoE
+layer's per-expert slices of its expert-ordered gather and of its int16
+buffer (disjoint, each adopted once written and never written again) and
+that buffer once every slice is written, the token-ordered spikes that
+``merge_aligned`` scatters, the reassociated attention integration, the
+spikes of :func:`lif_run` (its bool output viewed as uint8) and those of a
+chunked input draw.  ``expert_forward`` feeds ``spike_matmul`` a bool view
+of the spike rows, so their 0/1 check costs no pass over the data.
 
 The neuron update (:func:`lif_run`, :func:`lif_step`) is one kernel that
 updates the potential in place and resets fired neurons by multiplying with
@@ -207,19 +206,6 @@ class SpikeTensor:
 
     def popcount(self) -> int:
         return int(self.data.sum())
-
-    def select_tokens(self, idx: np.ndarray) -> "SpikeTensor":
-        """The rows at token ids ``idx`` (1-d integers in [0, n)), in that order."""
-        ids = np.asarray(idx)
-        if ids.ndim != 1:
-            raise ShapeError(f"token ids must be 1-d, got {ids.ndim}-d")
-        if ids.size == 0:
-            ids = ids.astype(np.int64)
-        elif ids.dtype.kind not in "iu":
-            raise ValueError(f"token ids must be integers, got dtype {ids.dtype}")
-        elif ids.min() < 0 or ids.max() >= self.n:
-            raise IndexError(f"token ids must lie in [0, {self.n}), got [{ids.min()}, {ids.max()}]")
-        return _adopt(SpikeTensor, self.data[ids])
 
     def to_bytes(self) -> bytes:
         """Serialize as a dims header plus a packed little-endian bitstream.

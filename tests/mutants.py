@@ -48,7 +48,8 @@ _DOUBLED_POWER = "tests/test_metamorphic.py::test_doubled_level_power_doubles_th
 _PORTS_LISTED = "tests/test_cli.py::TestErrorPaths::test_attention_plan_with_extract_ports_listed"
 _DRAW = "tests/test_runner.py::TestChunkedDraw"
 _LAYER = "tests/test_moe.py::TestExpertOrderedLayer::test_equals_the_per_expert_path"
-# The layer cases with more than one busy expert; with one, its block is the whole buffer.
+_MERGE = "tests/test_moe.py::TestMergeAligned"
+# The layer cases with more than one busy expert; with one, its slice is the whole buffer.
 _LAYER_SPLIT = tuple(
     f"{_LAYER}[{case}]" for case in ("24-3-10-7-6-idle", "4-2-6-4-7-random", "29-1-12-9-5-random", "61-3-8-6-5-random")
 )
@@ -207,18 +208,53 @@ MUTANTS = (
         (f"{_DRAW}::test_equals_one_draw_around_the_chunk[0.3-chunk+1]", f"{_DRAW}::test_equals_one_draw_one_past_the_real_chunk"),
     ),
     Mutant(
-        "each expert integrates into its own block of the layer's int16 buffer",
+        "the input draw is seeded by the plan's seed alone, never by its array geometry",
+        "src/spikesim/runner.py",
+        "rng = np.random.default_rng(plan.seed)\n    # Synthesis order is part",
+        "rng = np.random.default_rng([plan.seed, hw.expert_rows])\n    # Synthesis order is part",
+        ("tests/test_metamorphic.py::test_array_geometry_leaves_digest_unchanged[moe]",),
+    ),
+    Mutant(
+        "an expert's accumulations count the ones of its input rows, not every position",
+        "src/spikesim/dataflow.py",
+        "sparsity.ones * d_out, g)",
+        "sparsity.total * d_out, g)",
+        ("tests/test_metamorphic.py::test_no_input_spikes_give_no_output_and_no_expert_work[moe]",),
+    ),
+    Mutant(
+        "each expert integrates into its own slice of the layer's int16 buffer",
         "src/spikesim/moe.py",
-        "out=x[block]",
-        "out=x[:block.stop - block.start]",
+        "out=x[lo:hi]",
+        "out=x[:hi - lo]",
         _LAYER_SPLIT,
     ),
     Mutant(
-        "each expert's spikes are scattered from its own block of the fired buffer",
+        "the scatter un-permutes by the same order the gather permuted by",
         "src/spikesim/moe.py",
-        "_adopt(SpikeTensor, fired.data[block])",
-        "_adopt(SpikeTensor, fired.data[:block.stop - block.start])",
+        "merged[order] = fired.data",
+        "merged[np.sort(order)] = fired.data",
         _LAYER_SPLIT,
+    ),
+    Mutant(
+        "the layer refuses k != 1 before it scores or integrates anything",
+        "src/spikesim/moe.py",
+        "if cfg.k != 1:",
+        "if cfg.k > cfg.experts:",
+        ("tests/test_moe.py::TestLayerConfig::test_k2_layer_refuses_before_any_work",),
+    ),
+    Mutant(
+        "the scatter's table lists every token at least once",
+        "src/spikesim/moe.py",
+        "if len(order) != table.n or not seen.all():",
+        "if len(order) != table.n:",
+        (f"{_MERGE}::test_refuses_a_table_that_repeats_a_token[same-length]",),
+    ),
+    Mutant(
+        "the scatter's table lists no token twice",
+        "src/spikesim/moe.py",
+        "if len(order) != table.n or not seen.all():",
+        "if not seen.all():",
+        (f"{_MERGE}::test_refuses_a_table_that_repeats_a_token[longer]",),
     ),
 )
 

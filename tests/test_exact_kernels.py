@@ -162,7 +162,7 @@ class TestForcedSaturation:
         lif = LifParams(v_threshold=40000)
         ref_x = IntegrationTensor(np.stack(slabs, axis=1), saturations)
         raw = np.stack([s[:, step, :].astype(np.int64) @ w.astype(np.int64) for step in range(t)], axis=1)
-        assert expert_forward(spikes, QuantWeightMatrix(w), lif) == lif_run(ref_x, lif)
+        assert lif_run(expert_forward(spikes, QuantWeightMatrix(w)), lif) == lif_run(ref_x, lif)
         assert lif_run(ref_x, lif) != _lif_run_unclamped(raw, lif)
 
     def test_attention_path(self):
@@ -268,7 +268,7 @@ class TestInt16CastEdges:
         n, t = 3, 2
         w = np.empty((d_in, 2), dtype=np.int8)
         w[:, 0], w[:, 1] = -128, 127
-        x = expert_forward(SpikeTensor(np.ones((n, t, d_in), dtype=np.uint8)), QuantWeightMatrix(w), None)
+        x = expert_forward(SpikeTensor(np.ones((n, t, d_in), dtype=np.uint8)), QuantWeightMatrix(w))
         ref, ref_sat = saturate_ref(np.full((n, t, 2), [-128 * d_in, 127 * d_in], dtype=np.int64))
         np.testing.assert_array_equal(x.data, ref)
         assert x.saturations == ref_sat == (n * t if clamped else 0)

@@ -16,8 +16,14 @@ core of its own: the system then takes the router overhead plus the
 slowest unit, and its utilization is the summed operations over the
 cycles of every core's widest-unit array.
 
-Each relation runs on 100 random small plans of each kind: 1,400 runs in
-all, about 2 s on a 2-core VM (budget: 15 s).  Each test also asserts that
+The geometry relation redraws the rows and columns of every array the plan
+times (expert and routing, or attention): the arrays only time and count
+the work, so the output digest is unchanged.  The silence relation sets the
+spike probability to 0: no input spikes, so no neuron integrates anything,
+the output is all zero, and no expert performs an accumulation.
+
+Each relation runs on 100 random small plans of each kind: 2,200 runs in
+all, about 3.5 s on a 2-core VM (budget: 15 s).  Each test also asserts that
 the change did reach some of its plans, so the relation is checked where it
 could fail.  The attention array is timed without extract ports, so an MHA
 plan that sets them is refused by the run itself, not only by the parser.
@@ -199,3 +205,32 @@ def test_a_core_per_unit_takes_overhead_plus_slowest_unit(kind):
         capacity = system.total_cycles * cores * max(s.pe_count for s in stats)
         assert system.utilization == sum(s.mac_ops for s in stats) / capacity, plan
     assert overridden >= PLANS_PER_KIND // 4
+
+
+@pytest.mark.parametrize("kind", ["moe", "mha"])
+def test_array_geometry_leaves_digest_unchanged(kind):
+    plans, rng = _small_plans(kind, 2109 if kind == "moe" else 2110)
+    arrays = ("expert", "routing") if kind == "moe" else ("attention",)
+    moved = 0
+    for plan in plans:
+        hardware = plan.hardware
+        while hardware == plan.hardware:
+            dims = {f"{array}_{dim}": int(rng.integers(1, 41)) for array in arrays for dim in ("rows", "cols")}
+            hardware = replace(plan.hardware, **dims)
+        base, other = run_experiment(plan), run_experiment(replace(plan, hardware=hardware))
+        assert other.output_digest == base.output_digest, (plan, hardware)
+        moved += other.system_cycles.total_cycles != base.system_cycles.total_cycles
+    assert moved >= PLANS_PER_KIND // 4
+
+
+@pytest.mark.parametrize("kind", ["moe", "mha"])
+def test_no_input_spikes_give_no_output_and_no_expert_work(kind):
+    plans, _ = _small_plans(kind, 2111 if kind == "moe" else 2112)
+    busy = 0
+    for plan in plans:
+        base, silent = run_experiment(plan), run_experiment(replace(plan, spike_prob=0.0))
+        experts = [f"expert{e}" for e in range(plan.model.experts)] if kind == "moe" else []
+        assert not silent.s_out.data.any(), plan
+        assert [silent.unit_cycles[unit].mac_ops for unit in experts] == [0] * len(experts), plan
+        busy += base.s_out.data.any() and (not experts or any(base.unit_cycles[unit].mac_ops for unit in experts))
+    assert busy >= PLANS_PER_KIND // 4

@@ -1,4 +1,4 @@
-"""Routing scores, top-k selection, per-expert forward, aligned merge."""
+"""Routing scores, top-k selection, the layer's one permutation, per-expert integration, aligned merge."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from spikesim import (
     UnsupportedConfigError,
     compute_expert_scores,
     expert_forward,
-    gather_expert_tokens,
+    lif_run,
     merge_aligned,
     moe_layer_forward,
     route_topk,
@@ -150,48 +150,45 @@ class TestRouteTopk:
 
 
 class TestGather:
+    """The layer gathers its input rows once, by the table's ``order``: every expert's tokens, expert by expert."""
+
     def test_all_tokens_to_one_expert(self):
         rng = np.random.default_rng(16)
         s = rand_spikes(rng, 6, 2, 4)
         scores = np.zeros((6, 2), dtype=np.int64)
         scores[:, 1] = 5
         table = route_topk(ExpertScores(scores), k=1)
-        assert gather_expert_tokens(s, table, 1) == s
-        assert gather_expert_tokens(s, table, 0).n == 0
+        assert table.expert_tokens[0].size == 0
+        assert table.order.tolist() == list(range(6))
+        assert np.array_equal(s.data[table.order], s.data)
 
     def test_alternating_assignment(self):
-        rng = np.random.default_rng(17)
-        s = rand_spikes(rng, 8, 2, 4)
         scores = np.zeros((8, 2), dtype=np.int64)
         scores[1::2, 1] = 9
         table = route_topk(ExpertScores(scores), k=1)
         assert table.expert_tokens[1].tolist() == [1, 3, 5, 7]
-        gathered = gather_expert_tokens(s, table, 1)
-        assert np.array_equal(gathered.data, s.data[[1, 3, 5, 7]])
-
-    def test_expert_id_out_of_range(self):
-        table = route_topk(ExpertScores(np.zeros((2, 2), dtype=np.int64)), k=1)
-        s = SpikeTensor(np.zeros((2, 1, 1), dtype=np.uint8))
-        with pytest.raises(ConfigError):
-            gather_expert_tokens(s, table, 2)
+        assert table.order.tolist() == [0, 2, 4, 6, 1, 3, 5, 7]
 
 
 class TestExpertForward:
     def test_zero_input_zero_output(self):
         s = SpikeTensor(np.zeros((3, 2, 4), dtype=np.uint8))
-        out = expert_forward(s, weights(np.ones((4, 5))), LifParams())
-        assert not out.data.any() and (out.n, out.t, out.d) == (3, 2, 5)
+        x = expert_forward(s, weights(np.ones((4, 5))))
+        assert not x.data.any() and x.data.dtype == np.int16 and (x.n, x.t, x.d) == (3, 2, 5)
+        assert not lif_run(x, LifParams()).data.any()
 
     def test_empty_token_set(self):
         s = SpikeTensor(np.zeros((0, 3, 4), dtype=np.uint8))
-        out = expert_forward(s, weights(np.ones((4, 2))), LifParams())
+        x = expert_forward(s, weights(np.ones((4, 2))))
+        assert x.n == 0 and (x.t, x.d) == (3, 2)
+        out = lif_run(x, LifParams())
         assert out.n == 0 and (out.t, out.d) == (3, 2)
 
     def test_matches_composed_oracle_seed_3(self):
         rng = np.random.default_rng(3)
         s = rand_spikes(rng, 4, 4, 8)
         w = rng.integers(-40, 41, size=(8, 8))
-        out = expert_forward(s, weights(w), LifParams(v_threshold=5.0))
+        out = lif_run(expert_forward(s, weights(w)), LifParams(v_threshold=5.0))
         x = np.stack(
             [triple_loop_matmul(s.data[:, t, :].tolist(), w.tolist())[0] for t in range(4)],
             axis=1,
@@ -201,61 +198,59 @@ class TestExpertForward:
     def test_feature_mismatch(self):
         s = SpikeTensor(np.zeros((1, 1, 3), dtype=np.uint8))
         with pytest.raises(ShapeError):
-            expert_forward(s, weights(np.zeros((4, 2))), LifParams())
+            expert_forward(s, weights(np.zeros((4, 2))))
 
 
 class TestMergeAligned:
-    def _table(self, assignments, experts):
-        a = np.asarray(assignments, dtype=np.int64).reshape(-1, 1)
-        tokens = tuple(np.nonzero(a[:, 0] == e)[0].astype(np.int64) for e in range(experts))
+    """``merge_aligned`` scatters expert-ordered rows back to token order: row i goes to token ``order[i]``."""
+
+    @staticmethod
+    def _table(n, expert_tokens, k=1):
+        a = np.zeros((n, k), dtype=np.int64)
         return RoutingTable(
             assignments=a,
-            assignment_scores=np.zeros_like(a),
-            expert_tokens=tokens,
-            k=1,
-            experts=experts,
+            assignment_scores=a,
+            expert_tokens=tuple(np.asarray(tokens, dtype=np.int64) for tokens in expert_tokens),
+            k=k,
+            experts=len(expert_tokens),
         )
 
     def test_single_expert_identity(self):
-        rng = np.random.default_rng(18)
-        s = rand_spikes(rng, 5, 2, 3)
-        assert merge_aligned([s], self._table([0] * 5, 1)) == s
+        s = rand_spikes(np.random.default_rng(18), 5, 2, 3)
+        assert merge_aligned(s, self._table(5, [range(5)])) == s
 
     def test_interleaved_reconstruction(self):
-        rng = np.random.default_rng(19)
-        s = rand_spikes(rng, 4, 2, 3)
-        table = self._table([0, 1, 0, 1], 2)
-        parts = [
-            SpikeTensor(s.data[[0, 2]]),
-            SpikeTensor(s.data[[1, 3]]),
-        ]
-        assert merge_aligned(parts, table) == s
+        s = rand_spikes(np.random.default_rng(19), 4, 2, 3)
+        table = self._table(4, [[0, 2], [1, 3]])
+        assert merge_aligned(SpikeTensor(s.data[table.order]), table) == s
 
     def test_all_experts_empty_output_shape(self):
         # Zero tokens overall still produces a well-formed empty tensor.
-        table = self._table([], 2)
-        empty = SpikeTensor(np.zeros((0, 3, 2), dtype=np.uint8))
-        merged = merge_aligned([empty, empty], table)
+        merged = merge_aligned(SpikeTensor(np.zeros((0, 3, 2), dtype=np.uint8)), self._table(0, [[], []]))
         assert merged.n == 0 and (merged.t, merged.d) == (3, 2)
 
     def test_k2_table_rejected(self):
-        a = np.array([[0, 1]], dtype=np.int64)
-        table = RoutingTable(
-            assignments=a,
-            assignment_scores=np.zeros_like(a),
-            expert_tokens=(np.array([0]), np.array([0])),
-            k=2,
-            experts=2,
-        )
-        s = SpikeTensor(np.zeros((1, 1, 1), dtype=np.uint8))
+        s = SpikeTensor(np.zeros((2, 1, 1), dtype=np.uint8))
         with pytest.raises(UnsupportedConfigError):
-            merge_aligned([s, s], table)
+            merge_aligned(s, self._table(1, [[0], [0]], k=2))
 
     def test_row_count_mismatch(self):
-        table = self._table([0, 0], 1)
-        bad = SpikeTensor(np.zeros((1, 1, 1), dtype=np.uint8))
-        with pytest.raises(ShapeError):
-            merge_aligned([bad], table)
+        with pytest.raises(ShapeError, match="rows"):
+            merge_aligned(rand_spikes(np.random.default_rng(20), 1, 2, 3), self._table(2, [[0, 1]]))
+
+    # Token 1 twice: once with one row too many, once in place of token 2.
+    @pytest.mark.parametrize(
+        "n, expert_tokens", [(2, [[0, 1], [1]]), (3, [[0, 1], [1]])], ids=["longer", "same-length"]
+    )
+    def test_refuses_a_table_that_repeats_a_token(self, n, expert_tokens):
+        fired = rand_spikes(np.random.default_rng(21), 3, 2, 3)
+        with pytest.raises(ShapeError, match="every token exactly once"):
+            merge_aligned(fired, self._table(n, expert_tokens))
+
+    def test_refuses_a_table_that_misses_a_token(self):
+        fired = rand_spikes(np.random.default_rng(22), 2, 2, 3)
+        with pytest.raises(ShapeError, match="every token exactly once"):
+            merge_aligned(fired, self._table(3, [[0], [2]]))
 
 
 class TestLayerConfig:
@@ -263,11 +258,24 @@ class TestLayerConfig:
         w = (weights(np.zeros((2, 2))),) * 3
         with pytest.raises(ConfigError):
             MoeLayerConfig(experts=3, k=4, d_in=2, d_out=2, expert_weights=w)
-        # A k=2 layer is a valid shape; the aligned merge is the one guard that refuses to run it.
+        # A k=2 layer is a valid shape; the layer refuses to run it.
         cfg = MoeLayerConfig(experts=3, k=2, d_in=2, d_out=2, expert_weights=w)
         s = SpikeTensor(np.ones((4, 2, 2), dtype=np.uint8))
         with pytest.raises(UnsupportedConfigError, match="only defined for top-1 routing"):
             moe_layer_forward(s, cfg, RoutingWeights(weights(np.arange(6).reshape(2, 3))))
+
+    def test_k2_layer_refuses_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a k=2 layer must be refused before it scores or integrates")
+
+        monkeypatch.setattr(moe, "compute_expert_scores", no_work)
+        monkeypatch.setattr(moe, "spike_matmul", no_work)
+        w = (weights(np.ones((2, 2))),) * 3
+        cfg = MoeLayerConfig(experts=3, k=2, d_in=2, d_out=2, expert_weights=w)
+        with pytest.raises(UnsupportedConfigError, match="only defined for top-1 routing"):
+            moe_layer_forward(
+                SpikeTensor(np.ones((4, 2, 2), dtype=np.uint8)), cfg, RoutingWeights(weights(np.ones((2, 3))))
+            )
 
     def test_weight_shape_checks(self):
         good = weights(np.zeros((2, 2)))
@@ -285,7 +293,7 @@ class TestLayerForward:
         cfg = make_layer(rng, 1, 8, 8)
         w_r = RoutingWeights(weights(rng.integers(-10, 11, size=(8, 1))))
         out, table = moe_layer_forward(s, cfg, w_r)
-        assert out == expert_forward(s, cfg.expert_weights[0], cfg.lif)
+        assert out == lif_run(expert_forward(s, cfg.expert_weights[0]), cfg.lif)
         assert table.expert_tokens[0].tolist() == list(range(6))
 
     def test_matches_dense_oracle_seed_42(self):
@@ -352,10 +360,10 @@ class TestExpertOrderedLayer:
 
     @staticmethod
     def _per_expert(s, cfg, table):
-        fired = [
-            expert_forward(gather_expert_tokens(s, table, e), w, cfg.lif) for e, w in enumerate(cfg.expert_weights)
-        ]
-        return merge_aligned(fired, table)
+        out = np.zeros((s.n, s.t, cfg.d_out), dtype=np.uint8)
+        for tokens, w in zip(table.expert_tokens, cfg.expert_weights):
+            out[tokens] = lif_run(expert_forward(SpikeTensor(s.data[tokens]), w), cfg.lif).data
+        return SpikeTensor(out)
 
     @staticmethod
     def _routing(rng, d, e, route):
@@ -408,9 +416,9 @@ class TestExpertOrderedLayer:
         s = rand_spikes(rng, 5, 2, 6)
         w = weights(rng.integers(-60, 61, size=(6, 4)))
         buf = np.full((7, 2, 4), 99, dtype=np.int16)
-        x = expert_forward(s, w, None, out=buf[1:6])
+        x = expert_forward(s, w, out=buf[1:6])
         assert np.shares_memory(x.data, buf)
-        assert np.array_equal(buf[1:6], expert_forward(s, w, None).data)
+        assert np.array_equal(buf[1:6], expert_forward(s, w).data)
         assert (buf[0] == 99).all() and (buf[6] == 99).all()
 
     # Wrong shape, wrong dtype, not C-contiguous.
@@ -420,4 +428,4 @@ class TestExpertOrderedLayer:
     def test_expert_forward_refuses_a_wrong_buffer(self, out):
         rng = np.random.default_rng(3)
         with pytest.raises(ShapeError, match="output buffer"):
-            expert_forward(rand_spikes(rng, 5, 2, 6), weights(np.ones((6, 4))), None, out=out)
+            expert_forward(rand_spikes(rng, 5, 2, 6), weights(np.ones((6, 4))), out=out)

@@ -22,7 +22,6 @@ from spikesim.moe import (
     RoutingWeights,
     compute_expert_scores,
     expert_forward,
-    gather_expert_tokens,
     merge_aligned,
     route_topk,
 )
@@ -78,30 +77,6 @@ class TestSpikeTensor:
         rng = np.random.default_rng(0)
         s = rand_spikes(rng, 4, 3, 8)
         assert s.popcount() == int(s.data.sum())
-
-    def test_select_tokens_preserves_order_and_shape(self):
-        rng = np.random.default_rng(2)
-        s = rand_spikes(rng, 6, 2, 4)
-        picked = s.select_tokens(np.array([4, 1]))
-        assert np.array_equal(picked.data, s.data[[4, 1]])
-        empty = s.select_tokens(np.array([], dtype=np.int64))
-        assert empty.n == 0 and (empty.t, empty.d) == (2, 4)
-        assert s.select_tokens([]).n == 0
-
-    def test_select_tokens_refuses_ids_it_would_misread(self):
-        s = rand_spikes(np.random.default_rng(3), 4, 2, 3)
-        # Plain numpy indexing reads these as the last token, token 0, and ids 1 and 0.
-        with pytest.raises(IndexError, match=r"\[0, 4\)"):
-            s.select_tokens([-1])
-        with pytest.raises(ValueError, match="integers"):
-            s.select_tokens([0.5])
-        with pytest.raises(ValueError, match="integers"):
-            s.select_tokens(np.array([False, True, False, False]))
-        with pytest.raises(IndexError, match=r"\[0, 4\)"):
-            s.select_tokens([1, 4])
-        with pytest.raises(ShapeError):
-            s.select_tokens([[0, 1]])
-        assert np.array_equal(s.select_tokens(np.array([3, 0], dtype=np.uint8)).data, s.data[[3, 0]])
 
 
 class TestSpikeSerialization:
@@ -394,12 +369,12 @@ class TestCarrierOwnership:
         w = QuantWeightMatrix(rng.integers(-128, 128, size=(8, 8)))
         table = route_topk(compute_expert_scores(s, RoutingWeights(QuantWeightMatrix(w.data[:, :2]))), 1)
         assert all(len(tokens) for tokens in table.expert_tokens)
-        integrations = [expert_forward(gather_expert_tokens(s, table, e), w, None) for e in range(2)]
+        integrations = [expert_forward(SpikeTensor(s.data[tokens]), w) for tokens in table.expert_tokens]
+        # Both experts share w, so one integration of the expert-ordered rows is the layer's buffer.
+        fired = lif_run(expert_forward(SpikeTensor(s.data[table.order]), w), LifParams())
         adopted = {
-            "select_tokens": s.select_tokens(np.array([5, 0])),
             "expert_forward": integrations[0],
-            "merge_aligned integration": merge_aligned(integrations, table),
-            "merge_aligned spikes": merge_aligned([lif_run(x, LifParams()) for x in integrations], table),
+            "merge_aligned": merge_aligned(fired, table),
             "reassociated integration": _reassociated_integration(s, s, s, 2),
             "lif_run": lif_run(integrations[1], LifParams()),
         }
