@@ -1,12 +1,9 @@
 """Memory hierarchy level ids and physical SRAM geometry.
 
-Seven addressable levels exist in the mixture-of-experts design; the
-attention design has no weight globals (weights never enter the attention
-datapath, which multiplies activations against activations).
-
-The small bottom-tier staging macros (query, key/value, spike, integration
-staging) are lumped under the single calibrated ``act_buffer`` level; the
-weight staging macro is ``weight_buffer``.
+``memory.KINDS`` lists each kind's levels; attention has no weight globals, as
+weights never enter its datapath.  The small bottom-tier staging macros
+(query, key/value, spike, integration staging) are lumped under the single
+calibrated ``act_buffer`` level; the weight staging macro is ``weight_buffer``.
 """
 
 ACT_GLB = "act_glb"
@@ -16,9 +13,6 @@ ACT_LB = "act_lb"
 WEIGHT_LB = "weight_lb"
 ACT_BUFFER = "act_buffer"
 WEIGHT_BUFFER = "weight_buffer"
-
-MOE_LEVELS = (ACT_GLB, WEIGHT_GLB0, WEIGHT_GLB1, ACT_LB, WEIGHT_LB, ACT_BUFFER, WEIGHT_BUFFER)
-MHA_LEVELS = (ACT_GLB, ACT_LB, WEIGHT_LB, ACT_BUFFER, WEIGHT_BUFFER)
 
 # words x word-width(bits) per level
 LEVEL_GEOMETRY = {

@@ -6,7 +6,8 @@ from signed-off physical implementations of the two designs (a conventional
 derives them.  What the simulator does derive are access counts and the
 energy proxy count * access_power * access_latency, reported in femtojoules
 (1 mW * 1 ps = 1 fJ).  Derived and calibrated quantities are kept in separate
-report sections so they cannot be confused.
+report sections so they cannot be confused.  ``KINDS`` holds each
+accelerator kind's levels and residency.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -25,15 +26,12 @@ from .levels import (
     ACT_GLB,
     ACT_LB,
     LEVEL_GEOMETRY,
-    MHA_LEVELS,
-    MOE_LEVELS,
     WEIGHT_BUFFER,
     WEIGHT_GLB0,
     WEIGHT_GLB1,
     WEIGHT_LB,
 )
 
-KINDS = ("moe", "mha")
 DESIGNS = ("2d", "3d")
 
 
@@ -92,9 +90,9 @@ class MemCalibration:
     aggregate: CalibrationAggregate = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        expected = set(MOE_LEVELS if self.kind == "moe" else MHA_LEVELS)
+        if self.kind not in tuple(KINDS):  # a tuple: a list or mapping kind is unhashable
+            raise ConfigError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
+        expected = set(KINDS[self.kind].levels)
         got = set(self.levels)
         if got != expected:
             missing = sorted(expected - got)
@@ -107,8 +105,7 @@ class MemCalibration:
             raise ConfigError("calibration needs aggregate figures")
 
 
-# (latency_ps, power_mw) per level, per (kind, design).  The attention design
-# has no weight globals; weights never enter its datapath.
+# (latency_ps, power_mw) per level of each (kind, design), in the kind's level order.
 _LEVEL_TABLE = {
     ("mha", "2d"): {
         ACT_GLB: (220.0, 10.9),
@@ -153,8 +150,8 @@ _AGGREGATE_TABLE = {
 
 def builtin_calibration(kind: str, design: str) -> MemCalibration:
     """The built-in calibration preset for one accelerator kind and design flavor."""
-    if kind not in KINDS:
-        raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
+    if kind not in tuple(KINDS):
+        raise ConfigError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
     if design not in DESIGNS:
         raise ConfigError(f"design must be one of {DESIGNS}, got {design!r}")
     levels = {}
@@ -285,6 +282,17 @@ def _required_bits_mha(shape: WorkloadShape) -> dict[str, int]:
     }
 
 
+class KindMemory(NamedTuple):
+    levels: tuple[str, ...]  # in report order
+    residency: Callable[[WorkloadShape], dict[str, int]]  # required bits per level
+
+
+KINDS = {
+    "moe": KindMemory((ACT_GLB, WEIGHT_GLB0, WEIGHT_GLB1, ACT_LB, WEIGHT_LB, ACT_BUFFER, WEIGHT_BUFFER), _required_bits_moe),
+    "mha": KindMemory((ACT_GLB, ACT_LB, WEIGHT_LB, ACT_BUFFER, WEIGHT_BUFFER), _required_bits_mha),
+}
+
+
 def capacity_check(shape: WorkloadShape, cal: MemCalibration) -> CapacityReport:
     """Compare per-level residency requirements against SRAM capacities.
 
@@ -293,7 +301,7 @@ def capacity_check(shape: WorkloadShape, cal: MemCalibration) -> CapacityReport:
     """
     if shape.kind != cal.kind:
         raise ConfigError(f"workload kind {shape.kind!r} does not match calibration kind {cal.kind!r}")
-    required = _required_bits_moe(shape) if shape.kind == "moe" else _required_bits_mha(shape)
+    required = KINDS[shape.kind].residency(shape)
     verdicts = {
         level: CapacityVerdict(level, bits, cal.levels[level].capacity_bits)
         for level, bits in required.items()
@@ -486,8 +494,8 @@ def load_calibration(source) -> MemCalibration:
     if violations:
         raise CalibrationValidationError(violations)
     kind = doc.get("kind")
-    if kind is None:
-        kind = "moe" if WEIGHT_GLB0 in levels else "mha"
+    if kind is None:  # the kind sharing the most levels with the file, ties to the one with fewer
+        kind = max(KINDS, key=lambda name: (len(levels.keys() & KINDS[name].levels), -len(KINDS[name].levels)))
     try:
         return MemCalibration(kind=kind, design=design, levels=levels, aggregate=aggregate)
     except ConfigError as err:

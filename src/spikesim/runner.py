@@ -91,6 +91,9 @@ _CORE_BYTES = 128
 _RUN_BYTES = 64 * 1024
 
 
+# A model class is its kind's record.  KEYS gives each field as {report key:
+# (attribute, flat alias)}: the config echo writes the key, and the parser also
+# accepts the attribute's name inside the section and the alias at top level.
 @dataclass(frozen=True)
 class MoeModel:
     n: int = 64
@@ -100,6 +103,85 @@ class MoeModel:
     experts: int = 4
     k: int = 1
 
+    KIND = "moe"
+    KEYS = {
+        "n": ("n", "N"),
+        "t": ("t", "T"),
+        "d_in": ("d_in", "D_in"),
+        "d_out": ("d_out", "D_out"),
+        "e": ("experts", "E"),
+        "k": ("k", "K"),
+    }
+    DERIVED = ()
+    EXTRACT_PORTS = True  # its arrays drain tiles through hardware.extract_ports
+
+    @classmethod
+    def build(cls, values: dict, violations: list[str]) -> MoeModel:
+        e, k = values["e"], values["k"]
+        if k > e:
+            violations.append(f"model.k ({k}) cannot exceed model.e ({e})")
+        elif k != 1:
+            violations.append(
+                f"top-k routing with k={k} is not supported: merging multiple expert outputs "
+                "per token has no defined combination rule"
+            )
+        return cls(**{cls.KEYS[key][0]: value for key, value in values.items()})
+
+    def footprint(self, hw: HardwareParams) -> tuple[int, int, int, int, int]:
+        # The routing product's bound, 128 * t * d_in, is at least spike_matmul's.
+        operand = 4 if 128 * self.t * self.d_in < _F32_EXACT else 8
+        size = self.n * self.t * self.d_in
+        inputs = _DRAW_BYTES * min(size, _DRAW_CHUNK) + _SPIKE_IN_BYTES * size
+        inputs += _SPIKE_OUT_BYTES * self.n * self.t * self.d_out
+        inputs += (1 + operand) * self.n * self.d_in + _NEURON_BYTES * self.n * self.d_out
+        inputs += min(self.n * self.t, _BLOCK_ROWS) * (operand * (self.d_in + self.d_out) + 2 * self.d_out)
+        inputs += _WEIGHT_BYTES * self.d_in * self.experts * (self.d_out + 1) + _SCORE_BYTES * self.n * self.experts
+        routing = -(-self.n // hw.routing_rows) * -(-self.experts // hw.routing_cols)
+        experts = -(-self.d_out // hw.expert_rows) * (-(-self.n * self.t // hw.expert_cols) + self.experts)
+        records = 3 * routing + 2 + 9 * experts + 4 * self.experts
+        return inputs, routing + experts, records, records, 5 * 4 + 13 * 4 * self.experts + self.experts + 1
+
+    def layer(self, plan: RunPlan) -> _Layer:
+        """The MoE layer's functional pass and its router and expert walks.
+
+        An expert's sparsity counts the ones of its tokens' input rows.  A row
+        holds t * d_in entries of 0 or 1, so its count is at most t * d_in, and
+        it is summed over the flattened row in the smallest unsigned type that
+        holds t * d_in, where no partial count can wrap.  Under
+        ``MAX_PLAN_BYTES`` that type is at most uint32: ``plan_bytes`` charges
+        more than one byte per input element, so a plan it admits has
+        t * d_in <= n * t * d_in < 2**30.
+        """
+        m, hw = self, plan.hardware
+        rng = np.random.default_rng(plan.seed)
+        # Synthesis order is part of the plan contract: input spikes, routing
+        # weights, then expert weights in expert order.  Each spike takes one
+        # float64 uniform in C order, however the draw is chunked.
+        s_in = _synth_spikes(rng, m.n, m.t, m.d_in, plan.spike_prob)
+        w_r = RoutingWeights(_synth_weights(rng, m.d_in, m.experts))
+        weights = tuple(_synth_weights(rng, m.d_in, m.d_out) for _ in range(m.experts))
+        cfg = MoeLayerConfig(experts=m.experts, k=m.k, d_in=m.d_in, d_out=m.d_out, expert_weights=weights)
+        s_out, table = moe_layer_forward(s_in, cfg, w_r)
+
+        routing_geom = ArrayGeometry(hw.routing_rows, hw.routing_cols, "routing")
+        expert_geom = ArrayGeometry(hw.expert_rows, hw.expert_cols, "expert")
+        walks = [(("router",), *dataflow.routing_walk(m.n, m.t, m.d_in, m.experts, routing_geom, hw.extract_ports))]
+        scheduled = []
+        token_ones = s_in.data.reshape(m.n, m.t * m.d_in).sum(axis=1, dtype=np.min_scalar_type(m.t * m.d_in))
+        for e in range(m.experts):
+            tokens = table.expert_tokens[e]
+            ts = dataflow.plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert_geom)
+            sparsity = SparsityStats(ones=int(token_ones[tokens].sum()), total=len(tokens) * m.t * m.d_in)
+            glb = WEIGHT_GLB0 if e % 2 == 0 else WEIGHT_GLB1
+            walks.append(((f"expert{e}",), *dataflow.expert_walk(ts, expert_geom, sparsity, hw.extract_ports, glb)))
+            scheduled.append((f"expert{e}", len(tokens) * m.t * m.d_out))
+
+        shape = memory.WorkloadShape(
+            kind=self.KIND, n=m.n, t=m.t, d_in=m.d_in, d_out=m.d_out, experts=m.experts,
+            tile_rows=hw.expert_rows, tile_cols=hw.expert_cols,
+        )
+        return _Layer(s_out, table, walks, scheduled, m.t * m.d_in + 16 + m.experts, shape)
+
 
 @dataclass(frozen=True)
 class MhaModel:
@@ -108,9 +190,72 @@ class MhaModel:
     heads: int = 8
     d_head: int = 16
 
+    KIND = "mha"
+    KEYS = {
+        "n": ("n", "N"),
+        "t": ("t", "T"),
+        "h": ("heads", "H"),
+        "d": ("d_head", "d"),
+        "d_model": ("d_model", "D"),
+    }
+    DERIVED = ("d", "d_model")  # no default of their own: absent or null, each is derived from the other
+    EXTRACT_PORTS = False  # the attention array's timing has no readout ports
+
     @property
     def d_model(self) -> int:
         return self.heads * self.d_head
+
+    @classmethod
+    def build(cls, values: dict, violations: list[str]) -> MhaModel | None:
+        heads, d_head = values["h"], values.get("d")
+        d_model = values.get("d_model", cls.heads * cls.d_head)
+        if d_head is None:
+            if d_model % heads != 0:
+                violations.append(f"model.d_model ({d_model}) is not divisible by model.h ({heads})")
+                return None
+            d_head = d_model // heads
+        elif "d_model" in values and heads * d_head != d_model:
+            violations.append(
+                f"model.h * model.d = {heads}*{d_head} = {heads * d_head} contradicts model.d_model = {d_model}"
+            )
+        return cls(n=values["n"], t=values["t"], heads=heads, d_head=d_head)
+
+    def footprint(self, hw: HardwareParams) -> tuple[int, int, int, int, int]:
+        operand = 4 if self.n * self.d_head < _F32_EXACT else 8
+        inputs = (_ATTENTION_BYTES + 2 * operand) * self.n * self.t * self.d_model
+        inputs += 2 * operand * self.t * self.heads * self.d_head**2
+        n_tiles = 2 * self.t * -(-self.n // hw.attention_rows) * -(-self.n // hw.attention_cols)
+        head = 3 * n_tiles + 2 * self.t + 2
+        return inputs, n_tiles, head + self.heads + 1, self.heads * (head + 1) + 1, self.heads * 9 * 8 + 2
+
+    def layer(self, plan: RunPlan) -> _Layer:
+        m, hw = self, plan.hardware
+        rng = np.random.default_rng(plan.seed)
+        # Synthesis order: queries, keys, values.
+        q = _synth_spikes(rng, m.n, m.t, m.d_model, plan.spike_prob)
+        k = _synth_spikes(rng, m.n, m.t, m.d_model, plan.spike_prob)
+        v = _synth_spikes(rng, m.n, m.t, m.d_model, plan.spike_prob)
+        cfg = MhaConfig(heads=m.heads, d_head=m.d_head)
+        s_out = mha_forward(q, k, v, cfg)
+
+        attn_geom = ArrayGeometry(hw.attention_rows, hw.attention_cols, "attention")
+        heads = tuple(f"attn{h}" for h in range(m.heads))
+        # Heads run the same tile schedule and differ only in their unit name,
+        # and a head's timesteps run the same tiles, so one walk of one (head,
+        # timestep) group times and counts all of them, its ingress walk first.
+        ts = dataflow.plan_attention_tiles(m.n, m.d_head, 1, 1, attn_geom)
+        stats, ingress, group = dataflow.repeat_timesteps(*dataflow.attention_walk(ts, attn_geom), m.t)
+        walks = [(heads, stats, ingress), (heads, stats, group)]
+        scheduled = [(unit, m.n * m.t * m.d_head) for unit in heads]
+
+        shape = memory.WorkloadShape(
+            kind=self.KIND, n=m.n, t=m.t, heads=m.heads, d_head=m.d_head,
+            tile_rows=hw.attention_rows, tile_cols=hw.attention_cols,
+        )
+        return _Layer(s_out, None, walks, scheduled, 0, shape)
+
+
+KINDS = {model.KIND: model for model in (MoeModel, MhaModel)}
 
 
 @dataclass(frozen=True)
@@ -128,7 +273,6 @@ class HardwareParams:
 
 @dataclass(frozen=True)
 class RunPlan:
-    kind: str
     model: MoeModel | MhaModel
     hardware: HardwareParams = field(default_factory=HardwareParams)
     calibration_source: str = "builtin2d"
@@ -136,11 +280,15 @@ class RunPlan:
     spike_prob: float = 0.2
     seed: int = 0
 
+    @property
+    def kind(self) -> str:
+        return self.model.KIND
+
     def to_dict(self) -> dict:
         hw = self.hardware
         return {
             "kind": self.kind,
-            "model": {key: getattr(self.model, attr) for key, (attr, _) in _MODEL_KEYS[self.kind].items()},
+            "model": {key: getattr(self.model, attr) for key, (attr, _) in self.model.KEYS.items()},
             "hardware": {
                 "cores": hw.cores,
                 **{f"{array}_array": {dim: getattr(hw, f"{array}_{dim}") for dim in ("rows", "cols")} for array in _ARRAYS},
@@ -152,26 +300,6 @@ class RunPlan:
         }
 
 
-# Each field as {report key: (attribute, flat alias)}: the config echo writes
-# the key, and the parser also accepts the attribute's name inside the section
-# and the alias at the document top level.
-_MODEL_KEYS = {
-    "moe": {
-        "n": ("n", "N"),
-        "t": ("t", "T"),
-        "d_in": ("d_in", "D_in"),
-        "d_out": ("d_out", "D_out"),
-        "e": ("experts", "E"),
-        "k": ("k", "K"),
-    },
-    "mha": {
-        "n": ("n", "N"),
-        "t": ("t", "T"),
-        "h": ("heads", "H"),
-        "d": ("d_head", "d"),
-        "d_model": ("d_model", "D"),
-    },
-}
 _INPUT_KEYS = {"spike_prob": ("spike_prob", "spike_prob"), "seed": ("seed", "seed")}
 
 # HardwareParams' arrays: ``<name>_array.rows/cols`` in a document, ``<name>_rows/_cols`` on the dataclass.
@@ -204,19 +332,19 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
         _section(doc, name, violations) for name in ("model", "hardware", "calibration", "input")
     )
     kind = doc.pop("kind", None)
-    if kind not in ("moe", "mha"):
+    record = KINDS[kind] if kind in tuple(KINDS) else None  # a tuple: a list or mapping kind is unhashable
+    if record is None:
         violations.append(f"kind must be 'moe' or 'mha', got {kind!r}")
-        kind = None
     # Without a valid kind no model is built, but every kind's spellings are still consumed.
-    model_keys = _MODEL_KEYS[kind] if kind else _MODEL_KEYS["moe"] | _MODEL_KEYS["mha"]
+    model_keys = record.KEYS if record else {key: spelling for m in KINDS.values() for key, spelling in m.KEYS.items()}
     model_fields = _resolve(doc, model_doc, "model", model_keys, violations)
     input_fields = _resolve(doc, input_doc, "input", _INPUT_KEYS, violations)
     for key in sorted(doc):
         violations.append(f"unknown top-level key {key!r}")
 
-    model = _parse_model(kind, model_fields, model_doc, violations) if kind else None
+    model = _parse_model(record, model_fields, model_doc, violations) if record else None
     hardware = _parse_hardware(hw_doc, violations)
-    violations += _kind_violations(kind, hardware)
+    violations += _port_violations(record, hardware) if record else []
 
     source = cal_doc.pop("source", RunPlan.calibration_source)
     path = cal_doc.pop("path", RunPlan.calibration_path)
@@ -243,7 +371,6 @@ def parse_workload(doc: dict, seed: int | None = None) -> RunPlan:
     if violations:
         raise WorkloadValidationError(violations)
     return RunPlan(
-        kind=kind,
         model=model,
         hardware=hardware,
         calibration_source=source,
@@ -288,49 +415,21 @@ def _resolve(doc: dict, section: dict, name: str, keys: dict, violations: list[s
     return fields
 
 
-def _parse_model(kind: str, fields: dict, model_doc: dict, violations: list[str]):
-    keys = _MODEL_KEYS[kind]
+def _parse_model(record, fields: dict, model_doc: dict, violations: list[str]):
     for key in sorted(model_doc):
-        violations.append(f"unknown model key {key!r} for kind {kind!r}")
-    default = MoeModel if kind == "moe" else MhaModel
-    # mha's d and d_model have no default of their own: absent or null, each is derived from the other.
+        violations.append(f"unknown model key {key!r} for kind {record.KIND!r}")
     values = {
-        key: _as_int(fields[key] if key in fields else getattr(default, attr), f"model.{key}", 1, violations)
-        for key, (attr, _) in keys.items()
-        if fields.get(key) is not None or key not in ("d", "d_model")
+        key: _as_int(fields[key] if key in fields else getattr(record, attr), f"model.{key}", 1, violations)
+        for key, (attr, _) in record.KEYS.items()
+        if fields.get(key) is not None or key not in record.DERIVED
     }
-    if None in values.values():
-        return None
-    if kind == "moe":
-        e, k = values["e"], values["k"]
-        if k > e:
-            violations.append(f"model.k ({k}) cannot exceed model.e ({e})")
-        elif k != 1:
-            violations.append(
-                f"top-k routing with k={k} is not supported: merging multiple expert outputs "
-                "per token has no defined combination rule"
-            )
-        return MoeModel(**{keys[key][0]: value for key, value in values.items()})
-
-    heads, d_head = values["h"], values.get("d")
-    d_model = values.get("d_model", default.heads * default.d_head)
-    if d_head is None:
-        if d_model % heads != 0:
-            violations.append(f"model.d_model ({d_model}) is not divisible by model.h ({heads})")
-            return None
-        d_head = d_model // heads
-    elif "d_model" in values and heads * d_head != d_model:
-        violations.append(
-            f"model.h * model.d = {heads}*{d_head} = {heads * d_head} contradicts model.d_model = {d_model}"
-        )
-    return MhaModel(n=values["n"], t=values["t"], heads=heads, d_head=d_head)
+    return None if None in values.values() else record.build(values, violations)
 
 
-def _kind_violations(kind: str | None, hardware: HardwareParams) -> list[str]:
-    """The hardware settings ``kind`` refuses, listed by ``parse_workload`` and checked again by a run."""
-    # The attention array's timing has no readout ports; null is the config echo's spelling of absent.
-    if kind == "mha" and hardware.extract_ports is not None:
-        return [f"hardware.extract_ports applies only to kind 'moe', got {hardware.extract_ports} for kind 'mha'"]
+def _port_violations(model, hardware: HardwareParams) -> list[str]:
+    """A set extract_ports on a kind timed without readout ports; null is the config echo's absent."""
+    if not model.EXTRACT_PORTS and hardware.extract_ports is not None:
+        return [f"hardware.extract_ports applies only to kind 'moe', got {hardware.extract_ports} for kind {model.KIND!r}"]
     return []
 
 
@@ -373,37 +472,12 @@ def plan_bytes(plan: RunPlan) -> int:
     output size and one for its write.  No unit has more tails than rows.
     A fixed term charges what any run holds, however small its plan.
     """
-    m, hw = plan.model, plan.hardware
-
-    def tiles(extent: int, step: int) -> int:
-        return -(-extent // step)
-
-    if plan.kind == "moe":
-        # The routing product's bound, 128 * t * d_in, is at least spike_matmul's.
-        operand = 4 if 128 * m.t * m.d_in < _F32_EXACT else 8
-        size = m.n * m.t * m.d_in
-        inputs = _DRAW_BYTES * min(size, _DRAW_CHUNK) + _SPIKE_IN_BYTES * size
-        inputs += _SPIKE_OUT_BYTES * m.n * m.t * m.d_out
-        inputs += (1 + operand) * m.n * m.d_in + _NEURON_BYTES * m.n * m.d_out
-        inputs += min(m.n * m.t, _BLOCK_ROWS) * (operand * (m.d_in + m.d_out) + 2 * m.d_out)
-        inputs += _WEIGHT_BYTES * m.d_in * m.experts * (m.d_out + 1) + _SCORE_BYTES * m.n * m.experts
-        routing = tiles(m.n, hw.routing_rows) * tiles(m.experts, hw.routing_cols)
-        experts = tiles(m.d_out, hw.expert_rows) * (tiles(m.n * m.t, hw.expert_cols) + m.experts)
-        n_tiles = routing + experts
-        records = rows = 3 * routing + 2 + 9 * experts + 4 * m.experts
-        tails = 5 * 4 + 13 * 4 * m.experts + m.experts + 1
-    else:
-        operand = 4 if m.n * m.d_head < _F32_EXACT else 8
-        inputs = (_ATTENTION_BYTES + 2 * operand) * m.n * m.t * m.d_model + 2 * operand * m.t * m.heads * m.d_head**2
-        n_tiles = 2 * m.t * tiles(m.n, hw.attention_rows) * tiles(m.n, hw.attention_cols)
-        head = 3 * n_tiles + 2 * m.t + 2
-        records, rows = head + m.heads + 1, m.heads * (head + 1) + 1
-        tails = m.heads * 9 * 8 + 2
+    inputs, n_tiles, records, rows, tails = plan.model.footprint(plan.hardware)
     trace = (
         _TRACE_RECORD_BYTES * records + _TRACE_CHUNK_ROW_BYTES * min(rows, dataflow.TRACE_CHUNK_ROWS)
         + _TRACE_TAIL_BYTES * min(tails, rows)
     )
-    return _RUN_BYTES + inputs + _TILE_BYTES * n_tiles + trace + _CORE_BYTES * hw.cores
+    return _RUN_BYTES + inputs + _TILE_BYTES * n_tiles + trace + _CORE_BYTES * plan.hardware.cores
 
 
 @dataclass
@@ -502,81 +576,10 @@ class _Layer(NamedTuple):
     shape: memory.WorkloadShape
 
 
-def _moe_layer(plan: RunPlan) -> _Layer:
-    """The MoE layer's functional pass and its router and expert walks.
-
-    An expert's sparsity counts the ones of its tokens' input rows.  A row
-    holds t * d_in entries of 0 or 1, so its count is at most t * d_in, and
-    it is summed over the flattened row in the smallest unsigned type that
-    holds t * d_in, where no partial count can wrap.  Under
-    ``MAX_PLAN_BYTES`` that type is at most uint32: ``plan_bytes`` charges
-    more than one byte per input element, so a plan it admits has
-    t * d_in <= n * t * d_in < 2**30.
-    """
-    m = plan.model
-    hw = plan.hardware
-    rng = np.random.default_rng(plan.seed)
-    # Synthesis order is part of the plan contract: input spikes, routing
-    # weights, then expert weights in expert order.  Each spike takes one
-    # float64 uniform in C order, however the draw is chunked.
-    s_in = _synth_spikes(rng, m.n, m.t, m.d_in, plan.spike_prob)
-    w_r = RoutingWeights(_synth_weights(rng, m.d_in, m.experts))
-    weights = tuple(_synth_weights(rng, m.d_in, m.d_out) for _ in range(m.experts))
-    cfg = MoeLayerConfig(experts=m.experts, k=m.k, d_in=m.d_in, d_out=m.d_out, expert_weights=weights)
-    s_out, table = moe_layer_forward(s_in, cfg, w_r)
-
-    routing_geom = ArrayGeometry(hw.routing_rows, hw.routing_cols, "routing")
-    expert_geom = ArrayGeometry(hw.expert_rows, hw.expert_cols, "expert")
-    walks = [(("router",), *dataflow.routing_walk(m.n, m.t, m.d_in, m.experts, routing_geom, hw.extract_ports))]
-    scheduled = []
-    token_ones = s_in.data.reshape(m.n, m.t * m.d_in).sum(axis=1, dtype=np.min_scalar_type(m.t * m.d_in))
-    for e in range(m.experts):
-        tokens = table.expert_tokens[e]
-        ts = dataflow.plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert_geom)
-        sparsity = SparsityStats(ones=int(token_ones[tokens].sum()), total=len(tokens) * m.t * m.d_in)
-        glb = WEIGHT_GLB0 if e % 2 == 0 else WEIGHT_GLB1
-        walks.append(((f"expert{e}",), *dataflow.expert_walk(ts, expert_geom, sparsity, hw.extract_ports, glb)))
-        scheduled.append((f"expert{e}", len(tokens) * m.t * m.d_out))
-
-    shape = memory.WorkloadShape(
-        kind="moe", n=m.n, t=m.t, d_in=m.d_in, d_out=m.d_out, experts=m.experts,
-        tile_rows=hw.expert_rows, tile_cols=hw.expert_cols,
-    )
-    return _Layer(s_out, table, walks, scheduled, m.t * m.d_in + 16 + m.experts, shape)
-
-
-def _mha_layer(plan: RunPlan) -> _Layer:
-    m = plan.model
-    hw = plan.hardware
-    rng = np.random.default_rng(plan.seed)
-    # Synthesis order: queries, keys, values.
-    q = _synth_spikes(rng, m.n, m.t, m.d_model, plan.spike_prob)
-    k = _synth_spikes(rng, m.n, m.t, m.d_model, plan.spike_prob)
-    v = _synth_spikes(rng, m.n, m.t, m.d_model, plan.spike_prob)
-    cfg = MhaConfig(heads=m.heads, d_head=m.d_head)
-    s_out = mha_forward(q, k, v, cfg)
-
-    attn_geom = ArrayGeometry(hw.attention_rows, hw.attention_cols, "attention")
-    heads = tuple(f"attn{h}" for h in range(m.heads))
-    # Heads run the same tile schedule and differ only in their unit name,
-    # and a head's timesteps run the same tiles, so one walk of one (head,
-    # timestep) group times and counts all of them, its ingress walk first.
-    ts = dataflow.plan_attention_tiles(m.n, m.d_head, 1, 1, attn_geom)
-    stats, ingress, group = dataflow.repeat_timesteps(*dataflow.attention_walk(ts, attn_geom), m.t)
-    walks = [(heads, stats, ingress), (heads, stats, group)]
-    scheduled = [(unit, m.n * m.t * m.d_head) for unit in heads]
-
-    shape = memory.WorkloadShape(
-        kind="mha", n=m.n, t=m.t, heads=m.heads, d_head=m.d_head,
-        tile_rows=hw.attention_rows, tile_cols=hw.attention_cols,
-    )
-    return _Layer(s_out, None, walks, scheduled, 0, shape)
-
-
 def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
     """Run the pipeline once and price its one level table under each flavor's calibration."""
     # A RunPlan built without parse_workload is held to the same kind rules.
-    refused = _kind_violations(plan.kind, plan.hardware)
+    refused = _port_violations(plan.model, plan.hardware)
     if refused:
         raise WorkloadValidationError(refused)
     footprint = plan_bytes(plan)
@@ -585,12 +588,7 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
             [f"plan needs an estimated {footprint} bytes, over the {MAX_PLAN_BYTES}-byte cap"]
         )
     cals = [resolve_calibration(flavor) for flavor in flavors]
-    if plan.kind == "moe":
-        layer = _moe_layer(plan)
-    elif plan.kind == "mha":
-        layer = _mha_layer(plan)
-    else:
-        raise ConfigError(f"kind must be 'moe' or 'mha', got {plan.kind!r}")
+    layer = plan.model.layer(plan)
 
     unit_cycles = {unit: stats for units, stats, _ in layer.walks for unit in units}
     scheduled = [unit_cycles[unit] for unit, _ in layer.scheduled]

@@ -49,6 +49,7 @@ _PORTS_LISTED = "tests/test_cli.py::TestErrorPaths::test_attention_plan_with_ext
 _DRAW = "tests/test_runner.py::TestChunkedDraw"
 _LAYER = "tests/test_moe.py::TestExpertOrderedLayer::test_equals_the_per_expert_path"
 _MERGE = "tests/test_moe.py::TestMergeAligned"
+_LEVEL_ORDER = "tests/test_memory.py::TestCalibrationTables::test_price_table_lists_its_kinds_levels_in_order"
 # The layer cases with more than one busy expert; with one, its slice is the whole buffer.
 _LAYER_SPLIT = tuple(
     f"{_LAYER}[{case}]" for case in ("24-3-10-7-6-idle", "4-2-6-4-7-random", "29-1-12-9-5-random", "61-3-8-6-5-random")
@@ -168,8 +169,8 @@ MUTANTS = (
     Mutant(
         "an attention plan refuses a non-null extract_ports and takes null",
         "src/spikesim/runner.py",
-        'if kind == "mha" and hardware.extract_ports is not None:',
-        'if kind == "mha" and hardware.extract_ports is None:',
+        "if not model.EXTRACT_PORTS and hardware.extract_ports is not None:",
+        "if not model.EXTRACT_PORTS and hardware.extract_ports is None:",
         (
             "tests/test_runner.py::TestParseWorkload::test_attention_plan_refuses_extract_ports",
             *(f"{_PORTS_LISTED}[{command}]" for command in ("run", "compare")),
@@ -210,8 +211,8 @@ MUTANTS = (
     Mutant(
         "the input draw is seeded by the plan's seed alone, never by its array geometry",
         "src/spikesim/runner.py",
-        "rng = np.random.default_rng(plan.seed)\n    # Synthesis order is part",
-        "rng = np.random.default_rng([plan.seed, hw.expert_rows])\n    # Synthesis order is part",
+        "rng = np.random.default_rng(plan.seed)\n        # Synthesis order is part",
+        "rng = np.random.default_rng([plan.seed, hw.expert_rows])\n        # Synthesis order is part",
         ("tests/test_metamorphic.py::test_array_geometry_leaves_digest_unchanged[moe]",),
     ),
     Mutant(
@@ -255,6 +256,45 @@ MUTANTS = (
         "if len(order) != table.n or not seen.all():",
         "if not seen.all():",
         (f"{_MERGE}::test_refuses_a_table_that_repeats_a_token[longer]",),
+    ),
+    Mutant(
+        "capacity checks each kind against its own residency",
+        "src/spikesim/memory.py",
+        "WEIGHT_BUFFER), _required_bits_moe),\n    \"mha\": KindMemory((ACT_GLB, ACT_LB, WEIGHT_LB, ACT_BUFFER, WEIGHT_BUFFER), _required_bits_mha)",
+        "WEIGHT_BUFFER), _required_bits_mha),\n    \"mha\": KindMemory((ACT_GLB, ACT_LB, WEIGHT_LB, ACT_BUFFER, WEIGHT_BUFFER), _required_bits_moe)",
+        (
+            "tests/test_memory.py::TestCapacity::test_default_moe_shape_fits",
+            "tests/test_memory.py::TestCapacity::test_mha_shape",
+            *(f"{_LEVEL_ORDER}[{kind}-{design}]" for kind in ("mha", "moe") for design in ("2d", "3d")),
+            _GOLDEN,
+        ),
+    ),
+    Mutant(
+        "a kindless calibration file ties to the kind with fewer levels, so a whole attention file reads as one",
+        "src/spikesim/memory.py",
+        "-len(KINDS[name].levels)))",
+        "len(KINDS[name].levels)))",
+        ("tests/test_memory.py::TestCalibrationSerialization::test_kind_inferred_from_levels",),
+    ),
+    Mutant(
+        "a plan's kind is looked up by tuple membership, so a list or mapping kind is listed, not a TypeError",
+        "src/spikesim/runner.py",
+        "KINDS[kind] if kind in tuple(KINDS) else None",
+        "KINDS[kind] if kind in KINDS else None",
+        tuple(
+            f"tests/test_runner.py::TestPlanSpellings::test_unhashable_kind_still_consumes_model_spellings[{case}]"
+            for case in ("list", "mapping")
+        ),
+    ),
+    Mutant(
+        "a calibration's kind is looked up by tuple membership, so a list or mapping kind is listed, not a TypeError",
+        "src/spikesim/memory.py",
+        "if self.kind not in tuple(KINDS):",
+        "if self.kind not in KINDS:",
+        tuple(
+            f"tests/test_memory.py::TestCalibrationSerialization::test_unknown_kind_listed[{case}]"
+            for case in ("list", "mapping")
+        ),
     ),
 )
 

@@ -26,17 +26,17 @@ from spikesim.levels import (
     ACT_GLB,
     ACT_LB,
     LEVEL_GEOMETRY,
-    MHA_LEVELS,
-    MOE_LEVELS,
     WEIGHT_BUFFER,
     WEIGHT_GLB0,
     WEIGHT_GLB1,
     WEIGHT_LB,
     level_width_bits,
 )
-from spikesim.memory import count_walks
+from spikesim.memory import KINDS, count_walks
 
 from object_model import count_accesses, records_from_rows
+
+MOE_LEVELS, MHA_LEVELS = KINDS["moe"].levels, KINDS["mha"].levels
 
 
 def ev(level, direction, words, cycle=0, unit="u"):
@@ -124,6 +124,17 @@ class TestCalibrationTables:
         assert level_width_bits(ACT_GLB) == 128
         cal = builtin_calibration("moe", "2d")
         assert cal.levels[ACT_GLB].capacity_bits == 8192 * 128
+
+    @pytest.mark.parametrize("kind,design", sorted(LEVEL_PINS))
+    def test_price_table_lists_its_kinds_levels_in_order(self, kind, design):
+        levels = KINDS[kind].levels
+        cal = builtin_calibration(kind, design)
+        assert tuple(cal.levels) == levels
+        # Reports follow that order: an idle report lists its levels (and sums
+        # their energy) in it, and the capacity check gives its verdicts in it.
+        assert tuple(mem_report(count_walks([]), cal).levels) == levels
+        shape = WorkloadShape(kind=kind, n=4, t=2, d_in=8, d_out=8, experts=2, heads=2, d_head=4)
+        assert tuple(capacity_check(shape, cal).verdicts) == levels
 
     def test_attention_design_has_no_weight_globals(self):
         assert WEIGHT_GLB0 not in MHA_LEVELS and WEIGHT_GLB1 not in MHA_LEVELS
@@ -311,7 +322,7 @@ class TestMemReport:
 
     @pytest.mark.parametrize("kind", ["moe", "mha"])
     def test_stacked_design_cheaper_per_level(self, kind):
-        levels = MOE_LEVELS if kind == "moe" else MHA_LEVELS
+        levels = KINDS[kind].levels
         trace = [ev(level, "read", 50) for level in levels]
         counts = count_accesses(trace)
         flat = mem_report(counts, builtin_calibration(kind, "2d"))
@@ -376,6 +387,27 @@ class TestCalibrationSerialization:
         doc = dump_calibration(builtin_calibration("mha", "3d"))
         del doc["kind"]
         assert load_calibration(doc).kind == "mha"
+
+    def test_kindless_file_is_checked_as_the_kind_sharing_most_levels(self):
+        doc = dump_calibration(builtin_calibration("moe", "2d"))
+        del doc["kind"]
+        doc["levels"] = [entry for entry in doc["levels"] if entry["id"] != WEIGHT_GLB0]
+        with pytest.raises(CalibrationValidationError) as exc:
+            load_calibration(doc)
+        assert exc.value.violations == [
+            "calibration level set mismatch for kind 'moe': missing ['weight_glb0'], unexpected []"
+        ]
+
+    @pytest.mark.parametrize("kind", ["cnn", [], {}], ids=["name", "list", "mapping"])
+    def test_unknown_kind_listed(self, kind):
+        message = f"kind must be one of ('moe', 'mha'), got {kind!r}"
+        doc = {**dump_calibration(builtin_calibration("moe", "2d")), "kind": kind}
+        with pytest.raises(CalibrationValidationError) as exc:
+            load_calibration(doc)
+        assert exc.value.violations == [message]
+        with pytest.raises(ConfigError) as exc:
+            builtin_calibration(kind, "2d")
+        assert str(exc.value) == message
 
     def test_load_from_path(self, tmp_path):
         cal = builtin_calibration("mha", "2d")

@@ -23,6 +23,7 @@ from spikesim import (
     MhaModel,
     MoeModel,
     QuantWeightMatrix,
+    RunPlan,
     SpikeTensor,
     WorkloadValidationError,
     compare_designs,
@@ -91,6 +92,15 @@ class TestParseWorkload:
     def test_unknown_kind(self):
         with pytest.raises(WorkloadValidationError, match="kind"):
             parse_workload({"kind": "cnn"})
+
+    @pytest.mark.parametrize("model", [MoeModel(), MhaModel()], ids=["moe", "mha"])
+    def test_kind_is_the_models(self, model):
+        plan = RunPlan(model=model)
+        assert plan.kind == model.KIND
+        assert plan.to_dict() == parse_workload({"kind": model.KIND}).to_dict()
+        # A plan takes no kind of its own, so none can disagree with its model.
+        with pytest.raises(TypeError):
+            RunPlan(kind=model.KIND, model=model)
 
     def test_topk_beyond_one_is_refused(self):
         with pytest.raises(WorkloadValidationError, match="not supported"):
@@ -281,6 +291,12 @@ class TestPlanSpellings:
         with pytest.raises(WorkloadValidationError) as exc:
             parse_workload({"kind": "cnn", "N": 4, "E": 2, "H": 2, "D": 8})
         assert exc.value.violations == ["kind must be 'moe' or 'mha', got 'cnn'"]
+
+    @pytest.mark.parametrize("kind", [[], {}], ids=["list", "mapping"])
+    def test_unhashable_kind_still_consumes_model_spellings(self, kind):
+        with pytest.raises(WorkloadValidationError) as exc:
+            parse_workload({"kind": kind, "N": 4, "E": 2, "H": 2, "D": 8})
+        assert exc.value.violations == [f"kind must be 'moe' or 'mha', got {kind!r}"]
 
     @pytest.mark.parametrize("source", ["builtin2d", "builtin3d"])
     def test_calibration_path_needs_source_file(self, source):
