@@ -78,8 +78,8 @@ class AttentionMap:
             raise ShapeError(f"attention map must be (t, n, n), got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("attention map entries must be integers")
-        if arr.size and (arr.min() < 0 or arr.max() > self.d_head):
-            raise ValueError(f"attention map entries must lie in [0, {self.d_head}]")
+        if arr.size and (arr.min() < 0 or arr.max() > min(self.d_head, np.iinfo(np.int32).max)):
+            raise ValueError(f"attention map entries must lie in [0, {self.d_head}] and fit in int32")
         arr = arr.astype(np.int32, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)

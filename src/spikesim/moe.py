@@ -2,35 +2,39 @@
 
 Routing is pure integer arithmetic: a token's score for an expert is the sum
 of routing weights at every (timestep, feature) position where the token
-spiked.  There is no softmax and no capacity limit; top-k selection breaks
-score ties toward the lower expert id so results are reproducible.
+spiked.  There is no softmax and no capacity limit.  Each token goes to its
+best-scoring expert (top-1, as in the Switch Transformer), ties to the lower
+expert id, so results are reproducible.
 
 The layer is one permutation of the token rows, the permute, compute per
 expert, un-permute layout of MoE kernels (GShard's dispatch and combine,
 MegaBlocks).  The permutation is the routing table's ``order``, every
-expert's tokens expert by expert.  The layer gathers the input rows by it
-once, so each expert's tokens are one contiguous slice; each expert
-integrates its slice into the same rows of one int16 buffer
-(:func:`expert_forward`); the buffer fires once; and :func:`merge_aligned`
-scatters the 1-byte spikes, not the 2-byte integrations, back by the same
-``order``.  The neuron update acts on each (token, feature) lane on its own:
-a lane's spikes depend only on that lane's integration over time and on the
-shared parameters, never on another row, and its dtype follows the
-integration's peak, which a reordering of rows leaves as it is.  With top-1
-routing ``order`` holds every token exactly once, so firing in expert order
-and then un-permuting gives the same spikes as firing in token order, or
-firing each expert alone.
+expert's tokens expert by expert, derived from the token assignments when
+the table is built, so it holds every token exactly once.  The layer gathers
+the input rows by it once, so expert ``e``'s tokens are one contiguous slice,
+``offsets[e]:offsets[e + 1]``; each expert integrates its slice into the same
+rows of one int16 buffer (:func:`expert_forward`); the buffer fires once; and
+:func:`merge_aligned` scatters the 1-byte spikes, not the 2-byte
+integrations, back by the same ``order``.  The neuron update acts on each
+(token, feature) lane on its own: a lane's spikes depend only on that lane's
+integration over time and on the shared parameters, never on another row,
+and its dtype follows the integration's peak, which a reordering of rows
+leaves as it is.  So firing in expert order and then un-permuting gives the
+same spikes as firing in token order, or firing each expert alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UnsupportedConfigError
 from .tensors import (
+    INT64_MAX,
     _adopt,
+    _check_integers,
     _exact_matmul,
     IntegrationTensor,
     LifParams,
@@ -75,6 +79,7 @@ class ExpertScores:
             raise ShapeError(f"score matrix must be 2-d, got {arr.ndim}-d")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("routing scores must be integers")
+        _check_integers(arr, -INT64_MAX - 1, INT64_MAX, "routing scores must fit in int64")
         arr = arr.astype(np.int64, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "scores", arr)
@@ -90,32 +95,47 @@ class ExpertScores:
 
 @dataclass(frozen=True, eq=False)
 class RoutingTable:
-    """Top-k assignment per token plus the per-expert token lists.
+    """Top-1 routing: each token's expert and score, and the layer's one permutation.
 
-    ``assignments[n]`` holds k expert ids ordered by descending score (ties
-    toward the lower id); ``expert_tokens[e]`` holds the assigned token ids in
-    ascending order.
+    ``assignments[i]`` is token i's expert id and ``assignment_scores[i]`` its
+    score.  ``order`` and ``offsets`` are derived when the table is built:
+    ``order`` sorts the tokens by expert, stably, so it is a permutation of
+    the tokens with each expert's tokens in ascending order, and expert
+    ``e``'s tokens are ``order[offsets[e]:offsets[e + 1]]``.
     """
 
     assignments: np.ndarray
     assignment_scores: np.ndarray
-    expert_tokens: tuple[np.ndarray, ...]
-    k: int
     experts: int
+    order: np.ndarray = field(init=False)
+    offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        ids, scores = np.asarray(self.assignments), np.asarray(self.assignment_scores)
+        if ids.ndim != 1 or scores.shape != ids.shape:
+            raise ShapeError(f"need one expert id and one score per token, got {ids.shape} and {scores.shape}")
+        _check_integers(ids, 0, self.experts - 1, f"expert ids must be integers in [0, {self.experts})")
+        _check_integers(scores, -INT64_MAX - 1, INT64_MAX, "routing scores must be integers that fit in int64")
+        ids, scores = ids.astype(np.int64), scores.astype(np.int64)
+        order = np.argsort(ids, kind="stable")
+        offsets = np.concatenate(([0], np.bincount(ids, minlength=self.experts).cumsum()))
+        for name, arr in (("assignments", ids), ("assignment_scores", scores), ("order", order), ("offsets", offsets)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return self.assignments.shape[0]
 
     @property
-    def order(self) -> np.ndarray:
-        """Every expert's tokens, expert by expert: with k = 1, the layer's one permutation of the token rows."""
-        return np.concatenate(self.expert_tokens)
+    def expert_tokens(self) -> list[np.ndarray]:
+        """Each expert's token ids, ascending: ``order`` split at ``offsets``."""
+        return np.split(self.order, self.offsets[1:-1])
 
     def routing_rows(self) -> list[tuple[int, int, int, int]]:
-        """(token_id, rank, expert_id, score) rows for dumps, token-major."""
-        rows = enumerate(zip(self.assignments.tolist(), self.assignment_scores.tolist()))
-        return [(token, rank, experts[rank], scores[rank]) for token, (experts, scores) in rows for rank in range(self.k)]
+        """(token_id, rank, expert_id, score) rows for dumps, token-major; the rank is always 0."""
+        rows = zip(self.assignments.tolist(), self.assignment_scores.tolist())
+        return [(token, 0, expert, score) for token, (expert, score) in enumerate(rows)]
 
 
 @dataclass(frozen=True)
@@ -166,27 +186,12 @@ def compute_expert_scores(s_in: SpikeTensor, w_r: RoutingWeights) -> ExpertScore
     return ExpertScores(scores.astype(np.int64))
 
 
-def route_topk(scores: ExpertScores, k: int) -> RoutingTable:
-    """Pick the k best-scoring experts per token, ties toward the lower id."""
-    if not 1 <= k <= scores.experts:
-        raise ConfigError(f"k must lie in [1, {scores.experts}], got {k}")
-    # Stable sort on negated scores keeps equal scores in ascending id order.
-    ranked = np.argsort(-scores.scores, axis=1, kind="stable")
-    assignments = ranked[:, :k].astype(np.int64)
-    assignment_scores = np.take_along_axis(scores.scores, assignments, axis=1)
-    expert_tokens = tuple(
-        np.nonzero((assignments == e).any(axis=1))[0].astype(np.int64)
-        for e in range(scores.experts)
-    )
-    assignments.setflags(write=False)
-    assignment_scores.setflags(write=False)
-    return RoutingTable(
-        assignments=assignments,
-        assignment_scores=assignment_scores,
-        expert_tokens=expert_tokens,
-        k=k,
-        experts=scores.experts,
-    )
+def route_topk(scores: ExpertScores) -> RoutingTable:
+    """Route each token to its best-scoring expert: the first maximum, so ties go to the lower id."""
+    if scores.experts < 1:
+        raise ConfigError("routing needs at least one expert column")
+    ids = scores.scores.argmax(axis=1)
+    return RoutingTable(ids, scores.scores[np.arange(scores.n), ids], scores.experts)
 
 
 def expert_forward(s_e: SpikeTensor, w_e: QuantWeightMatrix, out: np.ndarray | None = None) -> IntegrationTensor:
@@ -221,23 +226,13 @@ def expert_forward(s_e: SpikeTensor, w_e: QuantWeightMatrix, out: np.ndarray | N
 def merge_aligned(fired: SpikeTensor, table: RoutingTable) -> SpikeTensor:
     """Scatter the layer's expert-ordered spikes back to token order: the inverse of its one gather.
 
-    Row i of ``fired`` belongs to token ``table.order[i]``.  Only defined for
-    k = 1, where the per-expert token lists partition the token set, so
-    ``order`` is a permutation and every row has exactly one home.
+    Row i of ``fired`` belongs to token ``table.order[i]``; ``order`` is a
+    permutation of the tokens, so every row has exactly one home.
     """
-    if table.k != 1:
-        raise UnsupportedConfigError(
-            f"aligned merge is only defined for top-1 routing, table has k={table.k}"
-        )
-    order = table.order
-    seen = np.zeros(table.n, dtype=bool)
-    seen[order] = True
-    if len(order) != table.n or not seen.all():
-        raise ShapeError("the expert token lists must cover every token exactly once")
     if fired.n != table.n:
         raise ShapeError(f"fired buffer has {fired.n} rows but the table routes {table.n} tokens")
     merged = np.empty((table.n, fired.t, fired.d), dtype=np.uint8)
-    merged[order] = fired.data
+    merged[table.order] = fired.data
     return _adopt(SpikeTensor, merged)
 
 
@@ -253,7 +248,7 @@ def moe_layer_forward(
         raise ShapeError(
             f"routing weights are {w_r.d_in}x{w_r.experts}, layer expects {cfg.d_in}x{cfg.experts}"
         )
-    table = route_topk(compute_expert_scores(s_in, w_r), cfg.k)
+    table = route_topk(compute_expert_scores(s_in, w_r))
     fired = lif_run(_integrate_in_expert_order(s_in, cfg, table), cfg.lif)
     return merge_aligned(fired, table), table
 
@@ -269,9 +264,7 @@ def _integrate_in_expert_order(s_in: SpikeTensor, cfg: MoeLayerConfig, table: Ro
     """
     rows = s_in.data[table.order]
     x = np.empty((len(rows), s_in.t, cfg.d_out), dtype=np.int16)
-    saturations = lo = 0
-    for tokens, w in zip(table.expert_tokens, cfg.expert_weights):
-        hi = lo + len(tokens)
+    saturations = 0
+    for (lo, hi), w in zip(pairwise(table.offsets.tolist()), cfg.expert_weights):
         saturations += expert_forward(_adopt(SpikeTensor, rows[lo:hi]), w, out=x[lo:hi]).saturations
-        lo = hi
     return _adopt(IntegrationTensor, x, saturations=saturations)

@@ -59,8 +59,7 @@ _DRAW_CHUNK = 1 << 20
 # holding a float operand per input feature and a float result and its int16
 # cast per output feature.  A weight costs its int8 value and a float32
 # copy.  A routing score (one per token and expert) costs the matmul
-# result, its int64 cast, the copy ExpertScores keeps, and route_topk's
-# negated scores and argsort order.  A tile holds 8 int64
+# result, its int64 cast and the copy ExpertScores keeps.  A tile holds 8 int64
 # schedule columns and a 9-slot grid of cycle, kind and bits columns, a mask
 # and the record columns cut from it.  The trace writer holds at most 8
 # int64 values per record laid out (units share them): cycle and tail base
@@ -82,7 +81,7 @@ _SPIKE_OUT_BYTES = 2 + 1 + 1 + 1
 _NEURON_BYTES = 8 + 1
 _ATTENTION_BYTES = 8 + 4
 _WEIGHT_BYTES = 8
-_SCORE_BYTES = 40
+_SCORE_BYTES = 24
 _TILE_BYTES = 8 * 8 + 9 * 32
 _TRACE_RECORD_BYTES = 64
 _TRACE_CHUNK_ROW_BYTES = 3 * (20 + 64) + 8 * 8
@@ -168,8 +167,7 @@ class MoeModel:
         walks = [(("router",), *dataflow.routing_walk(m.n, m.t, m.d_in, m.experts, routing_geom, hw.extract_ports))]
         scheduled = []
         token_ones = s_in.data.reshape(m.n, m.t * m.d_in).sum(axis=1, dtype=np.min_scalar_type(m.t * m.d_in))
-        for e in range(m.experts):
-            tokens = table.expert_tokens[e]
+        for e, tokens in enumerate(table.expert_tokens):
             ts = dataflow.plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert_geom)
             sparsity = SparsityStats(ones=int(token_ones[tokens].sum()), total=len(tokens) * m.t * m.d_in)
             glb = WEIGHT_GLB0 if e % 2 == 0 else WEIGHT_GLB1

@@ -48,7 +48,8 @@ _DOUBLED_POWER = "tests/test_metamorphic.py::test_doubled_level_power_doubles_th
 _PORTS_LISTED = "tests/test_cli.py::TestErrorPaths::test_attention_plan_with_extract_ports_listed"
 _DRAW = "tests/test_runner.py::TestChunkedDraw"
 _LAYER = "tests/test_moe.py::TestExpertOrderedLayer::test_equals_the_per_expert_path"
-_MERGE = "tests/test_moe.py::TestMergeAligned"
+_ROUTE = "tests/test_moe.py::TestRouteTopk"
+_TABLE = "tests/test_moe.py::TestRoutingTableRecord"
 _LEVEL_ORDER = "tests/test_memory.py::TestCalibrationTables::test_price_table_lists_its_kinds_levels_in_order"
 # The layer cases with more than one busy expert; with one, its slice is the whole buffer.
 _LAYER_SPLIT = tuple(
@@ -232,8 +233,8 @@ MUTANTS = (
     Mutant(
         "the scatter un-permutes by the same order the gather permuted by",
         "src/spikesim/moe.py",
-        "merged[order] = fired.data",
-        "merged[np.sort(order)] = fired.data",
+        "merged[table.order] = fired.data",
+        "merged[np.sort(table.order)] = fired.data",
         _LAYER_SPLIT,
     ),
     Mutant(
@@ -244,18 +245,46 @@ MUTANTS = (
         ("tests/test_moe.py::TestLayerConfig::test_k2_layer_refuses_before_any_work",),
     ),
     Mutant(
-        "the scatter's table lists every token at least once",
+        "a score tie goes to the lower expert id: the first maximum, not the last",
         "src/spikesim/moe.py",
-        "if len(order) != table.n or not seen.all():",
-        "if len(order) != table.n:",
-        (f"{_MERGE}::test_refuses_a_table_that_repeats_a_token[same-length]",),
+        "ids = scores.scores.argmax(axis=1)",
+        "ids = scores.experts - 1 - scores.scores[:, ::-1].argmax(axis=1)",
+        (f"{_ROUTE}::test_tie_goes_to_lowest_id", f"{_ROUTE}::test_matches_sort_oracle"),
     ),
     Mutant(
-        "the scatter's table lists no token twice",
+        "the layer's order keeps each expert's tokens in ascending order, by a stable sort",
         "src/spikesim/moe.py",
-        "if len(order) != table.n or not seen.all():",
-        "if not seen.all():",
-        (f"{_MERGE}::test_refuses_a_table_that_repeats_a_token[longer]",),
+        'order = np.argsort(ids, kind="stable")',
+        "order = np.argsort(ids)",
+        (f"{_TABLE}::test_order_is_stable_under_many_ties",),
+    ),
+    Mutant(
+        "the offsets hold a slice for every expert, trailing idle ones too",
+        "src/spikesim/moe.py",
+        "np.bincount(ids, minlength=self.experts)",
+        "np.bincount(ids)",
+        (f"{_TABLE}::test_trailing_idle_experts_keep_their_empty_slices",),
+    ),
+    Mutant(
+        "routing scores are checked against the int64 range before the cast",
+        "src/spikesim/moe.py",
+        '_check_integers(arr, -INT64_MAX - 1, INT64_MAX, "routing scores must fit in int64")',
+        "pass",
+        ("tests/test_moe.py::TestExpertScores::test_values_outside_int64_refused_before_the_cast",),
+    ),
+    Mutant(
+        "a token's routing spike counts are summed in a type that holds t",
+        "src/spikesim/moe.py",
+        "dtype=np.min_scalar_type(s_in.t))",
+        "dtype=np.uint8)",
+        ("tests/test_exact_kernels.py::TestInt16CastEdges::test_routing_counts[256-uint16]",),
+    ),
+    Mutant(
+        "attention map entries are checked against the int32 range before the cast",
+        "src/spikesim/mha.py",
+        "min(self.d_head, np.iinfo(np.int32).max)",
+        "self.d_head",
+        ("tests/test_mha.py::TestAttentionMap::test_entries_above_int32_refused_before_the_cast",),
     ),
     Mutant(
         "capacity checks each kind against its own residency",

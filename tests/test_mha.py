@@ -116,6 +116,12 @@ class TestAttentionMap:
         with pytest.raises(ShapeError):
             AttentionMap(np.zeros((2, 2, 3), dtype=np.int64), d_head=4)
 
+    def test_entries_above_int32_refused_before_the_cast(self):
+        # 2**40 lies within a 2**41-wide head, but the int32 cast would store it as 0.
+        with pytest.raises(ValueError, match="fit in int32"):
+            AttentionMap(np.array([[[2**40]]]), d_head=2**41)
+        assert AttentionMap(np.array([[[2**31 - 1]]]), d_head=2**41).data.tolist() == [[[2**31 - 1]]]
+
     def test_identity_equality_and_hash(self):
         # Two equal maps are distinct records: == is identity and never asks an array for a truth value.
         a, b = (AttentionMap(np.ones((2, 3, 3), dtype=np.int64), d_head=4) for _ in range(2))

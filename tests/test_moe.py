@@ -1,4 +1,4 @@
-"""Routing scores, top-k selection, the layer's one permutation, per-expert integration, aligned merge."""
+"""Routing scores, top-1 selection, the layer's one permutation, per-expert integration, aligned merge."""
 
 import numpy as np
 import pytest
@@ -80,71 +80,118 @@ class TestExpertScores:
         assert a == a and a != b and len({a, b, a}) == 2
         assert hash(a) == hash(a)
 
+    def test_values_outside_int64_refused_before_the_cast(self):
+        # The int64 cast would store 2**64 - 1 as -1.
+        with pytest.raises(ValueError, match="fit in int64"):
+            ExpertScores(np.array([[2**64 - 1, 0]], dtype=np.uint64))
+        top = ExpertScores(np.array([[2**63 - 1, 0]], dtype=np.uint64))
+        assert top.scores.tolist() == [[2**63 - 1, 0]] and top.scores.dtype == np.int64
+
 
 class TestRoutingTableRecord:
     def test_identity_equality_and_hash(self):
         scores = ExpertScores(np.array([[3, 1], [0, 2], [5, 5]]))
-        a, b = route_topk(scores, 1), route_topk(scores, 1)
+        a, b = route_topk(scores), route_topk(scores)
         assert a.assignments.tolist() == b.assignments.tolist()
         assert a == a and a != b and len({a, b, a}) == 2
         assert hash(a) == hash(a)
 
+    def test_order_and_offsets_are_derived_when_built(self):
+        ids = np.array([2, 0, 2, 1, 0])
+        table = RoutingTable(ids, np.arange(5), experts=4)
+        assert table.order.tolist() == [1, 4, 3, 0, 2]
+        assert table.offsets.tolist() == [0, 2, 3, 5, 5]
+        assert [tokens.tolist() for tokens in table.expert_tokens] == [[1, 4], [3], [0, 2], []]
+        assert table.order is table.order
+        for arr in (table.assignments, table.assignment_scores, table.order, table.offsets):
+            assert not arr.flags.writeable and arr.dtype == np.int64
+        ids[0] = 0  # the table keeps its own copy
+        assert table.assignments[0] == 2
+
+    def test_trailing_idle_experts_keep_their_empty_slices(self):
+        table = RoutingTable(np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64), experts=3)
+        assert table.offsets.tolist() == [0, 6, 6, 6]
+        assert [len(tokens) for tokens in table.expert_tokens] == [6, 0, 0]
+
+    def test_order_is_stable_under_many_ties(self):
+        # Far more than 16 tokens per expert, so an unstable sort cannot keep the token order by luck.
+        ids = np.random.default_rng(17).integers(0, 3, size=600)
+        table = RoutingTable(ids, np.zeros(600, dtype=np.int64), experts=3)
+        assert table.order.tolist() == [i for e in range(3) for i in np.flatnonzero(ids == e).tolist()]
+
+    @pytest.mark.parametrize("ids", [[0, -1], [0, 3], [0.5, 1]], ids=["negative", "past-the-last", "fraction"])
+    def test_refuses_an_expert_id_outside_the_experts(self, ids):
+        with pytest.raises(ValueError, match=r"expert ids must be integers in \[0, 3\)"):
+            RoutingTable(np.array(ids), np.zeros(2, dtype=np.int64), experts=3)
+
+    @pytest.mark.parametrize(
+        "ids, scores", [(np.zeros((2, 1)), np.zeros((2, 1))), (np.zeros(2), np.zeros(3))], ids=["2-d", "unequal"]
+    )
+    def test_refuses_anything_but_one_id_and_one_score_per_token(self, ids, scores):
+        with pytest.raises(ShapeError, match="one expert id and one score per token"):
+            RoutingTable(ids.astype(np.int64), scores.astype(np.int64), experts=2)
+
+    def test_refuses_a_score_outside_int64(self):
+        with pytest.raises(ValueError, match="fit in int64"):
+            RoutingTable(np.zeros(1, dtype=np.int64), np.array([2**64 - 1], dtype=np.uint64), experts=1)
+
 
 class TestRouteTopk:
     def test_argmax(self):
-        table = route_topk(ExpertScores(np.array([[5, 2, 9, 1]])), k=1)
-        assert table.assignments.tolist() == [[2]]
-        assert table.assignment_scores.tolist() == [[9]]
+        table = route_topk(ExpertScores(np.array([[5, 2, 9, 1]])))
+        assert table.assignments.tolist() == [2]
+        assert table.assignment_scores.tolist() == [9]
 
     def test_tie_goes_to_lowest_id(self):
-        table = route_topk(ExpertScores(np.array([[4, 4, 1]])), k=1)
-        assert table.assignments.tolist() == [[0]]
+        table = route_topk(ExpertScores(np.array([[4, 4, 1], [1, 7, 7]])))
+        assert table.assignments.tolist() == [0, 1]
 
-    def test_k2_matches_sort_oracle(self):
+    def test_matches_sort_oracle(self):
         rng = np.random.default_rng(13)
-        scores = rng.integers(-3, 4, size=(16, 4))  # narrow range forces ties
-        table = route_topk(ExpertScores(scores), k=2)
-        assert table.assignments.tolist() == topk_sort_oracle(scores.tolist(), 2)
+        scores = rng.integers(-3, 4, size=(64, 4))  # narrow range forces ties
+        table = route_topk(ExpertScores(scores))
+        assert [[e] for e in table.assignments.tolist()] == topk_sort_oracle(scores.tolist(), 1)
+        assert table.assignment_scores.tolist() == scores.max(axis=1).tolist()
+
+    def test_int64_min_is_the_lowest_score(self):
+        # Negating -2**63 wraps to itself, so a negate-and-sort ranking would put it first.
+        table = route_topk(ExpertScores(np.array([[-(2**63), 5], [5, -(2**63)], [-(2**63), -(2**63)]])))
+        assert table.assignments.tolist() == [1, 0, 0]
+        assert table.assignment_scores.tolist() == [5, 5, -(2**63)]
 
     def test_expert_token_lists_ascending_and_conserving(self):
         rng = np.random.default_rng(14)
-        for k in (1, 2, 3):
+        for _ in range(3):
             scores = rng.integers(-5, 6, size=(20, 5))
-            table = route_topk(ExpertScores(scores), k=k)
-            total = 0
-            for tokens in table.expert_tokens:
-                if len(tokens) > 1:
-                    assert np.all(np.diff(tokens) > 0)
-                total += len(tokens)
-            assert total == 20 * k
+            table = route_topk(ExpertScores(scores))
+            for e, tokens in enumerate(table.expert_tokens):
+                assert tokens.tolist() == np.flatnonzero(table.assignments == e).tolist()
+            assert sum(len(tokens) for tokens in table.expert_tokens) == 20
+            assert np.diff(table.offsets).tolist() == [len(tokens) for tokens in table.expert_tokens]
 
     def test_scale_invariance(self):
         # A positive constant on every score cannot change the selection.
         rng = np.random.default_rng(15)
         scores = rng.integers(-40, 41, size=(12, 4))
-        a = route_topk(ExpertScores(scores), k=1)
-        b = route_topk(ExpertScores(scores * 3), k=1)
+        a = route_topk(ExpertScores(scores))
+        b = route_topk(ExpertScores(scores * 3))
         assert np.array_equal(a.assignments, b.assignments)
 
-    def test_bad_k(self):
-        scores = ExpertScores(np.zeros((2, 3), dtype=np.int64))
-        with pytest.raises(ConfigError):
-            route_topk(scores, k=0)
-        with pytest.raises(ConfigError):
-            route_topk(scores, k=4)
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_no_expert_column_refused(self, n):
+        with pytest.raises(ConfigError, match="at least one expert"):
+            route_topk(ExpertScores(np.zeros((n, 0), dtype=np.int64)))
 
     def test_routing_rows_format(self):
-        table = route_topk(ExpertScores(np.array([[7, 1], [0, 2]])), k=1)
+        table = route_topk(ExpertScores(np.array([[7, 1], [0, 2]])))
         assert list(table.routing_rows()) == [(0, 0, 0, 7), (1, 0, 1, 2)]
 
     def test_routing_rows_list_every_rank_as_python_ints(self):
         scores = np.random.default_rng(3).integers(-(2**40), 2**40, size=(9, 5))
-        table = route_topk(ExpertScores(scores), k=3)
+        table = route_topk(ExpertScores(scores))
         rows = table.routing_rows()
         assert rows == [
-            (token, rank, int(table.assignments[token, rank]), int(table.assignment_scores[token, rank]))
-            for token in range(9)
-            for rank in range(3)
+            (token, 0, int(table.assignments[token]), int(table.assignment_scores[token])) for token in range(9)
         ]
         assert {type(value) for row in rows for value in row} == {int}
 
@@ -157,7 +204,7 @@ class TestGather:
         s = rand_spikes(rng, 6, 2, 4)
         scores = np.zeros((6, 2), dtype=np.int64)
         scores[:, 1] = 5
-        table = route_topk(ExpertScores(scores), k=1)
+        table = route_topk(ExpertScores(scores))
         assert table.expert_tokens[0].size == 0
         assert table.order.tolist() == list(range(6))
         assert np.array_equal(s.data[table.order], s.data)
@@ -165,7 +212,7 @@ class TestGather:
     def test_alternating_assignment(self):
         scores = np.zeros((8, 2), dtype=np.int64)
         scores[1::2, 1] = 9
-        table = route_topk(ExpertScores(scores), k=1)
+        table = route_topk(ExpertScores(scores))
         assert table.expert_tokens[1].tolist() == [1, 3, 5, 7]
         assert table.order.tolist() == [0, 2, 4, 6, 1, 3, 5, 7]
 
@@ -205,52 +252,27 @@ class TestMergeAligned:
     """``merge_aligned`` scatters expert-ordered rows back to token order: row i goes to token ``order[i]``."""
 
     @staticmethod
-    def _table(n, expert_tokens, k=1):
-        a = np.zeros((n, k), dtype=np.int64)
-        return RoutingTable(
-            assignments=a,
-            assignment_scores=a,
-            expert_tokens=tuple(np.asarray(tokens, dtype=np.int64) for tokens in expert_tokens),
-            k=k,
-            experts=len(expert_tokens),
-        )
+    def _table(ids, experts):
+        return RoutingTable(np.asarray(ids, dtype=np.int64), np.zeros(len(ids), dtype=np.int64), experts)
 
     def test_single_expert_identity(self):
         s = rand_spikes(np.random.default_rng(18), 5, 2, 3)
-        assert merge_aligned(s, self._table(5, [range(5)])) == s
+        assert merge_aligned(s, self._table([0] * 5, 1)) == s
 
     def test_interleaved_reconstruction(self):
         s = rand_spikes(np.random.default_rng(19), 4, 2, 3)
-        table = self._table(4, [[0, 2], [1, 3]])
+        table = self._table([0, 1, 0, 1], 2)
+        assert table.order.tolist() == [0, 2, 1, 3]
         assert merge_aligned(SpikeTensor(s.data[table.order]), table) == s
 
     def test_all_experts_empty_output_shape(self):
         # Zero tokens overall still produces a well-formed empty tensor.
-        merged = merge_aligned(SpikeTensor(np.zeros((0, 3, 2), dtype=np.uint8)), self._table(0, [[], []]))
+        merged = merge_aligned(SpikeTensor(np.zeros((0, 3, 2), dtype=np.uint8)), self._table([], 2))
         assert merged.n == 0 and (merged.t, merged.d) == (3, 2)
-
-    def test_k2_table_rejected(self):
-        s = SpikeTensor(np.zeros((2, 1, 1), dtype=np.uint8))
-        with pytest.raises(UnsupportedConfigError):
-            merge_aligned(s, self._table(1, [[0], [0]], k=2))
 
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeError, match="rows"):
-            merge_aligned(rand_spikes(np.random.default_rng(20), 1, 2, 3), self._table(2, [[0, 1]]))
-
-    # Token 1 twice: once with one row too many, once in place of token 2.
-    @pytest.mark.parametrize(
-        "n, expert_tokens", [(2, [[0, 1], [1]]), (3, [[0, 1], [1]])], ids=["longer", "same-length"]
-    )
-    def test_refuses_a_table_that_repeats_a_token(self, n, expert_tokens):
-        fired = rand_spikes(np.random.default_rng(21), 3, 2, 3)
-        with pytest.raises(ShapeError, match="every token exactly once"):
-            merge_aligned(fired, self._table(n, expert_tokens))
-
-    def test_refuses_a_table_that_misses_a_token(self):
-        fired = rand_spikes(np.random.default_rng(22), 2, 2, 3)
-        with pytest.raises(ShapeError, match="every token exactly once"):
-            merge_aligned(fired, self._table(3, [[0], [2]]))
+            merge_aligned(rand_spikes(np.random.default_rng(20), 1, 2, 3), self._table([0, 0], 1))
 
 
 class TestLayerConfig:

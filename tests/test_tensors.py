@@ -367,7 +367,7 @@ class TestCarrierOwnership:
         rng = np.random.default_rng(12)
         s = rand_spikes(rng, 6, 2, 8, p=0.6)
         w = QuantWeightMatrix(rng.integers(-128, 128, size=(8, 8)))
-        table = route_topk(compute_expert_scores(s, RoutingWeights(QuantWeightMatrix(w.data[:, :2]))), 1)
+        table = route_topk(compute_expert_scores(s, RoutingWeights(QuantWeightMatrix(w.data[:, :2]))))
         assert all(len(tokens) for tokens in table.expert_tokens)
         integrations = [expert_forward(SpikeTensor(s.data[tokens]), w) for tokens in table.expert_tokens]
         # Both experts share w, so one integration of the expert-ordered rows is the layer's buffer.
