@@ -42,7 +42,6 @@ from .mha import (
     spiking_attention_map,
 )
 from .moe import (
-    ExpertScores,
     MoeLayerConfig,
     RoutingTable,
     RoutingWeights,

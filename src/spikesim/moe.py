@@ -68,32 +68,6 @@ class RoutingWeights:
 
 
 @dataclass(frozen=True, eq=False)
-class ExpertScores:
-    """Integer routing scores, one row per token, one column per expert."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.scores)
-        if arr.ndim != 2:
-            raise ShapeError(f"score matrix must be 2-d, got {arr.ndim}-d")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError("routing scores must be integers")
-        _check_integers(arr, -INT64_MAX - 1, INT64_MAX, "routing scores must fit in int64")
-        arr = arr.astype(np.int64, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "scores", arr)
-
-    @property
-    def n(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def experts(self) -> int:
-        return self.scores.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class RoutingTable:
     """Top-1 routing: each token's expert and score, and the layer's one permutation.
 
@@ -170,28 +144,39 @@ class MoeLayerConfig:
                 )
 
 
-def compute_expert_scores(s_in: SpikeTensor, w_r: RoutingWeights) -> ExpertScores:
-    """Score every token against every expert.
+def compute_expert_scores(s_in: SpikeTensor, w_r: RoutingWeights) -> np.ndarray:
+    """Score every token against every expert: a new, writable (n, experts) int64 matrix.
 
     score[n, e] = sum over t, d of s_in[n, t, d] * w_r[d, e].  Spikes are
     binary, so the per-feature spike counts over time (each <= t) are folded
     first, summed in the smallest unsigned type that holds t, where no count
     can wrap; |partial sum| <= 128 * t * d_in, which ``_exact_matmul`` keeps
-    exact.
+    exact.  The caller owns the matrix; it stays writable, as ``argmax``
+    copies a read-only array.
     """
     if s_in.d != w_r.d_in:
         raise ShapeError(f"input features {s_in.d} do not match routing weight rows {w_r.d_in}")
     counts = s_in.data.sum(axis=1, dtype=np.min_scalar_type(s_in.t))
-    scores = _exact_matmul(counts, w_r.w_r.data, 128 * s_in.t * w_r.d_in)
-    return ExpertScores(scores.astype(np.int64))
+    return _exact_matmul(counts, w_r.w_r.data, 128 * s_in.t * w_r.d_in).astype(np.int64)
 
 
-def route_topk(scores: ExpertScores) -> RoutingTable:
-    """Route each token to its best-scoring expert: the first maximum, so ties go to the lower id."""
-    if scores.experts < 1:
+def route_topk(scores: np.ndarray) -> RoutingTable:
+    """Route each token to its best-scoring expert: the first maximum, so ties go to the lower id.
+
+    ``scores`` is an (n, experts) integer matrix, checked here before any
+    cast: 2-d, with an expert column, every value within int64.  It is only
+    read, and an int64 matrix is neither copied nor cast.
+    """
+    scores = np.asarray(scores)
+    if scores.ndim != 2:
+        raise ShapeError(f"score matrix must be 2-d, got {scores.ndim}-d")
+    if not np.issubdtype(scores.dtype, np.integer):
+        raise ValueError("routing scores must be integers")
+    _check_integers(scores, -INT64_MAX - 1, INT64_MAX, "routing scores must fit in int64")
+    if scores.shape[1] < 1:
         raise ConfigError("routing needs at least one expert column")
-    ids = scores.scores.argmax(axis=1)
-    return RoutingTable(ids, scores.scores[np.arange(scores.n), ids], scores.experts)
+    ids = scores.argmax(axis=1)
+    return RoutingTable(ids, scores[np.arange(len(scores)), ids], scores.shape[1])
 
 
 def expert_forward(s_e: SpikeTensor, w_e: QuantWeightMatrix, out: np.ndarray | None = None) -> IntegrationTensor:

@@ -58,12 +58,12 @@ _DRAW_CHUNK = 1 << 20
 # expert's integration runs blocks of at most moe._BLOCK_ROWS rows, each
 # holding a float operand per input feature and a float result and its int16
 # cast per output feature.  A weight costs its int8 value and a float32
-# copy.  A routing score (one per token and expert) costs the matmul
-# result, its int64 cast and the copy ExpertScores keeps.  A tile holds 8 int64
-# schedule columns and a 9-slot grid of cycle, kind and bits columns, a mask
-# and the record columns cut from it.  The trace writer holds at most 8
-# int64 values per record laid out (units share them): cycle and tail base
-# in per-walk parts, joined and sorted, order and walk.
+# copy.  A routing score (one per token and expert) costs the matmul's float
+# result (8 bytes at most) and its int64 cast, which routing reads.  A tile
+# holds 8 int64 schedule columns and a 9-slot grid of cycle, kind and bits
+# columns, a mask and the record columns cut from it.  The trace writer
+# holds at most 8 int64 values per record laid out (units share them): cycle
+# and tail base in per-walk parts, joined and sorted, order and walk.
 # A chunk holds up to TRACE_CHUNK_ROWS lines of at most 20 cycle digits and
 # a 64-byte tail (a unit name of at most 14 characters, a level, a
 # direction, a word count of at most 19 digits and a width) three times
@@ -81,7 +81,7 @@ _SPIKE_OUT_BYTES = 2 + 1 + 1 + 1
 _NEURON_BYTES = 8 + 1
 _ATTENTION_BYTES = 8 + 4
 _WEIGHT_BYTES = 8
-_SCORE_BYTES = 24
+_SCORE_BYTES = 8 + 8
 _TILE_BYTES = 8 * 8 + 9 * 32
 _TRACE_RECORD_BYTES = 64
 _TRACE_CHUNK_ROW_BYTES = 3 * (20 + 64) + 8 * 8

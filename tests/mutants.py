@@ -48,6 +48,7 @@ _DOUBLED_POWER = "tests/test_metamorphic.py::test_doubled_level_power_doubles_th
 _PORTS_LISTED = "tests/test_cli.py::TestErrorPaths::test_attention_plan_with_extract_ports_listed"
 _DRAW = "tests/test_runner.py::TestChunkedDraw"
 _LAYER = "tests/test_moe.py::TestExpertOrderedLayer::test_equals_the_per_expert_path"
+_SCORES = "tests/test_moe.py::TestExpertScores"
 _ROUTE = "tests/test_moe.py::TestRouteTopk"
 _TABLE = "tests/test_moe.py::TestRoutingTableRecord"
 _LEVEL_ORDER = "tests/test_memory.py::TestCalibrationTables::test_price_table_lists_its_kinds_levels_in_order"
@@ -247,8 +248,8 @@ MUTANTS = (
     Mutant(
         "a score tie goes to the lower expert id: the first maximum, not the last",
         "src/spikesim/moe.py",
-        "ids = scores.scores.argmax(axis=1)",
-        "ids = scores.experts - 1 - scores.scores[:, ::-1].argmax(axis=1)",
+        "ids = scores.argmax(axis=1)",
+        "ids = scores.shape[1] - 1 - scores[:, ::-1].argmax(axis=1)",
         (f"{_ROUTE}::test_tie_goes_to_lowest_id", f"{_ROUTE}::test_matches_sort_oracle"),
     ),
     Mutant(
@@ -266,11 +267,20 @@ MUTANTS = (
         (f"{_TABLE}::test_trailing_idle_experts_keep_their_empty_slices",),
     ),
     Mutant(
-        "routing scores are checked against the int64 range before the cast",
+        "route_topk checks the score matrix against the int64 range before any cast",
         "src/spikesim/moe.py",
-        '_check_integers(arr, -INT64_MAX - 1, INT64_MAX, "routing scores must fit in int64")',
+        '_check_integers(scores, -INT64_MAX - 1, INT64_MAX, "routing scores must fit in int64")',
         "pass",
-        ("tests/test_moe.py::TestExpertScores::test_values_outside_int64_refused_before_the_cast",),
+        (f"{_SCORES}::test_values_outside_int64_refused_before_the_cast",),
+    ),
+    Mutant(
+        "the score matrix stays writable, so argmax reads it in place instead of copying it",
+        "src/spikesim/moe.py",
+        "    return _exact_matmul(counts, w_r.w_r.data, 128 * s_in.t * w_r.d_in).astype(np.int64)",
+        "    scores = _exact_matmul(counts, w_r.w_r.data, 128 * s_in.t * w_r.d_in).astype(np.int64)\n"
+        "    scores.setflags(write=False)\n"
+        "    return scores",
+        (f"{_SCORES}::test_score_stage_holds_the_matrix_once", f"{_SCORES}::test_scores_are_a_writable_int64_matrix"),
     ),
     Mutant(
         "a token's routing spike counts are summed in a type that holds t",
@@ -324,6 +334,20 @@ MUTANTS = (
             f"tests/test_memory.py::TestCalibrationSerialization::test_unknown_kind_listed[{case}]"
             for case in ("list", "mapping")
         ),
+    ),
+    Mutant(
+        "an accumulator is cast to int16 without a clamp only when its whole range fits int16",
+        "src/spikesim/tensors.py",
+        "if INT16_MIN <= lo and hi <= INT16_MAX:",
+        "if True:",
+        (_GOLDEN,),
+    ),
+    Mutant(
+        "an adopted array is made read-only, so no carrier's data changes after it is built",
+        "src/spikesim/tensors.py",
+        "    data.setflags(write=False)\n    carrier.data = data",
+        "    carrier.data = data",
+        ("tests/test_tensors.py::TestCarrierOwnership::test_adopted_arrays_are_read_only",),
     ),
 )
 

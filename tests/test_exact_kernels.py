@@ -132,7 +132,7 @@ class TestRoutingScoresAtTheSwitch:
         s[1] = rng.random((8, d_in)) < 0.5
         w = rng.integers(-128, 128, size=(d_in, 3)).astype(np.int8)
         w[:, 0] = 127
-        scores = compute_expert_scores(SpikeTensor(s), RoutingWeights(QuantWeightMatrix(w))).scores
+        scores = compute_expert_scores(SpikeTensor(s), RoutingWeights(QuantWeightMatrix(w)))
         ref = s.sum(axis=1, dtype=np.int64) @ w.astype(np.int64)
         np.testing.assert_array_equal(scores, ref)
         assert scores.dtype == np.int64
@@ -299,7 +299,7 @@ class TestInt16CastEdges:
         d_in = 3
         scores = compute_expert_scores(
             SpikeTensor(np.ones((2, t, d_in), dtype=np.uint8)), RoutingWeights(QuantWeightMatrix(np.ones((d_in, 2))))
-        ).scores
+        )
         assert scores.tolist() == [[t * d_in] * 2] * 2
         assert [a.dtype for a in counts] == [count_dtype]
         assert (counts[0] == t).all()

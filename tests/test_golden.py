@@ -1,13 +1,13 @@
-"""Golden bytes: the sha256 of every CLI artifact of eleven fixed plans.
+"""Golden bytes: the sha256 of every CLI artifact of thirteen fixed plans.
 
 Reports (JSON and CSV, of ``run`` and ``compare``), the access trace, the
 output bitstream, the routing table and the calibration dumps are pinned
 byte for byte on the default MoE plan, the default MHA plan, a ragged
 multi-head plan, a twelve-head plan on a ragged array, two more plans on
 arrays ragged on both axes (eight timesteps, and one), a twelve-expert MoE
-plan and four plans at the edges of the int16 bounds that decide whether an
-integration is clamped.  A change
-that only makes the simulator faster must leave every hash as it is.
+plan, four plans at the edges of the int16 bounds that decide whether an
+integration is clamped, and the benchmark's two large plans at its seed 0.
+A change that only makes the simulator faster must leave every hash as it is.
 Re-record only when the output changes on purpose (a schema bump), from the
 repository root::
 
@@ -89,6 +89,20 @@ PLANS = {
         "kind": "moe",
         "model": {"n": 32, "t": 2, "d_in": 257, "d_out": 16, "e": 3},
         "input": {"spike_prob": 1.0, "seed": 0},
+    },
+    # Two plans at benchmark scale: the spike draw takes two chunks, the
+    # busiest expert integrates in three row blocks, and the attention trace
+    # (~165k rows) is written in many chunks.
+    "moe_large": {
+        "kind": "moe",
+        "model": {"n": 1024, "t": 8, "d_in": 256, "d_out": 256, "e": 8, "k": 1},
+        "input": {"spike_prob": 0.2, "seed": 1654615998},
+    },
+    "mha_tiled": {
+        "kind": "mha",
+        "model": {"n": 512, "t": 4, "h": 8, "d": 32},
+        "hardware": {"attention_array": {"rows": 16, "cols": 16}},
+        "input": {"spike_prob": 0.2, "seed": 1654615998},
     },
 }
 

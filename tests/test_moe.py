@@ -1,12 +1,13 @@
 """Routing scores, top-1 selection, the layer's one permutation, per-expert integration, aligned merge."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spikesim import moe
 from spikesim import (
     ConfigError,
-    ExpertScores,
     LifParams,
     MoeLayerConfig,
     QuantWeightMatrix,
@@ -43,10 +44,12 @@ def make_layer(rng, e, d_in, d_out, lif=None):
 
 
 class TestExpertScores:
+    """The score matrix: a new, writable (n, experts) int64 array, checked where route_topk takes it."""
+
     def test_all_zero_input(self):
         w_r = RoutingWeights(weights(np.arange(8).reshape(4, 2)))
         s = SpikeTensor(np.zeros((3, 2, 4), dtype=np.uint8))
-        assert not compute_expert_scores(s, w_r).scores.any()
+        assert not compute_expert_scores(s, w_r).any()
 
     def test_one_hot_row_selection(self):
         w = np.zeros((4, 2), dtype=np.int8)
@@ -54,7 +57,7 @@ class TestExpertScores:
         s = np.zeros((1, 1, 4), dtype=np.uint8)
         s[0, 0, 2] = 1
         scores = compute_expert_scores(SpikeTensor(s), RoutingWeights(weights(w)))
-        assert scores.scores.tolist() == [[3, -1]]
+        assert scores.tolist() == [[3, -1]]
 
     def test_matches_double_sum_seed_11(self):
         rng = np.random.default_rng(11)
@@ -62,35 +65,67 @@ class TestExpertScores:
         w = rng.integers(-50, 51, size=(16, 4))
         scores = compute_expert_scores(SpikeTensor(s.data), RoutingWeights(weights(w)))
         ref = np.einsum("ntd,de->ne", s.data.astype(np.int64), w.astype(np.int64))
-        assert np.array_equal(scores.scores, ref)
+        assert np.array_equal(scores, ref)
 
     def test_shape_mismatch(self):
         w_r = RoutingWeights(weights(np.zeros((5, 2))))
         with pytest.raises(ShapeError):
             compute_expert_scores(SpikeTensor(np.zeros((1, 1, 4), dtype=np.uint8)), w_r)
 
-    def test_scores_read_only(self):
-        scores = ExpertScores(np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(ValueError):
-            scores.scores[0, 0] = 1
+    def test_scores_are_a_writable_int64_matrix(self):
+        w_r = RoutingWeights(weights(np.arange(8).reshape(4, 2)))
+        scores = compute_expert_scores(SpikeTensor(np.ones((3, 2, 4), dtype=np.uint8)), w_r)
+        assert scores.shape == (3, 2) and scores.dtype == np.int64 and scores.flags.writeable
 
-    def test_identity_equality_and_hash(self):
-        # Two equal score matrices are distinct records: == is identity and never asks an array for a truth value.
-        a, b = (ExpertScores(np.arange(6).reshape(3, 2)) for _ in range(2))
-        assert a == a and a != b and len({a, b, a}) == 2
-        assert hash(a) == hash(a)
+    def test_scores_read_only(self):
+        # route_topk only reads the matrix: a read-only one routes, and a writable one is left as it was.
+        frozen = np.array([[3, 1], [0, 2]])
+        frozen.setflags(write=False)
+        assert route_topk(frozen).assignments.tolist() == [0, 1]
+        scores = np.array([[3, 1], [0, 2]])
+        route_topk(scores)
+        assert scores.tolist() == [[3, 1], [0, 2]] and scores.flags.writeable
 
     def test_values_outside_int64_refused_before_the_cast(self):
-        # The int64 cast would store 2**64 - 1 as -1.
-        with pytest.raises(ValueError, match="fit in int64"):
-            ExpertScores(np.array([[2**64 - 1, 0]], dtype=np.uint64))
-        top = ExpertScores(np.array([[2**63 - 1, 0]], dtype=np.uint64))
-        assert top.scores.tolist() == [[2**63 - 1, 0]] and top.scores.dtype == np.int64
+        # The int64 cast would store 2**64 - 1 as -1.  route_topk refuses the
+        # matrix itself, before argmax; the table would refuse only the chosen
+        # score, with its own message.
+        with pytest.raises(ValueError, match="^routing scores must fit in int64$"):
+            route_topk(np.array([[2**64 - 1, 0]], dtype=np.uint64))
+        top = route_topk(np.array([[2**63 - 1, 0]], dtype=np.uint64))
+        assert top.assignment_scores.tolist() == [2**63 - 1] and top.assignment_scores.dtype == np.int64
+
+    @pytest.mark.parametrize("scores", [np.zeros(3, dtype=np.int64), np.zeros((1, 2, 2), dtype=np.int64)],
+                             ids=["1-d", "3-d"])
+    def test_refuses_anything_but_a_matrix(self, scores):
+        with pytest.raises(ShapeError, match="must be 2-d"):
+            route_topk(scores)
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool], ids=["float", "bool"])
+    def test_refuses_non_integer_scores(self, dtype):
+        with pytest.raises(ValueError, match="must be integers"):
+            route_topk(np.ones((2, 2), dtype=dtype))
+
+    def test_score_stage_holds_the_matrix_once(self):
+        # The float32 product and its int64 cast overlap once: 1.5x the int64
+        # matrix.  Any second n x e int64 array alive next to the matrix, such
+        # as a copy of it or argmax's copy of a read-only one, makes it 2x.
+        n, e = 4096, 512
+        s = SpikeTensor(np.ones((n, 1, 1), dtype=np.uint8))
+        w_r = RoutingWeights(weights(np.ones((1, e))))
+        route_topk(compute_expert_scores(s, w_r))
+        tracemalloc.start()
+        try:
+            route_topk(compute_expert_scores(s, w_r))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * 8 * n * e, peak / (8 * n * e)
 
 
 class TestRoutingTableRecord:
     def test_identity_equality_and_hash(self):
-        scores = ExpertScores(np.array([[3, 1], [0, 2], [5, 5]]))
+        scores = np.array([[3, 1], [0, 2], [5, 5]])
         a, b = route_topk(scores), route_topk(scores)
         assert a.assignments.tolist() == b.assignments.tolist()
         assert a == a and a != b and len({a, b, a}) == 2
@@ -138,24 +173,24 @@ class TestRoutingTableRecord:
 
 class TestRouteTopk:
     def test_argmax(self):
-        table = route_topk(ExpertScores(np.array([[5, 2, 9, 1]])))
+        table = route_topk(np.array([[5, 2, 9, 1]]))
         assert table.assignments.tolist() == [2]
         assert table.assignment_scores.tolist() == [9]
 
     def test_tie_goes_to_lowest_id(self):
-        table = route_topk(ExpertScores(np.array([[4, 4, 1], [1, 7, 7]])))
+        table = route_topk(np.array([[4, 4, 1], [1, 7, 7]]))
         assert table.assignments.tolist() == [0, 1]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(13)
         scores = rng.integers(-3, 4, size=(64, 4))  # narrow range forces ties
-        table = route_topk(ExpertScores(scores))
+        table = route_topk(scores)
         assert [[e] for e in table.assignments.tolist()] == topk_sort_oracle(scores.tolist(), 1)
         assert table.assignment_scores.tolist() == scores.max(axis=1).tolist()
 
     def test_int64_min_is_the_lowest_score(self):
         # Negating -2**63 wraps to itself, so a negate-and-sort ranking would put it first.
-        table = route_topk(ExpertScores(np.array([[-(2**63), 5], [5, -(2**63)], [-(2**63), -(2**63)]])))
+        table = route_topk(np.array([[-(2**63), 5], [5, -(2**63)], [-(2**63), -(2**63)]]))
         assert table.assignments.tolist() == [1, 0, 0]
         assert table.assignment_scores.tolist() == [5, 5, -(2**63)]
 
@@ -163,7 +198,7 @@ class TestRouteTopk:
         rng = np.random.default_rng(14)
         for _ in range(3):
             scores = rng.integers(-5, 6, size=(20, 5))
-            table = route_topk(ExpertScores(scores))
+            table = route_topk(scores)
             for e, tokens in enumerate(table.expert_tokens):
                 assert tokens.tolist() == np.flatnonzero(table.assignments == e).tolist()
             assert sum(len(tokens) for tokens in table.expert_tokens) == 20
@@ -173,22 +208,22 @@ class TestRouteTopk:
         # A positive constant on every score cannot change the selection.
         rng = np.random.default_rng(15)
         scores = rng.integers(-40, 41, size=(12, 4))
-        a = route_topk(ExpertScores(scores))
-        b = route_topk(ExpertScores(scores * 3))
+        a = route_topk(scores)
+        b = route_topk(scores * 3)
         assert np.array_equal(a.assignments, b.assignments)
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_no_expert_column_refused(self, n):
         with pytest.raises(ConfigError, match="at least one expert"):
-            route_topk(ExpertScores(np.zeros((n, 0), dtype=np.int64)))
+            route_topk(np.zeros((n, 0), dtype=np.int64))
 
     def test_routing_rows_format(self):
-        table = route_topk(ExpertScores(np.array([[7, 1], [0, 2]])))
+        table = route_topk(np.array([[7, 1], [0, 2]]))
         assert list(table.routing_rows()) == [(0, 0, 0, 7), (1, 0, 1, 2)]
 
     def test_routing_rows_list_every_rank_as_python_ints(self):
         scores = np.random.default_rng(3).integers(-(2**40), 2**40, size=(9, 5))
-        table = route_topk(ExpertScores(scores))
+        table = route_topk(scores)
         rows = table.routing_rows()
         assert rows == [
             (token, 0, int(table.assignments[token]), int(table.assignment_scores[token])) for token in range(9)
@@ -204,7 +239,7 @@ class TestGather:
         s = rand_spikes(rng, 6, 2, 4)
         scores = np.zeros((6, 2), dtype=np.int64)
         scores[:, 1] = 5
-        table = route_topk(ExpertScores(scores))
+        table = route_topk(scores)
         assert table.expert_tokens[0].size == 0
         assert table.order.tolist() == list(range(6))
         assert np.array_equal(s.data[table.order], s.data)
@@ -212,7 +247,7 @@ class TestGather:
     def test_alternating_assignment(self):
         scores = np.zeros((8, 2), dtype=np.int64)
         scores[1::2, 1] = 9
-        table = route_topk(ExpertScores(scores))
+        table = route_topk(scores)
         assert table.expert_tokens[1].tolist() == [1, 3, 5, 7]
         assert table.order.tolist() == [0, 2, 4, 6, 1, 3, 5, 7]
 

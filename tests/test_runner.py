@@ -398,8 +398,8 @@ class TestPlanSizeCap:
     # A MoE estimate charges what the layer holds: moe_large, the default plan
     # and the default at n = 4096 peak at 0.25-0.31 of it, plain or traced.
     # In the last plan the 16384 x 512 routing scores dominate (the float32
-    # product, its int64 cast and the copy ExpertScores keeps); it peaks at
-    # 0.81 of its estimate.
+    # product and its int64 cast, which routing reads in place); it peaks at
+    # 96.1 MiB, 0.72 of its estimate.
     SCORE_HEAVY = {"kind": "moe", "model": {"n": 16384, "t": 1, "d_in": 1, "d_out": 1, "e": 512},
                    "hardware": {"routing_array": {"rows": 16384, "cols": 512}}}
 
