@@ -48,12 +48,13 @@ operands from the buffer per tile; partial output blocks that span several
 key tiles cost one extra read-modify-write on the staging buffer per extra
 contribution.
 
-Each array has one walker (``expert_walk``, ``routing_walk``,
-``attention_walk``).  It returns the run's cycle stats and its access
-records as ``Records``: int64 columns ``cycle``, ``kind`` and ``bits`` in
-emission order, where ``kind`` indexes a small tuple of distinct
-``(level, direction, tag)``.  A ``TileSchedule`` likewise holds its tiles
-as int64 columns.
+Each array has one walker (``expert_walks``, ``routing_walk``,
+``attention_walk``).  It returns a run's cycle stats and its access records
+as ``Records``: int64 columns ``cycle``, ``kind`` and ``bits`` in emission
+order, where ``kind`` indexes a small tuple of distinct ``(level,
+direction, tag)``.  A ``TileSchedule`` likewise holds its tiles as int64
+columns.  ``expert_walks`` walks all experts of a layer in one pass and
+returns one run per expert; ``expert_walk`` is its one-expert case.
 
 A walker computes the whole tile grid at once.  The per-tile body is a
 fixed template of record slots, in the order the body emits them: attention
@@ -61,9 +62,9 @@ has 9 (head ingress x2, group staging x2, operand read, second operand read
 or read-modify-write read, integration write, completion read, LB write),
 the expert array 4 preload slots then 9 body slots, the routing array 2
 then 3.  Preload records precede everything else exactly once, so they are
-leading slots kept on the first tile only.  A slot's condition and values
-depend only on its tile and on a prefix of the tiles before it, which numpy
-computes for every tile at once: start cycles
+leading slots kept on the first tile only (of each expert).  A slot's
+condition and values depend only on its tile and on a prefix of the tiles
+before it, which numpy computes for every tile at once: start cycles
 are an exclusive cumulative sum of tile costs, "first tile of a head or
 group" is a first occurrence, "new row tile" is a compare with the previous
 tile, and a phase-2 tile's contribution ordinal is its rank among the
@@ -98,6 +99,7 @@ from .levels import (
     LEVEL_GEOMETRY,
     WEIGHT_BUFFER,
     WEIGHT_GLB0,
+    WEIGHT_GLB1,
     WEIGHT_LB,
     level_width_bits,
     width_words,
@@ -334,7 +336,7 @@ def extraction_cycle_count(values, ports: int):
     """
     if ports < 1:
         raise ConfigError(f"extract ports must be >= 1, got {ports}")
-    return -(-values // min(ports, max(int(np.max(values)), 1)))
+    return -(-values // min(ports, int(np.max(values, initial=1))))
 
 
 def _extract_ports(g: ArrayGeometry, extract_ports: int | None) -> int:
@@ -345,11 +347,11 @@ def _extract_ports(g: ArrayGeometry, extract_ports: int | None) -> int:
     return ports
 
 
-def _grid(tile: np.ndarray, row_extent: int, row_step: int, col_extent: int, col_step: int) -> tuple[np.ndarray, ...]:
-    """Start and stop columns of the tiles numbered ``tile`` in the row-major
-    grid of ``row_step`` x ``col_step`` tiles over [0, row_extent) x [0, col_extent)."""
+def _grid(tile: np.ndarray, row_extent: int, row_step: int, col_extent, col_step: int) -> tuple[np.ndarray, ...]:
+    """Start and stop columns of the tiles numbered ``tile`` in the row-major grid of ``row_step`` x
+    ``col_step`` tiles over [0, row_extent) x [0, col_extent), ``col_extent`` an int or one per tile."""
     # A step beyond the extent gives the same single tile and stays in int64.
-    row_step, col_step = min(row_step, row_extent), min(col_step, col_extent)
+    row_step, col_step = min(row_step, row_extent), min(col_step, int(np.max(col_extent, initial=1)))
     row, col = np.divmod(tile, -(-col_extent // col_step))
     row_start, col_start = row * row_step, col * col_step
     return row_start, np.minimum(row_start + row_step, row_extent), col_start, np.minimum(col_start + col_step, col_extent)
@@ -374,10 +376,6 @@ def _stats(cycles: int, per_phase: dict, tiles: int, mac_ops: int, extraction: i
     return CycleStats(cycles, per_phase, tiles, mac_ops, mac_ops / capacity if capacity else 0.0, extraction, pe_count)
 
 
-def _no_tiles(kinds: tuple) -> Records:
-    return Records(kinds, *(np.empty(0, np.int64),) * 3)
-
-
 def _slot_grid(tiles: int, slots: np.ndarray, preload: int = 0) -> tuple[np.ndarray, ...]:
     """Cycle, bits, kind and mask grids for ``tiles`` x ``len(slots)`` records.
 
@@ -393,44 +391,34 @@ def _slot_grid(tiles: int, slots: np.ndarray, preload: int = 0) -> tuple[np.ndar
     return np.empty(shape, np.int64), np.empty(shape, np.int64), kind, mask
 
 
-def _compute_tiles(reduction, ru, cu, ports: int, mac_ops: int, g: ArrayGeometry) -> tuple:
-    """Compute tiles run back to back, each filling and then draining through ``ports``.
+def plan_expert_tiles(n_e, t: int, d_in: int, d_out: int, g: ArrayGeometry) -> TileSchedule:
+    """Cut an expert's workload, or each expert's of a layer in expert order, into tiles on the expert array.
 
-    Returns the run's CycleStats and, per tile, its start, fill-done and end cycles.
-    """
-    fills = fill_cycles(reduction, ru, cu)
-    ext = extraction_cycle_count(ru * cu, ports)
-    end = np.cumsum(fills + ext)
-    start = end - fills - ext
-    compute, extract = int(fills.sum()), int(ext.sum())
-    stats = _stats(compute + extract, {"compute": compute, "extract": extract}, len(end), mac_ops, extract, g.pe_count)
-    return stats, start, start + fills, end
-
-
-def plan_expert_tiles(n_e: int, t: int, d_in: int, d_out: int, g: ArrayGeometry) -> TileSchedule:
-    """Cut one expert's workload into tiles on the expert array.
-
-    Columns enumerate the n_e * t token-timesteps, rows enumerate output
-    features, and the reduction runs over d_in.  Row tiles are the outer loop
-    so a weight block is loaded once and reused across every column tile.
+    ``n_e`` is a token count, or one per expert; ``meta["tiles"]`` holds each
+    expert's tile count.  Columns enumerate an expert's n_e * t token-timesteps,
+    rows its output features, and the reduction runs over d_in.  Row tiles are
+    the outer loop so a weight block is loaded once and reused across every column tile.
     """
     if g.role != "expert":
         raise ConfigError(f"expected an expert-role array, got {g.role!r}")
-    if n_e < 0 or t < 1 or d_in < 1 or d_out < 1:
+    counts = np.asarray(n_e, np.int64).reshape(-1)
+    listed = counts.tolist()
+    if min(listed, default=0) < 0 or t < 1 or d_in < 1 or d_out < 1:
         raise ConfigError(f"bad workload shape n_e={n_e} t={t} d_in={d_in} d_out={d_out}")
-    col_extent = n_e * t
-    meta = {"d_in": d_in, "t": t, "n_tokens": n_e, "d_out": d_out}
-    if col_extent == 0:
-        return TileSchedule(*(np.empty(0, np.int64),) * 8, 0, 0, meta)
-    count = -(-d_out // g.rows) * -(-col_extent // g.cols)
-    grid = _grid(np.arange(count, dtype=np.int64), d_out, g.rows, col_extent, g.cols)
-    reduction, compute, no_group = (np.full(count, value, np.int64) for value in (d_in, TILE_PHASES.index("compute"), -1))
-    return TileSchedule(*grid, reduction, compute, no_group, no_group, d_out, col_extent, meta)
+    cols, widest = counts * t, max(listed, default=0) * t
+    col_step = min(g.cols, max(widest, 1))
+    tiles = -(-d_out // min(g.rows, d_out)) * -(-cols // col_step)
+    expert = np.repeat(np.arange(len(tiles)), tiles)
+    grid = _grid(np.arange(len(expert)) - (tiles.cumsum() - tiles)[expert], d_out, g.rows, cols[expert], col_step)
+    reduction, compute, no_group = (np.full(len(expert), v, np.int64) for v in (d_in, TILE_PHASES.index("compute"), -1))
+    meta = {"d_in": d_in, "t": t, "n_tokens": n_e, "d_out": d_out, "tiles": tiles}
+    return TileSchedule(*grid, reduction, compute, no_group, no_group, d_out, widest, meta)
 
 
 # Expert walk: the 13 slots of a tile.  Slots 0-3 preload the expert's
-# weight block (kind 0 is the weight GLB bank's read) and its routed token
-# set, and are kept on the first tile only; slots 4-12 are a tile's body.
+# weight block (kind 0 is the read of weight GLB bank e % 2, in
+# ``_EXPERT_BANKS``) and its routed token set, and are kept on its first
+# tile only; slots 4-12 are a tile's body.
 _EXPERT_KINDS = (
     (WEIGHT_LB, "write", "weight"),
     (ACT_GLB, "read", "spike"),
@@ -445,40 +433,79 @@ _EXPERT_KINDS = (
     (ACT_BUFFER, "read", "integration"),
 )
 _EXPERT_SLOTS = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3], dtype=np.int64)
+_EXPERT_BANKS = tuple(((bank, "read", "weight"), *_EXPERT_KINDS) for bank in (WEIGHT_GLB0, WEIGHT_GLB1))
 
 
-def expert_walk(
-    ts: TileSchedule, g: ArrayGeometry, sparsity: SparsityStats, extract_ports: int | None = None, weight_glb: str = WEIGHT_GLB0
-) -> tuple[CycleStats, Records]:
-    """Walk an expert tile schedule: its CycleStats and its access records."""
+def expert_walks(ts: TileSchedule, g: ArrayGeometry, ones, extract_ports: int | None = None) -> list[tuple]:
+    """Walk every expert of a ``plan_expert_tiles`` schedule in one pass: a (CycleStats, Records) each.
+
+    ``ts.meta["tiles"]`` cuts the tiles into the experts' runs, and
+    ``ones[e]`` counts the set bits of expert e's routed tokens.  Expert e
+    walks as if alone: from cycle 0, its preloads and a new row tile on its
+    first tile, its weights from weight GLB bank e % 2.  Exactness: a plan
+    under ``MAX_PLAN_BYTES`` has under 2**22 tiles (352 bytes each) and d_in,
+    d_out, n * t below 2**30, so a tile costs under 2**32 cycles and the one
+    cumulative sum over all tiles, which every expert's cycles come from,
+    stays below 2**54 in int64.
+    """
     if g.role != "expert":
         raise ConfigError(f"expected an expert-role array, got {g.role!r}")
     ru, cu = ts.rows_used, ts.cols_used
     _check_fits(ru, cu, g)
     ports = _extract_ports(g, extract_ports)
-    kinds = ((weight_glb, "read", "weight"), *_EXPERT_KINDS)
-    if not ts.tile_count:
-        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g.pe_count), _no_tiles(kinds)
-
-    d_in = ts.meta["d_in"]
-    d_out = ts.row_extent
+    tiles, d_in, d_out = ts.meta["tiles"], ts.meta["d_in"], ts.row_extent
+    bounds = np.concatenate(([0], tiles.cumsum()))
+    if bounds[-1] != ts.tile_count:
+        raise ShapeError(f"the schedule has {ts.tile_count} tiles, its meta cuts {bounds[-1]} into experts")
+    expert = np.repeat(np.arange(len(tiles)), tiles)
+    # Each expert's first tile; an idle expert's bound is the next one's first tile, or the end.
+    first = np.bincount(bounds, minlength=ts.tile_count + 1)[:-1] > 0
     reduction, area = ts.reduction, ru * cu
-    stats, start, filled, end = _compute_tiles(reduction, ru, cu, ports, sparsity.ones * d_out, g)
+    fills = fill_cycles(reduction, ru, cu)
+    # One call caps the ports at the layer's largest tile area, not each
+    # expert's; ceil(v / min(p, M)) is ceil(v / p) for p < v and 1 otherwise,
+    # for any M >= v, so each tile drains as in a walk of its expert alone.
+    ext = extraction_cycle_count(area, ports)
+    # Running sums over all tiles of cycles, compute cycles and kept records; an expert's share spans its bounds.
+    sums, cost = np.zeros((3, ts.tile_count + 1), np.int64), fills + ext
+    np.cumsum(cost, out=sums[0, 1:])
+    np.cumsum(fills, out=sums[1, 1:])
+    end = sums[0, 1:] - sums[0, bounds[:-1]][expert]
+    start = end - cost
 
-    cycle, bits, kind, mask = _slot_grid(ts.tile_count, _EXPERT_SLOTS, preload=4)
+    cycle, bits, kind, mask = _slot_grid(ts.tile_count, _EXPERT_SLOTS)
     cycle[:, :10] = start[:, None]
-    cycle[:, 10] = filled
+    cycle[:, 10] = start + fills
     cycle[:, 11:] = end[:, None]
     bits[:, :2] = d_in * d_out * 8
-    bits[:, 2:4] = ts.col_extent * d_in
+    bits[:, 2:4] = np.repeat(np.reshape(ts.meta["n_tokens"], -1) * (ts.meta["t"] * d_in), tiles)[:, None]
     bits[:, 4:7] = (ru * reduction * 8)[:, None]
     bits[:, 7:10] = (cu * reduction)[:, None]
     bits[:, 10:12] = (area * 16)[:, None]
     bits[:, 12] = area
-    # A new row tile streams its weight block in once.
-    rows = ts.row_start, ts.row_stop
-    mask[1:, 4:7] = ((rows[0][1:] != rows[0][:-1]) | (rows[1][1:] != rows[1][:-1]))[:, None]
-    return stats, Records(kinds, cycle[mask], kind[mask], bits[mask])
+    mask[:, :4] = first[:, None]
+    # A new row tile, or an expert's first, streams its weight block in once.
+    first[1:] |= (ts.row_start[1:] != ts.row_start[:-1]) | (ts.row_stop[1:] != ts.row_stop[:-1])
+    mask[:, 4:7] = first[:, None]
+
+    np.cumsum(mask.sum(axis=1), out=sums[2, 1:])
+    at = sums[:, bounds].T.tolist()
+    cycle, kind, bits = cycle[mask], kind[mask], bits[mask]
+    walks = []
+    for e, (n_tiles, (t0, c0, lo), (t1, c1, hi)) in enumerate(zip(tiles.tolist(), at, at[1:])):
+        compute, extract = c1 - c0, t1 - t0 - (c1 - c0)
+        per_phase = {"compute": compute, "extract": extract}
+        stats = _stats(t1 - t0, per_phase, n_tiles, int(ones[e]) * d_out, extract, g.pe_count)
+        walks.append((stats, Records(_EXPERT_BANKS[e % 2], cycle[lo:hi], kind[lo:hi], bits[lo:hi])))
+    return walks
+
+
+def expert_walk(
+    ts: TileSchedule, g: ArrayGeometry, sparsity: SparsityStats, extract_ports: int | None = None, weight_glb: str = WEIGHT_GLB0
+) -> tuple[CycleStats, Records]:
+    """Walk one expert's tile schedule: its CycleStats and its access records, its weights read from ``weight_glb``."""
+    [(stats, records)] = expert_walks(ts, g, [sparsity.ones], extract_ports)
+    return stats, Records(((weight_glb, "read", "weight"), *_EXPERT_KINDS), records.cycle, records.kind, records.bits)
 
 
 def simulate_expert_array(
@@ -515,19 +542,21 @@ def routing_walk(
     if n < 0 or t < 1 or d_in < 1 or e < 1:
         raise ConfigError(f"bad routing shape n={n} t={t} d_in={d_in} e={e}")
     ports = _extract_ports(g, extract_ports)
-    if n == 0:
-        return _stats(0, {"compute": 0, "extract": 0}, 0, 0, 0, g.pe_count), _no_tiles(_ROUTING_KINDS)
-
     reduction = t * d_in
     count = -(-n // g.rows) * -(-e // g.cols)
     row_start, row_stop, col_start, col_stop = _grid(np.arange(count, dtype=np.int64), n, g.rows, e, g.cols)
     ru, cu = row_stop - row_start, col_stop - col_start
     area = ru * cu
-    stats, start, filled, _end = _compute_tiles(reduction, ru, cu, ports, int(area.sum()) * reduction, g)
+    # Tiles run back to back, each filling and then draining through the ports.
+    fills, ext = fill_cycles(reduction, ru, cu), extraction_cycle_count(area, ports)
+    start = np.cumsum(fills + ext) - fills - ext
+    compute, extract = int(fills.sum()), int(ext.sum())
+    per_phase = {"compute": compute, "extract": extract}
+    stats = _stats(compute + extract, per_phase, count, int(area.sum()) * reduction, extract, g.pe_count)
 
     cycle, bits, kind, mask = _slot_grid(count, _ROUTING_SLOTS, preload=2)
     cycle[:, :4] = start[:, None]
-    cycle[:, 4] = filled
+    cycle[:, 4] = start + fills
     bits[:, :2] = d_in * e * 8
     bits[:, 2] = cu * d_in * 8
     bits[:, 3] = ru * reduction
@@ -607,7 +636,8 @@ def attention_walk(ts: TileSchedule, g: ArrayGeometry) -> tuple[CycleStats, Reco
     ru, cu = ts.rows_used, ts.cols_used
     _check_fits(ru, cu, g)
     if not ts.tile_count:
-        return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g.pe_count), _no_tiles(_ATTENTION_KINDS)
+        empty = np.empty(0, np.int64)
+        return _stats(0, {"phase1": 0, "phase2": 0}, 0, 0, 0, g.pe_count), Records(_ATTENTION_KINDS, empty, empty, empty)
     unknown = (ts.phase != _PHASE1) & (ts.phase != _PHASE2)
     if unknown.any():
         raise ConfigError(f"unknown attention phase {TILE_PHASES[ts.phase[np.argmax(unknown)]]!r}")

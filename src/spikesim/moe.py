@@ -163,16 +163,16 @@ def compute_expert_scores(s_in: SpikeTensor, w_r: RoutingWeights) -> np.ndarray:
 def route_topk(scores: np.ndarray) -> RoutingTable:
     """Route each token to its best-scoring expert: the first maximum, so ties go to the lower id.
 
-    ``scores`` is an (n, experts) integer matrix, checked here before any
-    cast: 2-d, with an expert column, every value within int64.  It is only
-    read, and an int64 matrix is neither copied nor cast.
+    ``scores`` is a 2-d integer matrix with an expert column, only read: an
+    int64 matrix is neither copied nor cast.  ``RoutingTable`` refuses a value
+    outside int64 before any cast, as a row's routed score is its maximum and
+    no integer dtype goes below int64's minimum.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
         raise ShapeError(f"score matrix must be 2-d, got {scores.ndim}-d")
     if not np.issubdtype(scores.dtype, np.integer):
         raise ValueError("routing scores must be integers")
-    _check_integers(scores, -INT64_MAX - 1, INT64_MAX, "routing scores must fit in int64")
     if scores.shape[1] < 1:
         raise ConfigError("routing needs at least one expert column")
     ids = scores.argmax(axis=1)

@@ -21,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dataflow, memory
-from .dataflow import ArrayGeometry, SparsityStats
+from .dataflow import ArrayGeometry
 from .errors import ConfigError, WorkloadValidationError
-from .levels import ACT_GLB, ACT_LB, WEIGHT_GLB0, WEIGHT_GLB1
+from .levels import ACT_GLB, ACT_LB
 from .mha import MhaConfig, mha_forward
 from .moe import _BLOCK_ROWS, MoeLayerConfig, RoutingWeights, moe_layer_forward
 from .tensors import _F32_EXACT, QuantWeightMatrix, SpikeTensor, _adopt
@@ -149,7 +149,8 @@ class MoeModel:
         holds t * d_in, where no partial count can wrap.  Under
         ``MAX_PLAN_BYTES`` that type is at most uint32: ``plan_bytes`` charges
         more than one byte per input element, so a plan it admits has
-        t * d_in <= n * t * d_in < 2**30.
+        t * d_in <= n * t * d_in < 2**30.  An expert's count is one float64
+        ``bincount`` sum of its tokens' counts, at most n * t * d_in, so exact.
         """
         m, hw = self, plan.hardware
         rng = np.random.default_rng(plan.seed)
@@ -165,14 +166,13 @@ class MoeModel:
         routing_geom = ArrayGeometry(hw.routing_rows, hw.routing_cols, "routing")
         expert_geom = ArrayGeometry(hw.expert_rows, hw.expert_cols, "expert")
         walks = [(("router",), *dataflow.routing_walk(m.n, m.t, m.d_in, m.experts, routing_geom, hw.extract_ports))]
-        scheduled = []
         token_ones = s_in.data.reshape(m.n, m.t * m.d_in).sum(axis=1, dtype=np.min_scalar_type(m.t * m.d_in))
-        for e, tokens in enumerate(table.expert_tokens):
-            ts = dataflow.plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert_geom)
-            sparsity = SparsityStats(ones=int(token_ones[tokens].sum()), total=len(tokens) * m.t * m.d_in)
-            glb = WEIGHT_GLB0 if e % 2 == 0 else WEIGHT_GLB1
-            walks.append(((f"expert{e}",), *dataflow.expert_walk(ts, expert_geom, sparsity, hw.extract_ports, glb)))
-            scheduled.append((f"expert{e}", len(tokens) * m.t * m.d_out))
+        ones = np.bincount(table.assignments, token_ones, m.experts)
+        counts = np.diff(table.offsets)
+        ts = dataflow.plan_expert_tiles(counts, m.t, m.d_in, m.d_out, expert_geom)
+        for e, walk in enumerate(dataflow.expert_walks(ts, expert_geom, ones, hw.extract_ports)):
+            walks.append(((f"expert{e}",), *walk))
+        scheduled = [(f"expert{e}", n_e * m.t * m.d_out) for e, n_e in enumerate(counts.tolist())]
 
         shape = memory.WorkloadShape(
             kind=self.KIND, n=m.n, t=m.t, d_in=m.d_in, d_out=m.d_out, experts=m.experts,

@@ -51,6 +51,8 @@ _LAYER = "tests/test_moe.py::TestExpertOrderedLayer::test_equals_the_per_expert_
 _SCORES = "tests/test_moe.py::TestExpertScores"
 _ROUTE = "tests/test_moe.py::TestRouteTopk"
 _TABLE = "tests/test_moe.py::TestRoutingTableRecord"
+_WALKS = "tests/test_walkers.py::test_expert_walks_match_the_reference_expert_by_expert"
+_MATMUL = "tests/test_exact_kernels.py::TestExactMatmul"
 _LEVEL_ORDER = "tests/test_memory.py::TestCalibrationTables::test_price_table_lists_its_kinds_levels_in_order"
 # The layer cases with more than one busy expert; with one, its slice is the whole buffer.
 _LAYER_SPLIT = tuple(
@@ -219,10 +221,52 @@ MUTANTS = (
     ),
     Mutant(
         "an expert's accumulations count the ones of its input rows, not every position",
-        "src/spikesim/dataflow.py",
-        "sparsity.ones * d_out, g)",
-        "sparsity.total * d_out, g)",
+        "src/spikesim/runner.py",
+        "ones = np.bincount(table.assignments, token_ones, m.experts)",
+        "ones = np.bincount(table.assignments, None, m.experts) * (m.t * m.d_in)",
         ("tests/test_metamorphic.py::test_no_input_spikes_give_no_output_and_no_expert_work[moe]",),
+    ),
+    Mutant(
+        "each expert's cycles start at 0, not where the previous expert's end",
+        "src/spikesim/dataflow.py",
+        "end = sums[0, 1:] - sums[0, bounds[:-1]][expert]",
+        "end = sums[0, 1:]",
+        (_WALKS, _GOLDEN),
+    ),
+    Mutant(
+        "each expert's preload slots go on its own first tile",
+        "src/spikesim/dataflow.py",
+        "mask[:, :4] = first[:, None]",
+        "mask[1:, :4] = False",
+        (_WALKS, _GOLDEN),
+    ),
+    Mutant(
+        "an expert's first tile streams its weight block in, even on the previous tile's rows",
+        "src/spikesim/dataflow.py",
+        "first[1:] |= (ts.row_start[1:] != ts.row_start[:-1])",
+        "first[1:] = (ts.row_start[1:] != ts.row_start[:-1])",
+        (_WALKS,),  # no golden plan has two busy experts of one row tile each
+    ),
+    Mutant(
+        "an even expert reads its weights from weight GLB0, an odd one from weight GLB1",
+        "src/spikesim/dataflow.py",
+        "_EXPERT_BANKS[e % 2]",
+        "_EXPERT_BANKS[(e + 1) % 2]",
+        (_WALKS, _GOLDEN),
+    ),
+    Mutant(
+        "each expert's accumulations count its own routed ones",
+        "src/spikesim/dataflow.py",
+        "int(ones[e]) * d_out",
+        "int(ones[0]) * d_out",
+        (_WALKS, _GOLDEN),
+    ),
+    Mutant(
+        "the one pass cuts the records at each expert's kept-record count, not at every slot of its tiles",
+        "src/spikesim/dataflow.py",
+        "np.cumsum(mask.sum(axis=1), out=sums[2, 1:])",
+        "np.cumsum(np.full(ts.tile_count, mask.shape[1]), out=sums[2, 1:])",
+        (_WALKS, _GOLDEN),
     ),
     Mutant(
         "each expert integrates into its own slice of the layer's int16 buffer",
@@ -267,9 +311,9 @@ MUTANTS = (
         (f"{_TABLE}::test_trailing_idle_experts_keep_their_empty_slices",),
     ),
     Mutant(
-        "route_topk checks the score matrix against the int64 range before any cast",
+        "the routing table checks its scores against the int64 range before the cast",
         "src/spikesim/moe.py",
-        '_check_integers(scores, -INT64_MAX - 1, INT64_MAX, "routing scores must fit in int64")',
+        '_check_integers(scores, -INT64_MAX - 1, INT64_MAX, "routing scores must be integers that fit in int64")',
         "pass",
         (f"{_SCORES}::test_values_outside_int64_refused_before_the_cast",),
     ),
@@ -333,6 +377,30 @@ MUTANTS = (
         tuple(
             f"tests/test_memory.py::TestCalibrationSerialization::test_unknown_kind_listed[{case}]"
             for case in ("list", "mapping")
+        ),
+    ),
+    Mutant(
+        "a product runs in float32 only while its bound is below 2**24, where float32 holds every partial sum",
+        "src/spikesim/tensors.py",
+        "if bound < _F32_EXACT:",
+        "if bound < _F32_EXACT + 2:",
+        (f"{_MATMUL}::test_float64_keeps_the_integer_float32_would_round",),
+    ),
+    Mutant(
+        "a product whose bound reaches 2**53 is refused, not run inexactly in float64",
+        "src/spikesim/tensors.py",
+        "elif bound < _F64_EXACT:",
+        "elif bound < _F64_EXACT + 2:",
+        (f"{_MATMUL}::test_refuses_past_float64",),
+    ),
+    Mutant(
+        "the LIF kernel runs in int32 only when its bound is at most INT32_MAX",
+        "src/spikesim/tensors.py",
+        "wide = peak > INT32_MAX",
+        "wide = peak > INT32_MAX + 1",
+        (
+            f"{_LIF}::TestBoundEdge::test_int64_at_two_to_the_31",
+            f"{_LIF}::TestBoundEdge::test_upward_drive_matches_references[2147483648]",
         ),
     ),
     Mutant(

@@ -87,11 +87,12 @@ class TestExpertScores:
         assert scores.tolist() == [[3, 1], [0, 2]] and scores.flags.writeable
 
     def test_values_outside_int64_refused_before_the_cast(self):
-        # The int64 cast would store 2**64 - 1 as -1.  route_topk refuses the
-        # matrix itself, before argmax; the table would refuse only the chosen
-        # score, with its own message.
-        with pytest.raises(ValueError, match="^routing scores must fit in int64$"):
-            route_topk(np.array([[2**64 - 1, 0]], dtype=np.uint64))
+        # The int64 cast would store 2**64 - 1 as -1.  A row holding a value
+        # above int64 routes with it, as its maximum, and the table refuses
+        # that score before its cast, wherever the value sits in the matrix.
+        for scores in ([[2**64 - 1, 0]], [[0, 1], [5, 2**63]]):
+            with pytest.raises(ValueError, match="^routing scores must be integers that fit in int64$"):
+                route_topk(np.array(scores, dtype=np.uint64))
         top = route_topk(np.array([[2**63 - 1, 0]], dtype=np.uint64))
         assert top.assignment_scores.tolist() == [2**63 - 1] and top.assignment_scores.dtype == np.int64
 

@@ -21,6 +21,7 @@ from spikesim.dataflow import (
     _stats,
     attention_walk,
     expert_walk,
+    expert_walks,
     fill_cycles,
     repeat_timesteps,
     routing_walk,
@@ -183,6 +184,52 @@ def test_expert_walk_matches_reference():
     assert seen == {"shuffled", "residue", "empty", "tokens"}
 
 
+def test_expert_walks_match_the_reference_expert_by_expert():
+    # A layer's experts planned and walked in one pass: each expert's
+    # (CycleStats, Records) equals a scalar walk of its own schedule, from
+    # cycle 0, with its own preloads, its own first row tile and the GLB
+    # bank of its id's parity.
+    rng = np.random.default_rng(75)
+    seen = set()
+    for case in range(240):
+        g = ArrayGeometry(int(rng.integers(1, 9)), int(rng.integers(1, 12)), "expert")
+        if case % 12 == 0:
+            g = ArrayGeometry(1, 1, "expert")
+        elif case % 12 == 1:
+            g = ArrayGeometry(2**70 if case % 24 == 1 else 64, 2**70 if case % 24 == 1 else 256, "expert")
+        e = int(rng.integers(1, 7))
+        t, d_in, d_out = (int(x) for x in rng.integers(1, [4, 20, 25]))
+        if case % 3 == 0:
+            d_out = int(rng.integers(1, min(g.rows, 24) + 1))  # one row tile per expert
+        counts = rng.integers(0, 12, size=e)
+        counts[rng.random(e) < 0.3] = int(rng.integers(0, 2))  # idle and one-token experts
+        ports = (None, int(rng.integers(1, 5)), 2**70, g.rows * g.cols + int(rng.integers(0, 9)))[case % 4]
+        ones = [int(rng.integers(0, n_e * t * d_in + 1)) for n_e in counts.tolist()]
+        ts = plan_expert_tiles(counts, t, d_in, d_out, g)
+        walks = expert_walks(ts, g, np.array(ones, dtype=float) if case % 2 else ones, ports)
+        assert len(walks) == e
+        schedules = [plan_expert_tiles(n_e, t, d_in, d_out, g) for n_e in counts.tolist()]
+        assert tiles(ts) == [tile for one in schedules for tile in tiles(one)]
+        assert ts.meta["tiles"].tolist() == [one.tile_count for one in schedules]
+        for i, (one, walk) in enumerate(zip(schedules, walks)):
+            bank = f"weight_glb{i % 2}"
+            sparsity = SparsityStats(ones[i], int(counts[i]) * t * d_in)
+            _assert_same(walk, reference_expert_walk(one, g, sparsity, ports, bank))
+            assert walk[1].kinds[0] == (bank, "read", "weight")
+            seen.add("idle" if counts[i] == 0 else "one token" if counts[i] == 1 else "tokens")
+            if one.tile_count and (d_out % min(g.rows, d_out) or (counts[i] * t) % min(g.cols, counts[i] * t)):
+                seen.add("ragged")
+        if (counts > 0).sum() > 1:
+            seen.add("one row tile, busy experts" if d_out <= g.rows else "row tiles, busy experts")
+        seen.add({0: "default ports", 1: "few ports", 2: "huge ports", 3: "ports above every area"}[case % 4])
+        if g.pe_count == 1 or g.rows >= d_out and g.cols >= counts.max() * t:
+            seen.add("1x1" if g.pe_count == 1 else "array beyond the layer")
+    assert seen == {
+        "idle", "one token", "tokens", "ragged", "one row tile, busy experts", "row tiles, busy experts",
+        "default ports", "few ports", "huge ports", "ports above every area", "1x1", "array beyond the layer",
+    }
+
+
 def test_routing_walk_matches_reference():
     rng = np.random.default_rng(71)
     for case in range(150):
@@ -315,6 +362,11 @@ def test_bad_schedules_rejected():
     ts = plan_expert_tiles(4, 1, 2, 2, ArrayGeometry(4, 4, "expert"))
     with pytest.raises(dataflow.ShapeError, match="degenerate tile 0"):
         TileSchedule(ts.row_stop, ts.row_start, ts.col_start, ts.col_stop, ts.reduction, ts.phase, ts.head, ts.step, 2, 4)
+    # An expert schedule whose meta cuts another number of tiles into experts.
+    g1 = ArrayGeometry(1, 1, "expert")
+    ts = plan_expert_tiles([2, 0, 3], 1, 2, 2, g1)
+    with pytest.raises(dataflow.ShapeError, match="^the schedule has 4 tiles, its meta cuts 10 into experts$"):
+        expert_walks(schedule(tiles(ts)[:4], ts.row_extent, ts.col_extent, ts.meta), g1, [0, 0, 0])
     # A group is two non-negative ints, or -1 in both columns for none.
     for head, step in [(-1, 0), (0, -1), (-2, 3), (-2, -2)]:
         columns = [np.array([value], np.int64) for value in (0, 1, 0, 1, 1, 1, head, step)]
