@@ -76,11 +76,13 @@ in the same order.
 ``simulate_*`` turn the records into ``AccessEvent`` lists.  A run folds the
 same ``(units, Records)`` walks that ``write_trace_csv`` merges straight into
 the report's per-level table instead (``memory.count_walks``), so the merged
-trace is built only when it is written.  Attention heads run identical
-schedules, and so do a head's timesteps, so a run walks one (head, timestep)
-group, repeats it over the timesteps (``repeat_timesteps``) and counts it
-once per head; ``compare`` runs the pipeline once and prices that one table
-under both calibrations.
+trace is built only when it is written.  The writer fills fixed-width,
+NUL-padded rows a chunk at a time, by one take of whole rows from a table of
+formatted tails and one store of each row's cycle digits, and writes the
+rows' non-NUL bytes.  Attention heads run identical schedules, and so do a
+head's timesteps, so a run walks one (head, timestep) group, repeats it over
+the timesteps (``repeat_timesteps``) and counts it once per head; ``compare``
+runs the pipeline once and prices that one table under both calibrations.
 """
 
 from __future__ import annotations
@@ -795,13 +797,20 @@ def write_trace_csv(walks, path: str) -> None:
     chunk * slots + slot rank), which fits int64 (each run after the first
     holds a row of the chunk; fewer than 2**48 slots fit in memory), and
     clips its first and last runs: a run's order does not depend on where a
-    chunk starts.  Digits and tails fill a reused NUL-padded grid whose
-    non-NUL bytes are written; no array with an entry per row outlives it.
+    chunk starts.  A row of the reused grid holds the cycle's digits in
+    ``4 * groups`` bytes, ``groups`` being the largest cycle's 4-digit groups,
+    then ``,unit`` and the end, each NUL-padded to its widest.  A tail table
+    row is a whole grid row whose digit bytes are NUL, so one contiguous take
+    by each row's tail writes every byte of the chunk, and one strided store
+    of each row's record's digits, a single ``V{4 * groups}`` item, writes
+    exactly the digit bytes; the non-NUL bytes are written.  No array with an
+    entry per row outlives its chunk.
 
-    That is exact: no field holds a NUL or needs quoting.  Cycles, words and
-    widths are digits, levels ``LEVEL_GEOMETRY`` names, directions read or
-    write, and a unit name with a non-ASCII character, NUL, comma, double
-    quote, CR or LF (``csv.writer`` quotes those) raises TraceError.
+    That is exact: no grid byte keeps a value of an earlier chunk, and no
+    field holds a NUL or needs quoting.  Cycles, words and widths are digits,
+    levels ``LEVEL_GEOMETRY`` names, directions read or write, and a unit name
+    with a non-ASCII character, NUL, comma, double quote, CR or LF
+    (``csv.writer`` quotes those) raises TraceError.
     """
     rank = {unit: i for i, unit in enumerate(sorted({_plain_field(unit) for units, _ in walks for unit in units}))}
     kinds = [kind for _, walk in walks for kind in walk.kinds]
@@ -826,8 +835,7 @@ def write_trace_csv(walks, path: str) -> None:
         bases.append(walk.recur(pair[row : row + len(walk.cycle)] + (len(tails) - p0)))
         row += len(walk.cycle)
         tails += [f",{u}".ljust(hw, "\0").encode() + end for u in units for end in ends[p0:p1]]
-    tail = np.frombuffer(b"".join(tails), np.uint8).reshape(len(tails), hw + ew)
-    del kind, words, order, new, pair, tails
+    del kind, words, order, new, pair
     cycle = np.concatenate(cycles)
     order = cycle.argsort(kind="stable")
     cycle, base = cycle[order], np.concatenate(bases)[order]
@@ -848,34 +856,40 @@ def write_trace_csv(walks, path: str) -> None:
         np.add(group, 10000, out=group, where=cycle > 0)  # zero-padded below a nonzero group
         digits.view("<u4")[:, j] = table[group]
     digits.view("<u4")[:zeros, -1] = _ZERO_GROUP  # all of 0's digits are leading zeros but one
+    digits = digits.view(f"V{4 * groups}")[:, 0]  # one item per record
     del cycle, group
+    blank = bytes(4 * groups)  # a tail row is a whole grid row: NUL digits, ``,unit`` and the end
+    tail = np.frombuffer(b"".join(blank + t for t in tails), np.uint8).reshape(len(tails), len(blank) + hw + ew)
+    del tails
     units_of = np.array([len(units) for units, _ in walks], np.intp)
-    seg_end = np.concatenate(([0], ((seg[1:] - seg[:-1]) * units_of[seg_walk]).cumsum()))  # rows before each segment
+    # Per segment: its record count, its walk's unit count and first slot, and its run.
+    seg_len, seg_units = seg[1:] - seg[:-1], units_of[seg_walk]
+    seg_slot, seg_run = (units_of.cumsum() - units_of)[seg_walk], new_run[:-1].cumsum()
+    seg_end = np.concatenate(([0], (seg_len * seg_units).cumsum()))  # rows before each segment
     slot_rank = np.argsort(sorted(range(len(slots)), key=slots.__getitem__)).astype(np.intp)
     slot_tail = np.array([s[2] for s in slots], np.intp)
-    grid = np.empty((min(int(seg_end[-1]), TRACE_CHUNK_ROWS), digits.shape[1] + tail.shape[1]), np.uint8)
-    # The mask's bytes first hold the gathered columns: a contiguous out and mode "clip" spare take a buffered copy.
+    grid = np.empty((min(int(seg_end[-1]), TRACE_CHUNK_ROWS), tail.shape[1]), np.uint8)
+    lead = np.ndarray(len(grid), digits.dtype, grid, 0, (grid.shape[1],))  # each grid row's digit bytes, one item
     mask = np.empty(grid.shape, bool)
 
     def fill(start: int, stop: int) -> int:
         run = run_first.searchsorted(seg_end.searchsorted([start, stop - 1], "right") - 1, "right")
         first, last = run_first[run[0] - 1], run_first[run[1]]
-        per = units_of[seg_walk[first:last]]
-        g_seg, end = np.arange(first, last).repeat(per), per.cumsum()
-        g_slot = np.arange(end[-1]) + ((units_of.cumsum() - units_of)[seg_walk[first:last]] - end + per).repeat(per)
-        run = (new_run[first:last].cumsum() - 1).repeat(per)  # each group's run index in the chunk
-        order = (run * len(slots) + slot_rank[g_slot]).argsort(kind="stable")
+        per = seg_units[first:last]
+        g_seg = np.arange(first, last).repeat(per)
+        g_slot = np.arange(len(g_seg)) + (seg_slot[first:last] - per.cumsum() + per).repeat(per)
+        order = ((seg_run[g_seg] - seg_run[first]) * len(slots) + slot_rank[g_slot]).argsort(kind="stable")
         g_seg, g_slot = g_seg[order], g_slot[order]
-        low, high = seg[g_seg], seg[1:][g_seg]  # each group's records
-        end = (high - low).cumsum() + seg_end[first]  # each group's last row + 1
-        count = np.maximum(np.minimum(end, stop) - np.maximum(end - high + low, start), 0)
-        n, cut, scratch = stop - start, (stop - start) * digits.shape[1], mask.reshape(-1).view(np.uint8)
-        at = np.arange(n)
-        at += (high - end + start).repeat(count)  # each row's record
-        grid[:n, :cut // n] = digits.take(at, 0, scratch[:cut].reshape(n, -1), "clip")
-        at = base[at]
+        high, size = seg[1:][g_seg], seg_len[g_seg]  # each group's record end and record count
+        end = size.cumsum() + seg_end[first]  # each group's last row + 1
+        count = np.maximum(np.minimum(end, stop) - np.maximum(end - size, start), 0)
+        n = stop - start
+        rec = np.arange(n)
+        rec += (high - end + start).repeat(count)  # each row's record
+        at = base[rec]
         at += slot_tail[g_slot].repeat(count)  # each row's tail
-        grid[:n, cut // n :] = tail.take(at, 0, scratch[cut : grid[:n].size].reshape(n, -1), "clip")
+        tail.take(at, 0, grid[:n], "clip")  # a contiguous out and mode "clip" spare take a buffered copy
+        lead[:n] = digits[rec]  # over the NUL digit bytes the take wrote
         return n
 
     with open(path, "wb") as fh:

@@ -101,11 +101,6 @@ class RoutingTable:
     def n(self) -> int:
         return self.assignments.shape[0]
 
-    @property
-    def expert_tokens(self) -> list[np.ndarray]:
-        """Each expert's token ids, ascending: ``order`` split at ``offsets``."""
-        return np.split(self.order, self.offsets[1:-1])
-
     def routing_rows(self) -> list[tuple[int, int, int, int]]:
         """(token_id, rank, expert_id, score) rows for dumps, token-major; the rank is always 0."""
         rows = zip(self.assignments.tolist(), self.assignment_scores.tolist())

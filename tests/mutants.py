@@ -10,6 +10,7 @@ repository root::
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py 3 7        # rows 3 and 7 (0-based)
+    python tests/mutants.py dataflow.py  # the rows whose path holds "dataflow.py"
 
 It exits 1 if a mutant survives, that is if a listed test passes under it.
 A change that mutation-tests its own code adds its rows here.
@@ -54,6 +55,10 @@ _TABLE = "tests/test_moe.py::TestRoutingTableRecord"
 _WALKS = "tests/test_walkers.py::test_expert_walks_match_the_reference_expert_by_expert"
 _MATMUL = "tests/test_exact_kernels.py::TestExactMatmul"
 _LEVEL_ORDER = "tests/test_memory.py::TestCalibrationTables::test_price_table_lists_its_kinds_levels_in_order"
+_DIGIT_FIELD = tuple(
+    f"tests/test_dataflow.py::TestTraceWriter::test_digit_field_at_every_group_count[{case}]"
+    for case in ("9-4", "10000-8", "100000000-12", "1000000000000-16", "9223372036854775807-20")
+)
 # The layer cases with more than one busy expert; with one, its slice is the whole buffer.
 _LAYER_SPLIT = tuple(
     f"{_LAYER}[{case}]" for case in ("24-3-10-7-6-idle", "4-2-6-4-7-random", "29-1-12-9-5-random", "61-3-8-6-5-random")
@@ -408,7 +413,7 @@ MUTANTS = (
         "src/spikesim/tensors.py",
         "if INT16_MIN <= lo and hi <= INT16_MAX:",
         "if True:",
-        (_GOLDEN,),
+        (_GOLDEN, "tests/test_moe.py::TestExpertOrderedLayer::test_clamped_integrations_fire_as_the_dense_reference"),
     ),
     Mutant(
         "an adopted array is made read-only, so no carrier's data changes after it is built",
@@ -416,6 +421,27 @@ MUTANTS = (
         "    data.setflags(write=False)\n    carrier.data = data",
         "    carrier.data = data",
         ("tests/test_tensors.py::TestCarrierOwnership::test_adopted_arrays_are_read_only",),
+    ),
+    Mutant(
+        "a tail row's digit bytes are as many as a record's digits, 4 per digit group",
+        "src/spikesim/dataflow.py",
+        "blank = bytes(4 * groups)",
+        "blank = bytes(4 * groups - 1)",
+        _DIGIT_FIELD,
+    ),
+    Mutant(
+        "each row's digits are its own record's, not those at its tail's index",
+        "src/spikesim/dataflow.py",
+        "lead[:n] = digits[rec]",
+        "lead[:n] = digits[at]",
+        _DIGIT_FIELD,
+    ),
+    Mutant(
+        "the digit store steps one whole grid row per row",
+        "src/spikesim/dataflow.py",
+        "digits.dtype, grid, 0, (grid.shape[1],))",
+        "digits.dtype, grid, 0, (grid.shape[1] - 1,))",
+        _DIGIT_FIELD,
     ),
 )
 
@@ -446,8 +472,22 @@ def _run(index: int, mutant: Mutant) -> bool:
     return not survivors
 
 
+def select(args: list[str]) -> list[int]:
+    """The rows ``args`` name, in order: a row number, or a path substring for every row of the files it matches.
+
+    No argument names every row; a substring that matches no row's path is an error.
+    """
+    rows = []
+    for arg in args:
+        matched = [int(arg)] if arg.isdigit() else [i for i, mutant in enumerate(MUTANTS) if arg in mutant.path]
+        if not matched:
+            raise SystemExit(f"no mutant row's path holds {arg!r}")
+        rows += matched
+    return rows or list(range(len(MUTANTS)))
+
+
 def main(argv: list[str]) -> int:
-    rows = [int(arg) for arg in argv] or range(len(MUTANTS))
+    rows = select(argv)
     start = time.perf_counter()
     killed = [_run(i, MUTANTS[i]) for i in rows]
     print(f"{sum(killed)} of {len(killed)} mutants killed in {time.perf_counter() - start:.0f} s")

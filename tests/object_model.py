@@ -4,7 +4,8 @@
 writes the merged trace straight from the records.  The tests check them
 against per-object references: a ``Tile`` per schedule row, a tuple per
 record, an ``AccessEvent`` per trace row, the merge as one stable sort of
-per-unit event lists, and per-level counts folded one event at a time.
+per-unit event lists, per-level counts folded one event at a time, and a
+routing table's tokens as one list per expert.
 ``validate`` checks that a schedule's tiles partition the iteration space
 its ``meta`` names, the property the planners must keep.
 """
@@ -149,6 +150,11 @@ def merge_traces(*traces: list[AccessEvent]) -> list[AccessEvent]:
 def merged_events(walks) -> list[AccessEvent]:
     """``(units, Records)`` walks as one trace: each unit's ``Records.events``, merged by ``merge_traces``."""
     return merge_traces(*(records.events(unit) for units, records in walks for unit in units))
+
+
+def expert_tokens(table) -> list[np.ndarray]:
+    """A ``RoutingTable``'s token ids per expert, ascending: its ``order`` split at its ``offsets``."""
+    return np.split(table.order, table.offsets[1:-1])
 
 
 def count_accesses(trace: list[AccessEvent]) -> dict:

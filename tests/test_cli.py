@@ -35,7 +35,7 @@ from spikesim.cli import _build_parser, main
 from spikesim.levels import ACT_GLB, ACT_LB, level_width_bits, width_words
 from spikesim.runner import load_report_csv, report_json_bytes
 
-from object_model import merge_traces, record_rows, records_from_rows
+from object_model import expert_tokens, merge_traces, record_rows, records_from_rows
 
 MOE_DOC = {"kind": "moe", "N": 16, "T": 2, "D_in": 32, "D_out": 32, "E": 4, "seed": 3}
 MHA_DOC = {"kind": "mha", "N": 8, "T": 2, "H": 2, "d": 8, "seed": 3}
@@ -498,7 +498,7 @@ def _reference_trace_csv(plan, result) -> bytes:
         per_unit.append(simulate_routing_array(m.n, m.t, m.d_in, m.experts, routing, hw.extract_ports)[1])
         expert = ArrayGeometry(hw.expert_rows, hw.expert_cols, "expert")
         out_bits = []
-        for e, tokens in enumerate(result.routing_table.expert_tokens):
+        for e, tokens in enumerate(expert_tokens(result.routing_table)):
             ts = plan_expert_tiles(len(tokens), m.t, m.d_in, m.d_out, expert)
             glb = "weight_glb0" if e % 2 == 0 else "weight_glb1"
             per_unit.append(simulate_expert_array(ts, expert, SparsityStats(0, 1), hw.extract_ports, f"expert{e}", glb)[1])

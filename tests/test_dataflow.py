@@ -718,6 +718,21 @@ class TestTraceWriter:
         assert len(lines) == rows + 2 and lines[-2].startswith(b"%d," % (2**63 - 1))
         assert b"\r\n".join(lines) == _reference(walks)
 
+    # Each largest cycle takes one more 4-digit group, so a 4-, 8-, 12-, 16- and 20-byte digit field.
+    @pytest.mark.parametrize("largest, width", [(9, 4), (10**4, 8), (10**8, 12), (10**12, 16), (2**63 - 1, 20)])
+    def test_digit_field_at_every_group_count(self, largest, width, tmp_path):
+        # A chunk and one row; the shared walk's names differ in length, so rows are NUL-padded inside.
+        assert 4 * -(-len(str(largest)) // 4) == width
+        rng = np.random.default_rng(width)
+        shared = TRACE_CHUNK_ROWS // 3
+        cycles = rng.integers(0, largest, TRACE_CHUNK_ROWS + 1 - 2 * shared, endpoint=True).tolist()
+        cycles[:2] = [0, largest]
+        walks = [(("e9", "router", "e10"), records_from_rows(_rows(cycles[:shared]))),
+                 (("merge",), records_from_rows(_rows(cycles[shared:])))]
+        written = _written(walks, tmp_path)
+        assert written.count(b"\r\n") == TRACE_CHUNK_ROWS + 2
+        assert written == _reference(walks)
+
     def test_units_and_walks_interleaved(self, tmp_path):
         # "e9" appears in two walks, so its records are not one contiguous range.
         walks = [(("e9", "e10"), records_from_rows(_rows([0, 5, 12]))),

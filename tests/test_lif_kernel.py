@@ -24,6 +24,7 @@ from spikesim import (
 from spikesim import moe, tensors
 from spikesim.tensors import INT16_MAX, INT16_MIN, INT32_MAX, INT32_MIN
 
+from object_model import expert_tokens
 from oracles import scalar_lif_run
 
 
@@ -297,12 +298,12 @@ def test_layer_equals_merge_of_expert_forward_outputs():
         assert np.array_equal(table.assignments, ref_table.assignments)
         # Each expert fired alone on its own rows, its spikes scattered by hand.
         merged = np.zeros_like(out.data)
-        for tokens, w in zip(table.expert_tokens, cfg.expert_weights):
+        for tokens, w in zip(expert_tokens(table), cfg.expert_weights):
             x = expert_forward(SpikeTensor(s.data[tokens]), w)
             merged[tokens] = lif_run(x, cfg.lif).data
             saturated += x.saturations > 0
         assert np.array_equal(out.data, merged)
-        idle += sum(len(t) == 0 for t in table.expert_tokens)
+        idle += sum(len(t) == 0 for t in expert_tokens(table))
     assert idle > 0 and saturated > 0
 
 

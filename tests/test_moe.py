@@ -24,6 +24,7 @@ from spikesim import (
 )
 from spikesim.moe import RoutingTable
 
+from object_model import expert_tokens
 from oracles import dense_moe_forward, scalar_lif_run, topk_sort_oracle, triple_loop_matmul
 
 
@@ -137,7 +138,7 @@ class TestRoutingTableRecord:
         table = RoutingTable(ids, np.arange(5), experts=4)
         assert table.order.tolist() == [1, 4, 3, 0, 2]
         assert table.offsets.tolist() == [0, 2, 3, 5, 5]
-        assert [tokens.tolist() for tokens in table.expert_tokens] == [[1, 4], [3], [0, 2], []]
+        assert [tokens.tolist() for tokens in expert_tokens(table)] == [[1, 4], [3], [0, 2], []]
         assert table.order is table.order
         for arr in (table.assignments, table.assignment_scores, table.order, table.offsets):
             assert not arr.flags.writeable and arr.dtype == np.int64
@@ -147,7 +148,7 @@ class TestRoutingTableRecord:
     def test_trailing_idle_experts_keep_their_empty_slices(self):
         table = RoutingTable(np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64), experts=3)
         assert table.offsets.tolist() == [0, 6, 6, 6]
-        assert [len(tokens) for tokens in table.expert_tokens] == [6, 0, 0]
+        assert [len(tokens) for tokens in expert_tokens(table)] == [6, 0, 0]
 
     def test_order_is_stable_under_many_ties(self):
         # Far more than 16 tokens per expert, so an unstable sort cannot keep the token order by luck.
@@ -200,10 +201,10 @@ class TestRouteTopk:
         for _ in range(3):
             scores = rng.integers(-5, 6, size=(20, 5))
             table = route_topk(scores)
-            for e, tokens in enumerate(table.expert_tokens):
+            for e, tokens in enumerate(expert_tokens(table)):
                 assert tokens.tolist() == np.flatnonzero(table.assignments == e).tolist()
-            assert sum(len(tokens) for tokens in table.expert_tokens) == 20
-            assert np.diff(table.offsets).tolist() == [len(tokens) for tokens in table.expert_tokens]
+            assert sum(len(tokens) for tokens in expert_tokens(table)) == 20
+            assert np.diff(table.offsets).tolist() == [len(tokens) for tokens in expert_tokens(table)]
 
     def test_scale_invariance(self):
         # A positive constant on every score cannot change the selection.
@@ -241,7 +242,7 @@ class TestGather:
         scores = np.zeros((6, 2), dtype=np.int64)
         scores[:, 1] = 5
         table = route_topk(scores)
-        assert table.expert_tokens[0].size == 0
+        assert expert_tokens(table)[0].size == 0
         assert table.order.tolist() == list(range(6))
         assert np.array_equal(s.data[table.order], s.data)
 
@@ -249,7 +250,7 @@ class TestGather:
         scores = np.zeros((8, 2), dtype=np.int64)
         scores[1::2, 1] = 9
         table = route_topk(scores)
-        assert table.expert_tokens[1].tolist() == [1, 3, 5, 7]
+        assert expert_tokens(table)[1].tolist() == [1, 3, 5, 7]
         assert table.order.tolist() == [0, 2, 4, 6, 1, 3, 5, 7]
 
 
@@ -352,7 +353,7 @@ class TestLayerForward:
         w_r = RoutingWeights(weights(rng.integers(-10, 11, size=(8, 1))))
         out, table = moe_layer_forward(s, cfg, w_r)
         assert out == lif_run(expert_forward(s, cfg.expert_weights[0]), cfg.lif)
-        assert table.expert_tokens[0].tolist() == list(range(6))
+        assert expert_tokens(table)[0].tolist() == list(range(6))
 
     def test_matches_dense_oracle_seed_42(self):
         rng = np.random.default_rng(42)
@@ -419,7 +420,7 @@ class TestExpertOrderedLayer:
     @staticmethod
     def _per_expert(s, cfg, table):
         out = np.zeros((s.n, s.t, cfg.d_out), dtype=np.uint8)
-        for tokens, w in zip(table.expert_tokens, cfg.expert_weights):
+        for tokens, w in zip(expert_tokens(table), cfg.expert_weights):
             out[tokens] = lif_run(expert_forward(SpikeTensor(s.data[tokens]), w), cfg.lif).data
         return SpikeTensor(out)
 
@@ -458,7 +459,7 @@ class TestExpertOrderedLayer:
         cfg = make_layer(rng, e, d_in, d_out, lif)
         w_r = self._routing(rng, d_in, e, route)
         out, table = moe_layer_forward(s, cfg, w_r)
-        sizes = [len(tokens) for tokens in table.expert_tokens]
+        sizes = [len(tokens) for tokens in expert_tokens(table)]
         if route == "idle":
             assert sizes[1::2] == [0] * len(sizes[1::2])
         elif route != "random":
@@ -468,6 +469,29 @@ class TestExpertOrderedLayer:
         assert out == self._per_expert(s, cfg, table)
         ref = dense_moe_forward(s.data, w_r.w_r.data, [w.data for w in cfg.expert_weights], lif.v_threshold, lif.v_leak)
         assert np.array_equal(out.data, ref)
+
+    def test_clamped_integrations_fire_as_the_dense_reference(self):
+        # d_in = 400 takes the clamp path, and every dense entry of the two busy experts passes int16:
+        # each token has about 388 input ones, on weights of 110..127 for expert 0 and -128..-111 for
+        # expert 1.  At a threshold of 40000 a clamped 32767 fires on its second step, where the raw sum
+        # fires on its first and a plain cast wraps it negative; a clamped -32768 never fires.
+        n, t, d_in, d_out = 12, 3, 400, 4
+        rng = np.random.default_rng(31)
+        data = rng.random((n, t, d_in)) < 0.97
+        data[:, :, :2] = False
+        data[0::2, :, 0] = data[1::2, :, 1] = True  # even tokens score on expert 0, odd ones on expert 1
+        s = SpikeTensor(data)
+        w_r = np.zeros((d_in, 3))
+        w_r[0, 0] = w_r[1, 1] = 100
+        w_r = RoutingWeights(weights(w_r))
+        shape = (d_in, d_out)
+        experts = [rng.integers(110, 128, shape), rng.integers(-128, -110, shape), np.zeros(shape)]
+        cfg = MoeLayerConfig(3, 1, d_in, d_out, LifParams(v_threshold=40000), tuple(map(weights, experts)))
+        out, table = moe_layer_forward(s, cfg, w_r)
+        assert [len(tokens) for tokens in expert_tokens(table)] == [6, 6, 0]
+        ref = dense_moe_forward(s.data, w_r.w_r.data, experts, v_th=40000)
+        assert np.array_equal(out.data, ref) and 0 < ref.sum() < ref.size
+        assert moe._integrate_in_expert_order(s, cfg, table).saturations > 0
 
     def test_expert_forward_writes_into_a_given_buffer(self):
         rng = np.random.default_rng(3)

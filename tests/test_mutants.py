@@ -4,7 +4,7 @@ import ast
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import MUTANTS, ROOT, select
 
 
 def _defines(path, names: list[str]) -> bool:
@@ -27,3 +27,12 @@ def test_snippet_occurs_exactly_once(mutant):
         assert (ROOT / path).is_file(), test
         # A parametrized id names its function before the "[".
         assert names and _defines(ROOT / path, [*names[:-1], names[-1].split("[")[0]]), test
+
+
+def test_selector_takes_row_numbers_and_path_substrings():
+    dataflow = [i for i, mutant in enumerate(MUTANTS) if mutant.path == "src/spikesim/dataflow.py"]
+    assert dataflow and select(["dataflow.py"]) == dataflow
+    assert select(["3", "dataflow.py", "0"]) == [3, *dataflow, 0]
+    assert select([]) == list(range(len(MUTANTS)))
+    with pytest.raises(SystemExit, match="no mutant row's path holds 'nowhere.py'"):
+        select(["nowhere.py"])

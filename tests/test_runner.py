@@ -45,7 +45,7 @@ from spikesim.runner import (
     write_routing_csv,
 )
 
-from object_model import count_accesses, merged_events
+from object_model import count_accesses, expert_tokens, merged_events
 from oracles import lpt_makespan
 
 MOE_DOC = {"kind": "moe", "N": 24, "T": 2, "D_in": 48, "D_out": 32, "E": 4, "seed": 11}
@@ -589,7 +589,7 @@ class TestFunctionalPath:
         expected = lif_run(expert_forward(s_in, w0), LifParams())
         digest = "sha256:" + hashlib.sha256(expected.to_bytes()).hexdigest()
         assert result.output_digest == digest
-        assert list(result.routing_table.expert_tokens[0]) == list(range(12))
+        assert list(expert_tokens(result.routing_table)[0]) == list(range(12))
 
     def test_expert_mac_ops_count_each_input_one(self):
         # Dense rows of 2 * 300 entries: a token's count passes 255.
@@ -598,7 +598,7 @@ class TestFunctionalPath:
         s_in = np.random.default_rng(4).random((40, 2, 300)) < 0.9
         counts = [int(row.sum()) for row in s_in]
         assert min(counts) > 255
-        for e, tokens in enumerate(result.routing_table.expert_tokens):
+        for e, tokens in enumerate(expert_tokens(result.routing_table)):
             assert result.unit_cycles[f"expert{e}"].mac_ops == 3 * sum(counts[i] for i in tokens.tolist())
 
     def test_output_digest_matches_payload(self):
@@ -845,7 +845,7 @@ class TestFoldEqualsTrace:
             if kind == "moe":
                 if m.experts >= 10:
                     seen.add("e>=10")
-                if any(len(tokens) == 0 for tokens in result.routing_table.expert_tokens):
+                if any(len(tokens) == 0 for tokens in expert_tokens(result.routing_table)):
                     seen.add("idle expert")
                 if m.d_out % hw.expert_rows or (m.n * m.t) % hw.expert_cols:
                     seen.add("ragged tiles")

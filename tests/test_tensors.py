@@ -27,6 +27,7 @@ from spikesim.moe import (
 )
 from spikesim.tensors import INT16_MAX, INT16_MIN
 
+from object_model import expert_tokens
 from oracles import scalar_lif_lane, scalar_lif_run, triple_loop_matmul
 
 
@@ -368,8 +369,8 @@ class TestCarrierOwnership:
         s = rand_spikes(rng, 6, 2, 8, p=0.6)
         w = QuantWeightMatrix(rng.integers(-128, 128, size=(8, 8)))
         table = route_topk(compute_expert_scores(s, RoutingWeights(QuantWeightMatrix(w.data[:, :2]))))
-        assert all(len(tokens) for tokens in table.expert_tokens)
-        integrations = [expert_forward(SpikeTensor(s.data[tokens]), w) for tokens in table.expert_tokens]
+        assert all(len(tokens) for tokens in expert_tokens(table))
+        integrations = [expert_forward(SpikeTensor(s.data[tokens]), w) for tokens in expert_tokens(table)]
         # Both experts share w, so one integration of the expert-ordered rows is the layer's buffer.
         fired = lif_run(expert_forward(SpikeTensor(s.data[table.order]), w), LifParams())
         adopted = {
