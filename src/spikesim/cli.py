@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .dataflow import write_trace_csv
 from .errors import CalibrationValidationError, ConfigError, TraceError, WorkloadValidationError
-from .memory import dump_calibration
+from .memory import dump_calibration, read_json
 from .runner import (
     compare_designs,
     emit_report,
@@ -51,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return read_json(fh)
 
 
 def _emit(doc: dict, fmt: str, output: str | None) -> None:
@@ -70,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"cannot read config {args.config!r}: {err}", file=sys.stderr)
         return 2
-    # Malformed JSON, undecodable bytes, or nesting too deep to parse.
+    # Malformed JSON, a repeated key, undecodable bytes, or nesting too deep to parse.
     except (ValueError, RecursionError) as err:
         print(f"config {args.config!r} is not valid JSON: {err}", file=sys.stderr)
         return 2

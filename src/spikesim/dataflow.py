@@ -99,9 +99,9 @@ from .levels import (
     ACT_GLB,
     ACT_LB,
     LEVEL_GEOMETRY,
+    WEIGHT_BANKS,
     WEIGHT_BUFFER,
     WEIGHT_GLB0,
-    WEIGHT_GLB1,
     WEIGHT_LB,
     level_width_bits,
     width_words,
@@ -418,7 +418,7 @@ def plan_expert_tiles(n_e, t: int, d_in: int, d_out: int, g: ArrayGeometry) -> T
 
 
 # Expert walk: the 13 slots of a tile.  Slots 0-3 preload the expert's
-# weight block (kind 0 is the read of weight GLB bank e % 2, in
+# weight block (kind 0 reads expert e's bank of ``WEIGHT_BANKS``, in
 # ``_EXPERT_BANKS``) and its routed token set, and are kept on its first
 # tile only; slots 4-12 are a tile's body.
 _EXPERT_KINDS = (
@@ -435,7 +435,7 @@ _EXPERT_KINDS = (
     (ACT_BUFFER, "read", "integration"),
 )
 _EXPERT_SLOTS = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3], dtype=np.int64)
-_EXPERT_BANKS = tuple(((bank, "read", "weight"), *_EXPERT_KINDS) for bank in (WEIGHT_GLB0, WEIGHT_GLB1))
+_EXPERT_BANKS = tuple(((bank, "read", "weight"), *_EXPERT_KINDS) for bank in WEIGHT_BANKS)
 
 
 def expert_walks(ts: TileSchedule, g: ArrayGeometry, ones, extract_ports: int | None = None) -> list[tuple]:
@@ -444,7 +444,7 @@ def expert_walks(ts: TileSchedule, g: ArrayGeometry, ones, extract_ports: int | 
     ``ts.meta["tiles"]`` cuts the tiles into the experts' runs, and
     ``ones[e]`` counts the set bits of expert e's routed tokens.  Expert e
     walks as if alone: from cycle 0, its preloads and a new row tile on its
-    first tile, its weights from weight GLB bank e % 2.  Exactness: a plan
+    first tile, its weights from its bank in ``WEIGHT_BANKS``.  Exactness: a plan
     under ``MAX_PLAN_BYTES`` has under 2**22 tiles (352 bytes each) and d_in,
     d_out, n * t below 2**30, so a tile costs under 2**32 cycles and the one
     cumulative sum over all tiles, which every expert's cycles come from,
@@ -498,7 +498,7 @@ def expert_walks(ts: TileSchedule, g: ArrayGeometry, ones, extract_ports: int | 
         compute, extract = c1 - c0, t1 - t0 - (c1 - c0)
         per_phase = {"compute": compute, "extract": extract}
         stats = _stats(t1 - t0, per_phase, n_tiles, int(ones[e]) * d_out, extract, g.pe_count)
-        walks.append((stats, Records(_EXPERT_BANKS[e % 2], cycle[lo:hi], kind[lo:hi], bits[lo:hi])))
+        walks.append((stats, Records(_EXPERT_BANKS[e % len(_EXPERT_BANKS)], cycle[lo:hi], kind[lo:hi], bits[lo:hi])))
     return walks
 
 

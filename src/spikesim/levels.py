@@ -13,6 +13,7 @@ ACT_LB = "act_lb"
 WEIGHT_LB = "weight_lb"
 ACT_BUFFER = "act_buffer"
 WEIGHT_BUFFER = "weight_buffer"
+WEIGHT_BANKS = (WEIGHT_GLB0, WEIGHT_GLB1)  # expert e's weights are in bank e % len(WEIGHT_BANKS)
 
 # words x word-width(bits) per level
 LEVEL_GEOMETRY = {

@@ -26,6 +26,7 @@ from .levels import (
     ACT_GLB,
     ACT_LB,
     LEVEL_GEOMETRY,
+    WEIGHT_BANKS,
     WEIGHT_BUFFER,
     WEIGHT_GLB0,
     WEIGHT_GLB1,
@@ -54,10 +55,6 @@ class MemLevelSpec:
             raise ConfigError(f"level {self.id}: access power must be non-negative and finite")
         if self.power_mw == 0:  # -0.0 would price every word this level moves as -0.0 fJ
             object.__setattr__(self, "power_mw", 0.0)
-
-    @property
-    def capacity_bits(self) -> int:
-        return self.words * self.width_bits
 
 
 @dataclass(frozen=True)
@@ -260,8 +257,8 @@ def _required_bits_moe(shape: WorkloadShape) -> dict[str, int]:
     # those residencies, so the max() keeps the dominating term explicit.
     return {
         ACT_GLB: n * t * (d_in + d_out),
-        WEIGHT_GLB0: math.ceil(e / 2) * weight_block,
-        WEIGHT_GLB1: (e // 2) * weight_block,
+        # Bank b holds the weight blocks of experts b, b + len(WEIGHT_BANKS), ...
+        **{bank: len(range(b, e, len(WEIGHT_BANKS))) * weight_block for b, bank in enumerate(WEIGHT_BANKS)},
         ACT_LB: max(n * t * (d_in + d_out), shape.tile_cols * d_in),
         WEIGHT_LB: max(weight_block, min(shape.tile_rows, d_out) * d_in * 8),
         # The small bottom-tier macros are streaming staging: they only ever
@@ -294,7 +291,7 @@ KINDS = {
 
 
 def capacity_check(shape: WorkloadShape, cal: MemCalibration) -> CapacityReport:
-    """Compare per-level residency requirements against SRAM capacities.
+    """Compare per-level residency requirements against the ``LEVEL_GEOMETRY`` capacities, which no flavor changes.
 
     Overflow is a verdict, never an exception: the report names every level
     whose requirement exceeds its capacity.
@@ -303,7 +300,7 @@ def capacity_check(shape: WorkloadShape, cal: MemCalibration) -> CapacityReport:
         raise ConfigError(f"workload kind {shape.kind!r} does not match calibration kind {cal.kind!r}")
     required = KINDS[shape.kind].residency(shape)
     verdicts = {
-        level: CapacityVerdict(level, bits, cal.levels[level].capacity_bits)
+        level: CapacityVerdict(level, bits, math.prod(LEVEL_GEOMETRY[level]))
         for level, bits in required.items()
     }
     return CapacityReport(verdicts)
@@ -431,6 +428,21 @@ def _convert_fields(entry, fields, where: str, violations: list[str]) -> dict | 
     return out if len(out) == len(fields) else None
 
 
+def _unique_keys_object(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key it gives twice (``json`` would keep the last silently)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is given more than once in one object")
+        doc[key] = value
+    return doc
+
+
+def read_json(fh):
+    """``json.load(fh)``, refusing a repeated key in any object with ValueError."""
+    return json.load(fh, object_pairs_hook=_unique_keys_object)
+
+
 def load_calibration(source) -> MemCalibration:
     """Load a calibration override from a path (str, bytes or path-like) or an already-parsed document.
 
@@ -440,8 +452,8 @@ def load_calibration(source) -> MemCalibration:
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source) as fh:
             try:
-                doc = json.load(fh)
-            # Malformed JSON, undecodable bytes, or nesting too deep to parse.
+                doc = read_json(fh)
+            # Malformed JSON, a repeated key, undecodable bytes, or nesting too deep to parse.
             except (ValueError, RecursionError) as err:
                 problem = f"calibration file {os.fspath(source)!r} is not valid JSON: {err}"
                 raise CalibrationValidationError([problem]) from None
@@ -476,8 +488,8 @@ def load_calibration(source) -> MemCalibration:
         except ConfigError as err:
             violations.append(str(err))
             continue
-        # Traffic is sized in LEVEL_GEOMETRY words, so another geometry would
-        # move the capacity verdicts but not the word counts.
+        # Traffic and capacities are sized by LEVEL_GEOMETRY, so another
+        # geometry would price a hierarchy the run does not model.
         modeled = LEVEL_GEOMETRY.get(level)
         if modeled is not None and (spec.words, spec.width_bits) != modeled:
             violations.append(

@@ -575,7 +575,7 @@ class _Layer(NamedTuple):
 
 
 def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
-    """Run the pipeline once and price its one level table under each flavor's calibration."""
+    """Run the pipeline and its capacity check once; price the one level table under each flavor's calibration."""
     # A RunPlan built without parse_workload is held to the same kind rules.
     refused = _port_violations(plan.model, plan.hardware)
     if refused:
@@ -605,6 +605,7 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
     )
     walks = [*((units, records) for units, _, records in layer.walks), (("merge",), egress)]
     counts = memory.count_walks(walks)
+    capacity = memory.capacity_check(layer.shape, cals[0])  # capacities are the architecture's, not a flavor's
     digest = _digest(layer.s_out)
     return [
         RunResult(
@@ -614,7 +615,7 @@ def _run(plan: RunPlan, flavors: list[RunPlan]) -> list[RunResult]:
             system_cycles=system,
             unit_cycles=unit_cycles,
             core_assignment=assignment,
-            mem=memory.mem_report(counts, cal, memory.capacity_check(layer.shape, cal)),
+            mem=memory.mem_report(counts, cal, capacity),
             s_out=layer.s_out,
             routing_table=layer.routing_table,
             walks=walks,

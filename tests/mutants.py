@@ -54,6 +54,7 @@ _ROUTE = "tests/test_moe.py::TestRouteTopk"
 _TABLE = "tests/test_moe.py::TestRoutingTableRecord"
 _WALKS = "tests/test_walkers.py::test_expert_walks_match_the_reference_expert_by_expert"
 _MATMUL = "tests/test_exact_kernels.py::TestExactMatmul"
+_BANK_RESIDENCY = "tests/test_memory.py::TestCapacity::test_each_bank_holds_the_weight_blocks_its_experts_preload"
 _LEVEL_ORDER = "tests/test_memory.py::TestCalibrationTables::test_price_table_lists_its_kinds_levels_in_order"
 _DIGIT_FIELD = tuple(
     f"tests/test_dataflow.py::TestTraceWriter::test_digit_field_at_every_group_count[{case}]"
@@ -250,13 +251,13 @@ MUTANTS = (
         "src/spikesim/dataflow.py",
         "first[1:] |= (ts.row_start[1:] != ts.row_start[:-1])",
         "first[1:] = (ts.row_start[1:] != ts.row_start[:-1])",
-        (_WALKS,),  # no golden plan has two busy experts of one row tile each
+        (_WALKS, _GOLDEN),  # golden plan moe_row_tile: its busy experts fit one row tile each
     ),
     Mutant(
         "an even expert reads its weights from weight GLB0, an odd one from weight GLB1",
         "src/spikesim/dataflow.py",
-        "_EXPERT_BANKS[e % 2]",
-        "_EXPERT_BANKS[(e + 1) % 2]",
+        "_EXPERT_BANKS[e % len(_EXPERT_BANKS)]",
+        "_EXPERT_BANKS[(e + 1) % len(_EXPERT_BANKS)]",
         (_WALKS, _GOLDEN),
     ),
     Mutant(
@@ -358,6 +359,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "each weight bank holds the blocks of the experts the walks read from it, no more",
+        "src/spikesim/memory.py",
+        "len(range(b, e, len(WEIGHT_BANKS)))",
+        "-(-e // len(WEIGHT_BANKS))",
+        tuple(f"{_BANK_RESIDENCY}[{experts}]" for experts in (1, 3, 5)),
+    ),
+    Mutant(
+        "a run checks capacity once, and every flavor's report carries that one verdict",
+        "src/spikesim/runner.py",
+        "mem=memory.mem_report(counts, cal, capacity),",
+        "mem=memory.mem_report(counts, cal, memory.capacity_check(layer.shape, cal)),",
+        tuple(f"tests/test_runner.py::TestSinglePassCompare::test_compare_checks_capacity_once[{kind}]" for kind in ("moe", "mha")),
+    ),
+    Mutant(
+        "a plan or calibration file that gives a key twice in one object is refused, not read as its last value",
+        "src/spikesim/memory.py",
+        "        if key in doc:\n",
+        "        if False:\n",
+        (
+            *(f"tests/test_cli.py::TestErrorPaths::test_repeated_plan_key_refused[{case}]" for case in ("model-key", "section")),
+            "tests/test_cli.py::TestErrorPaths::test_calibration_file_with_a_repeated_key",
+        ),
+    ),
+    Mutant(
         "a kindless calibration file ties to the kind with fewer levels, so a whole attention file reads as one",
         "src/spikesim/memory.py",
         "-len(KINDS[name].levels)))",
@@ -409,6 +434,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the LIF kernel refuses a step whose int64 candidate could pass INT64_MAX, one step past it too",
+        "src/spikesim/tensors.py",
+        "INT32_MAX + 1 + x_peak + abs(p.v_leak) > INT64_MAX:",
+        "INT32_MAX + 1 + x_peak + abs(p.v_leak) > INT64_MAX + 1:",
+        tuple(f"{_LIF}::TestOverflowParity::test_step_input_at_the_int64_edge[{leak}]" for leak in ("0", "-5")),
+    ),
+    Mutant(
         "an accumulator is cast to int16 without a clamp only when its whole range fits int16",
         "src/spikesim/tensors.py",
         "if INT16_MIN <= lo and hi <= INT16_MAX:",
@@ -421,6 +453,27 @@ MUTANTS = (
         "    data.setflags(write=False)\n    carrier.data = data",
         "    carrier.data = data",
         ("tests/test_tensors.py::TestCarrierOwnership::test_adopted_arrays_are_read_only",),
+    ),
+    Mutant(
+        "the copy rule shifts a row's copies in int64, so repeat_timesteps' offsets past 2**31 stay exact",
+        "src/spikesim/dataflow.py",
+        "shift * np.arange(self.repeats, dtype=np.int64)",
+        "shift * np.arange(self.repeats, dtype=np.int32)",
+        tuple(
+            f"tests/test_walkers.py::test_repeated_group_offsets_stay_exact_in_int64[{period}]"
+            for period in (2**30 + 1, 2**47 // 7)
+        ),
+    ),
+    Mutant(
+        "the trace writer sorts the records stably on cycle, so a cycle's rows keep walk and emission order",
+        "src/spikesim/dataflow.py",
+        'order = cycle.argsort(kind="stable")',
+        "order = cycle.argsort()",
+        (
+            "tests/test_dataflow.py::TestTraces::test_trace_equals_merge_traces",
+            "tests/test_dataflow.py::TestTraceWriter::test_cycle_longer_than_two_chunks",
+            _GOLDEN,
+        ),
     ),
     Mutant(
         "a tail row's digit bytes are as many as a record's digits, 4 per digit group",

@@ -240,6 +240,21 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith(f"config {str(path)!r} is not valid JSON: ")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"kind": "moe", "model": {"n": 8, "n": 16}}', "n"),
+         ('{"kind": "moe", "input": {"seed": 1}, "input": {"seed": 2}}', "input")],
+        ids=["model-key", "section"],
+    )
+    def test_repeated_plan_key_refused(self, tmp_path, capsys, text, key):
+        # json.load would keep the last value silently, where n beside N is refused.
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config {str(path)!r} is not valid JSON: key {key!r} is given more than once in one object\n"
+
     def test_falsy_section_exits_2(self, tmp_path, capsys):
         path = tmp_path / "falsy.json"
         path.write_text(json.dumps({**MOE_DOC, "hardware": False}))
@@ -274,6 +289,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("invalid calibration file (1 problem(s)):")
         assert "not valid JSON" in err
+
+    def test_calibration_file_with_a_repeated_key(self, tmp_path, capsys):
+        text = json.dumps(dump_calibration(builtin_calibration("moe", "2d")))
+        text = text.replace('"leakage_power_mw": ', '"leakage_power_mw": 1.0, "leakage_power_mw": ')
+        assert self._run_with_calibration(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid calibration file (1 problem(s)):\n")
+        assert "is not valid JSON: key 'leakage_power_mw' is given more than once in one object" in captured.err
 
     def test_calibration_file_too_deeply_nested(self, tmp_path, capsys):
         assert self._run_with_calibration(tmp_path, "[" * 5000 + "]" * 5000) == 2

@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of every CLI artifact of thirteen fixed plans.
+"""Golden bytes: the sha256 of every CLI artifact of fourteen fixed plans.
 
 Reports (JSON and CSV, of ``run`` and ``compare``), the access trace, the
 output bitstream, the routing table and the calibration dumps are pinned
@@ -6,7 +6,8 @@ byte for byte on the default MoE plan, the default MHA plan, a ragged
 multi-head plan, a twelve-head plan on a ragged array, two more plans on
 arrays ragged on both axes (eight timesteps, and one), a twelve-expert MoE
 plan, four plans at the edges of the int16 bounds that decide whether an
-integration is clamped, and the benchmark's two large plans at its seed 0.
+integration is clamped, a MoE plan whose busy experts fit one row tile each,
+and the benchmark's two large plans at its seed 0.
 A change that only makes the simulator faster must leave every hash as it is.
 Re-record only when the output changes on purpose (a schema bump), from the
 repository root::
@@ -20,7 +21,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from spikesim.cli import main
+from spikesim.runner import parse_workload, run_experiment
 
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
 
@@ -90,6 +94,15 @@ PLANS = {
         "model": {"n": 32, "t": 2, "d_in": 257, "d_out": 16, "e": 3},
         "input": {"spike_prob": 1.0, "seed": 0},
     },
+    # Three busy experts, an idle one between them, each d_out within one
+    # row tile of the default 16-row expert array: each expert's weights
+    # stream in on its own first tile, though its rows are the previous tile's.
+    "moe_row_tile": {
+        "kind": "moe",
+        "model": {"n": 24, "t": 2, "d_in": 20, "d_out": 12, "e": 4},
+        "hardware": {"cores": 2},
+        "input": {"spike_prob": 0.5, "seed": 1},
+    },
     # Two plans at benchmark scale: the spike draw takes two chunks, the
     # busiest expert integrates in three row blocks, and the attention trace
     # (~165k rows) is written in many chunks.
@@ -143,6 +156,15 @@ def artifact_hashes(root: Path) -> dict[str, str]:
 
 def test_every_artifact_matches_its_golden_hash(tmp_path):
     assert artifact_hashes(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+def test_row_tile_plan_routes_tokens_to_two_experts_of_one_row_tile_each():
+    # The plan pins the expert walk's weight restart at an expert boundary
+    # only while two experts get tokens and d_out fits one row tile.
+    plan = parse_workload(PLANS["moe_row_tile"])
+    tokens = np.bincount(run_experiment(plan).routing_table.assignments, minlength=plan.model.experts)
+    assert np.count_nonzero(tokens) >= 2
+    assert plan.model.d_out <= plan.hardware.expert_rows
 
 
 if __name__ == "__main__":

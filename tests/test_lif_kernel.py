@@ -22,7 +22,7 @@ from spikesim import (
     spike_matmul,
 )
 from spikesim import moe, tensors
-from spikesim.tensors import INT16_MAX, INT16_MIN, INT32_MAX, INT32_MIN
+from spikesim.tensors import INT16_MAX, INT16_MIN, INT32_MAX, INT32_MIN, INT64_MAX
 
 from object_model import expert_tokens
 from oracles import scalar_lif_run
@@ -240,6 +240,17 @@ class TestOverflowParity:
     def test_step_input_past_int64_raises(self):
         with pytest.raises(OverflowError):
             lif_step(PotentialState.zeros(1, 1), np.array([[2**63 - 1]]), LifParams())
+
+    @pytest.mark.parametrize("leak", [0, -5])
+    def test_step_input_at_the_int64_edge(self, leak):
+        # |v| <= 2**31 before a step, so x_peak + |leak| up to INT64_MAX - 2**31
+        # keeps every int64 candidate exact; one more is refused.
+        edge = INT64_MAX - 2**31 - abs(leak)
+        p = LifParams(v_leak=leak)
+        state, spikes = lif_step(PotentialState.zeros(1, 1, fill=INT32_MAX), np.array([[edge]]), p)
+        assert spikes.tolist() == [[1]] and not state.data.any()
+        with pytest.raises(OverflowError, match="64-bit potential update"):
+            lif_step(PotentialState.zeros(1, 1, fill=INT32_MAX), np.array([[edge + 1]]), p)
 
 
 class TestKernelCases:

@@ -1,6 +1,7 @@
 """Calibration tables, access counting, capacity verdicts, energy reports."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from spikesim import (
     AccessEvent,
+    ArrayGeometry,
     CalibrationValidationError,
     ConfigError,
     MemCalibration,
@@ -19,13 +21,15 @@ from spikesim import (
     dump_calibration,
     load_calibration,
     mem_report,
+    plan_expert_tiles,
 )
-from spikesim.dataflow import Records
+from spikesim.dataflow import Records, expert_walks
 from spikesim.levels import (
     ACT_BUFFER,
     ACT_GLB,
     ACT_LB,
     LEVEL_GEOMETRY,
+    WEIGHT_BANKS,
     WEIGHT_BUFFER,
     WEIGHT_GLB0,
     WEIGHT_GLB1,
@@ -34,7 +38,7 @@ from spikesim.levels import (
 )
 from spikesim.memory import KINDS, count_walks
 
-from object_model import count_accesses, records_from_rows
+from object_model import count_accesses, record_rows, records_from_rows
 
 MOE_LEVELS, MHA_LEVELS = KINDS["moe"].levels, KINDS["mha"].levels
 
@@ -122,8 +126,6 @@ class TestCalibrationTables:
         assert LEVEL_GEOMETRY[ACT_LB] == (3072, 128)
         assert LEVEL_GEOMETRY[ACT_BUFFER] == (96, 128)
         assert level_width_bits(ACT_GLB) == 128
-        cal = builtin_calibration("moe", "2d")
-        assert cal.levels[ACT_GLB].capacity_bits == 8192 * 128
 
     @pytest.mark.parametrize("kind,design", sorted(LEVEL_PINS))
     def test_price_table_lists_its_kinds_levels_in_order(self, kind, design):
@@ -291,6 +293,36 @@ class TestCapacity:
         assert report.fits
         assert report.verdicts[ACT_GLB].required_bits == 16 * 4 * 4 * 8 * 16
         assert report.verdicts[WEIGHT_LB].required_bits == 0
+
+    @pytest.mark.parametrize("kind,design", sorted(LEVEL_PINS))
+    def test_capacities_are_the_level_geometry(self, kind, design):
+        # A flavor prices accesses and never resizes a level: even a
+        # calibration built with another geometry gets LEVEL_GEOMETRY's.
+        cal = builtin_calibration(kind, design)
+        halved = replace(cal, levels={level: replace(spec, words=spec.words // 2) for level, spec in cal.levels.items()})
+        shape = WorkloadShape(kind=kind, n=64, t=4, d_in=128, d_out=128, experts=8, heads=8, d_head=16)
+        for c in (cal, halved):
+            verdicts = capacity_check(shape, c).verdicts
+            assert {level: v.capacity_bits for level, v in verdicts.items()} == {
+                level: math.prod(LEVEL_GEOMETRY[level]) for level in KINDS[kind].levels
+            }
+
+    @pytest.mark.parametrize("experts", range(1, 6))
+    def test_each_bank_holds_the_weight_blocks_its_experts_preload(self, experts):
+        # Every expert routed one token: each weight bank's residency is the
+        # weight-preload bits the expert walks read from that bank.
+        g = ArrayGeometry(16, 128, "expert")
+        t, d_in, d_out = 2, 24, 20
+        walks = expert_walks(plan_expert_tiles([1] * experts, t, d_in, d_out, g), g, [t * d_in] * experts)
+        read = dict.fromkeys(WEIGHT_BANKS, 0)
+        for _, records in walks:
+            for _, level, direction, bits, _ in record_rows(records):
+                if level in WEIGHT_BANKS:
+                    assert direction == "read"
+                    read[level] += bits
+        shape = WorkloadShape(kind="moe", n=experts, t=t, d_in=d_in, d_out=d_out, experts=experts)
+        verdicts = capacity_check(shape, builtin_calibration("moe", "2d")).verdicts
+        assert {bank: verdicts[bank].required_bits for bank in WEIGHT_BANKS} == read
 
     def test_kind_mismatch(self):
         shape = WorkloadShape(kind="mha", n=16, t=4, heads=8, d_head=16)

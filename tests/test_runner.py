@@ -705,8 +705,23 @@ class TestCompareDesigns:
             compare_designs(plan)
 
 
-
 class TestSinglePassCompare:
+    @pytest.mark.parametrize("doc", [{"kind": "moe"}, {"kind": "mha"}], ids=["moe", "mha"])
+    def test_compare_checks_capacity_once(self, doc, monkeypatch):
+        # Capacities are the architecture's, so both halves carry one report.
+        calls = []
+        check = memory.capacity_check
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(memory, "capacity_check", counted)
+        report = compare_designs(parse_workload(doc))
+        assert len(calls) == 1
+        assert report.run_2d.mem.capacity is report.run_3d.mem.capacity
+        assert report.run_2d.to_dict()["memory"]["capacity"] == report.run_3d.to_dict()["memory"]["capacity"]
+
     @pytest.mark.parametrize(
         "doc",
         [{"kind": "moe"}, {"kind": "mha"}, {"kind": "moe", "E": 12, "hardware": {"cores": 1}}],

@@ -8,6 +8,7 @@ shapes, residue tiles, extract port counts, empty workloads and hand-built
 schedules in other tile orders.
 """
 
+import dataclasses
 import json
 import math
 
@@ -294,6 +295,19 @@ def test_repeated_group_equals_a_walk_of_the_whole_head(tmp_path):
             write_trace_csv([(units, full)], tmp_path / "full.csv")
             assert (tmp_path / "repeated.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
     assert seen == {"1x1", "array", "t=1", "timesteps", "ragged on both axes"}
+
+
+@pytest.mark.parametrize("period", [2**30 + 1, 2**47 // 7])
+def test_repeated_group_offsets_stay_exact_in_int64(period):
+    # The copy rule shifts copy s by s * period in int64: past 2**31 and up to
+    # the 2**48 that repeat_timesteps' bound allows, every copy's cycle is exact.
+    g, t = ArrayGeometry(2, 3, "attention"), 7
+    stats, records = attention_walk(plan_attention_tiles(5, 4, 1, 1, g), g)
+    stats = dataclasses.replace(stats, total_cycles=period)
+    scaled, _, group = repeat_timesteps(stats, records, t)
+    assert scaled.total_cycles == t * period
+    body = group.cycle.tolist()
+    assert group.expand().cycle.tolist() == [cycle + s * period for s in range(t) for cycle in body]
 
 
 def test_attention_walk_sparse_group_ids():
