@@ -341,14 +341,6 @@ def extraction_cycle_count(values, ports: int):
     return -(-values // min(ports, int(np.max(values, initial=1))))
 
 
-def _extract_ports(g: ArrayGeometry, extract_ports: int | None) -> int:
-    """Readout ports of a compute array: one per row unless given."""
-    ports = g.rows if extract_ports is None else extract_ports
-    if ports < 1:
-        raise ConfigError(f"extract ports must be >= 1, got {ports}")
-    return ports
-
-
 def _grid(tile: np.ndarray, row_extent: int, row_step: int, col_extent, col_step: int) -> tuple[np.ndarray, ...]:
     """Start and stop columns of the tiles numbered ``tile`` in the row-major grid of ``row_step`` x
     ``col_step`` tiles over [0, row_extent) x [0, col_extent), ``col_extent`` an int or one per tile."""
@@ -454,7 +446,7 @@ def expert_walks(ts: TileSchedule, g: ArrayGeometry, ones, extract_ports: int | 
         raise ConfigError(f"expected an expert-role array, got {g.role!r}")
     ru, cu = ts.rows_used, ts.cols_used
     _check_fits(ru, cu, g)
-    ports = _extract_ports(g, extract_ports)
+    ports = g.rows if extract_ports is None else extract_ports
     tiles, d_in, d_out = ts.meta["tiles"], ts.meta["d_in"], ts.row_extent
     bounds = np.concatenate(([0], tiles.cumsum()))
     if bounds[-1] != ts.tile_count:
@@ -543,7 +535,7 @@ def routing_walk(
         raise ConfigError(f"expected a routing-role array, got {g.role!r}")
     if n < 0 or t < 1 or d_in < 1 or e < 1:
         raise ConfigError(f"bad routing shape n={n} t={t} d_in={d_in} e={e}")
-    ports = _extract_ports(g, extract_ports)
+    ports = g.rows if extract_ports is None else extract_ports
     reduction = t * d_in
     count = -(-n // g.rows) * -(-e // g.cols)
     row_start, row_stop, col_start, col_stop = _grid(np.arange(count, dtype=np.int64), n, g.rows, e, g.cols)

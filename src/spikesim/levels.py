@@ -15,7 +15,7 @@ ACT_BUFFER = "act_buffer"
 WEIGHT_BUFFER = "weight_buffer"
 WEIGHT_BANKS = (WEIGHT_GLB0, WEIGHT_GLB1)  # expert e's weights are in bank e % len(WEIGHT_BANKS)
 
-# words x word-width(bits) per level
+# words x word-width(bits) per level: the architecture, which no calibration flavor changes
 LEVEL_GEOMETRY = {
     ACT_GLB: (8192, 128),
     WEIGHT_GLB0: (8192, 128),

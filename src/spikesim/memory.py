@@ -38,17 +38,13 @@ DESIGNS = ("2d", "3d")
 
 @dataclass(frozen=True)
 class MemLevelSpec:
-    """One SRAM level: geometry plus calibrated access latency and power."""
+    """One SRAM level's calibrated access latency and power; its geometry is ``LEVEL_GEOMETRY``'s."""
 
     id: str
-    words: int
-    width_bits: int
     latency_ps: float
     power_mw: float
 
     def __post_init__(self):
-        if self.words < 1 or self.width_bits < 1:
-            raise ConfigError(f"level {self.id}: geometry must be positive")
         if not 0 < self.latency_ps < math.inf:
             raise ConfigError(f"level {self.id}: access latency must be positive and finite")
         if not 0 <= self.power_mw < math.inf:
@@ -151,10 +147,7 @@ def builtin_calibration(kind: str, design: str) -> MemCalibration:
         raise ConfigError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
     if design not in DESIGNS:
         raise ConfigError(f"design must be one of {DESIGNS}, got {design!r}")
-    levels = {}
-    for level, (latency, power) in _LEVEL_TABLE[(kind, design)].items():
-        words, width = LEVEL_GEOMETRY[level]
-        levels[level] = MemLevelSpec(level, words, width, latency, power)
+    levels = {level: MemLevelSpec(level, *prices) for level, prices in _LEVEL_TABLE[(kind, design)].items()}
     return MemCalibration(kind=kind, design=design, levels=levels, aggregate=_AGGREGATE_TABLE[(kind, design)])
 
 
@@ -314,25 +307,23 @@ class MemReport:
     levels: dict
     total_words: int
     total_energy_fj: float
-    capacity: CapacityReport | None = None
+    capacity: CapacityReport
 
     def to_dict(self) -> dict:
         cal = self.calibration
-        out = {
+        return {
             "calibration": {"kind": cal.kind, "design": cal.design, "aggregate": dict(vars(cal.aggregate))},
             "levels": self.levels,
             "trace_totals": {
                 "total_words": self.total_words,
                 "total_energy_fj": self.total_energy_fj,
             },
+            "capacity": self.capacity.to_dict(),
         }
-        if self.capacity is not None:
-            out["capacity"] = self.capacity.to_dict()
-        return out
 
 
-def mem_report(counts: dict, cal: MemCalibration, capacity: CapacityReport | None = None) -> MemReport:
-    """Weight a ``count_walks`` level table by the calibrated per-access figures.
+def mem_report(counts: dict, cal: MemCalibration, capacity: CapacityReport) -> MemReport:
+    """Weight a ``count_walks`` level table by the calibrated per-access figures, with the run's capacity verdict.
 
     The energy proxy for a level is words_moved * access_power_mw *
     access_latency_ps, i.e. femtojoules.  Calibrated aggregates are echoed
@@ -398,7 +389,7 @@ def _convert_fields(entry, fields, where: str, violations: list[str]) -> dict | 
     """Convert ``entry``'s fields, appending a violation per problem; None if any.
 
     A key that is not a field is a problem too.  Each field takes only its
-    own JSON type: a string, an integer (int() would truncate 8192.9 and
+    own JSON type: a string, an integer (int() would truncate 339846.9 and
     read true as 1) or a number (float() would read "148" and true).
     """
     if not isinstance(entry, dict):
@@ -484,20 +475,9 @@ def load_calibration(source) -> MemCalibration:
             continue
         first_entry[level] = i
         try:
-            spec = MemLevelSpec(**fields)
+            levels[level] = MemLevelSpec(**fields)
         except ConfigError as err:
             violations.append(str(err))
-            continue
-        # Traffic and capacities are sized by LEVEL_GEOMETRY, so another
-        # geometry would price a hierarchy the run does not model.
-        modeled = LEVEL_GEOMETRY.get(level)
-        if modeled is not None and (spec.words, spec.width_bits) != modeled:
-            violations.append(
-                f"level {level}: geometry {spec.words} words x {spec.width_bits} bits differs from the "
-                f"modeled {modeled[0]} words x {modeled[1]} bits"
-            )
-            continue
-        levels[level] = spec
     aggregate = None
     if "aggregate" in doc:
         fields = _convert_fields(doc["aggregate"], _AGGREGATE_FIELDS, "calibration aggregate", violations)

@@ -496,6 +496,37 @@ MUTANTS = (
         "digits.dtype, grid, 0, (grid.shape[1] - 1,))",
         _DIGIT_FIELD,
     ),
+    Mutant(
+        "a calibration level that still gives its geometry is refused key by key, not read with the keys ignored",
+        "src/spikesim/memory.py",
+        "_unknown_keys(entry, {name for name, _ in fields}, where)",
+        '_unknown_keys(entry, {name for name, _ in fields} | {"words", "width_bits"}, where)',
+        (
+            "tests/test_cli.py::TestErrorPaths::test_calibration_geometry_override",
+            "tests/test_memory.py::TestCalibrationSerialization::test_non_finite_duplicate_and_geometry_listed",
+        ),
+    ),
+    Mutant(
+        "extraction_cycle_count, the one extract ports check, refuses fewer than one port",
+        "src/spikesim/dataflow.py",
+        "if ports < 1:",
+        "if ports < 0:",
+        (
+            "tests/test_walkers.py::test_zero_extract_ports_refused",
+            "tests/test_dataflow.py::TestFillFormula::test_extraction_matches_stepped_drain",
+        ),
+    ),
+    Mutant(
+        "each built-in level takes its (latency_ps, power_mw) from the price table in that order",
+        "src/spikesim/memory.py",
+        "MemLevelSpec(level, *prices)",
+        "MemLevelSpec(level, *prices[::-1])",
+        (
+            *(f"tests/test_memory.py::TestCalibrationTables::test_per_level_figures[{kind}-{design}]"
+              for kind in ("mha", "moe") for design in ("2d", "3d")),
+            _GOLDEN,
+        ),
+    ),
 )
 
 

@@ -32,7 +32,7 @@ from spikesim import (
 )
 import spikesim.cli as cli
 from spikesim.cli import _build_parser, main
-from spikesim.levels import ACT_GLB, ACT_LB, level_width_bits, width_words
+from spikesim.levels import ACT_GLB, ACT_LB, LEVEL_GEOMETRY, level_width_bits, width_words
 from spikesim.runner import load_report_csv, report_json_bytes
 
 from object_model import expert_tokens, merge_traces, record_rows, records_from_rows
@@ -127,6 +127,8 @@ class TestRunCommand:
         doc = json.loads(dest.read_text())
         assert doc["kind"] == "moe" and doc["design"] == "2d"
         assert {entry["id"] for entry in doc["levels"]} >= {"act_glb", "weight_glb0"}
+        # Prices only: a level's geometry is the architecture's, not the calibration's.
+        assert all(entry.keys() == {"id", "latency_ps", "power_mw"} for entry in doc["levels"])
 
     @pytest.mark.parametrize("config", ["moe_config", "mha_config"])
     def test_dumped_calibration_prices_like_the_builtin(self, config, request, tmp_path, capsys):
@@ -319,7 +321,7 @@ class TestErrorPaths:
 
     def test_calibration_level_fields_listed(self, tmp_path, capsys):
         doc = dump_calibration(builtin_calibration("moe", "2d"))
-        del doc["levels"][0]["words"]
+        del doc["levels"][0]["power_mw"]
         del doc["levels"][1]["id"]
         doc["levels"][2]["latency_ps"] = "fast"
         del doc["aggregate"]["area_mm2"]
@@ -327,7 +329,7 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("invalid calibration file (4 problem(s)):")
         assert err.count("  - ") == 4
-        for needle in ("level 0 missing field 'words'", "level 1 missing field 'id'", "'latency_ps'", "'area_mm2'"):
+        for needle in ("level 0 missing field 'power_mw'", "level 1 missing field 'id'", "'latency_ps'", "'area_mm2'"):
             assert needle in err
 
     @pytest.mark.parametrize("section,field", [("level", "power_mw"), ("aggregate", "memory_access_power_mw")])
@@ -350,15 +352,20 @@ class TestErrorPaths:
         assert f"calibration level 7 repeats level id 'act_buffer' of level {first}" in err
 
     def test_calibration_geometry_override(self, tmp_path, capsys):
+        """A dump from when each level also gave its geometry, LEVEL_GEOMETRY's own, is refused key by key."""
         doc = dump_calibration(builtin_calibration("moe", "2d"))
-        for entry in doc["levels"]:
-            if entry["id"] in ("act_lb", "weight_buffer"):
-                entry["width_bits"] = 64
+        doc["levels"] = [
+            {"id": e["id"], "words": LEVEL_GEOMETRY[e["id"]][0], "width_bits": LEVEL_GEOMETRY[e["id"]][1],
+             "latency_ps": e["latency_ps"], "power_mw": e["power_mw"]}
+            for e in doc["levels"]
+        ]
         assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid calibration file (2 problem(s)):")
-        assert "level act_lb: geometry 3072 words x 64 bits differs" in err
-        assert "level weight_buffer: geometry 96 words x 64 bits differs" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid calibration file ({2 * len(doc['levels'])} problem(s)):\n" + "".join(
+            f"  - calibration level {i} has unknown key {key!r}\n"
+            for i in range(len(doc["levels"])) for key in ("width_bits", "words")
+        )
 
     def test_calibration_energy_overflow(self, tmp_path, capsys):
         doc = dump_calibration(builtin_calibration("moe", "2d"))
@@ -370,14 +377,13 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == "error: energy under the moe/2d calibration is not finite for level act_glb\n"
 
-    def test_calibration_fractional_words(self, tmp_path, capsys):
+    def test_calibration_fractional_num_cells(self, tmp_path, capsys):
         doc = dump_calibration(builtin_calibration("moe", "2d"))
-        index = next(i for i, entry in enumerate(doc["levels"]) if entry["id"] == "act_glb")
-        doc["levels"][index]["words"] = 8192.9
+        doc["aggregate"]["num_cells"] = 339846.9
         assert self._run_with_calibration(tmp_path, json.dumps(doc)) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid calibration file (1 problem(s)):")
-        assert f"calibration level {index} field 'words' must be an integer, got 8192.9" in err
+        assert "calibration aggregate field 'num_cells' must be an integer, got 339846.9" in err
 
     def test_calibration_fields_take_their_json_type(self, tmp_path, capsys):
         doc = dump_calibration(builtin_calibration("moe", "2d"))

@@ -155,7 +155,14 @@ def artifact_hashes(root: Path) -> dict[str, str]:
 
 
 def test_every_artifact_matches_its_golden_hash(tmp_path):
-    assert artifact_hashes(tmp_path) == json.loads(GOLDEN.read_text())
+    got, golden = artifact_hashes(tmp_path), json.loads(GOLDEN.read_text())
+    # Names, not two whole dicts, so that a failure lists every artifact that changed.
+    changes = {
+        "moved": sorted(name for name in got.keys() & golden.keys() if got[name] != golden[name]),
+        "missing": sorted(golden.keys() - got.keys()),
+        "new": sorted(got.keys() - golden.keys()),
+    }
+    assert not any(changes.values()), "\n".join(f"{label}: {names}" for label, names in changes.items() if names)
 
 
 def test_row_tile_plan_routes_tokens_to_two_experts_of_one_row_tile_each():

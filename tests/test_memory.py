@@ -47,6 +47,15 @@ def ev(level, direction, words, cycle=0, unit="u"):
     return AccessEvent(cycle, unit, level, direction, words, 128)
 
 
+def small_shape(kind):
+    return WorkloadShape(kind=kind, n=4, t=2, d_in=8, d_out=8, experts=2, heads=2, d_head=4)
+
+
+def priced(counts, cal):
+    """``mem_report`` of ``counts`` with the capacity verdict of a small plan of the calibration's kind."""
+    return mem_report(counts, cal, capacity_check(small_shape(cal.kind), cal))
+
+
 # (kind, design) -> {level: (latency_ps, power_mw)}
 LEVEL_PINS = {
     ("moe", "2d"): {
@@ -99,10 +108,7 @@ class TestCalibrationTables:
         cal = builtin_calibration(kind, design)
         assert set(cal.levels) == set(LEVEL_PINS[(kind, design)])
         for level, (latency, power) in LEVEL_PINS[(kind, design)].items():
-            spec = cal.levels[level]
-            assert spec.latency_ps == latency
-            assert spec.power_mw == power
-            assert (spec.words, spec.width_bits) == LEVEL_GEOMETRY[level]
+            assert vars(cal.levels[level]) == {"id": level, "latency_ps": latency, "power_mw": power}
 
     @pytest.mark.parametrize("kind,design", sorted(AGG_PINS))
     def test_aggregate_figures(self, kind, design):
@@ -134,9 +140,8 @@ class TestCalibrationTables:
         assert tuple(cal.levels) == levels
         # Reports follow that order: an idle report lists its levels (and sums
         # their energy) in it, and the capacity check gives its verdicts in it.
-        assert tuple(mem_report(count_walks([]), cal).levels) == levels
-        shape = WorkloadShape(kind=kind, n=4, t=2, d_in=8, d_out=8, experts=2, heads=2, d_head=4)
-        assert tuple(capacity_check(shape, cal).verdicts) == levels
+        assert tuple(priced(count_walks([]), cal).levels) == levels
+        assert tuple(capacity_check(small_shape(kind), cal).verdicts) == levels
 
     def test_attention_design_has_no_weight_globals(self):
         assert WEIGHT_GLB0 not in MHA_LEVELS and WEIGHT_GLB1 not in MHA_LEVELS
@@ -167,14 +172,12 @@ class TestCalibrationValidation:
 
     def test_level_spec_validation(self):
         with pytest.raises(ConfigError):
-            MemLevelSpec("x", 0, 128, 10.0, 1.0)
+            MemLevelSpec("x", 0.0, 1.0)
         with pytest.raises(ConfigError):
-            MemLevelSpec("x", 8, 128, 0.0, 1.0)
-        with pytest.raises(ConfigError):
-            MemLevelSpec("x", 8, 128, 10.0, -0.5)
+            MemLevelSpec("x", 10.0, -0.5)
         for latency, power in ((float("inf"), 1.0), (10.0, float("nan")), (10.0, float("inf"))):
             with pytest.raises(ConfigError, match="finite"):
-                MemLevelSpec("x", 8, 128, latency, power)
+                MemLevelSpec("x", latency, power)
 
 
 class TestCountAccesses:
@@ -296,16 +299,12 @@ class TestCapacity:
 
     @pytest.mark.parametrize("kind,design", sorted(LEVEL_PINS))
     def test_capacities_are_the_level_geometry(self, kind, design):
-        # A flavor prices accesses and never resizes a level: even a
-        # calibration built with another geometry gets LEVEL_GEOMETRY's.
-        cal = builtin_calibration(kind, design)
-        halved = replace(cal, levels={level: replace(spec, words=spec.words // 2) for level, spec in cal.levels.items()})
+        # A flavor prices accesses and never resizes a level.
         shape = WorkloadShape(kind=kind, n=64, t=4, d_in=128, d_out=128, experts=8, heads=8, d_head=16)
-        for c in (cal, halved):
-            verdicts = capacity_check(shape, c).verdicts
-            assert {level: v.capacity_bits for level, v in verdicts.items()} == {
-                level: math.prod(LEVEL_GEOMETRY[level]) for level in KINDS[kind].levels
-            }
+        verdicts = capacity_check(shape, builtin_calibration(kind, design)).verdicts
+        assert {level: v.capacity_bits for level, v in verdicts.items()} == {
+            level: math.prod(LEVEL_GEOMETRY[level]) for level in KINDS[kind].levels
+        }
 
     @pytest.mark.parametrize("experts", range(1, 6))
     def test_each_bank_holds_the_weight_blocks_its_experts_preload(self, experts):
@@ -340,7 +339,7 @@ class TestCapacity:
 
 class TestMemReport:
     def test_zero_traffic_lists_every_level(self):
-        report = mem_report(count_accesses([]), builtin_calibration("moe", "3d"))
+        report = priced(count_accesses([]), builtin_calibration("moe", "3d"))
         assert set(report.levels) == set(MOE_LEVELS)
         assert report.total_energy_fj == 0.0
         assert all(v["reads"] == 0 and v["writes"] == 0 for v in report.levels.values())
@@ -348,7 +347,7 @@ class TestMemReport:
     def test_energy_proxy_pin(self):
         # 1000 words through the 3D attention act LB: 1000 * 0.76 mW * 16 ps.
         counts = count_accesses([ev(ACT_LB, "read", 1000)])
-        report = mem_report(counts, builtin_calibration("mha", "3d"))
+        report = priced(counts, builtin_calibration("mha", "3d"))
         assert report.levels[ACT_LB]["energy_fj"] == pytest.approx(12160.0)
         assert report.total_energy_fj == pytest.approx(12160.0)
 
@@ -357,15 +356,15 @@ class TestMemReport:
         levels = KINDS[kind].levels
         trace = [ev(level, "read", 50) for level in levels]
         counts = count_accesses(trace)
-        flat = mem_report(counts, builtin_calibration(kind, "2d"))
-        stacked = mem_report(counts, builtin_calibration(kind, "3d"))
+        flat = priced(counts, builtin_calibration(kind, "2d"))
+        stacked = priced(counts, builtin_calibration(kind, "3d"))
         for level in levels:
             assert stacked.levels[level]["energy_fj"] < flat.levels[level]["energy_fj"]
 
     def test_trace_level_missing_from_calibration(self):
         counts = count_accesses([ev(WEIGHT_GLB0, "read", 4)])
         with pytest.raises(TraceError, match="weight_glb0"):
-            mem_report(counts, builtin_calibration("mha", "2d"))
+            priced(counts, builtin_calibration("mha", "2d"))
 
     def test_conservation(self):
         trace = [
@@ -375,7 +374,7 @@ class TestMemReport:
             ev(ACT_BUFFER, "write", 2),
         ]
         counts = count_accesses(trace)
-        report = mem_report(counts, builtin_calibration("mha", "2d"))
+        report = priced(counts, builtin_calibration("mha", "2d"))
         assert report.total_words == 16
         by_level = sum(v["words_read"] + v["words_written"] for v in report.levels.values())
         assert by_level == report.total_words
@@ -389,19 +388,18 @@ class TestMemReport:
         # One level past the float range, named.
         counts = count_accesses([ev(ACT_GLB, "read", 1), ev(ACT_LB, "read", 2)])
         with pytest.raises(ConfigError, match=r"not finite for level act_lb$"):
-            mem_report(counts, replace(cal, levels={**cal.levels, ACT_LB: huge[ACT_LB]}))
+            priced(counts, replace(cal, levels={**cal.levels, ACT_LB: huge[ACT_LB]}))
         # Every level finite, their sum not.
         counts = count_accesses([ev(ACT_GLB, "read", 1), ev(ACT_LB, "read", 1)])
         with pytest.raises(ConfigError, match=r"not finite for the total$"):
-            mem_report(counts, replace(cal, levels={**cal.levels, ACT_GLB: huge[ACT_GLB], ACT_LB: huge[ACT_LB]}))
+            priced(counts, replace(cal, levels={**cal.levels, ACT_GLB: huge[ACT_GLB], ACT_LB: huge[ACT_LB]}))
 
     def test_dict_includes_capacity_when_given(self):
         shape = WorkloadShape(kind="mha", n=8, t=2, heads=2, d_head=8)
         cal = builtin_calibration("mha", "2d")
         cap = capacity_check(shape, cal)
         doc = mem_report(count_accesses([]), cal, capacity=cap).to_dict()
-        assert doc["capacity"]["fits"] is True
-        assert "capacity" not in mem_report(count_accesses([]), cal).to_dict()
+        assert doc["capacity"] == cap.to_dict() and cap.fits
         assert doc["calibration"]["kind"] == "mha"
         assert doc["trace_totals"]["total_words"] == 0
 
@@ -492,22 +490,24 @@ class TestCalibrationSerialization:
     def test_all_problems_collected(self):
         doc = dump_calibration(builtin_calibration("mha", "3d"))
         doc["levels"][0] = "not a mapping"
-        doc["levels"][1]["words"] = 0
+        doc["levels"][1]["latency_ps"] = 0
         doc["levels"][2]["power_mw"] = None
-        doc["levels"][3]["words"] = float("inf")
+        doc["levels"][3]["words"] = 3072
         doc["aggregate"]["num_cells"] = "many"
         with pytest.raises(CalibrationValidationError) as info:
             load_calibration(doc)
         assert len(info.value.violations) == 5
         assert "level 0 must be a mapping" in info.value.violations[0]
-        assert "geometry must be positive" in info.value.violations[1]
+        assert "access latency must be positive" in info.value.violations[1]
+        assert info.value.violations[3] == "calibration level 3 has unknown key 'words'"
 
     def test_non_finite_duplicate_and_geometry_listed(self):
         doc = dump_calibration(builtin_calibration("moe", "2d"))
         by_id = {entry["id"]: entry for entry in doc["levels"]}
         by_id[ACT_LB]["power_mw"] = float("nan")
         by_id[WEIGHT_LB]["latency_ps"] = float("-inf")
-        by_id[ACT_GLB]["width_bits"] = 64
+        # Geometry is the architecture's: a level giving it is listed, whatever the value.
+        by_id[ACT_GLB]["width_bits"] = 128
         by_id[WEIGHT_GLB1]["words"] = 4096
         doc["levels"].append({**by_id[ACT_BUFFER], "power_mw": 999.0})
         doc["aggregate"]["area_mm2"] = float("inf")
@@ -520,29 +520,16 @@ class TestCalibrationSerialization:
         assert f"calibration level {order.index(WEIGHT_LB)} field 'latency_ps' must be finite, got -inf" in violations
         assert "calibration aggregate field 'area_mm2' must be finite, got inf" in violations
         assert f"calibration level 7 repeats level id 'act_buffer' of level {order.index(ACT_BUFFER)}" in violations
-        for level, words, width in ((ACT_GLB, 8192, 64), (WEIGHT_GLB1, 4096, 128)):
-            modeled = LEVEL_GEOMETRY[level]
-            assert (
-                f"level {level}: geometry {words} words x {width} bits differs from the modeled "
-                f"{modeled[0]} words x {modeled[1]} bits"
-            ) in violations
+        assert f"calibration level {order.index(ACT_GLB)} has unknown key 'width_bits'" in violations
+        assert f"calibration level {order.index(WEIGHT_GLB1)} has unknown key 'words'" in violations
 
     def test_integer_fields_take_json_integers(self):
         doc = dump_calibration(builtin_calibration("moe", "2d"))
-        by_id = {entry["id"]: entry for entry in doc["levels"]}
-        by_id[ACT_GLB]["words"] = 8192.9
-        by_id[ACT_LB]["words"] = 3072.0
-        by_id[WEIGHT_LB]["width_bits"] = True
-        doc["aggregate"]["num_cells"] = "339846"
-        with pytest.raises(CalibrationValidationError) as info:
-            load_calibration(doc)
-        order = [entry["id"] for entry in doc["levels"]]
-        assert info.value.violations == [
-            f"calibration level {order.index(ACT_GLB)} field 'words' must be an integer, got 8192.9",
-            f"calibration level {order.index(ACT_LB)} field 'words' must be an integer, got 3072.0",
-            f"calibration level {order.index(WEIGHT_LB)} field 'width_bits' must be an integer, got True",
-            "calibration aggregate field 'num_cells' must be an integer, got '339846'",
-        ]
+        for value in (339846.9, 339846.0, True, "339846"):
+            doc["aggregate"]["num_cells"] = value
+            with pytest.raises(CalibrationValidationError) as info:
+                load_calibration(doc)
+            assert info.value.violations == [f"calibration aggregate field 'num_cells' must be an integer, got {value!r}"]
 
     def test_number_and_string_fields_take_their_json_type(self):
         doc = dump_calibration(builtin_calibration("moe", "2d"))

@@ -356,6 +356,23 @@ def test_oversized_extract_ports_and_arrays():
     _assert_same(attention_walk(ts, attention), reference_attention_walk(ts, attention))
 
 
+def test_zero_extract_ports_refused():
+    # extraction_cycle_count holds the one ports check; every walker reaches it, with tiles to walk or none.
+    expert, routing = ArrayGeometry(4, 4, "expert"), ArrayGeometry(4, 4, "routing")
+    zero = "^extract ports must be >= 1, got 0$"
+    for n_e in (3, 0):
+        ts = plan_expert_tiles(n_e, 2, 5, 7, expert)
+        with pytest.raises(dataflow.ConfigError, match=zero):
+            expert_walks(ts, expert, [n_e], 0)
+        with pytest.raises(dataflow.ConfigError, match=zero):
+            dataflow.simulate_expert_array(ts, expert, SparsityStats(0, 1), 0)
+    for n in (9, 0):
+        with pytest.raises(dataflow.ConfigError, match=zero):
+            routing_walk(n, 2, 3, 4, routing, 0)
+        with pytest.raises(dataflow.ConfigError, match=zero):
+            dataflow.simulate_routing_array(n, 2, 3, 4, routing, 0)
+
+
 def test_schedule_columns_round_trip_tiles():
     g = ArrayGeometry(3, 4, "attention")
     ts = plan_attention_tiles(7, 2, 2, 2, g)
